@@ -4,6 +4,12 @@ Flat key -> tensor mapping ("frlp.local.3.weight", "frgca.w_q.bias",
 "vision.fc1.weight", "decoder.embedding.weight", ...) plus a small meta
 section with the non-tensor configuration. Floats serialize via repr,
 so save/load round-trips are bit-exact.
+
+The parameter registry is the single source of key names and shapes:
+each parameter class's spec names its tensors, ``model_arrays`` adds the
+group prefix, and loading checks every tensor against the spec, failing
+with the key named. A loaded model is packed into one flat vector whose
+views are its arrays (see ``facecond.toytrain.training``).
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
 from .geometry import PatchGrid, default_partition
+from .registry import take
 from .toytrain.decoder import ToyDecoderParams
 from .toytrain.projector import VisionProjectorParams
 from .toytrain.training import ModelParams, model_arrays
@@ -58,71 +65,30 @@ def save_model(path: str, model: ModelParams) -> None:
     save_arrays(path, model_arrays(model), meta)
 
 
-def _require(arrays: dict[str, np.ndarray], key: str) -> np.ndarray:
-    if key not in arrays:
-        raise ValueError(f"checkpoint is missing tensor {key!r}")
-    return arrays[key]
-
-
-def build_frlp(arrays: dict[str, np.ndarray]) -> FrlpParams:
-    partition = default_partition()
-    local_weights = []
-    local_biases = []
-    for i, (_, idx) in enumerate(partition.groups):
-        w = _require(arrays, f"frlp.local.{i}.weight")
-        if w.shape[1] != 2 * len(idx):
-            raise ValueError(
-                f"frlp.local.{i}.weight has input width {w.shape[1]}, expected {2 * len(idx)}"
-            )
-        local_weights.append(w)
-        local_biases.append(_require(arrays, f"frlp.local.{i}.bias"))
-    global_weight = _require(arrays, "frlp.global.weight")
-    global_bias = _require(arrays, "frlp.global.bias")
-    return FrlpParams(
-        local_weights, local_biases, global_weight, global_bias, d=global_weight.shape[0]
+def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None) -> FrlpParams:
+    return FrlpParams.with_arrays(
+        take(arrays, FrlpParams.spec(default_partition()), "frlp.", dims)
     )
 
 
-def build_frgca(arrays: dict[str, np.ndarray], meta: dict) -> FrgcaParams:
+def build_frgca(
+    arrays: dict[str, np.ndarray], meta: dict, dims: dict[str, int] | None = None
+) -> FrgcaParams:
     return FrgcaParams(
-        w_q=_require(arrays, "frgca.w_q.weight"),
-        b_q=_require(arrays, "frgca.w_q.bias"),
-        w_k=_require(arrays, "frgca.w_k.weight"),
-        b_k=_require(arrays, "frgca.w_k.bias"),
-        w_v=_require(arrays, "frgca.w_v.weight"),
-        b_v=_require(arrays, "frgca.w_v.bias"),
-        w_o=_require(arrays, "frgca.w_o.weight"),
-        b_o=_require(arrays, "frgca.w_o.bias"),
+        *take(arrays, FrgcaParams.SPEC, "frgca.", dims),
         heads=int(meta.get("heads", 8)),
         scale=str(meta.get("scale", "per_head")),
         use_bias=bool(meta.get("use_bias", True)),
     )
 
 
-def build_vision(arrays: dict[str, np.ndarray]) -> VisionProjectorParams:
-    return VisionProjectorParams(
-        w1=_require(arrays, "vision.fc1.weight"),
-        b1=_require(arrays, "vision.fc1.bias"),
-        w2=_require(arrays, "vision.fc2.weight"),
-        b2=_require(arrays, "vision.fc2.bias"),
-    )
-
-
-def build_decoder(arrays: dict[str, np.ndarray]) -> ToyDecoderParams:
-    return ToyDecoderParams(
-        embedding=_require(arrays, "decoder.embedding.weight"),
-        readout_w=_require(arrays, "decoder.readout.weight"),
-        readout_b=_require(arrays, "decoder.readout.bias"),
-    )
-
-
 def load_model(path: str) -> ModelParams:
     arrays, meta = load_arrays(path)
+    dims: dict[str, int] = {}  # shared, so all four groups agree on d
     return ModelParams(
-        frlp=build_frlp(arrays),
-        frgca=build_frgca(arrays, meta),
-        vision=build_vision(arrays),
-        decoder=build_decoder(arrays),
-        partition=default_partition(),
+        frlp=build_frlp(arrays, dims),
+        frgca=build_frgca(arrays, meta, dims),
+        vision=VisionProjectorParams(*take(arrays, VisionProjectorParams.SPEC, "vision.", dims)),
+        decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
         grid=PatchGrid(int(meta.get("grid_rows", 16)), int(meta.get("grid_cols", 16))),
     )

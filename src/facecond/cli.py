@@ -318,7 +318,6 @@ def cmd_pair(args) -> int:
 
 def cmd_split(args) -> int:
     config = _load_config(args.config)
-    seed = int(_resolve(args, config, "seed", 0))
     per_task = int(_resolve(args, config, "per_task", 500))
     records, errors = datapipe.load_manifest(args.manifest)
     if errors:
@@ -327,9 +326,7 @@ def cmd_split(args) -> int:
         )
     with open(args.target, "r", encoding="utf-8") as fh:
         target = json.load(fh)
-    selected, summary = datapipe.build_test_split(
-        records, target, per_task=per_task, seed=seed
-    )
+    selected, summary = datapipe.build_test_split(records, target, per_task=per_task)
     datapipe.save_manifest(args.out, selected)
     if args.summary_out:
         _write_json(args.summary_out, summary)
@@ -343,7 +340,6 @@ def cmd_split(args) -> int:
 def _add_common(sub) -> None:
     sub.add_argument("--config", help="JSON config file supplying defaults")
     sub.add_argument("--seed", type=int, help="random seed (default 0)")
-    sub.add_argument("--threads", type=int, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score generated descriptions against labels")
     _add_common(p)
+    p.add_argument("--threads", type=int, help="worker threads (default 1)")
     p.add_argument("--records", required=True, help="EvalRecord JSONL")
     p.add_argument(
         "--taxonomy",

@@ -211,16 +211,12 @@ def build_test_split(
     records: Sequence[AnnotationRecord],
     target: dict[str, dict[str, float]],
     per_task: int = 500,
-    seed: int = 0,
 ) -> tuple[list[AnnotationRecord], dict]:
     """Greedy stratified selection: per task, rank candidates by overall
     rating (descending, ties by id) and fill each class quota from the
-    top. ``target`` maps task -> class -> proportion.
-
-    ``seed`` is accepted for interface uniformity; the ranked selection
-    itself is deterministic.
+    top. ``target`` maps task -> class -> proportion. The selection is
+    deterministic, so it takes no seed.
     """
-    del seed
     selected: list[AnnotationRecord] = []
     summary: dict = {"per_task": per_task, "tasks": {}}
     for task in sorted(target):

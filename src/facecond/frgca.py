@@ -21,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .registry import SpecParams
+
 VARIANTS = ("frgca", "simple", "none")
 SCALE_MODES = ("per_head", "total")
 
 
 @dataclass
-class FrgcaParams:
+class FrgcaParams(SpecParams):
     """Query/key/value projections (d_attn, d), output projection (d, d_attn).
 
     The mask encodes geometry, not head-specific content, so it is added
@@ -46,6 +48,23 @@ class FrgcaParams:
     heads: int = 8
     scale: str = "per_head"
     use_bias: bool = True
+
+    SPEC = (
+        ("w_q.weight", ("d_attn", "d")),
+        ("w_q.bias", ("d_attn",)),
+        ("w_k.weight", ("d_attn", "d")),
+        ("w_k.bias", ("d_attn",)),
+        ("w_v.weight", ("d_attn", "d")),
+        ("w_v.bias", ("d_attn",)),
+        ("w_o.weight", ("d", "d_attn")),
+        ("w_o.bias", ("d",)),
+    )
+
+    def __post_init__(self) -> None:
+        if self.heads < 1 or self.d_attn % self.heads:
+            raise ValueError(f"d_attn={self.d_attn} not divisible by heads={self.heads}")
+        if self.scale not in SCALE_MODES:
+            raise ValueError(f"scale must be one of {SCALE_MODES}")
 
     @property
     def d(self) -> int:
@@ -80,20 +99,6 @@ class FrgcaCache:
     variant: str
 
 
-@dataclass
-class FrgcaGrads:
-    d_h_v: np.ndarray
-    d_h_l: np.ndarray
-    d_w_q: np.ndarray
-    d_b_q: np.ndarray
-    d_w_k: np.ndarray
-    d_b_k: np.ndarray
-    d_w_v: np.ndarray
-    d_b_v: np.ndarray
-    d_w_o: np.ndarray
-    d_b_o: np.ndarray
-
-
 def init_frgca(
     d: int,
     d_attn: int | None = None,
@@ -106,10 +111,6 @@ def init_frgca(
     if d < 1:
         raise ValueError("token dimension must be >= 1")
     d_attn = d if d_attn is None else d_attn
-    if d_attn % heads != 0:
-        raise ValueError(f"d_attn={d_attn} not divisible by heads={heads}")
-    if scale not in SCALE_MODES:
-        raise ValueError(f"scale must be one of {SCALE_MODES}")
     rng = np.random.default_rng(seed)
 
     def affine(out_dim, in_dim):
@@ -237,8 +238,11 @@ def attention_weights(
     return _softmax_rows(logits)
 
 
-def frgca_backward(cotangent: np.ndarray, cache: FrgcaCache | None) -> FrgcaGrads:
-    """Exact reverse-mode gradients of frgca_forward.
+def frgca_backward(
+    cotangent: np.ndarray, cache: FrgcaCache | None
+) -> tuple[FrgcaParams, np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of frgca_forward: the parameter
+    gradients shaped like the parameters, then d_h_v and d_h_l.
 
     ``cache`` must come from a matching forward call with
     return_cache=True.
@@ -253,18 +257,8 @@ def frgca_backward(cotangent: np.ndarray, cache: FrgcaCache | None) -> FrgcaGrad
         )
 
     if cache.variant == "none":
-        return FrgcaGrads(
-            d_h_v=g.copy(),
-            d_h_l=np.zeros((0,)),
-            d_w_q=np.zeros_like(params.w_q),
-            d_b_q=np.zeros_like(params.b_q),
-            d_w_k=np.zeros_like(params.w_k),
-            d_b_k=np.zeros_like(params.b_k),
-            d_w_v=np.zeros_like(params.w_v),
-            d_b_v=np.zeros_like(params.b_v),
-            d_w_o=np.zeros_like(params.w_o),
-            d_b_o=np.zeros_like(params.b_o),
-        )
+        zeros = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
+        return zeros, g.copy(), np.zeros((0,))
 
     h_v, h_l = cache.h_v, cache.h_l
     T, N, d = h_v.shape
@@ -314,9 +308,8 @@ def frgca_backward(cotangent: np.ndarray, cache: FrgcaCache | None) -> FrgcaGrad
     d_h_v += d_q_full @ params.w_q
     d_h_l = d_k_full @ params.w_k + d_v_full @ params.w_v
 
-    return FrgcaGrads(
-        d_h_v, d_h_l, d_w_q, d_b_q, d_w_k, d_b_k, d_w_v, d_b_v, d_w_o, d_b_o
-    )
+    grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_b_k, d_w_v, d_b_v, d_w_o, d_b_o])
+    return grads, d_h_v, d_h_l
 
 
 def attention_maps_json(weights: np.ndarray) -> list[dict]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LandmarkClip, RegionPartition, N_LANDMARKS
+from .registry import Spec
 
 TOKEN_MODES = ("both", "local_only", "global_only")
 
@@ -37,6 +38,24 @@ class FrlpParams:
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(w.shape[1] // 2 for w in self.local_weights)
 
+    @staticmethod
+    def spec(partition: RegionPartition) -> Spec:
+        """Checkpoint keys and shapes, in checkpoint order (see registry)."""
+        rows: list = []
+        for i, (_, idx) in enumerate(partition.groups):
+            rows += [(f"local.{i}.weight", ("d", 2 * len(idx))), (f"local.{i}.bias", ("d",))]
+        return (*rows, ("global.weight", ("d", 2 * N_LANDMARKS)), ("global.bias", ("d",)))
+
+    def arrays(self) -> list[np.ndarray]:
+        local = [a for pair in zip(self.local_weights, self.local_biases) for a in pair]
+        return [*local, self.global_weight, self.global_bias]
+
+    @classmethod
+    def with_arrays(cls, arrays: list[np.ndarray]) -> "FrlpParams":
+        """Build from arrays in spec order (callable on an instance too)."""
+        *local, global_weight, global_bias = arrays
+        return cls(local[0::2], local[1::2], global_weight, global_bias, d=global_bias.shape[0])
+
 
 @dataclass(frozen=True)
 class LandmarkTokens:
@@ -46,14 +65,6 @@ class LandmarkTokens:
     combined: np.ndarray
     local: np.ndarray
     global_: np.ndarray
-
-
-@dataclass
-class FrlpGrads:
-    local_weights: list[np.ndarray]
-    local_biases: list[np.ndarray]
-    global_weight: np.ndarray
-    global_bias: np.ndarray
 
 
 def init_frlp(d: int, partition: RegionPartition, seed: int = 0) -> FrlpParams:
@@ -156,8 +167,9 @@ def frlp_backward(
     partition: RegionPartition,
     params: FrlpParams,
     mode: str = "both",
-) -> FrlpGrads:
-    """Parameter gradients given the cotangent of select_tokens' output."""
+) -> FrlpParams:
+    """Parameter gradients, shaped like ``params``, given the cotangent of
+    select_tokens' output."""
     _check_compat(partition, params)
     d_tokens = np.asarray(d_tokens, dtype=np.float64)
     if mode == "both":
@@ -194,4 +206,4 @@ def frlp_backward(
         global_dw = g.T @ flat
         global_db = g.sum(axis=0)
 
-    return FrlpGrads(local_dw, local_db, global_dw, global_db)
+    return FrlpParams(local_dw, local_db, global_dw, global_db, d)

@@ -12,6 +12,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .registry import named, unflatten
+
 DEFAULT_STEP = 1e-5
 # Error denominator floor: gradients in the suites are O(1e-3..1), while
 # central-difference roundoff on a true-zero gradient is O(1e-10); the
@@ -73,7 +75,7 @@ def check_named_gradients(
 
 def frlp_suite(seed: int = 0) -> float:
     """FRLP parameter gradients vs finite differences; returns max rel error."""
-    from .frlp import frlp_backward, frlp_forward, init_frlp, select_tokens
+    from .frlp import FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
     from .geometry import default_partition, frames_from_array
 
     rng = np.random.default_rng(seed)
@@ -87,14 +89,9 @@ def frlp_suite(seed: int = 0) -> float:
         return float((select_tokens(tokens, "both") * weights).sum())
 
     grads = frlp_backward(weights, clip, partition, params, mode="both")
-    arrays = {"frlp.global.weight": params.global_weight, "frlp.global.bias": params.global_bias}
-    analytic = {"frlp.global.weight": grads.global_weight, "frlp.global.bias": grads.global_bias}
-    for i in range(9):
-        arrays[f"frlp.local.{i}.weight"] = params.local_weights[i]
-        arrays[f"frlp.local.{i}.bias"] = params.local_biases[i]
-        analytic[f"frlp.local.{i}.weight"] = grads.local_weights[i]
-        analytic[f"frlp.local.{i}.bias"] = grads.local_biases[i]
-    return max(check_named_gradients(loss, arrays, analytic).values())
+    spec = FrlpParams.spec(partition)
+    arrays = named(spec, params.arrays())
+    return max(check_named_gradients(loss, arrays, named(spec, grads.arrays())).values())
 
 
 def frgca_suite(seed: int = 0) -> float:
@@ -112,31 +109,9 @@ def frgca_suite(seed: int = 0) -> float:
         return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads = frgca_backward(weights, cache)
-    arrays = {
-        "frgca.w_q.weight": params.w_q,
-        "frgca.w_q.bias": params.b_q,
-        "frgca.w_k.weight": params.w_k,
-        "frgca.w_k.bias": params.b_k,
-        "frgca.w_v.weight": params.w_v,
-        "frgca.w_v.bias": params.b_v,
-        "frgca.w_o.weight": params.w_o,
-        "frgca.w_o.bias": params.b_o,
-        "h_v": h_v,
-        "h_l": h_l,
-    }
-    analytic = {
-        "frgca.w_q.weight": grads.d_w_q,
-        "frgca.w_q.bias": grads.d_b_q,
-        "frgca.w_k.weight": grads.d_w_k,
-        "frgca.w_k.bias": grads.d_b_k,
-        "frgca.w_v.weight": grads.d_w_v,
-        "frgca.w_v.bias": grads.d_b_v,
-        "frgca.w_o.weight": grads.d_w_o,
-        "frgca.w_o.bias": grads.d_b_o,
-        "h_v": grads.d_h_v,
-        "h_l": grads.d_h_l,
-    }
+    grads, d_h_v, d_h_l = frgca_backward(weights, cache)
+    arrays = {**named(params.SPEC, params.arrays()), "h_v": h_v, "h_l": h_l}
+    analytic = {**named(params.SPEC, grads.arrays()), "h_v": d_h_v, "h_l": d_h_l}
     return max(check_named_gradients(loss, arrays, analytic).values())
 
 
@@ -153,21 +128,9 @@ def vision_suite(seed: int = 0) -> float:
         return float((vision_project(raw, params) * weights).sum())
 
     _, cache = vision_project(raw, params, return_cache=True)
-    grads = vision_backward(weights, cache)
-    arrays = {
-        "vision.fc1.weight": params.w1,
-        "vision.fc1.bias": params.b1,
-        "vision.fc2.weight": params.w2,
-        "vision.fc2.bias": params.b2,
-        "raw": raw,
-    }
-    analytic = {
-        "vision.fc1.weight": grads.d_w1,
-        "vision.fc1.bias": grads.d_b1,
-        "vision.fc2.weight": grads.d_w2,
-        "vision.fc2.bias": grads.d_b2,
-        "raw": grads.d_raw,
-    }
+    grads, d_raw = vision_backward(weights, cache)
+    arrays = {**named(params.SPEC, params.arrays()), "raw": raw}
+    analytic = {**named(params.SPEC, grads.arrays()), "raw": d_raw}
     return max(check_named_gradients(loss, arrays, analytic).values())
 
 
@@ -212,9 +175,9 @@ def pipeline_suite(seed: int = 0) -> float:
 
     value, state = forward_loss(model, sample, config, return_state=True)
     assert np.isfinite(value)
-    grads = backward_pass(model, sample, config, state)
+    grad = backward_pass(model, sample, config, state)
     arrays = model_arrays(model)
-    return max(check_named_gradients(loss, arrays, grads).values())
+    return max(check_named_gradients(loss, arrays, unflatten(grad, arrays)).values())
 
 
 def run_full_suite(seed: int = 0) -> dict:

@@ -16,16 +16,24 @@ from typing import Sequence
 
 import numpy as np
 
+from ..registry import SpecParams
+
 DEFAULT_MAX_CONTEXT = 2048
 
 
 @dataclass
-class ToyDecoderParams:
+class ToyDecoderParams(SpecParams):
     """embedding (vocab, d); readout (vocab, d) affine with bias."""
 
     embedding: np.ndarray
     readout_w: np.ndarray
     readout_b: np.ndarray
+
+    SPEC = (
+        ("embedding.weight", ("vocab", "d")),
+        ("readout.weight", ("vocab", "d")),
+        ("readout.bias", ("vocab",)),
+    )
 
     @property
     def vocab(self) -> int:
@@ -63,14 +71,6 @@ class DecoderCache:
     probs: np.ndarray  # (R, vocab) softmax rows
     targets: tuple[int, ...]
     params: ToyDecoderParams
-
-
-@dataclass
-class DecoderGrads:
-    d_embedding: np.ndarray
-    d_readout_w: np.ndarray
-    d_readout_b: np.ndarray
-    d_visual: np.ndarray  # (T, N, d)
 
 
 def init_decoder(vocab: int, d: int, seed: int = 0) -> ToyDecoderParams:
@@ -155,7 +155,7 @@ def autoregressive_loss(
     with np.errstate(divide="ignore"):
         loss = float(-np.log(picked).mean())
     if not np.isfinite(loss):
-        raise ValueError("non-finite loss")
+        raise FloatingPointError("non-finite loss")
     if return_cache:
         return loss, DecoderCache(sequence, pooled, probs, targets, params)
     return loss
@@ -166,9 +166,9 @@ def response_predictions(cache: DecoderCache) -> np.ndarray:
     return cache.probs.argmax(axis=1)
 
 
-def decoder_backward(cache: DecoderCache) -> DecoderGrads:
-    """Gradients of the mean NLL with respect to decoder parameters and
-    the visual block."""
+def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]:
+    """Gradients of the mean NLL: decoder parameter gradients shaped like
+    the parameters, then the (T, N, d) visual block's."""
     if cache is None:
         raise ValueError("missing forward cache")
     params = cache.params
@@ -196,4 +196,4 @@ def decoder_backward(cache: DecoderCache) -> DecoderGrads:
     text_ids = list(seq.instruction_ids) + list(seq.response_ids)
     np.add.at(d_embedding, text_ids, d_rows[seq.n_visual :])
 
-    return DecoderGrads(d_embedding, d_readout_w, d_readout_b, d_visual)
+    return ToyDecoderParams(d_embedding, d_readout_w, d_readout_b), d_visual

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from ..registry import SpecParams
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -20,13 +22,20 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class VisionProjectorParams:
+class VisionProjectorParams(SpecParams):
     """fc1 (hidden, d_raw), fc2 (d, hidden) with biases."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+    SPEC = (
+        ("fc1.weight", ("hidden", "d_raw")),
+        ("fc1.bias", ("hidden",)),
+        ("fc2.weight", ("d", "hidden")),
+        ("fc2.bias", ("d",)),
+    )
 
     @property
     def d_raw(self) -> int:
@@ -43,15 +52,6 @@ class VisionCache:
     pre_act: np.ndarray
     hidden: np.ndarray
     params: VisionProjectorParams
-
-
-@dataclass
-class VisionGrads:
-    d_w1: np.ndarray
-    d_b1: np.ndarray
-    d_w2: np.ndarray
-    d_b2: np.ndarray
-    d_raw: np.ndarray
 
 
 def init_vision_projector(
@@ -90,7 +90,10 @@ def vision_project(
     return out
 
 
-def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionGrads:
+def vision_backward(
+    cotangent: np.ndarray, cache: VisionCache
+) -> tuple[VisionProjectorParams, np.ndarray]:
+    """Parameter gradients shaped like the parameters, then d_raw."""
     if cache is None:
         raise ValueError("missing forward cache")
     g = np.asarray(cotangent, dtype=np.float64)
@@ -102,4 +105,4 @@ def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionGrads:
     d_w1 = np.einsum("tnh,tnr->hr", d_pre, cache.raw)
     d_b1 = d_pre.sum(axis=(0, 1))
     d_raw = d_pre @ params.w1
-    return VisionGrads(d_w1, d_b1, d_w2, d_b2, d_raw)
+    return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2), d_raw

@@ -4,13 +4,19 @@ Stage "pretrain" trains only the landmark modules (projector gamma,
 attention alpha) with everything else frozen; stage "finetune" trains
 all four parameter groups at a lower learning rate. AdamW with a
 half-period cosine learning-rate schedule, batch size 1, no warmup.
+
+Parameter keys come from one registry (``facecond.registry``): each
+parameter class names its arrays in a spec, and ``model_arrays`` prefixes
+them in the order gamma, alpha, theta, phi. ``ModelParams.flat`` holds
+every array in that order, so each stage trains a prefix of it. The group
+arrays are views into ``flat``: write into them in place, never rebind them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +43,7 @@ from .decoder import (
     response_predictions,
     sequence_assemble,
 )
+from ..registry import named, unflatten
 from .projector import VisionProjectorParams, init_vision_projector, vision_backward, vision_project
 from .synth import SynthSample
 
@@ -44,8 +51,10 @@ STAGES = ("pretrain", "finetune")
 STAGE_DEFAULT_LR = {"pretrain": 1e-4, "finetune": 2e-5}
 
 # parameter groups: gamma = FRLP, alpha = FRGCA, theta = vision projector,
-# phi = decoder
-GROUPS = ("gamma", "alpha", "theta", "phi")
+# phi = decoder; keyed by checkpoint prefix (the ModelParams field), in
+# flat order
+_GROUP_OF = {"frlp": "gamma", "frgca": "alpha", "vision": "theta", "decoder": "phi"}
+GROUPS = tuple(_GROUP_OF.values())
 _STAGE_TRAINABLE = {
     "pretrain": ("gamma", "alpha"),
     "finetune": ("gamma", "alpha", "theta", "phi"),
@@ -57,7 +66,6 @@ class TrainConfig:
     stage: str = "pretrain"
     learning_rate: float | None = None  # stage default when None
     epochs: int = 1
-    schedule: str = "cosine"
     seed: int = 0
     frames: int = 1
     grid_rows: int = 4
@@ -74,8 +82,6 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}")
-        if self.schedule != "cosine":
-            raise ValueError("only the cosine schedule is supported")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.vocab < 2:
@@ -105,12 +111,24 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
+    """All four parameter groups; construction packs them into ``flat``
+    and makes every group array a view into it."""
+
     frlp: FrlpParams
     frgca: FrgcaParams
     vision: VisionProjectorParams
     decoder: ToyDecoderParams
     partition: RegionPartition = field(default_factory=default_partition)
     grid: PatchGrid = field(default_factory=PatchGrid)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = model_arrays(self)
+        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        views = iter(unflatten(self.flat, arrays).values())
+        for prefix in _GROUP_OF:
+            params = getattr(self, prefix)
+            setattr(self, prefix, params.with_arrays([next(views) for _ in params.arrays()]))
 
 
 def init_model(config: TrainConfig) -> ModelParams:
@@ -130,29 +148,22 @@ def init_model(config: TrainConfig) -> ModelParams:
 
 
 def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
-    """Checkpoint-keyed views of every parameter array."""
+    """Every parameter array, checkpoint-keyed, in flat order: the views
+    that tile ``model.flat``."""
+    specs = (
+        FrlpParams.spec(model.partition),
+        FrgcaParams.SPEC,
+        VisionProjectorParams.SPEC,
+        ToyDecoderParams.SPEC,
+    )
     arrays: dict[str, np.ndarray] = {}
-    for i, w in enumerate(model.frlp.local_weights):
-        arrays[f"frlp.local.{i}.weight"] = w
-        arrays[f"frlp.local.{i}.bias"] = model.frlp.local_biases[i]
-    arrays["frlp.global.weight"] = model.frlp.global_weight
-    arrays["frlp.global.bias"] = model.frlp.global_bias
-    for name in ("w_q", "w_k", "w_v", "w_o"):
-        arrays[f"frgca.{name}.weight"] = getattr(model.frgca, name)
-        arrays[f"frgca.{name}.bias"] = getattr(model.frgca, "b_" + name[-1])
-    arrays["vision.fc1.weight"] = model.vision.w1
-    arrays["vision.fc1.bias"] = model.vision.b1
-    arrays["vision.fc2.weight"] = model.vision.w2
-    arrays["vision.fc2.bias"] = model.vision.b2
-    arrays["decoder.embedding.weight"] = model.decoder.embedding
-    arrays["decoder.readout.weight"] = model.decoder.readout_w
-    arrays["decoder.readout.bias"] = model.decoder.readout_b
+    for prefix, spec in zip(_GROUP_OF, specs, strict=True):
+        arrays.update(named(spec, getattr(model, prefix).arrays(), prefix + "."))
     return arrays
 
 
 def parameter_group(key: str) -> str:
-    prefix = key.split(".", 1)[0]
-    return {"frlp": "gamma", "frgca": "alpha", "vision": "theta", "decoder": "phi"}[prefix]
+    return _GROUP_OF[key.split(".", 1)[0]]
 
 
 def trainable_keys(model: ModelParams, stage: str) -> list[str]:
@@ -198,42 +209,22 @@ def forward_loss(
 
 
 def backward_pass(
-    model: ModelParams, sample: SynthSample, config: TrainConfig, state
-) -> dict[str, np.ndarray]:
-    """Gradients for every parameter array, keyed like model_arrays."""
+    model: ModelParams, sample: SynthSample, config: TrainConfig, state, out=None
+) -> np.ndarray:
+    """Gradient of the loss as one vector laid out like ``model.flat``,
+    written into ``out`` when given."""
     vision_cache, attn_cache, decoder_cache = state
-    dec = decoder_backward(decoder_cache)
-    att = frgca_backward(dec.d_visual, attn_cache)
-    vis = vision_backward(att.d_h_v, vision_cache)
-
-    grads: dict[str, np.ndarray] = {}
-    if config.variant == "none":
-        for i, w in enumerate(model.frlp.local_weights):
-            grads[f"frlp.local.{i}.weight"] = np.zeros_like(w)
-            grads[f"frlp.local.{i}.bias"] = np.zeros_like(model.frlp.local_biases[i])
-        grads["frlp.global.weight"] = np.zeros_like(model.frlp.global_weight)
-        grads["frlp.global.bias"] = np.zeros_like(model.frlp.global_bias)
+    dec, d_visual = decoder_backward(decoder_cache)
+    att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
+    vis, _ = vision_backward(d_h_v, vision_cache)
+    if config.variant == "none":  # no attention, so FRLP never reaches the loss
+        frl = [np.zeros_like(a) for a in model.frlp.arrays()]
     else:
         frl = frlp_backward(
-            att.d_h_l, sample.clip, model.partition, model.frlp, mode=config.tokens
-        )
-        for i in range(len(model.frlp.local_weights)):
-            grads[f"frlp.local.{i}.weight"] = frl.local_weights[i]
-            grads[f"frlp.local.{i}.bias"] = frl.local_biases[i]
-        grads["frlp.global.weight"] = frl.global_weight
-        grads["frlp.global.bias"] = frl.global_bias
-
-    for name in ("w_q", "w_k", "w_v", "w_o"):
-        grads[f"frgca.{name}.weight"] = getattr(att, "d_" + name)
-        grads[f"frgca.{name}.bias"] = getattr(att, "d_b_" + name[-1])
-    grads["vision.fc1.weight"] = vis.d_w1
-    grads["vision.fc1.bias"] = vis.d_b1
-    grads["vision.fc2.weight"] = vis.d_w2
-    grads["vision.fc2.bias"] = vis.d_b2
-    grads["decoder.embedding.weight"] = dec.d_embedding
-    grads["decoder.readout.weight"] = dec.d_readout_w
-    grads["decoder.readout.bias"] = dec.d_readout_b
-    return grads
+            d_h_l, sample.clip, model.partition, model.frlp, mode=config.tokens
+        ).arrays()
+    parts = [*frl, *att.arrays(), *vis.arrays(), *dec.arrays()]
+    return np.concatenate([np.ravel(a) for a in parts], out=out)
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -243,51 +234,46 @@ def cosine_lr(base: float, step: int, total_steps: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * step / (total_steps - 1)))
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.0
+
+
 class AdamW:
-    """AdamW with bias correction; weight decay defaults to 0."""
+    """AdamW with bias correction over one parameter vector; the moments
+    and scratch buffers are allocated once, so a step allocates nothing."""
 
-    def __init__(
-        self,
-        keys: Iterable[str],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        self.keys = list(keys)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, size: int) -> None:
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
-    def step(
-        self,
-        arrays: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        lr: float,
-    ) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update ``params`` in place from ``grad``, both of length ``size``."""
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for key in self.keys:
-            g = grads[key]
-            if key not in self._m:
-                self._m[key] = np.zeros_like(g)
-                self._v[key] = np.zeros_like(g)
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * arrays[key]
-            arrays[key] -= lr * update
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
+        a, update = self._scratch
+        self.m *= BETA1
+        np.multiply(grad, 1.0 - BETA1, out=a)
+        self.m += a
+        self.v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=a)
+        a *= grad
+        self.v += a
+        # update = (m / bc1) / (sqrt(v / bc2) + eps), rounded step by step
+        np.divide(self.v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += EPS
+        np.divide(self.m, bc1, out=update)
+        update /= a
+        if WEIGHT_DECAY:
+            update += WEIGHT_DECAY * params
+        update *= lr
+        params -= update
 
 
 @dataclass
@@ -302,12 +288,15 @@ def train(
     model: ModelParams | None = None,
 ) -> TrainResult:
     """Run the configured stage over the dataset; frozen groups are never
-    touched. Aborts with a diagnostic if the loss goes non-finite."""
+    touched. A non-finite loss or gradient aborts the run before the
+    update, with a diagnostic naming the step and sample."""
     if model is None:
         model = init_model(config)
     arrays = model_arrays(model)
-    keys = trainable_keys(model, config.stage)
-    optimizer = AdamW(keys)
+    n_trainable = sum(arrays[k].size for k in trainable_keys(model, config.stage))
+    params = model.flat[:n_trainable]  # the stage's groups lead the layout
+    grad = np.empty_like(model.flat)
+    optimizer = AdamW(n_trainable)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
     order_rng = np.random.default_rng(config.seed)
@@ -319,13 +308,14 @@ def train(
         for idx in order:
             sample = dataset[int(idx)]
             lr = cosine_lr(base_lr, step, total_steps)
-            loss, state = forward_loss(model, sample, config, return_state=True)
-            if not math.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite loss {loss!r} at step {step} (sample {idx})"
-                )
-            grads = backward_pass(model, sample, config, state)
-            optimizer.step(arrays, grads, lr)
+            try:
+                loss, state = forward_loss(model, sample, config, return_state=True)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} at step {step} (sample {idx})") from exc
+            backward_pass(model, sample, config, state, out=grad)
+            if not np.isfinite(grad).all():
+                raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
+            optimizer.step(params, grad[:n_trainable], lr)
             trace.append((step, lr, loss))
             step += 1
     return TrainResult(model=model, trace=trace)

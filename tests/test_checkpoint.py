@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from facecond.checkpoint import (
+    build_frgca,
     load_arrays,
     load_model,
     save_arrays,
@@ -67,3 +69,31 @@ def test_checkpoint_key_names(tmp_path):
         "decoder.readout.bias",
     ):
         assert key in arrays, key
+
+
+def _saved_arrays(tmp_path):
+    cfg = TrainConfig(grid_rows=2, grid_cols=2, d=8, heads=2, d_raw=4, vocab=16)
+    path = tmp_path / "model.json"
+    save_model(str(path), init_model(cfg))
+    return path, *load_arrays(str(path))
+
+
+def test_load_rejects_missing_tensor(tmp_path):
+    path, arrays, meta = _saved_arrays(tmp_path)
+    del arrays["vision.fc2.bias"]
+    save_arrays(str(path), arrays, meta)
+    with pytest.raises(ValueError, match=r"missing tensor 'vision\.fc2\.bias'"):
+        load_model(str(path))
+
+
+def test_build_frgca_rejects_key_shape_disagreeing_with_query(tmp_path):
+    _, arrays, meta = _saved_arrays(tmp_path)
+    arrays["frgca.w_k.weight"] = arrays["frgca.w_k.weight"][:4]
+    with pytest.raises(ValueError, match=r"frgca\.w_k\.weight has shape \(4, 8\), expected \(8, 8\)"):
+        build_frgca(arrays, meta)
+
+
+def test_build_frgca_rejects_heads_not_dividing_width(tmp_path):
+    _, arrays, meta = _saved_arrays(tmp_path)
+    with pytest.raises(ValueError, match=r"d_attn=8 not divisible by heads=3"):
+        build_frgca(arrays, {**meta, "heads": 3})

@@ -221,19 +221,19 @@ def test_backward_residual_only_when_wo_zero():
     h_v, h_l, mask, params = random_instance(rng)
     params.w_o[:] = 0.0
     out, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads = frgca_backward(np.ones_like(out), cache)
-    assert np.array_equal(grads.d_h_v, np.ones_like(h_v))
+    _, d_h_v, _ = frgca_backward(np.ones_like(out), cache)
+    assert np.array_equal(d_h_v, np.ones_like(h_v))
 
 
 def test_backward_zero_cotangent_gives_zero_grads():
     rng = np.random.default_rng(14)
     h_v, h_l, mask, params = random_instance(rng)
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads = frgca_backward(np.zeros_like(h_v), cache)
-    assert np.all(grads.d_h_v == 0.0)
-    assert np.all(grads.d_h_l == 0.0)
+    grads, d_h_v, d_h_l = frgca_backward(np.zeros_like(h_v), cache)
+    assert np.all(d_h_v == 0.0)
+    assert np.all(d_h_l == 0.0)
     for arr in named_param_arrays(params):
-        assert np.all(getattr(grads, f"d_{arr}") == 0.0)
+        assert np.all(getattr(grads, arr) == 0.0)
 
 
 def test_backward_requires_cache():
@@ -262,9 +262,9 @@ def test_gradients_match_finite_differences(variant, scale):
         return float((frgca_forward(h_v, h_l, mask, params, variant=variant) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
-    grads = frgca_backward(weights, cache)
+    grads, _, _ = frgca_backward(weights, cache)
     arrays = named_param_arrays(params)
-    analytic = {name: getattr(grads, f"d_{name}") for name in arrays}
+    analytic = named_param_arrays(grads)
     errors = check_named_gradients(loss, arrays, analytic)
     assert max(errors.values()) < 1e-4, errors
 
@@ -278,9 +278,9 @@ def test_input_gradients_match_finite_differences():
         return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads = frgca_backward(weights, cache)
+    _, d_h_v, d_h_l = frgca_backward(weights, cache)
     errors = check_named_gradients(
-        loss, {"h_v": h_v, "h_l": h_l}, {"h_v": grads.d_h_v, "h_l": grads.d_h_l}
+        loss, {"h_v": h_v, "h_l": h_l}, {"h_v": d_h_v, "h_l": d_h_l}
     )
     assert max(errors.values()) < 1e-4, errors
 
@@ -297,11 +297,11 @@ def test_no_bias_mode_gradcheck():
         return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads = frgca_backward(weights, cache)
+    grads, _, _ = frgca_backward(weights, cache)
     errors = check_named_gradients(
         loss,
         {"w_q": params.w_q, "w_o": params.w_o},
-        {"w_q": grads.d_w_q, "w_o": grads.d_w_o},
+        {"w_q": grads.w_q, "w_o": grads.w_o},
     )
     assert max(errors.values()) < 1e-4
-    assert np.all(grads.d_b_q == 0.0)
+    assert np.all(grads.b_q == 0.0)

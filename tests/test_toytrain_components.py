@@ -72,11 +72,11 @@ def test_vision_gradients():
         return float((vision_project(raw, params) * weights).sum())
 
     _, cache = vision_project(raw, params, return_cache=True)
-    grads = vision_backward(weights, cache)
+    grads, d_raw = vision_backward(weights, cache)
     errors = check_named_gradients(
         loss,
         {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2, "raw": raw},
-        {"w1": grads.d_w1, "b1": grads.d_b1, "w2": grads.d_w2, "b2": grads.d_b2, "raw": grads.d_raw},
+        {"w1": grads.w1, "b1": grads.b1, "w2": grads.w2, "b2": grads.b2, "raw": d_raw},
     )
     assert max(errors.values()) < 1e-4
 
@@ -191,7 +191,7 @@ def test_decoder_gradients():
 
     seq = sequence_assemble(visual, [2, 3], targets, decoder)
     _, cache = autoregressive_loss(seq, targets, decoder, return_cache=True)
-    grads = decoder_backward(cache)
+    grads, d_visual = decoder_backward(cache)
     errors = check_named_gradients(
         loss,
         {
@@ -201,10 +201,10 @@ def test_decoder_gradients():
             "visual": visual,
         },
         {
-            "embedding": grads.d_embedding,
-            "readout_w": grads.d_readout_w,
-            "readout_b": grads.d_readout_b,
-            "visual": grads.d_visual,
+            "embedding": grads.embedding,
+            "readout_w": grads.readout_w,
+            "readout_b": grads.readout_b,
+            "visual": d_visual,
         },
     )
     assert max(errors.values()) < 1e-4, errors

@@ -3,6 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from facecond.frgca import FrgcaParams, frgca_backward
+from facecond.registry import named, unflatten
+from facecond.toytrain import training
+from facecond.toytrain.decoder import ToyDecoderParams, decoder_backward
+from facecond.toytrain.training import GROUPS, backward_pass
 from facecond.toytrain import (
     AdamW,
     TrainConfig,
@@ -61,14 +66,11 @@ def test_config_stage_lr_defaults():
     assert TrainConfig(stage="finetune").resolved_lr == 2e-5
     assert TrainConfig(stage="pretrain", learning_rate=0.5).resolved_lr == 0.5
     assert TrainConfig().epochs == 1
-    assert TrainConfig().schedule == "cosine"
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(stage="warmup")
-    with pytest.raises(ValueError):
-        TrainConfig(schedule="linear")
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
@@ -110,18 +112,19 @@ def test_adamw_first_step_moves_by_lr():
     # with bias correction the first update has magnitude lr regardless of
     # gradient scale
     arr = np.array([1.0, -2.0])
-    opt = AdamW(["p"])
-    opt.step({"p": arr}, {"p": np.array([0.3, -7.0])}, lr=0.01)
+    opt = AdamW(2)
+    opt.step(arr, np.array([0.3, -7.0]), lr=0.01)
     assert np.allclose(arr, [1.0 - 0.01, -2.0 + 0.01], atol=1e-9)
 
 
 def test_adamw_only_touches_registered_keys():
-    a = np.ones(3)
-    b = np.ones(3)
-    opt = AdamW(["a"])
-    opt.step({"a": a, "b": b}, {"a": np.ones(3), "b": np.ones(3)}, lr=0.1)
-    assert not np.allclose(a, 1.0)
-    assert np.all(b == 1.0)
+    # the optimizer sees the trainable prefix; the frozen tail stays put
+    flat = np.ones(6)
+    grad = np.ones(6)
+    opt = AdamW(3)
+    opt.step(flat[:3], grad[:3], lr=0.1)
+    assert not np.allclose(flat[:3], 1.0)
+    assert np.all(flat[3:] == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +150,55 @@ def test_trainable_sets_per_stage():
     fine = {parameter_group(k) for k in trainable_keys(model, "finetune")}
     assert pre == {"gamma", "alpha"}
     assert fine == {"gamma", "alpha", "theta", "phi"}
+
+
+# ---------------------------------------------------------------------------
+# flat parameter store
+
+
+def test_model_arrays_are_views_tiling_flat_in_key_order():
+    model = init_model(tiny_config())
+    flat = model.flat
+    offset = 0
+    for key, arr in model_arrays(model).items():
+        assert arr.flags.c_contiguous, key
+        assert np.shares_memory(arr, flat), key
+        assert arr.ctypes.data - flat.ctypes.data == offset * flat.itemsize, key
+        offset += arr.size
+    assert offset == flat.size
+    # the group fields are those same views
+    flat[:] = np.arange(flat.size)
+    assert model.frlp.local_weights[0].ravel()[0] == 0.0
+    assert model.decoder.readout_b[-1] == flat.size - 1
+
+
+def test_each_stage_trains_a_prefix_of_the_layout():
+    model = init_model(tiny_config())
+    keys = list(model_arrays(model))
+    assert [parameter_group(k) for k in keys] == sorted(
+        (parameter_group(k) for k in keys), key=GROUPS.index
+    )
+    for stage in ("pretrain", "finetune"):
+        trainable = trainable_keys(model, stage)
+        assert keys[: len(trainable)] == trainable, stage
+
+
+def test_gradient_vector_lines_up_with_flat():
+    cfg = tiny_config()
+    model = init_model(cfg)
+    sample = tiny_dataset(cfg, size=1)[0]
+    _, state = forward_loss(model, sample, cfg, return_state=True)
+    grad = backward_pass(model, sample, cfg, state)
+    assert grad.shape == model.flat.shape
+    by_key = unflatten(grad, model_arrays(model))
+    decoder_grads, d_visual = decoder_backward(state[2])
+    frgca_grads, _, _ = frgca_backward(d_visual, state[1])
+    expected = {
+        **named(FrgcaParams.SPEC, frgca_grads.arrays(), "frgca."),
+        **named(ToyDecoderParams.SPEC, decoder_grads.arrays(), "decoder."),
+    }
+    for key, value in expected.items():
+        assert np.array_equal(by_key[key], value), key
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +270,26 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     model = init_model(cfg)
     # suppress every label token so the target probability underflows to 0
     model.decoder.readout_b[:9] = -1e4
-    with pytest.raises((FloatingPointError, ValueError)):
+    with pytest.raises(FloatingPointError, match=r"non-finite loss at step 0 \(sample \d+\)"):
         train(cfg, data, model=model)
+
+
+def test_nonfinite_gradient_aborts_before_update(monkeypatch):
+    cfg = tiny_config(learning_rate=1e-3)
+    data = tiny_dataset(cfg, size=3)
+    model = init_model(cfg)
+    before = snapshot(model)
+    real_backward = training.decoder_backward
+
+    def poisoned(cache):
+        grads, d_visual = real_backward(cache)
+        grads.readout_b[0] = np.nan
+        return grads, d_visual
+
+    monkeypatch.setattr(training, "decoder_backward", poisoned)
+    with pytest.raises(FloatingPointError, match=r"non-finite gradient at step 0 \(sample \d+\)"):
+        train(cfg, data, model=model)
+    assert snapshot(model) == before
 
 
 def test_memorization_reduces_loss():
