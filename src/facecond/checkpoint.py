@@ -27,6 +27,9 @@ from .toytrain.projector import VisionProjectorParams
 from .toytrain.training import ModelParams, model_arrays
 
 FORMAT_TAG = "facecond-checkpoint-v1"
+# FRGCA has one configuration (per-head logit scaling, biased projections);
+# archives keep recording it, and loading rejects any other
+FRGCA_META = {"scale": "per_head", "use_bias": True}
 
 
 def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -57,8 +60,7 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
 def save_model(path: str, model: ModelParams) -> None:
     meta = {
         "heads": model.frgca.heads,
-        "scale": model.frgca.scale,
-        "use_bias": model.frgca.use_bias,
+        **FRGCA_META,
         "grid_rows": model.grid.rows,
         "grid_cols": model.grid.cols,
     }
@@ -74,11 +76,11 @@ def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None
 def build_frgca(
     arrays: dict[str, np.ndarray], meta: dict, dims: dict[str, int] | None = None
 ) -> FrgcaParams:
+    for key, value in FRGCA_META.items():
+        if meta.get(key, value) != value:
+            raise ValueError(f"checkpoint meta {key!r} is {meta[key]!r}; only {value!r} is supported")
     return FrgcaParams(
-        *take(arrays, FrgcaParams.SPEC, "frgca.", dims),
-        heads=int(meta.get("heads", 8)),
-        scale=str(meta.get("scale", "per_head")),
-        use_bias=bool(meta.get("use_bias", True)),
+        *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=int(meta.get("heads", 8))
     )
 
 

@@ -30,16 +30,11 @@ from .evalkit import (
     load_taxonomy,
     score_records,
 )
-from .frgca import attention_maps_json, attention_weights, frgca_forward, init_frgca
-from .frlp import frlp_forward, init_frlp, select_tokens
-from .geometry import (
-    PatchGrid,
-    clip_global_masks,
-    clip_rpp_masks,
-    default_partition,
-    load_landmarks,
-)
+from .frgca import attention_maps_json, frgca_forward, init_frgca
+from .frlp import TOKEN_MODES, init_frlp
+from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
 from .toytrain import TrainConfig, evaluate, synth_dataset, train
+from .toytrain.training import VARIANTS, landmark_conditioning
 
 log = logging.getLogger("facecond")
 
@@ -103,6 +98,8 @@ def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
     tokens = np.asarray(doc["tokens"], dtype=np.float64)
     if tokens.ndim != 3:
         raise ValueError(f"{path}: tokens must be a (T, N, d) array")
+    if not np.all(np.isfinite(tokens)):
+        raise ValueError(f"{path}: tokens contain non-finite values")
     return doc.get("id"), tokens
 
 
@@ -126,11 +123,10 @@ def cmd_enrich(args) -> int:
     if grid.num_patches != N:
         raise ValueError(f"grid {rows}x{cols} does not match {N} visual tokens")
 
-    if variant == "none":
+    if variant == "none":  # the no-landmarks baseline passes the tokens through
         if args.attention_out:
             raise ValueError("variant 'none' has no attention maps to export")
-        enriched = frgca_forward(h_v, None, None, None, variant="none")
-        _write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
+        _write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
         return 0
 
     partition = default_partition()
@@ -144,23 +140,13 @@ def cmd_enrich(args) -> int:
     if frlp_params.d != d:
         raise ValueError(f"checkpoint dimension {frlp_params.d} != token dimension {d}")
 
-    tokens = frlp_forward(clip, partition, frlp_params)
-    h_l = select_tokens(tokens, token_mode)
-    if variant == "frgca":
-        if token_mode == "global_only":
-            masks = clip_global_masks(clip, grid)
-        else:
-            masks = clip_rpp_masks(clip, partition, grid)
-    else:
-        masks = None
-    enriched = frgca_forward(h_v, h_l, masks, frgca_params, variant=variant)
+    h_l, masks = landmark_conditioning(clip, frlp_params, partition, grid, variant, token_mode)
+    enriched, cache = frgca_forward(
+        h_v, h_l, masks, frgca_params, variant=variant, return_cache=True
+    )
     _write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
-
     if args.attention_out:
-        if variant == "none":
-            raise ValueError("variant 'none' has no attention maps to export")
-        weights = attention_weights(h_v, h_l, masks, frgca_params, variant=variant)
-        _write_json(args.attention_out, attention_maps_json(weights))
+        _write_json(args.attention_out, attention_maps_json(cache.attn))
     return 0
 
 
@@ -363,10 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--landmarks", required=True)
     p.add_argument("--tokens", required=True, help="visual token JSON ({'tokens': (T,N,d)})")
     p.add_argument("--checkpoint", help="parameter archive (default: seed init)")
-    p.add_argument("--variant", choices=["frgca", "simple", "none"])
-    p.add_argument(
-        "--token-mode", dest="token_mode", choices=["both", "local_only", "global_only"]
-    )
+    p.add_argument("--variant", choices=VARIANTS)
+    p.add_argument("--token-mode", dest="token_mode", choices=TOKEN_MODES)
     p.add_argument("--heads", type=int, help="attention heads for seed init (default 8)")
     p.add_argument("--rows", type=int)
     p.add_argument("--cols", type=int)

@@ -6,6 +6,12 @@ pre-softmax logits of every head, the attended values pass through an
 output projection, and the block closes with a residual connection back
 onto the visual tokens. No layer normalization anywhere.
 
+There is one configuration: biased q/k/v/o projections and logits scaled
+by 1/sqrt(d_head) per head, as in standard multi-head attention. Variant
+"simple" attends without the mask. The no-landmarks baseline (variant
+``none`` in training and the CLI) never reaches this module: its callers
+pass the visual tokens through unchanged.
+
 Backward is hand-written reverse mode over the cached forward state.
 
 Shapes (per call):
@@ -23,8 +29,7 @@ import numpy as np
 
 from .registry import SpecParams
 
-VARIANTS = ("frgca", "simple", "none")
-SCALE_MODES = ("per_head", "total")
+VARIANTS = ("frgca", "simple")
 
 
 @dataclass
@@ -32,9 +37,8 @@ class FrgcaParams(SpecParams):
     """Query/key/value projections (d_attn, d), output projection (d, d_attn).
 
     The mask encodes geometry, not head-specific content, so it is added
-    identically to every head's logits. ``scale`` picks the softmax
-    temperature: "per_head" divides logits by sqrt(d_attn / heads),
-    "total" by sqrt(d_attn).
+    identically to every head's logits, which are divided by
+    sqrt(d_attn / heads).
     """
 
     w_q: np.ndarray
@@ -46,8 +50,6 @@ class FrgcaParams(SpecParams):
     w_o: np.ndarray
     b_o: np.ndarray
     heads: int = 8
-    scale: str = "per_head"
-    use_bias: bool = True
 
     SPEC = (
         ("w_q.weight", ("d_attn", "d")),
@@ -63,8 +65,6 @@ class FrgcaParams(SpecParams):
     def __post_init__(self) -> None:
         if self.heads < 1 or self.d_attn % self.heads:
             raise ValueError(f"d_attn={self.d_attn} not divisible by heads={self.heads}")
-        if self.scale not in SCALE_MODES:
-            raise ValueError(f"scale must be one of {SCALE_MODES}")
 
     @property
     def d(self) -> int:
@@ -79,9 +79,7 @@ class FrgcaParams(SpecParams):
         return self.d_attn // self.heads
 
     def scale_factor(self) -> float:
-        if self.scale == "per_head":
-            return float(np.sqrt(self.d_head))
-        return float(np.sqrt(self.d_attn))
+        return float(np.sqrt(self.d_head))
 
 
 @dataclass
@@ -96,17 +94,9 @@ class FrgcaCache:
     attn: np.ndarray  # (T, H, N, M)
     merged: np.ndarray  # (T, N, d_attn) attended values before W_o
     params: FrgcaParams
-    variant: str
 
 
-def init_frgca(
-    d: int,
-    d_attn: int | None = None,
-    heads: int = 8,
-    seed: int = 0,
-    scale: str = "per_head",
-    use_bias: bool = True,
-) -> FrgcaParams:
+def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0) -> FrgcaParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     if d < 1:
         raise ValueError("token dimension must be >= 1")
@@ -121,7 +111,7 @@ def init_frgca(
     w_k, b_k = affine(d_attn, d)
     w_v, b_v = affine(d_attn, d)
     w_o, b_o = affine(d, d_attn)
-    return FrgcaParams(w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, heads, scale, use_bias)
+    return FrgcaParams(w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, heads)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -139,8 +129,6 @@ def _validate(h_v, h_l, mask, params, variant):
         raise ValueError(f"h_v must be (T, N, d), got {h_v.shape}")
     if not np.all(np.isfinite(h_v)):
         raise ValueError("h_v contains non-finite values")
-    if variant == "none":
-        return h_v, None, None
     h_l = np.asarray(h_l, dtype=np.float64)
     if h_l.ndim != 3 or h_l.shape[0] != h_v.shape[0]:
         raise ValueError(f"h_l must be (T, M, d) with matching T, got {h_l.shape}")
@@ -167,9 +155,7 @@ def _validate(h_v, h_l, mask, params, variant):
 
 def _project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, params: FrgcaParams):
     # (T, L, d) -> (T, H, L, d_head)
-    out = x @ w.T
-    if params.use_bias:
-        out = out + b
+    out = x @ w.T + b
     T, L, _ = out.shape
     return out.reshape(T, L, params.heads, params.d_head).transpose(0, 2, 1, 3)
 
@@ -184,16 +170,9 @@ def frgca_forward(
 ):
     """Enriched tokens (T, N, d); optionally also the backward cache.
 
-    variant "simple" runs the same attention with a zero mask; variant
-    "none" is the identity on h_v (the no-landmarks baseline).
+    Variant "simple" runs the same attention with a zero mask.
     """
     h_v, h_l, mask = _validate(h_v, h_l, mask, params, variant)
-    if variant == "none":
-        out = h_v.copy()
-        if return_cache:
-            return out, FrgcaCache(h_v, None, None, None, None, None, None, params, variant)
-        return out
-
     q = _project_heads(h_v, params.w_q, params.b_q, params)
     k = _project_heads(h_l, params.w_k, params.b_k, params)
     v = _project_heads(h_l, params.w_v, params.b_v, params)
@@ -206,13 +185,13 @@ def frgca_forward(
     per_head = attn @ v  # (T, H, N, d_head)
     T, H, N, d_head = per_head.shape
     merged = per_head.transpose(0, 2, 1, 3).reshape(T, N, H * d_head)
-    out = merged @ params.w_o.T
-    if params.use_bias:
-        out = out + params.b_o
+    out = merged @ params.w_o.T + params.b_o
+    # a separate statement: fusing the residual into the line above raised
+    # peak RSS by one (T, N, d) array in the T=8, N=256, d=256 training step
     out = out + h_v
 
     if return_cache:
-        return out, FrgcaCache(h_v, h_l, q, k, v, attn, merged, params, variant)
+        return out, FrgcaCache(h_v, h_l, q, k, v, attn, merged, params)
     return out
 
 
@@ -227,15 +206,8 @@ def attention_weights(
 
     Each row is a probability distribution over regions.
     """
-    if variant == "none":
-        raise ValueError("variant 'none' has no attention weights")
-    h_v, h_l, mask = _validate(h_v, h_l, mask, params, variant)
-    q = _project_heads(h_v, params.w_q, params.b_q, params)
-    k = _project_heads(h_l, params.w_k, params.b_k, params)
-    logits = q @ k.transpose(0, 1, 3, 2) / params.scale_factor()
-    if variant == "frgca":
-        logits = logits + mask[:, None, :, :]
-    return _softmax_rows(logits)
+    _, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
+    return cache.attn
 
 
 def frgca_backward(
@@ -256,10 +228,6 @@ def frgca_backward(
             f"cotangent shape {g.shape} does not match cached forward output {cache.h_v.shape}"
         )
 
-    if cache.variant == "none":
-        zeros = params.with_arrays([np.zeros_like(a) for a in params.arrays()])
-        return zeros, g.copy(), np.zeros((0,))
-
     h_v, h_l = cache.h_v, cache.h_l
     T, N, d = h_v.shape
     M = h_l.shape[1]
@@ -271,7 +239,7 @@ def frgca_backward(
     # output projection: out = merged @ w_o.T + b_o
     d_merged = g @ params.w_o  # (T, N, d_attn)
     d_w_o = np.einsum("tnd,tna->da", g, cache.merged)
-    d_b_o = g.sum(axis=(0, 1)) if params.use_bias else np.zeros_like(params.b_o)
+    d_b_o = g.sum(axis=(0, 1))
 
     d_per_head = d_merged.reshape(T, N, H, d_head).transpose(0, 2, 1, 3)
 
@@ -296,14 +264,9 @@ def frgca_backward(
     d_w_q = np.einsum("tna,tnd->ad", d_q_full, h_v)
     d_w_k = np.einsum("tma,tmd->ad", d_k_full, h_l)
     d_w_v = np.einsum("tma,tmd->ad", d_v_full, h_l)
-    if params.use_bias:
-        d_b_q = d_q_full.sum(axis=(0, 1))
-        d_b_k = d_k_full.sum(axis=(0, 1))
-        d_b_v = d_v_full.sum(axis=(0, 1))
-    else:
-        d_b_q = np.zeros_like(params.b_q)
-        d_b_k = np.zeros_like(params.b_k)
-        d_b_v = np.zeros_like(params.b_v)
+    d_b_q = d_q_full.sum(axis=(0, 1))
+    d_b_k = d_k_full.sum(axis=(0, 1))
+    d_b_v = d_v_full.sum(axis=(0, 1))
 
     d_h_v += d_q_full @ params.w_q
     d_h_l = d_k_full @ params.w_k + d_v_full @ params.w_v

@@ -20,7 +20,7 @@ N_LANDMARKS = 68
 COORD_MIN = -0.5
 COORD_MAX = 1.5
 
-DEFAULT_MAX_FRAMES = 8
+MAX_FRAMES = 8  # frames per clip
 
 # 68-point annotation convention mapped onto the nine face regions.
 _DEFAULT_GROUPS: tuple[tuple[str, tuple[int, ...]], ...] = (
@@ -63,20 +63,14 @@ class LandmarkFrame:
 
 
 class LandmarkClip:
-    """Ordered landmark frames for one media item (T frames, T >= 1)."""
+    """Ordered landmark frames for one media item (1 <= T <= MAX_FRAMES)."""
 
-    def __init__(
-        self,
-        frames: Iterable[LandmarkFrame],
-        max_frames: int = DEFAULT_MAX_FRAMES,
-    ) -> None:
+    def __init__(self, frames: Iterable[LandmarkFrame]) -> None:
         frames = tuple(frames)
         if not frames:
             raise ValueError("a clip needs at least one frame")
-        if len(frames) > max_frames:
-            raise ValueError(
-                f"clip has {len(frames)} frames, exceeds max of {max_frames}"
-            )
+        if len(frames) > MAX_FRAMES:
+            raise ValueError(f"clip has {len(frames)} frames, exceeds max of {MAX_FRAMES}")
         self.frames = frames
 
     @property
@@ -225,16 +219,14 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
         fh.write("\n")
 
 
-def load_landmarks(
-    path: str, max_frames: int = DEFAULT_MAX_FRAMES
-) -> tuple[str, LandmarkClip]:
+def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
     """Read a landmark JSON document; returns (media id, clip)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
     frames = [LandmarkFrame(np.asarray(f, dtype=np.float64)) for f in doc["frames"]]
-    return str(doc["id"]), LandmarkClip(frames, max_frames=max_frames)
+    return str(doc["id"]), LandmarkClip(frames)
 
 
 def frames_from_array(arr: Sequence | np.ndarray) -> LandmarkClip:
@@ -242,4 +234,4 @@ def frames_from_array(arr: Sequence | np.ndarray) -> LandmarkClip:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected (T, 68, 2) array, got shape {arr.shape}")
-    return LandmarkClip([LandmarkFrame(a) for a in arr], max_frames=max(len(arr), DEFAULT_MAX_FRAMES))
+    return LandmarkClip([LandmarkFrame(a) for a in arr])

@@ -10,6 +10,17 @@ parameter class names its arrays in a spec, and ``model_arrays`` prefixes
 them in the order gamma, alpha, theta, phi. ``ModelParams.flat`` holds
 every array in that order, so each stage trains a prefix of it. The group
 arrays are views into ``flat``: write into them in place, never rebind them.
+
+Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
+through mask-guided cross-attention, "simple" through the same attention
+without the mask. Variant "none" is the no-landmarks baseline: FRLP, the
+masks and FRGCA do not run, the visual tokens reach the decoder unchanged
+and the gamma and alpha gradients are zero. ``landmark_conditioning`` is
+the one place that picks the landmark tokens and masks for a variant.
+
+Layers are called through this module's globals (``frlp_forward``,
+``clip_rpp_masks``, ``frgca_forward``, ...), so a profiler can wrap them
+here.
 """
 
 from __future__ import annotations
@@ -20,8 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ..frgca import VARIANTS as ATTENTION_VARIANTS
 from ..frgca import FrgcaParams, frgca_backward, frgca_forward, init_frgca
 from ..frlp import (
+    TOKEN_MODES,
     FrlpParams,
     frlp_backward,
     frlp_forward,
@@ -29,6 +42,7 @@ from ..frlp import (
     select_tokens,
 )
 from ..geometry import (
+    LandmarkClip,
     PatchGrid,
     RegionPartition,
     clip_global_masks,
@@ -48,6 +62,7 @@ from .projector import VisionProjectorParams, init_vision_projector, vision_back
 from .synth import SynthSample
 
 STAGES = ("pretrain", "finetune")
+VARIANTS = (*ATTENTION_VARIANTS, "none")
 STAGE_DEFAULT_LR = {"pretrain": 1e-4, "finetune": 2e-5}
 
 # parameter groups: gamma = FRLP, alpha = FRGCA, theta = vision projector,
@@ -86,6 +101,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.tokens not in TOKEN_MODES:
+            raise ValueError(f"tokens must be one of {TOKEN_MODES}")
 
     @property
     def resolved_lr(self) -> float:
@@ -171,12 +190,23 @@ def trainable_keys(model: ModelParams, stage: str) -> list[str]:
     return [k for k in model_arrays(model) if parameter_group(k) in groups]
 
 
-def _masks_for(sample: SynthSample, model: ModelParams, config: TrainConfig):
-    if config.variant != "frgca":
-        return None
-    if config.tokens == "global_only":
-        return clip_global_masks(sample.clip, model.grid)
-    return clip_rpp_masks(sample.clip, model.partition, model.grid)
+def landmark_conditioning(
+    clip: LandmarkClip,
+    frlp: FrlpParams,
+    partition: RegionPartition,
+    grid: PatchGrid,
+    variant: str,
+    tokens: str,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The landmark tokens and proximity masks that ``frgca_forward`` takes
+    for an attending variant: the FRLP tokens picked by ``tokens``, and the
+    masks that match them for "frgca" (None for "simple")."""
+    h_l = select_tokens(frlp_forward(clip, partition, frlp), tokens)
+    if variant != "frgca":
+        return h_l, None
+    if tokens == "global_only":
+        return h_l, clip_global_masks(clip, grid)
+    return h_l, clip_rpp_masks(clip, partition, grid)
 
 
 def forward_loss(
@@ -185,14 +215,18 @@ def forward_loss(
     config: TrainConfig,
     return_state: bool = False,
 ):
-    """Full pipeline loss for one sample; optionally keep caches for backward."""
+    """Full pipeline loss for one sample; optionally keep caches for
+    backward (the attention cache is None for variant "none")."""
     h_v, vision_cache = vision_project(sample.raw, model.vision, return_cache=True)
-    tokens = frlp_forward(sample.clip, model.partition, model.frlp)
-    h_l = select_tokens(tokens, config.tokens)
-    masks = _masks_for(sample, model, config)
-    enriched, attn_cache = frgca_forward(
-        h_v, h_l, masks, model.frgca, variant=config.variant, return_cache=True
-    )
+    if config.variant == "none":
+        enriched, attn_cache = h_v, None
+    else:
+        h_l, masks = landmark_conditioning(
+            sample.clip, model.frlp, model.partition, model.grid, config.variant, config.tokens
+        )
+        enriched, attn_cache = frgca_forward(
+            h_v, h_l, masks, model.frgca, variant=config.variant, return_cache=True
+        )
     sequence = sequence_assemble(
         enriched,
         sample.instruction_ids,
@@ -215,15 +249,15 @@ def backward_pass(
     written into ``out`` when given."""
     vision_cache, attn_cache, decoder_cache = state
     dec, d_visual = decoder_backward(decoder_cache)
-    att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
-    vis, _ = vision_backward(d_h_v, vision_cache)
-    if config.variant == "none":  # no attention, so FRLP never reaches the loss
-        frl = [np.zeros_like(a) for a in model.frlp.arrays()]
+    if config.variant == "none":  # FRLP and FRGCA never reach the loss
+        d_h_v = d_visual
+        landmark = [np.zeros(sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays())))]
     else:
-        frl = frlp_backward(
-            d_h_l, sample.clip, model.partition, model.frlp, mode=config.tokens
-        ).arrays()
-    parts = [*frl, *att.arrays(), *vis.arrays(), *dec.arrays()]
+        att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
+        frl = frlp_backward(d_h_l, sample.clip, model.partition, model.frlp, mode=config.tokens)
+        landmark = [*frl.arrays(), *att.arrays()]
+    vis, _ = vision_backward(d_h_v, vision_cache)
+    parts = [*landmark, *vis.arrays(), *dec.arrays()]
     return np.concatenate([np.ravel(a) for a in parts], out=out)
 
 

@@ -97,3 +97,13 @@ def test_build_frgca_rejects_heads_not_dividing_width(tmp_path):
     _, arrays, meta = _saved_arrays(tmp_path)
     with pytest.raises(ValueError, match=r"d_attn=8 not divisible by heads=3"):
         build_frgca(arrays, {**meta, "heads": 3})
+
+
+def test_build_frgca_accepts_only_the_one_configuration(tmp_path):
+    _, arrays, meta = _saved_arrays(tmp_path)
+    assert (meta["scale"], meta["use_bias"]) == ("per_head", True)
+    build_frgca(arrays, {"heads": 2})  # archives without these keys load
+    with pytest.raises(ValueError, match=r"checkpoint meta 'scale' is 'total'"):
+        build_frgca(arrays, {**meta, "scale": "total"})
+    with pytest.raises(ValueError, match=r"checkpoint meta 'use_bias' is False"):
+        build_frgca(arrays, {**meta, "use_bias": False})

@@ -99,6 +99,21 @@ def test_enrich_variant_none_is_identity(tmp_path):
     assert np.array_equal(np.asarray(doc["tokens"]), tokens)
 
 
+def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    write_landmarks(lm)
+    tok.write_text(json.dumps({"id": "clip-0", "tokens": [[[0.0, float("nan")]]]}) + "\n")
+    code = main([
+        "enrich", "--landmarks", str(lm), "--tokens", str(tok),
+        "--rows", "1", "--cols", "1", "--variant", "none",
+        "--out", str(tmp_path / "enriched.json"),
+    ])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert str(tok) in err["message"] and "non-finite" in err["message"]
+
+
 def test_gradcheck_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == 0

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,8 @@ from facecond.frgca import (
 from facecond.gradcheck import check_named_gradients
 
 
-def random_instance(rng, T=2, N=4, M=3, d=4, heads=2, seed=0, scale="per_head"):
-    params = init_frgca(d, heads=heads, seed=seed, scale=scale)
+def random_instance(rng, T=2, N=4, M=3, d=4, heads=2, seed=0):
+    params = init_frgca(d, heads=heads, seed=seed)
     h_v = rng.normal(size=(T, N, d))
     h_l = rng.normal(size=(T, M, d))
     mask = -np.abs(rng.normal(size=(T, N, M)))
@@ -88,14 +86,6 @@ def test_tiny_single_head_matches_scalar_oracle():
     assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
-def test_variant_none_is_identity():
-    rng = np.random.default_rng(2)
-    h_v, h_l, mask, params = random_instance(rng)
-    out = frgca_forward(h_v, h_l, mask, params, variant="none")
-    assert np.array_equal(out, h_v)
-    assert out is not h_v
-
-
 def test_variant_simple_equals_frgca_with_zero_mask():
     rng = np.random.default_rng(3)
     h_v, h_l, mask, params = random_instance(rng)
@@ -106,7 +96,7 @@ def test_variant_simple_equals_frgca_with_zero_mask():
 
 def test_shape_preserved_no_tokens_appended():
     rng = np.random.default_rng(4)
-    for variant in ("frgca", "simple", "none"):
+    for variant in ("frgca", "simple"):
         h_v, h_l, mask, params = random_instance(rng, T=3, N=5, M=9)
         out = frgca_forward(h_v, h_l, mask, params, variant=variant)
         assert out.shape == h_v.shape  # sequence stays T x N
@@ -195,24 +185,6 @@ def test_attention_maps_json_layout():
 
 
 # ---------------------------------------------------------------------------
-# scale modes
-
-
-def test_per_head_vs_total_scaling_differ_with_multiple_heads():
-    rng = np.random.default_rng(12)
-    h_v, h_l, mask, params = random_instance(rng, heads=2, scale="per_head")
-    total = FrgcaParams(
-        params.w_q, params.b_q, params.w_k, params.b_k, params.w_v, params.b_v,
-        params.w_o, params.b_o, heads=2, scale="total",
-    )
-    out_head = frgca_forward(h_v, h_l, mask, params)
-    out_total = frgca_forward(h_v, h_l, mask, total)
-    assert not np.allclose(out_head, out_total)
-    assert params.scale_factor() == pytest.approx(math.sqrt(2))
-    assert total.scale_factor() == pytest.approx(2.0)
-
-
-# ---------------------------------------------------------------------------
 # backward
 
 
@@ -250,12 +222,10 @@ def test_backward_rejects_mismatched_cotangent():
 
 
 @pytest.mark.parametrize("variant", ["frgca", "simple"])
-@pytest.mark.parametrize("scale", ["per_head", "total"])
-def test_gradients_match_finite_differences(variant, scale):
+def test_gradients_match_finite_differences(variant):
     rng = np.random.default_rng(16)
-    h_v, h_l, mask, params = random_instance(
-        rng, T=2, N=8, M=9, d=8, heads=2, seed=17, scale=scale
-    )
+    h_v, h_l, mask, params = random_instance(rng, T=2, N=8, M=9, d=8, heads=2, seed=17)
+    assert params.scale_factor() == pytest.approx(2.0)  # sqrt(d_head), d_head = 8 / 2
     weights = rng.normal(size=h_v.shape)
 
     def loss():
@@ -283,25 +253,3 @@ def test_input_gradients_match_finite_differences():
         loss, {"h_v": h_v, "h_l": h_l}, {"h_v": d_h_v, "h_l": d_h_l}
     )
     assert max(errors.values()) < 1e-4, errors
-
-
-def test_no_bias_mode_gradcheck():
-    rng = np.random.default_rng(20)
-    params = init_frgca(4, heads=2, seed=21, use_bias=False)
-    h_v = rng.normal(size=(1, 3, 4))
-    h_l = rng.normal(size=(1, 2, 4))
-    mask = -np.abs(rng.normal(size=(1, 3, 2)))
-    weights = rng.normal(size=h_v.shape)
-
-    def loss():
-        return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
-
-    _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads, _, _ = frgca_backward(weights, cache)
-    errors = check_named_gradients(
-        loss,
-        {"w_q": params.w_q, "w_o": params.w_o},
-        {"w_q": grads.w_q, "w_o": grads.w_o},
-    )
-    assert max(errors.values()) < 1e-4
-    assert np.all(grads.b_q == 0.0)

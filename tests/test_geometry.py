@@ -83,6 +83,8 @@ def test_clip_frame_count_limits():
         LandmarkClip([])
     with pytest.raises(ValueError):
         LandmarkClip([frame] * 9)
+    with pytest.raises(ValueError):
+        frames_from_array(np.full((20, 68, 2), 0.5))
     clip = LandmarkClip([frame] * 8)
     assert clip.num_frames == 8
     assert clip.as_array().shape == (8, 68, 2)

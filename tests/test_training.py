@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,10 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig.from_dict({"stage": "pretrain", "bogus": 1})
+    with pytest.raises(ValueError, match="variant"):
+        TrainConfig(variant="identity")
+    with pytest.raises(ValueError, match="tokens"):
+        TrainConfig(variant="none", tokens="all")
 
 
 def test_config_dict_roundtrip():
@@ -305,12 +311,21 @@ def test_memorization_reduces_loss():
         assert final_loss < initial_loss, f"seed {seed}: {final_loss} !< {initial_loss}"
 
 
-def test_variant_none_ignores_landmark_modules():
+def test_variant_none_ignores_landmark_modules(monkeypatch):
+    def landmark_layer(*args, **kwargs):
+        raise AssertionError("variant none ran a landmark layer")
+
+    for name in (
+        "frlp_forward", "frlp_backward", "clip_rpp_masks", "clip_global_masks",
+        "frgca_forward", "frgca_backward",
+    ):
+        monkeypatch.setattr(training, name, landmark_layer)
     cfg = tiny_config(variant="none")
     data = tiny_dataset(cfg, size=4)
     model = init_model(cfg)
     before = snapshot(model)
     result = train(cfg, data, model=model)
+    assert len(result.trace) == 4
     after = snapshot(result.model)
     for key in after:
         if parameter_group(key) in ("gamma", "alpha"):
@@ -325,3 +340,30 @@ def test_forward_loss_variants_agree_on_shape_contract():
         cfg_v = TrainConfig(**{**cfg.to_dict(), "variant": variant})
         loss = forward_loss(model, data[0], cfg_v)
         assert math.isfinite(loss) and loss >= 0.0
+
+
+def test_layer_names_the_benchmark_wraps_exist_on_training():
+    # perfbench/workloads.py wraps training-module attributes by name, in
+    # (owner, "attribute", wrapper) triples built in _training_patches
+    source = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    func = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_training_patches"
+    )
+    patched = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3:
+            owner, attr = node.elts[0], node.elts[1]
+            path = []
+            while isinstance(owner, ast.Attribute):
+                path.insert(0, owner.attr)
+                owner = owner.value
+            assert isinstance(owner, ast.Name) and owner.id == "t"
+            patched.append((*path, attr.value))
+    assert ("frlp_forward",) in patched and ("frgca_forward",) in patched
+    for names in patched:
+        target = training
+        for name in names:
+            assert hasattr(target, name), ".".join(names)
+            target = getattr(target, name)
