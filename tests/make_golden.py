@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-The file pins 20 toy training steps for each attention variant and stage:
-the (step, lr, loss) reprs, a sha256 of the trained parameters in
-``model_arrays`` key order, and a sha256 of the ``save_model`` checkpoint
-bytes. It also pins ``facecond enrich`` on one seeded 2-frame clip: a
+The file pins 20 toy training steps for each attention variant, token
+mode and stage: the (step, lr, loss) reprs, a sha256 of the trained
+parameters in ``model_arrays`` key order, and a sha256 of the
+``save_model`` checkpoint bytes. It also pins ``facecond enrich`` on one seeded 2-frame clip: a
 sha256 of the ``--out`` bytes for each attention variant and token mode,
 and of the ``--attention-out`` bytes with both token sets. Rerun only when
 a change is meant to alter those outputs; tests/test_golden.py compares
@@ -28,11 +28,11 @@ from facecond.geometry import frames_from_array, save_landmarks
 from facecond.toytrain import TrainConfig, model_arrays, synth_dataset, train
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "train_golden.json")
-VARIANTS = ("frgca", "none")
 STAGES = ("pretrain", "finetune")
 STEPS = 20
 SEED = 3
-ENRICH_CASES = (
+# (variant, token mode); variant "none" reads no landmark tokens
+CASES = (
     *((variant, mode) for variant in ("frgca", "simple") for mode in TOKEN_MODES),
     ("none", "both"),
 )
@@ -43,8 +43,15 @@ def _sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def run_case(variant: str, stage: str) -> dict:
-    cfg = TrainConfig(stage=stage, variant=variant, learning_rate=3e-3, seed=SEED)
+def train_key(variant: str, token_mode: str, stage: str) -> str:
+    mode = "" if token_mode == "both" else f"{token_mode}/"
+    return f"{variant}/{mode}{stage}"
+
+
+def run_case(variant: str, token_mode: str, stage: str) -> dict:
+    cfg = TrainConfig(
+        stage=stage, variant=variant, tokens=token_mode, learning_rate=3e-3, seed=SEED
+    )
     data = synth_dataset(
         seed=SEED, size=STEPS, frames=cfg.frames, n_patches=cfg.n_patches,
         d_raw=cfg.d_raw, vocab=cfg.vocab,
@@ -102,9 +109,11 @@ def run_enrich_case(variant: str, token_mode: str) -> dict:
 
 def compute() -> dict:
     golden = {
-        f"{variant}/{stage}": run_case(variant, stage) for variant in VARIANTS for stage in STAGES
+        train_key(variant, mode, stage): run_case(variant, mode, stage)
+        for variant, mode in CASES
+        for stage in STAGES
     }
-    for variant, mode in ENRICH_CASES:
+    for variant, mode in CASES:
         golden[enrich_key(variant, mode)] = run_enrich_case(variant, mode)
     return golden
 

@@ -11,14 +11,20 @@ import json
 import pytest
 
 from make_golden import (
-    ENRICH_CASES,
+    CASES,
     GOLDEN_PATH,
     STAGES,
-    VARIANTS,
     enrich_key,
     run_case,
     run_enrich_case,
+    train_key,
 )
+
+TRAIN_CASES = [
+    pytest.param(variant, mode, stage, id=train_key(variant, mode, stage).replace("/", "-"))
+    for variant, mode in CASES
+    for stage in STAGES
+]
 
 
 @pytest.fixture(scope="module")
@@ -27,16 +33,15 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("stage", STAGES)
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_training_matches_golden(golden, variant, stage):
-    expected = golden[f"{variant}/{stage}"]
-    got = run_case(variant, stage)
+@pytest.mark.parametrize("variant, token_mode, stage", TRAIN_CASES)
+def test_training_matches_golden(golden, variant, token_mode, stage):
+    expected = golden[train_key(variant, token_mode, stage)]
+    got = run_case(variant, token_mode, stage)
     assert got["trace"] == expected["trace"]
     assert got["params_sha256"] == expected["params_sha256"]
     assert got["checkpoint_sha256"] == expected["checkpoint_sha256"]
 
 
-@pytest.mark.parametrize("variant, token_mode", ENRICH_CASES)
+@pytest.mark.parametrize("variant, token_mode", CASES)
 def test_enrich_matches_golden(golden, variant, token_mode):
     assert run_enrich_case(variant, token_mode) == golden[enrich_key(variant, token_mode)]
