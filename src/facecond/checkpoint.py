@@ -53,7 +53,10 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"{path}: not a {FORMAT_TAG} archive")
     arrays = {}
     for key, entry in doc["tensors"].items():
-        arrays[key] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arrays[key] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: tensor {key!r}: {exc}") from None
     return arrays, doc.get("meta", {})
 
 

@@ -165,28 +165,30 @@ def cmd_gradcheck(args) -> int:
     return 0 if report["passed"] else 1
 
 
+# train config keys that size and pick the synthetic data; every other key
+# must be a TrainConfig field
+_TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
+
+
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    cfg_fields = {
-        k: v for k, v in config.items() if k in TrainConfig.__dataclass_fields__
-    }
+    cfg_fields = {k: v for k, v in config.items() if k not in _TRAIN_DATA_KEYS}
     if args.seed is not None:
         cfg_fields["seed"] = args.seed
-    cfg = TrainConfig.from_dict(cfg_fields)
+    try:
+        cfg = TrainConfig.from_dict(cfg_fields)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     train_size = int(config.get("train_size", 256))
     eval_size = int(config.get("eval_size", 0))
-    task_kind = config.get("task_kind", "region")
 
-    dataset = synth_dataset(
-        seed=cfg.seed,
-        size=train_size,
-        task_kind=task_kind,
-        frames=cfg.frames,
-        n_patches=cfg.n_patches,
-        d_raw=cfg.d_raw,
-        vocab=cfg.vocab,
-    )
-    result = train(cfg, dataset)
+    def dataset(seed: int, size: int) -> list:
+        return synth_dataset(
+            seed=seed, size=size, task_kind=config.get("task_kind", "region"),
+            frames=cfg.frames, n_patches=cfg.n_patches, d_raw=cfg.d_raw, vocab=cfg.vocab,
+        )
+
+    result = train(cfg, dataset(cfg.seed, train_size))
 
     os.makedirs(args.out, exist_ok=True)
     ckpt.save_model(os.path.join(args.out, "checkpoint.json"), result.model)
@@ -203,15 +205,7 @@ def cmd_train(args) -> int:
         "final_train_loss": result.trace[-1][2] if result.trace else None,
     }
     if eval_size:
-        eval_set = synth_dataset(
-            seed=cfg.seed + 10_000,
-            size=eval_size,
-            task_kind=task_kind,
-            frames=cfg.frames,
-            n_patches=cfg.n_patches,
-            d_raw=cfg.d_raw,
-            vocab=cfg.vocab,
-        )
+        eval_set = dataset(cfg.seed + 10_000, eval_size)
         eval_loss, eval_accuracy = evaluate(result.model, eval_set, cfg)
         summary["eval_loss"] = eval_loss
         summary["eval_accuracy"] = eval_accuracy

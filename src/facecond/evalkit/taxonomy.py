@@ -63,6 +63,9 @@ class Taxonomy:
 
 
 def taxonomy_from_mapping(task: str, mapping: dict[str, list[str]]) -> Taxonomy:
+    for cls, phrases in mapping.items():
+        if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
+            raise ValueError(f"class {cls!r} must map to a list of phrase strings")
     return Taxonomy(
         task=task,
         classes=tuple(mapping),
@@ -71,12 +74,16 @@ def taxonomy_from_mapping(task: str, mapping: dict[str, list[str]]) -> Taxonomy:
 
 
 def load_taxonomy(path: str, task: str) -> Taxonomy:
-    """Read a {class: [phrases]} JSON file; class order follows the file."""
+    """Read a {class: [phrases]} JSON file; class order follows the file.
+    Errors name the file, and the class when one class is bad."""
     with open(path, "r", encoding="utf-8") as fh:
         mapping = json.load(fh)
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected a class -> phrase-list object")
-    return taxonomy_from_mapping(task, mapping)
+    try:
+        return taxonomy_from_mapping(task, mapping)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def default_taxonomy(task: str) -> Taxonomy:

@@ -1,9 +1,10 @@
 """Face-region landmark projector.
 
-Nine per-region affine maps plus one global affine map turn grouped
-landmark coordinates into region tokens and a global token; the two are
-summed with the global token broadcast over regions. Each projector is a
-single affine layer with no nonlinearity.
+One affine map per region turns that region's landmark coordinates into
+a token. The nine regions of the partition give the local tokens; the
+one region of ``WHOLE_FACE`` gives the global token, which is summed
+into every local token. Each projector is a single affine layer with no
+nonlinearity.
 
 Flattening order for projector inputs is fixed: ascending landmark
 index, x before y.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LandmarkClip, RegionPartition, N_LANDMARKS
+from .geometry import WHOLE_FACE, LandmarkClip, RegionPartition, N_LANDMARKS
 from .registry import Spec
 
 TOKEN_MODES = ("both", "local_only", "global_only")
@@ -72,17 +73,11 @@ def init_frlp(d: int, partition: RegionPartition, seed: int = 0) -> FrlpParams:
     if d < 1:
         raise ValueError("token dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    local_weights = []
-    local_biases = []
-    for _, idx in partition.groups:
-        fan_in = 2 * len(idx)
-        bound = 1.0 / np.sqrt(fan_in)
-        local_weights.append(rng.uniform(-bound, bound, size=(d, fan_in)))
-        local_biases.append(np.zeros(d))
-    fan_in = 2 * N_LANDMARKS
-    bound = 1.0 / np.sqrt(fan_in)
-    global_weight = rng.uniform(-bound, bound, size=(d, fan_in))
-    return FrlpParams(local_weights, local_biases, global_weight, np.zeros(d), d)
+    arrays = []
+    for _, idx in (*partition.groups, *WHOLE_FACE.groups):
+        bound = 1.0 / np.sqrt(2 * len(idx))
+        arrays += [rng.uniform(-bound, bound, size=(d, 2 * len(idx))), np.zeros(d)]
+    return FrlpParams.with_arrays(arrays)
 
 
 def _check_compat(partition: RegionPartition, params: FrlpParams) -> None:
@@ -103,26 +98,40 @@ def _group_inputs(clip_arr: np.ndarray, partition: RegionPartition) -> list[np.n
     ]
 
 
+def _region_project(
+    clip: LandmarkClip, partition: RegionPartition, weights: list, biases: list
+) -> np.ndarray:
+    """One affine token per region of ``partition``, shape (T, M, d)."""
+    inputs = _group_inputs(clip.as_array(), partition)
+    return np.stack([x @ w.T + b for x, w, b in zip(inputs, weights, biases)], axis=1)
+
+
+def _region_grads(
+    d_tokens: np.ndarray | None, clip: LandmarkClip, partition: RegionPartition,
+    weights: list, biases: list,
+) -> tuple[list, list]:
+    """Weight and bias gradients of ``_region_project`` given the cotangent
+    of its output; zeros when the tokens were not used (``d_tokens`` None)."""
+    if d_tokens is None:
+        return [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
+    inputs = _group_inputs(clip.as_array(), partition)
+    if d_tokens.shape != (inputs[0].shape[0], len(inputs), biases[0].shape[0]):
+        raise ValueError(f"cotangent shape {d_tokens.shape} mismatches tokens")
+    grads = [d_tokens[:, i, :] for i in range(len(inputs))]  # (T, d) each
+    return [g.T @ x for g, x in zip(grads, inputs)], [g.sum(axis=0) for g in grads]
+
+
 def local_project(
     clip: LandmarkClip, partition: RegionPartition, params: FrlpParams
 ) -> np.ndarray:
     """Per-region tokens, shape (T, M, d)."""
     _check_compat(partition, params)
-    arr = clip.as_array()
-    inputs = _group_inputs(arr, partition)
-    cols = [
-        x @ w.T + b
-        for x, w, b in zip(inputs, params.local_weights, params.local_biases)
-    ]
-    return np.stack(cols, axis=1)
+    return _region_project(clip, partition, params.local_weights, params.local_biases)
 
 
 def global_project(clip: LandmarkClip, params: FrlpParams) -> np.ndarray:
     """One whole-face token per frame, shape (T, 1, d)."""
-    arr = clip.as_array()
-    flat = arr.reshape(arr.shape[0], 2 * N_LANDMARKS)
-    out = flat @ params.global_weight.T + params.global_bias
-    return out[:, None, :]
+    return _region_project(clip, WHOLE_FACE, [params.global_weight], [params.global_bias])
 
 
 def combine_tokens(local: np.ndarray, global_: np.ndarray) -> LandmarkTokens:
@@ -184,26 +193,10 @@ def frlp_backward(
     else:
         raise ValueError(f"unknown token mode {mode!r}; expected one of {TOKEN_MODES}")
 
-    arr = clip.as_array()
-    inputs = _group_inputs(arr, partition)
-    d = params.d
-
-    local_dw = [np.zeros_like(w) for w in params.local_weights]
-    local_db = [np.zeros_like(b) for b in params.local_biases]
-    if d_local is not None:
-        if d_local.shape != (arr.shape[0], partition.num_regions, d):
-            raise ValueError(f"cotangent shape {d_local.shape} mismatches tokens")
-        for i, x in enumerate(inputs):
-            g = d_local[:, i, :]  # (T, d)
-            local_dw[i] = g.T @ x
-            local_db[i] = g.sum(axis=0)
-
-    global_dw = np.zeros_like(params.global_weight)
-    global_db = np.zeros_like(params.global_bias)
-    if d_global is not None:
-        flat = arr.reshape(arr.shape[0], 2 * N_LANDMARKS)
-        g = d_global[:, 0, :]  # (T, d)
-        global_dw = g.T @ flat
-        global_db = g.sum(axis=0)
-
-    return FrlpParams(local_dw, local_db, global_dw, global_db, d)
+    local_dw, local_db = _region_grads(
+        d_local, clip, partition, params.local_weights, params.local_biases
+    )
+    (global_dw,), (global_db,) = _region_grads(
+        d_global, clip, WHOLE_FACE, [params.global_weight], [params.global_bias]
+    )
+    return FrlpParams(local_dw, local_db, global_dw, global_db, params.d)

@@ -1,8 +1,9 @@
 """Facial landmark geometry.
 
 68-point landmark frames and clips, the fixed 9-region partition, the
-visual patch grid, and the region-patch proximity mask used to bias
-cross-attention. All operations are pure functions on immutable inputs.
+one-region whole-face partition, the visual patch grid, and the
+region-patch proximity mask used to bias cross-attention. All operations
+are pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class LandmarkFrame:
             raise ValueError(
                 f"expected {N_LANDMARKS} landmark points of 2 coordinates, got shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("landmark coordinates must be finite")
-        if pts.min() < COORD_MIN or pts.max() > COORD_MAX:
+        inside = ((pts >= COORD_MIN) & (pts <= COORD_MAX)).all(axis=1)  # False for NaN
+        if not inside.all():
+            point = int(np.argmin(inside))
             raise ValueError(
-                f"landmark coordinates must lie in [{COORD_MIN}, {COORD_MAX}]"
+                f"landmark point {point} {pts[point].tolist()} lies outside [{COORD_MIN}, {COORD_MAX}]"
             )
         object.__setattr__(self, "points", pts)
 
@@ -122,6 +123,10 @@ class RegionPartition:
 
 _DEFAULT_PARTITION = RegionPartition(_DEFAULT_GROUPS)
 
+# The whole face as one region: the anchor of the global landmark token
+# and of its proximity mask.
+WHOLE_FACE = RegionPartition((("face", tuple(range(N_LANDMARKS))),))
+
 
 def default_partition() -> RegionPartition:
     """The fixed 9-region partition of the 68-point annotation convention."""
@@ -148,11 +153,6 @@ def region_centroids(frame: LandmarkFrame, partition: RegionPartition) -> np.nda
     """Arithmetic mean of each group's points; shape (M, 2)."""
     pts = frame.points
     return np.stack([pts[list(idx)].mean(axis=0) for _, idx in partition.groups])
-
-
-def full_centroid(frame: LandmarkFrame) -> np.ndarray:
-    """Mean of all 68 points; the geometric anchor of the global token."""
-    return frame.points.mean(axis=0)
 
 
 def patch_centroids(grid: PatchGrid) -> np.ndarray:
@@ -196,17 +196,6 @@ def clip_rpp_masks(
     )
 
 
-def clip_global_masks(clip: LandmarkClip, grid: PatchGrid) -> np.ndarray:
-    """Per-frame (N, 1) masks against the all-landmark centroid.
-
-    Used when attention runs over the single global landmark token.
-    """
-    patches = patch_centroids(grid)
-    return np.stack(
-        [rpp_mask(full_centroid(f)[None, :], patches) for f in clip.frames]
-    )
-
-
 def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
     """Write the landmark JSON document: {"id": ..., "frames": [[[x,y] x68] xT]}.
 
@@ -220,13 +209,22 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
 
 
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
-    """Read a landmark JSON document; returns (media id, clip)."""
+    """Read a landmark JSON document; returns (media id, clip). Errors name
+    the file, and the frame when one frame is bad."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
-    frames = [LandmarkFrame(np.asarray(f, dtype=np.float64)) for f in doc["frames"]]
-    return str(doc["id"]), LandmarkClip(frames)
+    frames = []
+    for t, f in enumerate(doc["frames"]):
+        try:
+            frames.append(LandmarkFrame(np.asarray(f, dtype=np.float64)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: frame {t}: {exc}") from None
+    try:
+        return str(doc["id"]), LandmarkClip(frames)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def frames_from_array(arr: Sequence | np.ndarray) -> LandmarkClip:

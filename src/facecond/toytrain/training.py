@@ -44,8 +44,8 @@ from ..frlp import (
 from ..geometry import (
     LandmarkClip,
     PatchGrid,
+    WHOLE_FACE,
     RegionPartition,
-    clip_global_masks,
     clip_rpp_masks,
     default_partition,
 )
@@ -199,14 +199,15 @@ def landmark_conditioning(
     tokens: str,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The landmark tokens and proximity masks that ``frgca_forward`` takes
-    for an attending variant: the FRLP tokens picked by ``tokens``, and the
-    masks that match them for "frgca" (None for "simple")."""
+    for an attending variant: the FRLP tokens picked by ``tokens``, and for
+    "frgca" the masks of their regions (None for "simple"). The global
+    token is the ``WHOLE_FACE`` region's token; a softmax over that one
+    token is 1 whatever its mask, so "frgca" equals "simple" there."""
     h_l = select_tokens(frlp_forward(clip, partition, frlp), tokens)
     if variant != "frgca":
         return h_l, None
-    if tokens == "global_only":
-        return h_l, clip_global_masks(clip, grid)
-    return h_l, clip_rpp_masks(clip, partition, grid)
+    regions = WHOLE_FACE if tokens == "global_only" else partition
+    return h_l, clip_rpp_masks(clip, regions, grid)
 
 
 def forward_loss(

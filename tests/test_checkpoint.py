@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,13 @@ def test_build_frgca_accepts_only_the_one_configuration(tmp_path):
         build_frgca(arrays, {**meta, "scale": "total"})
     with pytest.raises(ValueError, match=r"checkpoint meta 'use_bias' is False"):
         build_frgca(arrays, {**meta, "use_bias": False})
+
+
+def test_load_arrays_names_the_tensor_whose_data_disagrees_with_its_shape(tmp_path):
+    path = tmp_path / "ck.json"
+    save_arrays(str(path), {"a.weight": np.zeros((2, 3)), "a.bias": np.zeros(3)})
+    doc = json.loads(path.read_text())
+    doc["tensors"]["a.weight"]["data"] = [0.0] * 5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"ck\.json: tensor 'a\.weight': cannot reshape array of size 5"):
+        load_arrays(str(path))

@@ -153,6 +153,16 @@ def test_train_subcommand(tmp_path):
     assert (out_dir / "checkpoint.json").exists()
 
 
+def test_train_rejects_unknown_config_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lerning_rate": 0.5, "train_size": 2}))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{cfg_path}: unknown train config keys: ['lerning_rate']"
+    assert not out_dir.exists()
+
+
 def test_eval_subcommand_with_fixtures(tmp_path):
     out = tmp_path / "report.json"
     conf = tmp_path / "confusion.csv"

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from facecond.evalkit import (
     default_negation_cues,
     default_taxonomy,
+    load_taxonomy,
     match_synonyms,
     match_synonyms_all,
     parse_age,
@@ -138,6 +141,16 @@ def test_taxonomy_validation():
         taxonomy_from_mapping("expression", {"a": []})
     with pytest.raises(ValueError):
         taxonomy_from_mapping("expression", {"a": ["UPPER"]})
+
+
+def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps({"sadness": ["sad"], "happiness": "joyful"}))
+    with pytest.raises(ValueError, match=r"tax\.json: class 'happiness' must map to a list"):
+        load_taxonomy(str(path), "expression")
+    path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["Joyful"]}))
+    with pytest.raises(ValueError, match=r"tax\.json: phrase 'Joyful' is not lowercase"):
+        load_taxonomy(str(path), "expression")
 
 
 def test_default_taxonomies_have_ten_phrases_per_class():

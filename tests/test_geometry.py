@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from facecond.geometry import (
+    WHOLE_FACE,
     LandmarkClip,
     LandmarkFrame,
     PatchGrid,
@@ -67,7 +68,7 @@ def test_frame_validation():
         LandmarkFrame(np.zeros((67, 2)))
     bad = np.zeros((68, 2))
     bad[3, 1] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"landmark point 3 \[0\.0, nan\] lies outside"):
         LandmarkFrame(bad)
     bad = np.zeros((68, 2))
     bad[0, 0] = 1.6  # outside jitter band
@@ -244,3 +245,37 @@ def test_landmark_json_schema(tmp_path):
     path.write_text(json.dumps({"frames": []}))
     with pytest.raises(ValueError):
         load_landmarks(str(path))
+
+
+POINT = [0.5, 0.5]
+
+
+@pytest.mark.parametrize(
+    "frames, message",
+    [
+        ([[POINT] * 68] * 9, r"clip has 9 frames, exceeds max of 8"),
+        (
+            [[POINT] * 68, [POINT] * 12 + [[0.5, 3.0]] + [POINT] * 55],
+            r"frame 1: landmark point 12 \[0\.5, 3\.0\] lies outside \[-0\.5, 1\.5\]",
+        ),
+        ([[POINT] * 68, [POINT] * 67], r"frame 1: .*shape \(67, 2\)"),
+    ],
+    ids=["nine_frames", "out_of_range", "short_frame"],
+)
+def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"id": "clip-0", "frames": frames}))
+    with pytest.raises(ValueError, match=r"bad\.json: " + message):
+        load_landmarks(str(path))
+
+
+def test_whole_face_mask_is_distance_to_the_all_point_centroid():
+    rng = np.random.default_rng(21)
+    clip = frames_from_array(rng.uniform(0.0, 1.0, size=(3, 68, 2)))
+    grid = PatchGrid(3, 5)
+    masks = clip_rpp_masks(clip, WHOLE_FACE, grid)
+    assert WHOLE_FACE.num_regions == 1 and masks.shape == (3, 15, 1)
+    for t, frame in enumerate(clip.frames):
+        centroid = frame.points.mean(axis=0)
+        dist = np.linalg.norm(patch_centroids(grid) - centroid, axis=1)
+        np.testing.assert_allclose(masks[t, :, 0], -dist, rtol=1e-12)

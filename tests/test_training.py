@@ -316,7 +316,7 @@ def test_variant_none_ignores_landmark_modules(monkeypatch):
         raise AssertionError("variant none ran a landmark layer")
 
     for name in (
-        "frlp_forward", "frlp_backward", "clip_rpp_masks", "clip_global_masks",
+        "frlp_forward", "frlp_backward", "clip_rpp_masks",
         "frgca_forward", "frgca_backward",
     ):
         monkeypatch.setattr(training, name, landmark_layer)
