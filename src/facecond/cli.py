@@ -4,7 +4,10 @@ One subcommand per pipeline stage: mask, enrich, gradcheck, train, eval,
 filter, pair, split. Structured I/O is JSON (JSONL for record streams,
 CSV only for loss traces and confusion matrices). Every subcommand is
 deterministic given its inputs and --seed, and never mutates its input
-files. A --config JSON file supplies defaults; explicit flags win.
+files. --help shows each option's default. A --config JSON object replaces
+defaults: its keys are option names ("token_mode"), each value is checked
+as that flag's text, and explicit flags win. train's --config is a
+TrainConfig plus train_size, eval_size and task_kind.
 
 FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
 """
@@ -45,23 +48,37 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+
+def _read_config(path: str) -> dict:
+    config = _read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return config
 
 
-def _resolve(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """The config file at `path` as defaults for the options of `sub` that
+    have one, each value converted and checked as if typed after its flag."""
+    options = {a.dest: a for a in sub._actions if a.default not in (None, argparse.SUPPRESS)}
+    config = _read_config(path)
+    unknown = sorted(set(config) - set(options))
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {unknown}")
+    defaults = {}
+    for key, value in config.items():
+        try:
+            defaults[key] = sub._get_value(options[key], str(value))
+            sub._check_value(options[key], defaults[key])
+        except argparse.ArgumentError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc.message}") from None
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -69,19 +86,16 @@ def _resolve(args, config: dict, name: str, default):
 
 
 def cmd_mask(args) -> int:
-    config = _load_config(args.config)
-    rows = int(_resolve(args, config, "rows", 16))
-    cols = int(_resolve(args, config, "cols", 16))
     media_id, clip = load_landmarks(args.landmarks)
     partition = default_partition()
-    grid = PatchGrid(rows, cols)
+    grid = PatchGrid(args.rows, args.cols)
     masks = clip_rpp_masks(clip, partition, grid)
     _write_json(
         args.out,
         {
             "id": media_id,
-            "rows": rows,
-            "cols": cols,
+            "rows": args.rows,
+            "cols": args.cols,
             "region_names": list(partition.names),
             "masks": masks.tolist(),
         },
@@ -91,8 +105,7 @@ def cmd_mask(args) -> int:
 
 
 def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "tokens" not in doc:
         raise ValueError(f"{path}: expected an object with a 'tokens' field")
     tokens = np.asarray(doc["tokens"], dtype=np.float64)
@@ -104,14 +117,6 @@ def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
 
 
 def cmd_enrich(args) -> int:
-    config = _load_config(args.config)
-    variant = _resolve(args, config, "variant", "frgca")
-    token_mode = _resolve(args, config, "token_mode", "both")
-    seed = int(_resolve(args, config, "seed", 0))
-    heads = int(_resolve(args, config, "heads", 8))
-    rows = int(_resolve(args, config, "rows", 16))
-    cols = int(_resolve(args, config, "cols", 16))
-
     media_id, clip = load_landmarks(args.landmarks)
     token_id, h_v = _load_tokens(args.tokens)
     T, N, d = h_v.shape
@@ -119,11 +124,11 @@ def cmd_enrich(args) -> int:
         raise ValueError(
             f"landmark clip has {clip.num_frames} frames but tokens have {T}"
         )
-    grid = PatchGrid(rows, cols)
+    grid = PatchGrid(args.rows, args.cols)
     if grid.num_patches != N:
-        raise ValueError(f"grid {rows}x{cols} does not match {N} visual tokens")
+        raise ValueError(f"grid {args.rows}x{args.cols} does not match {N} visual tokens")
 
-    if variant == "none":  # the no-landmarks baseline passes the tokens through
+    if args.variant == "none":  # the no-landmarks baseline passes the tokens through
         if args.attention_out:
             raise ValueError("variant 'none' has no attention maps to export")
         _write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
@@ -135,14 +140,16 @@ def cmd_enrich(args) -> int:
         frlp_params = ckpt.build_frlp(arrays)
         frgca_params = ckpt.build_frgca(arrays, meta)
     else:
-        frlp_params = init_frlp(d, partition, seed=seed)
-        frgca_params = init_frgca(d, heads=heads, seed=seed + 1)
+        frlp_params = init_frlp(d, partition, seed=args.seed)
+        frgca_params = init_frgca(d, heads=args.heads, seed=args.seed + 1)
     if frlp_params.d != d:
         raise ValueError(f"checkpoint dimension {frlp_params.d} != token dimension {d}")
 
-    h_l, masks = landmark_conditioning(clip, frlp_params, partition, grid, variant, token_mode)
+    h_l, masks = landmark_conditioning(
+        clip, frlp_params, partition, grid, args.variant, args.token_mode
+    )
     enriched, cache = frgca_forward(
-        h_v, h_l, masks, frgca_params, variant=variant, return_cache=True
+        h_v, h_l, masks, frgca_params, variant=args.variant, return_cache=True
     )
     _write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
     if args.attention_out:
@@ -151,9 +158,7 @@ def cmd_enrich(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_resolve(args, config, "seed", 0))
-    report = gradcheck.run_full_suite(seed)
+    report = gradcheck.run_full_suite(args.seed)
     for name, entry in report["checks"].items():
         status = "PASS" if entry["max_rel_error"] < entry["tolerance"] else "FAIL"
         print(
@@ -171,7 +176,7 @@ _TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = _read_config(args.config) if args.config else {}
     cfg_fields = {k: v for k, v in config.items() if k not in _TRAIN_DATA_KEYS}
     if args.seed is not None:
         cfg_fields["seed"] = args.seed
@@ -217,32 +222,29 @@ def cmd_train(args) -> int:
 _AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    threads = int(_resolve(args, config, "threads", 1))
-    if threads < 1:
-        raise ValueError("--threads must be >= 1")
-    au_choice = _resolve(args, config, "au_list", "disfa")
-    if au_choice in _AU_LISTS:
-        au_list = _AU_LISTS[au_choice]
-    else:
-        au_list = tuple(int(x) for x in str(au_choice).split(","))
+def _au_list(text: str) -> tuple[int, ...]:
+    """--au-list: disfa, bp4d, or comma-separated AU numbers."""
+    if text in _AU_LISTS:
+        return _AU_LISTS[text]
+    bad = [entry for entry in text.split(",") if not entry.strip().isdecimal()]
+    if bad:
+        raise argparse.ArgumentTypeError(f"AU entries {bad} in {text!r} are not AU numbers")
+    return tuple(int(entry) for entry in text.split(","))
 
+
+def cmd_eval(args) -> int:
     taxonomies = {}
     for task, path in args.taxonomy or []:
         taxonomies[task] = load_taxonomy(path, task)
     cues = None
     if args.negation_cues:
-        with open(args.negation_cues, "r", encoding="utf-8") as fh:
-            cues = json.load(fh)
+        cues = _read_json(args.negation_cues)
+        if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
+            raise ValueError(f"{args.negation_cues}: negation cues must be a JSON list of strings")
 
     records = load_eval_records(args.records)
     report = score_records(
-        records,
-        taxonomies=taxonomies,
-        au_list=au_list,
-        negation_cues=cues,
-        threads=threads,
+        records, taxonomies=taxonomies, au_list=args.au_list, negation_cues=cues
     )
     _write_json(args.out, report)
 
@@ -261,52 +263,45 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    config = _load_config(args.config)
-    threshold = int(_resolve(args, config, "threshold", datapipe.DEFAULT_RATING_THRESHOLD))
     records, errors = datapipe.load_manifest(args.manifest)
-    kept, removed = datapipe.filter_by_rating(records, threshold)
+    kept, removed = datapipe.filter_by_rating(records, args.threshold)
     datapipe.save_manifest(args.out_kept, kept)
     datapipe.save_manifest(args.out_removed, removed)
     if args.summary_out:
         _write_json(
             args.summary_out,
             {
-                "threshold": threshold,
+                "threshold": args.threshold,
                 "input": len(records),
                 "kept": len(kept),
                 "removed": len(removed),
                 "parse_errors": [{"line": e.line, "message": e.message} for e in errors],
             },
         )
-    log.info("kept %d / removed %d (threshold %d)", len(kept), len(removed), threshold)
+    log.info("kept %d / removed %d (threshold %d)", len(kept), len(removed), args.threshold)
     return 0
 
 
 def cmd_pair(args) -> int:
-    config = _load_config(args.config)
-    seed = int(_resolve(args, config, "seed", 0))
     records, errors = datapipe.load_manifest(args.manifest)
     if errors:
         raise ValueError(
             f"manifest has {len(errors)} malformed lines (first: line {errors[0].line})"
         )
     bank = datapipe.load_instruction_bank(args.bank)
-    paired = datapipe.pair_instructions(records, bank, seed=seed)
+    paired = datapipe.pair_instructions(records, bank, seed=args.seed)
     datapipe.save_manifest(args.out, paired)
     return 0
 
 
 def cmd_split(args) -> int:
-    config = _load_config(args.config)
-    per_task = int(_resolve(args, config, "per_task", 500))
     records, errors = datapipe.load_manifest(args.manifest)
     if errors:
         raise ValueError(
             f"manifest has {len(errors)} malformed lines (first: line {errors[0].line})"
         )
-    with open(args.target, "r", encoding="utf-8") as fh:
-        target = json.load(fh)
-    selected, summary = datapipe.build_test_split(records, target, per_task=per_task)
+    target = _read_json(args.target)
+    selected, summary = datapipe.build_test_split(records, target, per_task=args.per_task)
     datapipe.save_manifest(args.out, selected)
     if args.summary_out:
         _write_json(args.summary_out, summary)
@@ -317,12 +312,8 @@ def cmd_split(args) -> int:
 # parser
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="JSON config file supplying defaults")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="facecond",
         description="Face-region conditioning pipeline: masks, token enrichment, "
@@ -330,41 +321,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mask", help="landmarks -> region-patch proximity masks")
-    _add_common(p)
-    p.add_argument("--landmarks", required=True, help="landmark JSON file")
-    p.add_argument("--rows", type=int, help="patch grid rows (default 16)")
-    p.add_argument("--cols", type=int, help="patch grid cols (default 16)")
-    p.add_argument("--out", required=True, help="output mask JSON")
-    p.set_defaults(func=cmd_mask)
+    def command(name, func, help, config_help="JSON object of option defaults"):
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--config", help=config_help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("enrich", help="visual tokens + landmarks -> enriched tokens")
-    _add_common(p)
+    p = command("mask", cmd_mask, "landmarks -> region-patch proximity masks")
+    p.add_argument("--landmarks", required=True, help="landmark JSON file")
+    p.add_argument("--rows", type=int, default=16, help="patch grid rows")
+    p.add_argument("--cols", type=int, default=16, help="patch grid cols")
+    p.add_argument("--out", required=True, help="output mask JSON")
+
+    p = command("enrich", cmd_enrich, "visual tokens + landmarks -> enriched tokens")
+    p.add_argument("--seed", type=int, default=0, help="seed init's seed, without --checkpoint")
     p.add_argument("--landmarks", required=True)
     p.add_argument("--tokens", required=True, help="visual token JSON ({'tokens': (T,N,d)})")
-    p.add_argument("--checkpoint", help="parameter archive (default: seed init)")
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--token-mode", dest="token_mode", choices=TOKEN_MODES)
-    p.add_argument("--heads", type=int, help="attention heads for seed init (default 8)")
-    p.add_argument("--rows", type=int)
-    p.add_argument("--cols", type=int)
+    p.add_argument("--checkpoint", help="parameter archive; seed init when omitted")
+    p.add_argument("--variant", choices=VARIANTS, default="frgca", help="conditioning variant")
+    p.add_argument("--token-mode", choices=TOKEN_MODES, default="both", help="landmark tokens")
+    p.add_argument("--heads", type=int, default=8, help="attention heads for seed init")
+    p.add_argument("--rows", type=int, default=16, help="patch grid rows")
+    p.add_argument("--cols", type=int, default=16, help="patch grid cols")
     p.add_argument("--attention-out", help="also export attention maps as JSON")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_enrich)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    _add_common(p)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="toy two-stage training on synthetic data")
-    _add_common(p)
+    p = command(
+        "train", cmd_train, "toy two-stage training on synthetic data",
+        config_help="TrainConfig JSON, plus train_size, eval_size and task_kind",
+    )
+    p.add_argument("--seed", type=int, help="overrides the config's seed")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score generated descriptions against labels")
-    _add_common(p)
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
+    p = command("eval", cmd_eval, "score generated descriptions against labels")
     p.add_argument("--records", required=True, help="EvalRecord JSONL")
     p.add_argument(
         "--taxonomy",
@@ -374,44 +367,46 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the bundled taxonomy for a task",
     )
     p.add_argument("--negation-cues", help="JSON list overriding the negation cues")
-    p.add_argument("--au-list", dest="au_list", help="disfa, bp4d, or comma-separated AUs")
+    p.add_argument("--au-list", type=_au_list, default="disfa", help="disfa, bp4d, or AUs: 1,2,4")
     p.add_argument("--confusion-out", help="CSV confusion matrix output")
     p.add_argument("--out", required=True, help="metric report JSON")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("filter", help="rating-threshold manifest filtering")
-    _add_common(p)
+    p = command("filter", cmd_filter, "rating-threshold manifest filtering")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--threshold", type=int, help="overall rating cutoff (default 6)")
+    p.add_argument(
+        "--threshold", type=int, default=datapipe.DEFAULT_RATING_THRESHOLD,
+        help="overall rating cutoff",
+    )
     p.add_argument("--out-kept", required=True)
     p.add_argument("--out-removed", required=True)
     p.add_argument("--summary-out")
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("pair", help="attach task instructions to records")
-    _add_common(p)
+    p = command("pair", cmd_pair, "attach task instructions to records")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--manifest", required=True)
     p.add_argument("--bank", required=True, help="JSON {task: [instructions]}")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pair)
 
-    p = sub.add_parser("split", help="stratified top-rated test split")
-    _add_common(p)
+    p = command("split", cmd_split, "stratified top-rated test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True, help="JSON {task: {class: proportion}}")
-    p.add_argument("--per-task", dest="per_task", type=int)
+    p.add_argument("--per-task", type=int, default=500, help="records per task")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out")
-    p.set_defaults(func=cmd_split)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FACECOND_LOG", "WARNING").upper())
-    parser = build_parser()
+    # built on every call: set_defaults changes the parser's actions in place
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config is not None and args.command != "train":  # cmd_train reads a TrainConfig
+            sub = subcommands[args.command]
+            sub.set_defaults(**_config_defaults(sub, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # argparse handles usage errors before this
         json.dump(

@@ -215,6 +215,8 @@ def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
+    if not isinstance(doc["frames"], list):
+        raise ValueError(f"{path}: 'frames' must be a list of frames")
     frames = []
     for t, f in enumerate(doc["frames"]):
         try:

@@ -426,7 +426,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             ["pair", "--manifest", str(manifest), "--bank", str(bank), "--seed", "4",
              "--out", str(base / "paired.jsonl")],
             ["split", "--manifest", str(manifest), "--target", str(target),
-             "--per-task", "5", "--seed", "6", "--out", str(base / "split.jsonl"),
+             "--per-task", "5", "--out", str(base / "split.jsonl"),
              "--summary-out", str(base / "split_summary.json")],
         ]
         for argv in commands:

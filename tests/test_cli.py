@@ -1,10 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from facecond.cli import main
+from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
 from facecond.geometry import frames_from_array, save_landmarks
 
@@ -168,7 +170,7 @@ def test_eval_subcommand_with_fixtures(tmp_path):
     conf = tmp_path / "confusion.csv"
     code = main([
         "eval", "--records", str(FIXTURES / "eval_deepfake.jsonl"),
-        "--out", str(out), "--confusion-out", str(conf), "--threads", "2",
+        "--out", str(out), "--confusion-out", str(conf),
     ])
     assert code == 0
     report = json.loads(out.read_text())
@@ -270,7 +272,120 @@ def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rows": 2, "cols": 2}))
     out = tmp_path / "mask.json"
-    assert main(["mask", "--landmarks", str(lm), "--config", str(cfg),
+
+    def patches(*flags):
+        assert main(["mask", "--landmarks", str(lm), *flags, "--out", str(out)]) == 0
+        return np.asarray(json.loads(out.read_text())["masks"]).shape[1]
+
+    assert patches("--config", str(cfg)) == 4
+    assert patches("--rows", "4", "--config", str(cfg)) == 8  # explicit flags win
+    assert patches() == 256  # one call's config does not leak into the next
+
+
+SUBCOMMANDS = ("mask", "enrich", "gradcheck", "train", "eval", "filter", "pair", "split")
+
+
+def runnable_argv(tmp_path, command):
+    """argv on which `command` succeeds, writing tmp_path/out."""
+    lm, tok = tmp_path / "lm.json", tmp_path / "tokens.json"
+    manifest, bank, target = tmp_path / "m.jsonl", tmp_path / "bank.json", tmp_path / "target.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    write_manifest(manifest, n=10)
+    bank.write_text(json.dumps({"expression": ["Describe the {media}."]}))
+    target.write_text(json.dumps({"expression": {"happiness": 0.5, "sadness": 0.5}}))
+    out = str(tmp_path / "out")
+    return [command] + {
+        "mask": ["--landmarks", str(lm), "--rows", "4", "--cols", "4"],
+        "enrich": ["--landmarks", str(lm), "--tokens", str(tok), "--rows", "4", "--cols", "4",
+                   "--heads", "2"],
+        "gradcheck": [],
+        "eval": ["--records", str(FIXTURES / "eval_deepfake.jsonl")],
+        "filter": ["--manifest", str(manifest), "--out-removed", str(tmp_path / "removed")],
+        "pair": ["--manifest", str(manifest), "--bank", str(bank)],
+        "split": ["--manifest", str(manifest), "--target", str(target), "--per-task", "2"],
+    }[command] + ["--out-kept" if command == "filter" else "--out", out]
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [pytest.param(c, '{"rwos": 2}', r"unknown config keys: \['rwos'\]", id=f"{c}-unknown_key")
+     for c in SUBCOMMANDS if c != "train"]
+    + [
+        pytest.param("enrich", '{"variant": "bogus"}',
+                     r"config key 'variant': invalid choice: 'bogus'", id="enrich-bad_choice"),
+        pytest.param("mask", '{"rows": "x"}',
+                     r"config key 'rows': invalid int value: 'x'", id="mask-bad_int"),
+        pytest.param("filter", '{"threshold": 6.5}',
+                     r"config key 'threshold': invalid int value: '6.5'", id="filter-float_int"),
+        pytest.param("eval", '{"au_list": "1,x"}',
+                     r"config key 'au_list': AU entries \['x'\]", id="eval-bad_au_entry"),
+        pytest.param("mask", '{"rows": 2', r"malformed JSON", id="mask-malformed_json"),
+        pytest.param("mask", '[2]', r"config must be a JSON object", id="mask-not_an_object"),
+    ],
+)
+def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(runnable_argv(tmp_path, command) + ["--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert re.match(re.escape(f"{cfg}: ") + message, err["message"]), err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("mask", ["--seed", "1"], "unrecognized arguments: --seed 1"),
+        ("eval", ["--threads", "2"], "unrecognized arguments: --threads 2"),
+        ("eval", ["--au-list", "1,x"], "argument --au-list: AU entries ['x'] in '1,x'"),
+    ],
+    ids=["mask-seed", "eval-threads", "eval-bad_au_entry"],
+)
+def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(runnable_argv(tmp_path, command) + flags)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, config, want",
+    [
+        ([], None, DISFA_AUS),
+        (["--au-list", "bp4d"], None, BP4D_AUS),
+        (["--au-list", "1, 2"], None, (1, 2)),
+        ([], {"au_list": "bp4d"}, BP4D_AUS),
+        ([], {"au_list": "4,6"}, (4, 6)),
+    ],
+    ids=["default", "flag_name", "flag_numbers", "config_name", "config_numbers"],
+)
+def test_au_list_from_flag_or_config(tmp_path, flags, config, want):
+    out = tmp_path / "report.json"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "cfg.json")]
+    assert main(["eval", "--records", str(FIXTURES / "eval_au.jsonl"), *flags,
                  "--out", str(out)]) == 0
-    masks = np.asarray(json.loads(out.read_text())["masks"])
-    assert masks.shape == (1, 4, 9)
+    assert json.loads(out.read_text())["tasks"]["au"]["au_list"] == list(want)
+
+
+@pytest.mark.parametrize("cues", ['"not"', '["not", 3]', '{"not": 1}'],
+                         ids=["string", "mixed_list", "object"])
+def test_eval_rejects_negation_cues_that_are_not_a_list_of_strings(tmp_path, capsys, cues):
+    path = tmp_path / "cues.json"
+    path.write_text(cues)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
+                 "--negation-cues", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{path}: negation cues must be a JSON list of strings"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_prints_help(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: facecond {command}")

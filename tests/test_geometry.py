@@ -259,8 +259,9 @@ POINT = [0.5, 0.5]
             r"frame 1: landmark point 12 \[0\.5, 3\.0\] lies outside \[-0\.5, 1\.5\]",
         ),
         ([[POINT] * 68, [POINT] * 67], r"frame 1: .*shape \(67, 2\)"),
+        (3, r"'frames' must be a list of frames"),
     ],
-    ids=["nine_frames", "out_of_range", "short_frame"],
+    ids=["nine_frames", "out_of_range", "short_frame", "frames_not_a_list"],
 )
 def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, message):
     path = tmp_path / "bad.json"
