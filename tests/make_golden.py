@@ -7,9 +7,11 @@ mode and stage: the (step, lr, loss) reprs, a sha256 of the trained
 parameters in ``model_arrays`` key order, and a sha256 of the
 ``save_model`` checkpoint bytes. It also pins ``facecond enrich`` on one seeded 2-frame clip: a
 sha256 of the ``--out`` bytes for each attention variant and token mode,
-and of the ``--attention-out`` bytes with both token sets. Rerun only when
-a change is meant to alter those outputs; tests/test_golden.py compares
-against the committed file.
+and of the ``--attention-out`` bytes with both token sets. It pins the
+manifest pipeline on one fixed manifest: a sha256 of every file that
+``facecond filter``, ``pair`` and ``split`` write, and of one
+``save_landmarks`` file. Rerun only when a change is meant to alter those
+outputs; tests/test_golden.py compares against the committed file.
 """
 
 from __future__ import annotations
@@ -107,6 +109,97 @@ def run_enrich_case(variant: str, token_mode: str) -> dict:
     return result
 
 
+PIPELINE_STEPS = ("filter", "pair", "split")
+LANDMARKS_KEY = "landmarks"
+
+
+def pipeline_key(step: str) -> str:
+    return f"pipeline/{step}"
+
+
+def _manifest_lines() -> list[str]:
+    """36 records over two tasks, some unrated or already instructed, then
+    a truncated line and a record rated out of range, which ``filter``
+    reports as parse errors. Written with ``json.dumps`` so the input does
+    not depend on the writer under test."""
+    rng = np.random.default_rng(SEED)
+    labels = {"expression": ("happiness", "sadness", "neutral"), "deepfake": ("real", "fake")}
+    lines = []
+    for i in range(36):
+        task = ("expression", "deepfake")[i % 2]
+        obj = {
+            "id": f"r{i:03d}",
+            "task": task,
+            "media": {"path": f"media/{i}.mp4", "type": ("video", "image")[i % 3 == 0]},
+            "label": labels[task][i // 2 % len(labels[task])],
+            "description": f"d\u00e9scription {i}",
+        }
+        if i % 7 != 3:
+            obj["ratings"] = {"overall": int(rng.integers(5, 11)), "label_accuracy": 9}
+        if i % 5 == 4:
+            obj["instruction"] = "Already instructed."
+        lines.append(json.dumps(obj, sort_keys=True))
+    lines.append('{"id": "bad", "task": ')
+    lines.append(json.dumps({"id": "r999", "task": "expression", "media": {"path": "m", "type": "image"},
+                             "label": "happiness", "description": "d", "ratings": {"overall": 11}}))
+    return lines
+
+
+def run_pipeline_case() -> dict:
+    """``facecond filter``, then ``pair`` on the kept records, then ``split``
+    on the paired ones; returns each step's output hashes by golden key."""
+    bank = {
+        "expression": ["Describe the {media}.", "What does the face in this {media} show?"],
+        "deepfake": ["Is this {media} real or fake?"],
+    }
+    target = {"deepfake": {"fake": 1, "real": 1}, "expression": {"happiness": 2, "neutral": 1, "sadness": 1}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: os.path.join(tmp, name) for name in (
+            "manifest.jsonl", "bank.json", "target.json", "kept.jsonl", "removed.jsonl",
+            "filter.json", "paired.jsonl", "split.jsonl", "split.json")}
+        with open(path["manifest.jsonl"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(_manifest_lines()) + "\n")
+        with open(path["bank.json"], "w", encoding="utf-8") as fh:
+            json.dump(bank, fh)
+        with open(path["target.json"], "w", encoding="utf-8") as fh:
+            json.dump(target, fh)
+        argvs = {
+            "filter": ["filter", "--manifest", path["manifest.jsonl"], "--threshold", "6",
+                       "--out-kept", path["kept.jsonl"], "--out-removed", path["removed.jsonl"],
+                       "--summary-out", path["filter.json"]],
+            "pair": ["pair", "--manifest", path["kept.jsonl"], "--bank", path["bank.json"],
+                     "--seed", str(SEED), "--out", path["paired.jsonl"]],
+            "split": ["split", "--manifest", path["paired.jsonl"], "--target", path["target.json"],
+                      "--per-task", "4", "--out", path["split.jsonl"],
+                      "--summary-out", path["split.json"]],
+        }
+        for step in PIPELINE_STEPS:
+            if main(argvs[step]) != 0:
+                raise RuntimeError(f"{step} failed")
+        return {
+            pipeline_key("filter"): {
+                "kept_sha256": _sha256_file(path["kept.jsonl"]),
+                "removed_sha256": _sha256_file(path["removed.jsonl"]),
+                "summary_sha256": _sha256_file(path["filter.json"]),
+            },
+            pipeline_key("pair"): {"out_sha256": _sha256_file(path["paired.jsonl"])},
+            pipeline_key("split"): {
+                "out_sha256": _sha256_file(path["split.jsonl"]),
+                "summary_sha256": _sha256_file(path["split.json"]),
+            },
+        }
+
+
+def run_landmarks_case() -> dict:
+    """``save_landmarks`` on one seeded 3-frame clip."""
+    rng = np.random.default_rng(SEED)
+    clip = frames_from_array(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "landmarks.json")
+        save_landmarks(path, "clip-\u00e9", clip)
+        return {"sha256": _sha256_file(path)}
+
+
 def compute() -> dict:
     golden = {
         train_key(variant, mode, stage): run_case(variant, mode, stage)
@@ -115,6 +208,8 @@ def compute() -> dict:
     }
     for variant, mode in CASES:
         golden[enrich_key(variant, mode)] = run_enrich_case(variant, mode)
+    golden.update(run_pipeline_case())
+    golden[LANDMARKS_KEY] = run_landmarks_case()
     return golden
 
 

@@ -1,8 +1,9 @@
-"""Toy training and ``facecond enrich`` must reproduce the committed golden
-bit for bit.
+"""Toy training, ``facecond enrich``, the manifest pipeline and
+``save_landmarks`` must reproduce the committed golden bit for bit.
 
-The golden pins loss traces, trained parameters, checkpoint bytes and
-enrich output bytes; it is regenerated only by tests/make_golden.py, when
+The golden pins loss traces, trained parameters, checkpoint bytes, enrich
+output bytes, the bytes of every file filter, pair and split write, and one
+landmark file's bytes; it is regenerated only by tests/make_golden.py, when
 an output is meant to change.
 """
 
@@ -13,10 +14,15 @@ import pytest
 from make_golden import (
     CASES,
     GOLDEN_PATH,
+    LANDMARKS_KEY,
+    PIPELINE_STEPS,
     STAGES,
     enrich_key,
+    pipeline_key,
     run_case,
     run_enrich_case,
+    run_landmarks_case,
+    run_pipeline_case,
     train_key,
 )
 
@@ -45,3 +51,17 @@ def test_training_matches_golden(golden, variant, token_mode, stage):
 @pytest.mark.parametrize("variant, token_mode", CASES)
 def test_enrich_matches_golden(golden, variant, token_mode):
     assert run_enrich_case(variant, token_mode) == golden[enrich_key(variant, token_mode)]
+
+
+@pytest.fixture(scope="module")
+def pipeline_outputs():
+    return run_pipeline_case()
+
+
+@pytest.mark.parametrize("step", PIPELINE_STEPS)
+def test_pipeline_matches_golden(golden, pipeline_outputs, step):
+    assert pipeline_outputs[pipeline_key(step)] == golden[pipeline_key(step)]
+
+
+def test_save_landmarks_matches_golden(golden):
+    assert run_landmarks_case() == golden[LANDMARKS_KEY]
