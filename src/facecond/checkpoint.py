@@ -14,13 +14,12 @@ views are its arrays (see ``facecond.toytrain.training``).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
 from .geometry import PatchGrid, default_partition
+from .jsonio import read_json, write_json
 from .registry import take
 from .toytrain.decoder import ToyDecoderParams
 from .toytrain.projector import VisionProjectorParams
@@ -41,16 +40,17 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
             for key, arr in arrays.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT_TAG:
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise ValueError(f"{path}: not a {FORMAT_TAG} archive")
+    if not isinstance(doc.get("tensors"), dict):
+        raise ValueError(f"{path}: 'tensors' must be an object of tensor entries")
+    if not isinstance(doc.get("meta", {}), dict):
+        raise ValueError(f"{path}: 'meta' must be an object")
     arrays = {}
     for key, entry in doc["tensors"].items():
         try:

@@ -7,7 +7,9 @@ deterministic given its inputs and --seed, and never mutates its input
 files. --help shows each option's default. A --config JSON object replaces
 defaults: its keys are option names ("token_mode"), each value is checked
 as that flag's text, and explicit flags win. train's --config is a
-TrainConfig plus train_size, eval_size and task_kind.
+TrainConfig plus train_size, eval_size and task_kind. Files are read and
+written through facecond.jsonio; an input file that is malformed or the
+wrong shape fails with a message that starts with its path.
 
 FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
 """
@@ -36,28 +38,16 @@ from .evalkit import (
 from .frgca import attention_maps_json, frgca_forward, init_frgca
 from .frlp import TOKEN_MODES, init_frlp
 from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
+from .jsonio import read_json, write_json
 from .toytrain import TrainConfig, evaluate, synth_dataset, train
+from .toytrain.synth import TASK_KINDS
 from .toytrain.training import VARIANTS, landmark_conditioning
 
 log = logging.getLogger("facecond")
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON: {exc}") from None
-
-
 def _read_config(path: str) -> dict:
-    config = _read_json(path)
+    config = read_json(path)
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return config
@@ -90,7 +80,7 @@ def cmd_mask(args) -> int:
     partition = default_partition()
     grid = PatchGrid(args.rows, args.cols)
     masks = clip_rpp_masks(clip, partition, grid)
-    _write_json(
+    write_json(
         args.out,
         {
             "id": media_id,
@@ -105,12 +95,18 @@ def cmd_mask(args) -> int:
 
 
 def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "tokens" not in doc:
         raise ValueError(f"{path}: expected an object with a 'tokens' field")
-    tokens = np.asarray(doc["tokens"], dtype=np.float64)
+    try:
+        tokens = np.asarray(doc["tokens"])
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{path}: tokens must be a (T, N, d) array: {exc}") from None
     if tokens.ndim != 3:
         raise ValueError(f"{path}: tokens must be a (T, N, d) array")
+    if tokens.dtype.kind not in "iuf":  # strings, booleans, nulls
+        raise ValueError(f"{path}: tokens must be numbers, got {tokens.dtype} entries")
+    tokens = tokens.astype(np.float64, copy=False)
     if not np.all(np.isfinite(tokens)):
         raise ValueError(f"{path}: tokens contain non-finite values")
     return doc.get("id"), tokens
@@ -131,7 +127,7 @@ def cmd_enrich(args) -> int:
     if args.variant == "none":  # the no-landmarks baseline passes the tokens through
         if args.attention_out:
             raise ValueError("variant 'none' has no attention maps to export")
-        _write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
+        write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
         return 0
 
     partition = default_partition()
@@ -151,9 +147,9 @@ def cmd_enrich(args) -> int:
     enriched, cache = frgca_forward(
         h_v, h_l, masks, frgca_params, variant=args.variant, return_cache=True
     )
-    _write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
+    write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
     if args.attention_out:
-        _write_json(args.attention_out, attention_maps_json(cache.attn))
+        write_json(args.attention_out, attention_maps_json(cache.attn))
     return 0
 
 
@@ -166,13 +162,22 @@ def cmd_gradcheck(args) -> int:
             f"tolerance={entry['tolerance']:.0e} {status}"
         )
     if args.out:
-        _write_json(args.out, report)
+        write_json(args.out, report)
     return 0 if report["passed"] else 1
 
 
 # train config keys that size and pick the synthetic data; every other key
 # must be a TrainConfig field
 _TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
+
+
+def _dataset_size(config: dict, path: str, key: str, default: int, minimum: int) -> int:
+    value = config.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(
+            f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
 
 
 def cmd_train(args) -> int:
@@ -184,12 +189,17 @@ def cmd_train(args) -> int:
         cfg = TrainConfig.from_dict(cfg_fields)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}") from None
-    train_size = int(config.get("train_size", 256))
-    eval_size = int(config.get("eval_size", 0))
+    train_size = _dataset_size(config, args.config, "train_size", default=256, minimum=1)
+    eval_size = _dataset_size(config, args.config, "eval_size", default=0, minimum=0)
+    task_kind = config.get("task_kind", "region")
+    if task_kind not in TASK_KINDS:
+        raise ValueError(
+            f"{args.config}: config key 'task_kind' must be one of {TASK_KINDS}, got {task_kind!r}"
+        )
 
     def dataset(seed: int, size: int) -> list:
         return synth_dataset(
-            seed=seed, size=size, task_kind=config.get("task_kind", "region"),
+            seed=seed, size=size, task_kind=task_kind,
             frames=cfg.frames, n_patches=cfg.n_patches, d_raw=cfg.d_raw, vocab=cfg.vocab,
         )
 
@@ -214,7 +224,7 @@ def cmd_train(args) -> int:
         eval_loss, eval_accuracy = evaluate(result.model, eval_set, cfg)
         summary["eval_loss"] = eval_loss
         summary["eval_accuracy"] = eval_accuracy
-    _write_json(os.path.join(args.out, "summary.json"), summary)
+    write_json(os.path.join(args.out, "summary.json"), summary)
     log.info("trained %d steps", len(result.trace))
     return 0
 
@@ -238,7 +248,7 @@ def cmd_eval(args) -> int:
         taxonomies[task] = load_taxonomy(path, task)
     cues = None
     if args.negation_cues:
-        cues = _read_json(args.negation_cues)
+        cues = read_json(args.negation_cues)
         if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
             raise ValueError(f"{args.negation_cues}: negation cues must be a JSON list of strings")
 
@@ -246,7 +256,7 @@ def cmd_eval(args) -> int:
     report = score_records(
         records, taxonomies=taxonomies, au_list=args.au_list, negation_cues=cues
     )
-    _write_json(args.out, report)
+    write_json(args.out, report)
 
     if args.confusion_out:
         with_confusion = [
@@ -268,7 +278,7 @@ def cmd_filter(args) -> int:
     datapipe.save_manifest(args.out_kept, kept)
     datapipe.save_manifest(args.out_removed, removed)
     if args.summary_out:
-        _write_json(
+        write_json(
             args.summary_out,
             {
                 "threshold": args.threshold,
@@ -283,11 +293,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    records, errors = datapipe.load_manifest(args.manifest)
-    if errors:
-        raise ValueError(
-            f"manifest has {len(errors)} malformed lines (first: line {errors[0].line})"
-        )
+    records = datapipe.load_manifest_strict(args.manifest)
     bank = datapipe.load_instruction_bank(args.bank)
     paired = datapipe.pair_instructions(records, bank, seed=args.seed)
     datapipe.save_manifest(args.out, paired)
@@ -295,16 +301,12 @@ def cmd_pair(args) -> int:
 
 
 def cmd_split(args) -> int:
-    records, errors = datapipe.load_manifest(args.manifest)
-    if errors:
-        raise ValueError(
-            f"manifest has {len(errors)} malformed lines (first: line {errors[0].line})"
-        )
-    target = _read_json(args.target)
+    records = datapipe.load_manifest_strict(args.manifest)
+    target = datapipe.load_split_target(args.target)
     selected, summary = datapipe.build_test_split(records, target, per_task=args.per_task)
     datapipe.save_manifest(args.out, selected)
     if args.summary_out:
-        _write_json(args.summary_out, summary)
+        write_json(args.summary_out, summary)
     return 0
 
 

@@ -12,16 +12,20 @@ Manifest schema (JSONL, one record per line):
 
 Instruction banks are JSON {task: [instruction strings]}; each
 instruction carries exactly one "{media}" placeholder that is replaced
-by the record's media type.
+by the record's media type. Split targets are JSON {task: {class:
+weight}}, each task's weights finite, non-negative and not all zero.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+
+from .jsonio import read_json, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
 RATING_KEYS = (
@@ -111,11 +115,19 @@ def load_manifest(path: str) -> tuple[list[AnnotationRecord], list[ManifestError
     return records, errors
 
 
+def load_manifest_strict(path: str) -> list[AnnotationRecord]:
+    """The records of a JSONL manifest that must have no malformed line."""
+    records, errors = load_manifest(path)
+    if errors:
+        raise ValueError(
+            f"{path}: manifest has {len(errors)} malformed lines "
+            f"(first: line {errors[0].line}: {errors[0].message})"
+        )
+    return records
+
+
 def save_manifest(path: str, records: Sequence[AnnotationRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            json.dump(record.to_json_obj(), fh, sort_keys=True)
-            fh.write("\n")
+    write_jsonl(path, (record.to_json_obj() for record in records))
 
 
 def filter_by_rating(
@@ -158,11 +170,18 @@ class InstructionBank:
 
 
 def load_instruction_bank(path: str) -> InstructionBank:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """Read a {task: [instructions]} JSON file. Errors name the file, and
+    the task when one task is bad."""
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a task -> instruction-list object")
-    return InstructionBank({task: tuple(items) for task, items in data.items()})
+    for task, items in data.items():
+        if not isinstance(items, list) or not all(isinstance(text, str) for text in items):
+            raise ValueError(f"{path}: task {task!r} must map to a list of instruction strings")
+    try:
+        return InstructionBank({task: tuple(items) for task, items in data.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def pair_instructions(
@@ -188,6 +207,30 @@ def pair_instructions(
             replace(record, instruction=choice.replace(MEDIA_PLACEHOLDER, record.media_type))
         )
     return out
+
+
+def load_split_target(path: str) -> dict[str, dict[str, float]]:
+    """Read a {task: {class: weight}} JSON file for ``build_test_split``.
+    Errors name the file, and the task and class when one is bad."""
+    target = read_json(path)
+    if not isinstance(target, dict):
+        raise ValueError(f"{path}: expected a task -> {{class: weight}} object")
+    for task, weights in target.items():
+        if not isinstance(weights, dict):
+            raise ValueError(f"{path}: task {task!r} must map to a class -> weight object")
+        for cls, weight in weights.items():
+            if (
+                not isinstance(weight, (int, float))
+                or isinstance(weight, bool)
+                or not 0 <= weight < math.inf  # also false for NaN
+            ):
+                raise ValueError(
+                    f"{path}: task {task!r} class {cls!r}: weight {weight!r} "
+                    "is not a finite number >= 0"
+                )
+        if sum(weights.values()) <= 0:
+            raise ValueError(f"{path}: task {task!r} has no positive weight")
+    return target
 
 
 def _quotas(target: dict[str, float], per_task: int) -> dict[str, int]:

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
+from ..jsonio import read_json
+
 _RESOURCE_FILES = {
     "expression": "taxonomy_expression.json",
     "attribute": "taxonomy_attribute.json",
@@ -76,8 +78,7 @@ def taxonomy_from_mapping(task: str, mapping: dict[str, list[str]]) -> Taxonomy:
 def load_taxonomy(path: str, task: str) -> Taxonomy:
     """Read a {class: [phrases]} JSON file; class order follows the file.
     Errors name the file, and the class when one class is bad."""
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = json.load(fh)
+    mapping = read_json(path)
     if not isinstance(mapping, dict):
         raise ValueError(f"{path}: expected a class -> phrase-list object")
     try:

@@ -8,11 +8,12 @@ are pure functions on immutable inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .jsonio import read_json, write_json
 
 N_LANDMARKS = 68
 
@@ -202,17 +203,13 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
     Floats serialize via repr (shortest round-trip), so load(save(x)) is
     bit-exact.
     """
-    doc = {"id": media_id, "frames": clip.as_array().tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"id": media_id, "frames": clip.as_array().tolist()})
 
 
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
     """Read a landmark JSON document; returns (media id, clip). Errors name
     the file, and the frame when one frame is bad."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
     if not isinstance(doc["frames"], list):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from facecond.checkpoint import (
+    FORMAT_TAG,
     build_frgca,
     load_arrays,
     load_model,
@@ -119,3 +120,23 @@ def test_load_arrays_names_the_tensor_whose_data_disagrees_with_its_shape(tmp_pa
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"ck\.json: tensor 'a\.weight': cannot reshape array of size 5"):
         load_arrays(str(path))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1], f"not a {FORMAT_TAG} archive"),
+        ({"format": FORMAT_TAG, "tensors": [1]}, "'tensors' must be an object of tensor entries"),
+        ({"format": FORMAT_TAG}, "'tensors' must be an object of tensor entries"),
+        ({"format": FORMAT_TAG, "tensors": {}, "meta": [1]}, "'meta' must be an object"),
+        ({"format": FORMAT_TAG, "tensors": {"a.bias": [0.0]}},
+         "tensor 'a.bias': list indices must be integers or slices, not str"),
+    ],
+    ids=["list", "tensors_list", "no_tensors", "meta_list", "entry_list"],
+)
+def test_load_arrays_names_the_file_for_a_document_of_the_wrong_shape(tmp_path, doc, message):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as excinfo:
+        load_arrays(str(path))
+    assert str(excinfo.value) == f"{path}: {message}"

@@ -116,6 +116,30 @@ def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
     assert str(tok) in err["message"] and "non-finite" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "tokens, message",
+    [
+        ([[[0.5], [0.5, 0.5]]], r"tokens must be a \(T, N, d\) array: setting an array element"),
+        ([[["x"]]], r"tokens must be numbers, got <U1 entries"),
+        ([[["0.5"]]], r"tokens must be numbers, got <U3 entries"),
+        ([[[True]]], r"tokens must be numbers, got bool entries"),
+        ([[[None]]], r"tokens must be numbers, got object entries"),
+    ],
+    ids=["ragged", "string", "numeric_string", "bool", "null"],
+)
+def test_enrich_rejects_tokens_that_are_not_numbers_naming_the_file(tmp_path, capsys, tokens, message):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    write_landmarks(lm)
+    tok.write_text(json.dumps({"id": "clip-0", "tokens": tokens}) + "\n")
+    out = tmp_path / "enriched.json"
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok),
+                 "--rows", "1", "--cols", "1", "--variant", "none", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert re.match(re.escape(f"{tok}: ") + message, err["message"]), err["message"]
+    assert not out.exists()
+
+
 def test_gradcheck_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == 0
@@ -157,12 +181,24 @@ def test_train_subcommand(tmp_path):
 
 def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"lerning_rate": 0.5, "train_size": 2}))
     out_dir = tmp_path / "run"
-    assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == f"{cfg_path}: unknown train config keys: ['lerning_rate']"
-    assert not out_dir.exists()
+    for config, message in [
+        ({"lerning_rate": 0.5, "train_size": 2}, "unknown train config keys: ['lerning_rate']"),
+        ({"train_size": 2.9}, "config key 'train_size' must be an integer >= 1, got 2.9"),
+        ({"train_size": "abc"}, "config key 'train_size' must be an integer >= 1, got 'abc'"),
+        ({"train_size": 0}, "config key 'train_size' must be an integer >= 1, got 0"),
+        ({"train_size": 2, "eval_size": True},
+         "config key 'eval_size' must be an integer >= 0, got True"),
+        ({"train_size": 2, "eval_size": -1},
+         "config key 'eval_size' must be an integer >= 0, got -1"),
+        ({"train_size": 2, "task_kind": "bogus"},
+         "config key 'task_kind' must be one of ('region', 'global'), got 'bogus'"),
+    ]:
+        cfg_path.write_text(json.dumps(config))
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == f"{cfg_path}: {message}"
+        assert not out_dir.exists()
 
 
 def test_eval_subcommand_with_fixtures(tmp_path):
@@ -330,6 +366,37 @@ def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command
     assert main(runnable_argv(tmp_path, command) + ["--config", str(cfg)]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert re.match(re.escape(f"{cfg}: ") + message, err["message"]), err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("mask", "--landmarks"),
+        ("enrich", "--tokens"),
+        ("enrich", "--checkpoint"),
+        ("eval", "--taxonomy"),
+        ("eval", "--negation-cues"),
+        ("pair", "--bank"),
+        ("split", "--target"),
+        ("train", "--config"),
+    ],
+    ids=lambda v: v.lstrip("-"),
+)
+def test_truncated_json_input_fails_naming_the_file(tmp_path, capsys, command, flag):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"tokens": [[[0.5, ')
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "out")]
+    else:
+        argv = runnable_argv(tmp_path, command)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(truncated)
+    else:
+        argv += [flag, *(["deepfake"] if flag == "--taxonomy" else []), str(truncated)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"].startswith(f"{truncated}: malformed JSON: "), err["message"]
     assert not (tmp_path / "out").exists()
 
 

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import facecond.datapipe as datapipe
 from facecond.datapipe import (
     AnnotationRecord,
     InstructionBank,
     build_test_split,
     filter_by_rating,
+    load_instruction_bank,
     load_manifest,
+    load_manifest_strict,
+    load_split_target,
     pair_instructions,
     save_manifest,
 )
@@ -65,6 +69,23 @@ def test_load_manifest_collects_errors_with_line_numbers(tmp_path):
     assert len(records) == 3
     assert len(errors) == 1
     assert errors[0].line == 3
+
+
+def test_load_manifest_strict_names_the_file_and_first_bad_line(tmp_path, monkeypatch):
+    path = tmp_path / "m.jsonl"
+    good = json.dumps(make_record(0, rating=7).to_json_obj())
+    path.write_text(good + "\n" + '{"id": "r1", ' + "\n" + good.replace(": 7", ": 11") + "\n")
+    loads = []
+    monkeypatch.setattr(datapipe, "load_manifest", lambda p: loads.append(p) or load_manifest(p))
+    with pytest.raises(ValueError) as excinfo:
+        load_manifest_strict(str(path))
+    assert str(excinfo.value) == (
+        f"{path}: manifest has 2 malformed lines "
+        "(first: line 2: Expecting property name enclosed in double quotes: line 1 column 13 (char 12))"
+    )
+    path.write_text(good + "\n")
+    assert load_manifest_strict(str(path)) == [make_record(0, rating=7)]
+    assert loads == [str(path)] * 2  # the benchmark's load_manifest wrapper sees every load
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -160,6 +181,28 @@ def test_bank_validation():
         InstructionBank({"t": ()})
 
 
+@pytest.mark.parametrize(
+    "bank, message",
+    [
+        ('["Describe the {media}."]', "expected a task -> instruction-list object"),
+        ('{"expression": "Describe {media}"}',
+         "task 'expression' must map to a list of instruction strings"),
+        ('{"expression": ["Describe the {media}.", 3]}',
+         "task 'expression' must map to a list of instruction strings"),
+        ('{"expression": []}', "task 'expression' has no instructions"),
+        ('{"expression": ["Describe it."]}',
+         "instruction 'Describe it.' must contain exactly one {media}"),
+    ],
+    ids=["list", "string", "non_string_item", "empty", "no_placeholder"],
+)
+def test_load_instruction_bank_names_the_file_and_task(tmp_path, bank, message):
+    path = tmp_path / "bank.json"
+    path.write_text(bank)
+    with pytest.raises(ValueError) as excinfo:
+        load_instruction_bank(str(path))
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 def test_pairing_deterministic_and_substitutes_media():
     records = [make_record(i, rating=7) for i in range(50)]
     a = pair_instructions(records, BANK, seed=11)
@@ -217,6 +260,42 @@ def split_records(rng, n, klass_weights, task="expression"):
         )
         for i in range(n)
     ]
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ('["expression"]', "expected a task -> {class: weight} object"),
+        ('{"expression": ["happiness"]}', "task 'expression' must map to a class -> weight object"),
+        ('{"expression": {"happiness": "x"}}',
+         "task 'expression' class 'happiness': weight 'x' is not a finite number >= 0"),
+        ('{"expression": {"happiness": true}}',
+         "task 'expression' class 'happiness': weight True is not a finite number >= 0"),
+        ('{"expression": {"sadness": 1, "happiness": -0.5}}',
+         "task 'expression' class 'happiness': weight -0.5 is not a finite number >= 0"),
+        ('{"expression": {"happiness": NaN}}',
+         "task 'expression' class 'happiness': weight nan is not a finite number >= 0"),
+        ('{"expression": {"happiness": Infinity}}',
+         "task 'expression' class 'happiness': weight inf is not a finite number >= 0"),
+        ('{"age": {"adult": 1}, "expression": {"happiness": 0}}',
+         "task 'expression' has no positive weight"),
+        ('{"expression": {}}', "task 'expression' has no positive weight"),
+    ],
+    ids=["list", "task_list", "string", "bool", "negative", "nan", "inf", "zero_mass", "empty"],
+)
+def test_load_split_target_names_the_file_task_and_class(tmp_path, target, message):
+    path = tmp_path / "target.json"
+    path.write_text(target)
+    with pytest.raises(ValueError) as excinfo:
+        load_split_target(str(path))
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
+def test_load_split_target_returns_the_weights_as_written(tmp_path):
+    path = tmp_path / "target.json"
+    target = {"deepfake": {"fake": 0, "real": 1}, "expression": {"happiness": 0.25, "sadness": 3}}
+    path.write_text(json.dumps(target))
+    assert load_split_target(str(path)) == target
 
 
 def test_split_uniform_two_class():
