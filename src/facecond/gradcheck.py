@@ -3,7 +3,9 @@
 Every trainable array is perturbed element by element and the resulting
 difference quotient is compared against the analytic gradient. The
 relative-error floor keeps near-zero gradient pairs from being flagged by
-finite-difference noise.
+finite-difference noise. Element by element is affordable only at tiny
+shapes; ``directional_error`` checks a whole parameter vector along one
+direction at a time, which is affordable at any shape.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ REL_ERR_FLOOR = 1e-5
 
 MODULE_TOLERANCE = 1e-4
 PIPELINE_TOLERANCE = 1e-3
+
+# Directional checks of the training loss at T=8, a 16x16 grid, d=256,
+# H=8: over 12 seeded unit directions the central difference at this step
+# was within 2.8e-9 relative of <grad, v> (roundoff ~ ulp(loss) / step,
+# truncation ~ step^2; 1e-3 and 1e-5 each gave up to 2e-8). The tolerance
+# leaves ~350x headroom over that noise.
+DIRECTIONAL_STEP = 1e-4
+DIRECTIONAL_TOLERANCE = 1e-6
 
 
 def finite_difference_gradient(
@@ -53,6 +63,31 @@ def max_relative_error(
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+
+
+def directional_error(
+    loss_fn: Callable[[], float],
+    params: np.ndarray,
+    grad: np.ndarray,
+    direction: np.ndarray,
+    step: float = DIRECTIONAL_STEP,
+) -> float:
+    """Relative error between <grad, direction> and the central difference
+    of loss_fn along direction.
+
+    params is moved in place to params +- step * direction for the two
+    probes and restored bit for bit afterwards; loss_fn must read it live.
+    """
+    original = params.copy()
+    try:
+        np.add(original, step * direction, out=params)
+        plus = loss_fn()
+        np.subtract(original, step * direction, out=params)
+        minus = loss_fn()
+    finally:
+        params[:] = original
+    numeric = (plus - minus) / (2.0 * step)
+    return max_relative_error(np.dot(grad, direction), numeric)
 
 
 def check_named_gradients(

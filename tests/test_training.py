@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facecond.frgca import FrgcaParams, frgca_backward
+from facecond.gradcheck import DIRECTIONAL_TOLERANCE, directional_error
 from facecond.registry import named, unflatten
 from facecond.toytrain import training
 from facecond.toytrain.decoder import ToyDecoderParams, decoder_backward
@@ -205,6 +206,30 @@ def test_gradient_vector_lines_up_with_flat():
     }
     for key, value in expected.items():
         assert np.array_equal(by_key[key], value), key
+
+
+@pytest.mark.parametrize("variant", ["frgca", "simple"])
+def test_gradient_matches_directional_differences_at_paper_shape(variant):
+    # the element-wise suites run at T <= 2; this checks the whole trained
+    # prefix of the flat vector at the paper_step shape, where a reshape
+    # that mixes frames or tokens would show
+    rng = np.random.default_rng(11)
+    for stage in ("pretrain", "finetune"):
+        cfg = TrainConfig(stage=stage, variant=variant, frames=8, grid_rows=16, grid_cols=16,
+                          d=256, heads=8, d_raw=64, max_context=4096, seed=5)
+        model = init_model(cfg)
+        sample = synth_dataset(seed=5, size=1, frames=cfg.frames, n_patches=cfg.n_patches,
+                               d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
+        _, state = forward_loss(model, sample, cfg, return_state=True)
+        grad = backward_pass(model, sample, cfg, state)
+        arrays = model_arrays(model)
+        n = sum(arrays[k].size for k in trainable_keys(model, stage))
+        params = model.flat[:n]
+        for _ in range(2):
+            v = rng.normal(size=n)
+            v /= np.linalg.norm(v)
+            error = directional_error(lambda: forward_loss(model, sample, cfg), params, grad[:n], v)
+            assert error < DIRECTIONAL_TOLERANCE, (stage, error)
 
 
 # ---------------------------------------------------------------------------
