@@ -236,9 +236,10 @@ def frgca_backward(
     # residual path
     d_h_v = g.copy()
 
-    # output projection: out = merged @ w_o.T + b_o
+    # output projection: out = merged @ w_o.T + b_o. Each weight gradient
+    # folds (T, L) into one row axis so that it is a single GEMM.
     d_merged = g @ params.w_o  # (T, N, d_attn)
-    d_w_o = np.einsum("tnd,tna->da", g, cache.merged)
+    d_w_o = g.reshape(T * N, d).T @ cache.merged.reshape(T * N, -1)
     d_b_o = g.sum(axis=(0, 1))
 
     d_per_head = d_merged.reshape(T, N, H, d_head).transpose(0, 2, 1, 3)
@@ -261,9 +262,10 @@ def frgca_backward(
     d_v_full = d_v.transpose(0, 2, 1, 3).reshape(T, M, H * d_head)
 
     # input projections
-    d_w_q = np.einsum("tna,tnd->ad", d_q_full, h_v)
-    d_w_k = np.einsum("tma,tmd->ad", d_k_full, h_l)
-    d_w_v = np.einsum("tma,tmd->ad", d_v_full, h_l)
+    h_l_rows = h_l.reshape(T * M, d)
+    d_w_q = d_q_full.reshape(T * N, -1).T @ h_v.reshape(T * N, d)
+    d_w_k = d_k_full.reshape(T * M, -1).T @ h_l_rows
+    d_w_v = d_v_full.reshape(T * M, -1).T @ h_l_rows
     d_b_q = d_q_full.sum(axis=(0, 1))
     d_b_k = d_k_full.sum(axis=(0, 1))
     d_b_v = d_v_full.sum(axis=(0, 1))

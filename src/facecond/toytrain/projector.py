@@ -98,11 +98,13 @@ def vision_backward(
         raise ValueError("missing forward cache")
     g = np.asarray(cotangent, dtype=np.float64)
     params = cache.params
+    # fold (T, N) into one row axis: each weight gradient is one GEMM
+    rows = g.shape[0] * g.shape[1]
     d_hidden = g @ params.w2
-    d_w2 = np.einsum("tnd,tnh->dh", g, cache.hidden)
+    d_w2 = g.reshape(rows, -1).T @ cache.hidden.reshape(rows, -1)
     d_b2 = g.sum(axis=(0, 1))
     d_pre = d_hidden * gelu_grad(cache.pre_act)
-    d_w1 = np.einsum("tnh,tnr->hr", d_pre, cache.raw)
+    d_w1 = d_pre.reshape(rows, -1).T @ cache.raw.reshape(rows, -1)
     d_b1 = d_pre.sum(axis=(0, 1))
     d_raw = d_pre @ params.w1
     return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2), d_raw

@@ -8,12 +8,17 @@ weight), so the two agree to a relative tolerance, not bit for bit. The
 error is measured as the largest absolute difference over the largest
 reference entry.
 
-This file is the only place in the repository that keeps ``einsum``.
+This file is the only place in the repository that keeps ``einsum``;
+``test_no_einsum_in_the_package`` keeps it out of ``src/facecond``.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import facecond
 from facecond.frgca import frgca_backward, frgca_forward, init_frgca
 from facecond.toytrain.projector import (
     gelu_grad,
@@ -22,6 +27,7 @@ from facecond.toytrain.projector import (
     vision_project,
 )
 
+SRC = Path(facecond.__file__).parent
 RTOL = 1e-12
 M = 10  # nine region tokens and the whole-face token
 
@@ -94,3 +100,19 @@ def test_vision_weight_gradients_match_einsum(shape):
     reference = _vision_reference(g, cache)
     errors = {name: _rel_err(getattr(grads, name), ref) for name, ref in reference.items()}
     assert max(errors.values()) <= RTOL, errors
+
+
+def test_no_einsum_in_the_package():
+    # numpy runs einsum as C loops, not as BLAS GEMM
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{module}:{node.lineno} imports {a.name}" for a in node.names
+                              if a.name == "einsum"]
+            elif isinstance(node, ast.Call) and "einsum" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                offenders.append(f"{module}:{node.lineno} {ast.unparse(node.func)}()")
+    assert offenders == []
