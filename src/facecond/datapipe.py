@@ -99,18 +99,20 @@ class ManifestError:
 
 
 def load_manifest(path: str) -> tuple[list[AnnotationRecord], list[ManifestError]]:
-    """Parse a JSONL manifest; malformed lines become error entries
-    instead of aborting the load."""
+    """Parse a JSONL manifest; malformed lines, including lines that are
+    not UTF-8, become error entries instead of aborting the load. Lines
+    are split at newline bytes and decoded one by one, so a bad byte costs
+    only its own line."""
     records: list[AnnotationRecord] = []
     errors: list[ManifestError] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                records.append(AnnotationRecord.from_json_obj(json.loads(stripped)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                stripped = raw.decode("utf-8").strip()
+                if stripped:
+                    records.append(AnnotationRecord.from_json_obj(json.loads(stripped)))
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            except (KeyError, TypeError, ValueError) as exc:
                 errors.append(ManifestError(line=lineno, message=str(exc)))
     return records, errors
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ def test_load_manifest_strict_names_the_file_and_first_bad_line(tmp_path, monkey
     path.write_text(good + "\n")
     assert load_manifest_strict(str(path)) == [make_record(0, rating=7)]
     assert loads == [str(path)] * 2  # the benchmark's load_manifest wrapper sees every load
+
+
+def test_load_manifest_reports_a_line_that_is_not_utf8_and_keeps_going(tmp_path):
+    path = tmp_path / "m.jsonl"
+    good = [json.dumps(make_record(i, rating=7).to_json_obj()).encode() for i in range(2)]
+    bad = good[1].replace(b"description", b"caf\xe9")
+    path.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
+    records, errors = load_manifest(str(path))
+    assert records == [make_record(0, rating=7), make_record(1, rating=7)]
+    assert [e.line for e in errors] == [2]
+    assert errors[0].message.startswith("'utf-8' codec can't decode byte 0xe9")
+    with pytest.raises(ValueError, match="^" + re.escape(
+        f"{path}: manifest has 1 malformed lines (first: line 2: 'utf-8' codec can't decode"
+    )):
+        load_manifest_strict(str(path))
 
 
 def test_manifest_roundtrip(tmp_path):
