@@ -121,11 +121,33 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """A config from a JSON object; each value must have its field's type."""
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            accepts, kind = _JSON_FIELD_TYPES[fields[key].type]
+            if not accepts(value):
+                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
         return cls(**data)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON values each TrainConfig field annotation accepts, and how an
+# error names them
+_JSON_FIELD_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "float | None": (
+        lambda v: v is None or ((_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
+        "a finite number or null",
+    ),
+}
 
 
 @dataclass

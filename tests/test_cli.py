@@ -193,6 +193,17 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
          "config key 'eval_size' must be an integer >= 0, got -1"),
         ({"train_size": 2, "task_kind": "bogus"},
          "config key 'task_kind' must be one of ('region', 'global'), got 'bogus'"),
+        ({"epochs": 2.5}, "config key 'epochs' must be an integer, got 2.5"),
+        ({"d": "8"}, "config key 'd' must be an integer, got '8'"),
+        ({"seed": True}, "config key 'seed' must be an integer, got True"),
+        ({"d_attn": 8.0}, "config key 'd_attn' must be an integer or null, got 8.0"),
+        ({"learning_rate": "0.1"},
+         "config key 'learning_rate' must be a finite number or null, got '0.1'"),
+        ({"learning_rate": float("inf")},
+         "config key 'learning_rate' must be a finite number or null, got inf"),
+        ({"learning_rate": False},
+         "config key 'learning_rate' must be a finite number or null, got False"),
+        ({"variant": ["frgca"]}, "config key 'variant' must be a string, got ['frgca']"),
     ]:
         cfg_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
@@ -266,6 +277,31 @@ def test_split_subcommand(tmp_path):
     assert len(lines) == 10
     labels = [l["label"] for l in lines]
     assert labels.count("happiness") == 5 and labels.count("sadness") == 5
+
+
+def test_manifest_line_that_is_not_utf8_is_a_malformed_line(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, n=4)
+    first, *rest = manifest.read_bytes().splitlines(keepends=True)
+    manifest.write_bytes(first + b'{"id": "caf\xe9"}\n' + b"".join(rest))
+    summary = tmp_path / "summary.json"
+    assert main(["filter", "--manifest", str(manifest), "--out-kept", str(tmp_path / "k.jsonl"),
+                 "--out-removed", str(tmp_path / "r.jsonl"), "--summary-out", str(summary)]) == 0
+    report = json.loads(summary.read_text())
+    assert report["input"] == 4
+    assert [e["line"] for e in report["parse_errors"]] == [2]
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"expression": ["Describe the {media} emotion."]}))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"expression": {"happiness": 0.5, "sadness": 0.5}}))
+    out = tmp_path / "out.jsonl"
+    for argv in (["pair", "--bank", str(bank)], ["split", "--target", str(target)]):
+        assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"].startswith(
+            f"{manifest}: manifest has 1 malformed lines (first: line 2: 'utf-8' codec"
+        ), err["message"]
+        assert not out.exists()
 
 
 def test_missing_input_file_gives_json_error(tmp_path, capsys):
