@@ -9,8 +9,9 @@ parameters in ``model_arrays`` key order, and a sha256 of the
 sha256 of the ``--out`` bytes for each attention variant and token mode,
 and of the ``--attention-out`` bytes with both token sets. It pins the
 manifest pipeline on one fixed manifest: a sha256 of every file that
-``facecond filter``, ``pair`` and ``split`` write, and of one
-``save_landmarks`` file. Rerun only when a change is meant to alter those
+``facecond filter``, ``pair`` and ``split`` write, of one
+``save_landmarks`` file, and of the ``facecond mask`` output for a 3-frame
+clip. Rerun only when a change is meant to alter those
 outputs; tests/test_golden.py compares against the committed file.
 """
 
@@ -111,6 +112,7 @@ def run_enrich_case(variant: str, token_mode: str) -> dict:
 
 PIPELINE_STEPS = ("filter", "pair", "split")
 LANDMARKS_KEY = "landmarks"
+MASK_KEY = "mask"
 
 
 def pipeline_key(step: str) -> str:
@@ -200,6 +202,19 @@ def run_landmarks_case() -> dict:
         return {"sha256": _sha256_file(path)}
 
 
+def run_mask_case() -> dict:
+    """``facecond mask`` on one seeded 3-frame clip over a 3x5 patch grid."""
+    rng = np.random.default_rng(SEED + 1)
+    clip = frames_from_array(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
+    with tempfile.TemporaryDirectory() as tmp:
+        landmarks = os.path.join(tmp, "landmarks.json")
+        out = os.path.join(tmp, "masks.json")
+        save_landmarks(landmarks, "clip-0", clip)
+        if main(["mask", "--landmarks", landmarks, "--rows", "3", "--cols", "5", "--out", out]) != 0:
+            raise RuntimeError("mask failed")
+        return {"sha256": _sha256_file(out)}
+
+
 def compute() -> dict:
     golden = {
         train_key(variant, mode, stage): run_case(variant, mode, stage)
@@ -210,6 +225,7 @@ def compute() -> dict:
         golden[enrich_key(variant, mode)] = run_enrich_case(variant, mode)
     golden.update(run_pipeline_case())
     golden[LANDMARKS_KEY] = run_landmarks_case()
+    golden[MASK_KEY] = run_mask_case()
     return golden
 
 

@@ -2,8 +2,9 @@
 ``save_landmarks`` must reproduce the committed golden bit for bit.
 
 The golden pins loss traces, trained parameters, checkpoint bytes, enrich
-output bytes, the bytes of every file filter, pair and split write, and one
-landmark file's bytes; it is regenerated only by tests/make_golden.py, when
+output bytes, the bytes of every file filter, pair and split write, one
+landmark file's bytes and the bytes ``facecond mask`` writes for a 3-frame
+clip; it is regenerated only by tests/make_golden.py, when
 an output is meant to change.
 """
 
@@ -15,6 +16,7 @@ from make_golden import (
     CASES,
     GOLDEN_PATH,
     LANDMARKS_KEY,
+    MASK_KEY,
     PIPELINE_STEPS,
     STAGES,
     enrich_key,
@@ -22,6 +24,7 @@ from make_golden import (
     run_case,
     run_enrich_case,
     run_landmarks_case,
+    run_mask_case,
     run_pipeline_case,
     train_key,
 )
@@ -65,3 +68,7 @@ def test_pipeline_matches_golden(golden, pipeline_outputs, step):
 
 def test_save_landmarks_matches_golden(golden):
     assert run_landmarks_case() == golden[LANDMARKS_KEY]
+
+
+def test_mask_matches_golden(golden):
+    assert run_mask_case() == golden[MASK_KEY]
