@@ -8,7 +8,6 @@ filtering pipeline, all behind one CLI (``facecond``).
 
 from .geometry import (
     LandmarkClip,
-    LandmarkFrame,
     PatchGrid,
     RegionPartition,
     clip_rpp_masks,
@@ -44,7 +43,6 @@ __all__ = [
     "FrgcaParams",
     "FrlpParams",
     "LandmarkClip",
-    "LandmarkFrame",
     "LandmarkTokens",
     "PatchGrid",
     "RegionPartition",

@@ -89,11 +89,10 @@ def _check_compat(partition: RegionPartition, params: FrlpParams) -> None:
         )
 
 
-def _group_inputs(clip_arr: np.ndarray, partition: RegionPartition) -> list[np.ndarray]:
+def _group_inputs(clip: LandmarkClip, partition: RegionPartition) -> list[np.ndarray]:
     # (T, 2*L_i) per group; ravel of (L_i, 2) rows interleaves x before y
-    T = clip_arr.shape[0]
     return [
-        clip_arr[:, list(idx), :].reshape(T, 2 * len(idx))
+        clip.points[:, list(idx), :].reshape(clip.num_frames, 2 * len(idx))
         for _, idx in partition.groups
     ]
 
@@ -102,7 +101,7 @@ def _region_project(
     clip: LandmarkClip, partition: RegionPartition, weights: list, biases: list
 ) -> np.ndarray:
     """One affine token per region of ``partition``, shape (T, M, d)."""
-    inputs = _group_inputs(clip.as_array(), partition)
+    inputs = _group_inputs(clip, partition)
     return np.stack([x @ w.T + b for x, w, b in zip(inputs, weights, biases)], axis=1)
 
 
@@ -114,7 +113,7 @@ def _region_grads(
     of its output; zeros when the tokens were not used (``d_tokens`` None)."""
     if d_tokens is None:
         return [np.zeros_like(w) for w in weights], [np.zeros_like(b) for b in biases]
-    inputs = _group_inputs(clip.as_array(), partition)
+    inputs = _group_inputs(clip, partition)
     if d_tokens.shape != (inputs[0].shape[0], len(inputs), biases[0].shape[0]):
         raise ValueError(f"cotangent shape {d_tokens.shape} mismatches tokens")
     grads = [d_tokens[:, i, :] for i in range(len(inputs))]  # (T, d) each

@@ -1,15 +1,14 @@
 """Facial landmark geometry.
 
-68-point landmark frames and clips, the fixed 9-region partition, the
-one-region whole-face partition, the visual patch grid, and the
-region-patch proximity mask used to bias cross-attention. All operations
+68-point landmark clips, the fixed 9-region partition, the one-region
+whole-face partition, the visual patch grid, and the region-patch
+proximity mask used to bias cross-attention. All operations
 are pure functions on immutable inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,50 +37,33 @@ _DEFAULT_GROUPS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class LandmarkFrame:
-    """68 normalized 2-D landmark points for one frame.
-
-    ``points`` is a (68, 2) float64 array of (x, y) coordinates in the
-    unit square of the cropped face, within the jitter band
-    [COORD_MIN, COORD_MAX].
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.shape != (N_LANDMARKS, 2):
-            raise ValueError(
-                f"expected {N_LANDMARKS} landmark points of 2 coordinates, got shape {pts.shape}"
-            )
-        inside = ((pts >= COORD_MIN) & (pts <= COORD_MAX)).all(axis=1)  # False for NaN
-        if not inside.all():
-            point = int(np.argmin(inside))
-            raise ValueError(
-                f"landmark point {point} {pts[point].tolist()} lies outside [{COORD_MIN}, {COORD_MAX}]"
-            )
-        object.__setattr__(self, "points", pts)
-
-
 class LandmarkClip:
-    """Ordered landmark frames for one media item (1 <= T <= MAX_FRAMES)."""
+    """The landmarks of one media item: ``points`` is a read-only (T, 68, 2)
+    float64 array of (x, y) coordinates in the unit square of the cropped
+    face, within the jitter band [COORD_MIN, COORD_MAX], with
+    1 <= T <= MAX_FRAMES. The constructor copies and validates its input."""
 
-    def __init__(self, frames: Iterable[LandmarkFrame]) -> None:
-        frames = tuple(frames)
-        if not frames:
+    def __init__(self, points) -> None:
+        pts = np.array(points, dtype=np.float64)
+        if pts.ndim != 3 or pts.shape[1:] != (N_LANDMARKS, 2):
+            raise ValueError(f"expected (T, {N_LANDMARKS}, 2) array, got shape {pts.shape}")
+        if not pts.shape[0]:
             raise ValueError("a clip needs at least one frame")
-        if len(frames) > MAX_FRAMES:
-            raise ValueError(f"clip has {len(frames)} frames, exceeds max of {MAX_FRAMES}")
-        self.frames = frames
+        if pts.shape[0] > MAX_FRAMES:
+            raise ValueError(f"clip has {pts.shape[0]} frames, exceeds max of {MAX_FRAMES}")
+        inside = ((pts >= COORD_MIN) & (pts <= COORD_MAX)).all(axis=2)  # False for NaN
+        if not inside.all():
+            t, point = (int(i) for i in np.unravel_index(np.argmin(inside), inside.shape))
+            raise ValueError(
+                f"frame {t}: landmark point {point} {pts[t, point].tolist()} "
+                f"lies outside [{COORD_MIN}, {COORD_MAX}]"
+            )
+        pts.flags.writeable = False
+        self.points = pts
 
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
-
-    def as_array(self) -> np.ndarray:
-        """Stack into a (T, 68, 2) array."""
-        return np.stack([f.points for f in self.frames])
+        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,10 +132,12 @@ class PatchGrid:
         return self.rows * self.cols
 
 
-def region_centroids(frame: LandmarkFrame, partition: RegionPartition) -> np.ndarray:
-    """Arithmetic mean of each group's points; shape (M, 2)."""
-    pts = frame.points
-    return np.stack([pts[list(idx)].mean(axis=0) for _, idx in partition.groups])
+def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarray:
+    """Arithmetic mean of each group's points: (..., 68, 2) landmarks give
+    (..., M, 2) centroids."""
+    return np.stack(
+        [points[..., list(idx), :].mean(axis=-2) for _, idx in partition.groups], axis=-2
+    )
 
 
 def patch_centroids(grid: PatchGrid) -> np.ndarray:
@@ -171,18 +155,19 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
     """Region-patch proximity mask: entry (j, i) is the negative Euclidean
     distance between patch j's centroid and region i's centroid.
 
-    Returns an (N, M) matrix of non-positive values.
+    (..., M, 2) region centroids give (..., N, M) masks of non-positive
+    values, one per leading index.
     """
     regions = np.asarray(regions, dtype=np.float64)
     patches = np.asarray(patches, dtype=np.float64)
-    if regions.ndim != 2 or regions.shape[1] != 2:
-        raise ValueError(f"region centroids must be (M, 2), got {regions.shape}")
+    if regions.ndim < 2 or regions.shape[-1] != 2:
+        raise ValueError(f"region centroids must be (..., M, 2), got {regions.shape}")
     if patches.ndim != 2 or patches.shape[1] != 2:
         raise ValueError(f"patch centroids must be (N, 2), got {patches.shape}")
     if not (np.all(np.isfinite(regions)) and np.all(np.isfinite(patches))):
         raise ValueError("centroids must be finite")
-    diff = patches[:, None, :] - regions[None, :, :]
-    return -np.sqrt((diff * diff).sum(axis=2))
+    diff = patches[:, None, :] - regions[..., None, :, :]
+    return -np.sqrt((diff * diff).sum(axis=-1))
 
 
 def clip_rpp_masks(
@@ -191,10 +176,7 @@ def clip_rpp_masks(
     grid: PatchGrid,
 ) -> np.ndarray:
     """One (N, M) mask per frame, from that frame's landmarks; shape (T, N, M)."""
-    patches = patch_centroids(grid)
-    return np.stack(
-        [rpp_mask(region_centroids(f, partition), patches) for f in clip.frames]
-    )
+    return rpp_mask(region_centroids(clip.points, partition), patch_centroids(grid))
 
 
 def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
@@ -203,7 +185,7 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
     Floats serialize via repr (shortest round-trip), so load(save(x)) is
     bit-exact.
     """
-    write_json(path, {"id": media_id, "frames": clip.as_array().tolist()})
+    write_json(path, {"id": media_id, "frames": clip.points.tolist()})
 
 
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
@@ -214,21 +196,25 @@ def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
     if not isinstance(doc["frames"], list):
         raise ValueError(f"{path}: 'frames' must be a list of frames")
-    frames = []
-    for t, f in enumerate(doc["frames"]):
-        try:
-            frames.append(LandmarkFrame(np.asarray(f, dtype=np.float64)))
-        except ValueError as exc:
-            raise ValueError(f"{path}: frame {t}: {exc}") from None
     try:
-        return str(doc["id"]), LandmarkClip(frames)
+        return str(doc["id"]), LandmarkClip(_stack_frames(doc["frames"]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def frames_from_array(arr: Sequence | np.ndarray) -> LandmarkClip:
-    """Build a clip from a (T, 68, 2) array-like."""
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (T, 68, 2) array, got shape {arr.shape}")
-    return LandmarkClip([LandmarkFrame(a) for a in arr])
+def _stack_frames(frames: list) -> np.ndarray:
+    """The frames of a landmark document as a (T, 68, 2) array; names the
+    first frame that is not 68 points of 2 numbers."""
+    arrays = []
+    for t, frame in enumerate(frames):
+        try:
+            arr = np.asarray(frame, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"frame {t}: {exc}") from None
+        if arr.shape != (N_LANDMARKS, 2):
+            raise ValueError(
+                f"frame {t}: expected {N_LANDMARKS} landmark points of 2 coordinates, "
+                f"got shape {arr.shape}"
+            )
+        arrays.append(arr)
+    return np.array(arrays).reshape(-1, N_LANDMARKS, 2)

@@ -111,12 +111,12 @@ def check_named_gradients(
 def frlp_suite(seed: int = 0) -> float:
     """FRLP parameter gradients vs finite differences; returns max rel error."""
     from .frlp import FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
-    from .geometry import default_partition, frames_from_array
+    from .geometry import LandmarkClip, default_partition
 
     rng = np.random.default_rng(seed)
     partition = default_partition()
     params = init_frlp(8, partition, seed=seed)
-    clip = frames_from_array(rng.uniform(0.0, 1.0, size=(2, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.0, 1.0, size=(2, 68, 2)))
     weights = rng.normal(size=(2, 9, 8))
 
     def loss() -> float:
@@ -171,7 +171,7 @@ def vision_suite(seed: int = 0) -> float:
 
 def pipeline_suite(seed: int = 0) -> float:
     """End-to-end pipeline gradients (all four groups) vs finite differences."""
-    from .geometry import frames_from_array
+    from .geometry import LandmarkClip
     from .toytrain.synth import SynthSample
     from .toytrain.training import (
         TrainConfig,
@@ -199,7 +199,7 @@ def pipeline_suite(seed: int = 0) -> float:
     model = init_model(config)
     sample = SynthSample(
         raw=rng.normal(size=(1, 4, 3)),
-        clip=frames_from_array(rng.uniform(0.1, 0.9, size=(1, 68, 2))),
+        clip=LandmarkClip(rng.uniform(0.1, 0.9, size=(1, 68, 2))),
         instruction_ids=(3, 4),
         response_ids=(1, 2),
         label=1,

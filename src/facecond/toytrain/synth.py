@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import (
-    LandmarkClip,
-    LandmarkFrame,
-    default_partition,
-    frames_from_array,
-)
+from ..geometry import LandmarkClip, default_partition
 
 TASK_KINDS = ("region", "global")
 
@@ -51,8 +46,8 @@ class SynthSample:
     label: int
 
 
-def template_frame() -> LandmarkFrame:
-    """The deterministic schematic 68-point face."""
+def template_frame() -> np.ndarray:
+    """The deterministic schematic 68-point face; shape (68, 2)."""
     part = default_partition()
     pts = np.zeros((68, 2))
     for name, idx in part.groups:
@@ -60,7 +55,7 @@ def template_frame() -> LandmarkFrame:
         angles = 2.0 * np.pi * np.arange(len(idx)) / len(idx)
         pts[list(idx), 0] = cx + radius * np.cos(angles)
         pts[list(idx), 1] = cy + radius * np.sin(angles)
-    return LandmarkFrame(pts)
+    return pts
 
 
 def _num_labels(task_kind: str) -> int:
@@ -97,7 +92,7 @@ def synth_dataset(
         )
     rng = np.random.default_rng(seed)
     part = default_partition()
-    base = template_frame().points
+    base = template_frame()
     instruction = (vocab - 2, vocab - 1)
 
     labels = np.arange(size) % n_labels
@@ -115,7 +110,7 @@ def synth_dataset(
         else:
             pts += GLOBAL_SHIFT * _GLOBAL_DIRECTIONS[label]
         pts += rng.normal(scale=POINT_JITTER, size=pts.shape)
-        clip = frames_from_array(pts)
+        clip = LandmarkClip(pts)
         raw = rng.normal(size=(frames, n_patches, d_raw))
         samples.append(
             SynthSample(

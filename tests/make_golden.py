@@ -27,7 +27,7 @@ import numpy as np
 from facecond.checkpoint import save_model
 from facecond.cli import main
 from facecond.frlp import TOKEN_MODES
-from facecond.geometry import frames_from_array, save_landmarks
+from facecond.geometry import LandmarkClip, save_landmarks
 from facecond.toytrain import TrainConfig, model_arrays, synth_dataset, train
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "train_golden.json")
@@ -84,7 +84,7 @@ def run_enrich_case(variant: str, token_mode: str) -> dict:
     and seed-initialized parameters; attention maps are exported for the
     attending variants with both token sets."""
     rng = np.random.default_rng(SEED)
-    clip = frames_from_array(rng.uniform(0.1, 0.9, size=(2, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.1, 0.9, size=(2, 68, 2)))
     tokens = rng.normal(size=(2, 16, 8))
     with tempfile.TemporaryDirectory() as tmp:
         landmarks = os.path.join(tmp, "landmarks.json")
@@ -195,7 +195,7 @@ def run_pipeline_case() -> dict:
 def run_landmarks_case() -> dict:
     """``save_landmarks`` on one seeded 3-frame clip."""
     rng = np.random.default_rng(SEED)
-    clip = frames_from_array(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
+    clip = LandmarkClip(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "landmarks.json")
         save_landmarks(path, "clip-\u00e9", clip)
@@ -205,7 +205,7 @@ def run_landmarks_case() -> dict:
 def run_mask_case() -> dict:
     """``facecond mask`` on one seeded 3-frame clip over a 3x5 patch grid."""
     rng = np.random.default_rng(SEED + 1)
-    clip = frames_from_array(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
+    clip = LandmarkClip(rng.uniform(-0.5, 1.5, size=(3, 68, 2)))
     with tempfile.TemporaryDirectory() as tmp:
         landmarks = os.path.join(tmp, "landmarks.json")
         out = os.path.join(tmp, "masks.json")

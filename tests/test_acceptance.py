@@ -25,7 +25,7 @@ from facecond.evalkit import (
     EvalRecord,
 )
 from facecond.frgca import attention_weights, frgca_forward, init_frgca
-from facecond.geometry import default_partition, frames_from_array, save_landmarks, rpp_mask
+from facecond.geometry import LandmarkClip, default_partition, save_landmarks, rpp_mask
 from facecond.gradcheck import MODULE_TOLERANCE, PIPELINE_TOLERANCE, run_full_suite
 from facecond.toytrain import (
     TrainConfig,
@@ -163,7 +163,7 @@ def test_criterion_05_context_saving_invariant():
         model = init_model(config)
         n = rows * cols
         h_v = rng.normal(size=(T, n, d))
-        clip = frames_from_array(rng.uniform(0.1, 0.9, size=(T, 68, 2)))
+        clip = LandmarkClip(rng.uniform(0.1, 0.9, size=(T, 68, 2)))
         sample_instruction = [vocab - 2, vocab - 1]
         sample_response = [int(rng.integers(0, vocab))]
         from facecond.toytrain.synth import SynthSample
@@ -383,7 +383,7 @@ def test_criterion_10_filtering_semantics():
 def test_criterion_11_cli_determinism(tmp_path):
     rng = np.random.default_rng(21)
     lm = tmp_path / "lm.json"
-    clip = frames_from_array(rng.uniform(0.1, 0.9, size=(1, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.1, 0.9, size=(1, 68, 2)))
     save_landmarks(str(lm), "clip", clip)
     tok = tmp_path / "tok.json"
     tok.write_text(

@@ -8,14 +8,14 @@ import pytest
 from facecond.cli import main
 from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
-from facecond.geometry import frames_from_array, save_landmarks
+from facecond.geometry import LandmarkClip, save_landmarks
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def write_landmarks(path, seed=0, frames=1):
     rng = np.random.default_rng(seed)
-    clip = frames_from_array(rng.uniform(0.1, 0.9, size=(frames, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.1, 0.9, size=(frames, 68, 2)))
     save_landmarks(str(path), "clip-0", clip)
     return clip
 

@@ -10,12 +10,12 @@ from facecond.frlp import (
     local_project,
     select_tokens,
 )
-from facecond.geometry import RegionPartition, default_partition, frames_from_array
+from facecond.geometry import LandmarkClip, RegionPartition, default_partition
 from facecond.gradcheck import check_named_gradients
 
 
 def random_clip(rng, frames=2):
-    return frames_from_array(rng.uniform(0.0, 1.0, size=(frames, 68, 2)))
+    return LandmarkClip(rng.uniform(0.0, 1.0, size=(frames, 68, 2)))
 
 
 def zeroed(params):
@@ -81,7 +81,7 @@ def test_local_project_identity_on_singleton_group():
     params.local_weights[0][0, 0] = 1.0  # x passthrough
     params.local_weights[0][1, 1] = 1.0  # y passthrough
     out = local_project(clip, part, params)
-    x, y = clip.frames[0].points[33]
+    x, y = clip.points[0, 33]
     assert np.allclose(out[0, 0], [x, y, 0.0, 0.0])
 
 
@@ -92,7 +92,7 @@ def test_local_project_matches_matmul_oracle():
     clip = random_clip(rng, frames=3)
     out = local_project(clip, part, params)
     for t in range(3):
-        pts = clip.frames[t].points
+        pts = clip.points[t]
         for i, (_, idx) in enumerate(part.groups):
             flat = []
             for j in idx:
@@ -122,7 +122,7 @@ def test_global_project_matches_matmul_oracle():
     clip = random_clip(rng, frames=2)
     out = global_project(clip, params)
     for t in range(2):
-        flat = clip.frames[t].points.reshape(-1)
+        flat = clip.points[t].reshape(-1)
         expected = params.global_weight @ flat + params.global_bias
         assert np.allclose(out[t, 0], expected, rtol=1e-12)
 
@@ -194,9 +194,9 @@ def test_linearity_with_zero_bias():
     a, b = 0.6, 0.3  # mix stays inside the accepted coordinate band
     arr1 = rng.uniform(0.1, 0.9, size=(2, 68, 2))
     arr2 = rng.uniform(0.1, 0.9, size=(2, 68, 2))
-    out_mix = local_project(frames_from_array(a * arr1 + b * arr2), part, params)
-    out1 = local_project(frames_from_array(arr1), part, params)
-    out2 = local_project(frames_from_array(arr2), part, params)
+    out_mix = local_project(LandmarkClip(a * arr1 + b * arr2), part, params)
+    out1 = local_project(LandmarkClip(arr1), part, params)
+    out2 = local_project(LandmarkClip(arr2), part, params)
     assert np.allclose(out_mix, a * out1 + b * out2, rtol=1e-12, atol=1e-12)
 
 
@@ -205,11 +205,11 @@ def test_region_and_frame_independence():
     part = default_partition()
     params = init_frlp(4, part, seed=14)
     base = rng.uniform(0.2, 0.8, size=(3, 68, 2))
-    tokens = frlp_forward(frames_from_array(base), part, params)
+    tokens = frlp_forward(LandmarkClip(base), part, params)
 
     perturbed = base.copy()
     perturbed[1, 36:42] += 0.05  # right eye (group 5) in frame 1
-    tokens2 = frlp_forward(frames_from_array(perturbed), part, params)
+    tokens2 = frlp_forward(LandmarkClip(perturbed), part, params)
 
     diff_local = tokens2.local - tokens.local
     changed = np.abs(diff_local) > 0

@@ -7,12 +7,10 @@ import pytest
 from facecond.geometry import (
     WHOLE_FACE,
     LandmarkClip,
-    LandmarkFrame,
     PatchGrid,
     RegionPartition,
     clip_rpp_masks,
     default_partition,
-    frames_from_array,
     load_landmarks,
     patch_centroids,
     region_centroids,
@@ -22,7 +20,7 @@ from facecond.geometry import (
 
 
 def random_frame(rng):
-    return LandmarkFrame(rng.uniform(0.0, 1.0, size=(68, 2)))
+    return rng.uniform(0.0, 1.0, size=(68, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -65,30 +63,51 @@ def test_partition_rejects_overlap_and_gaps():
 
 def test_frame_validation():
     with pytest.raises(ValueError):
-        LandmarkFrame(np.zeros((67, 2)))
-    bad = np.zeros((68, 2))
-    bad[3, 1] = np.nan
+        LandmarkClip(np.zeros((1, 67, 2)))
+    bad = np.zeros((1, 68, 2))
+    bad[0, 3, 1] = np.nan
     with pytest.raises(ValueError, match=r"landmark point 3 \[0\.0, nan\] lies outside"):
-        LandmarkFrame(bad)
-    bad = np.zeros((68, 2))
-    bad[0, 0] = 1.6  # outside jitter band
+        LandmarkClip(bad)
+    bad = np.zeros((1, 68, 2))
+    bad[0, 0, 0] = 1.6  # outside jitter band
     with pytest.raises(ValueError):
-        LandmarkFrame(bad)
-    LandmarkFrame(np.full((68, 2), -0.5))
-    LandmarkFrame(np.full((68, 2), 1.5))
+        LandmarkClip(bad)
+    LandmarkClip(np.full((1, 68, 2), -0.5))
+    LandmarkClip(np.full((1, 68, 2), 1.5))
+
+
+def test_clip_names_the_first_bad_frame_and_point():
+    pts = np.full((3, 68, 2), 0.5)
+    pts[2, 5] = [2.0, 0.5]
+    pts[1, 40] = [0.5, -0.75]
+    with pytest.raises(ValueError, match=r"^frame 1: landmark point 40 \[0\.5, -0\.75\] lies outside"):
+        LandmarkClip(pts)
 
 
 def test_clip_frame_count_limits():
-    frame = LandmarkFrame(np.full((68, 2), 0.5))
+    frame = np.full((68, 2), 0.5)
     with pytest.raises(ValueError):
         LandmarkClip([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"a clip needs at least one frame"):
+        LandmarkClip(np.empty((0, 68, 2)))
+    with pytest.raises(ValueError, match=r"clip has 9 frames, exceeds max of 8"):
         LandmarkClip([frame] * 9)
     with pytest.raises(ValueError):
-        frames_from_array(np.full((20, 68, 2), 0.5))
+        LandmarkClip(np.full((20, 68, 2), 0.5))
     clip = LandmarkClip([frame] * 8)
     assert clip.num_frames == 8
-    assert clip.as_array().shape == (8, 68, 2)
+    assert clip.points.shape == (8, 68, 2)
+
+
+def test_clip_copies_its_input_and_is_read_only():
+    arr = np.full((2, 68, 2), 0.5)
+    clip = LandmarkClip(arr)
+    arr[0, 0, 0] = 0.25
+    assert clip.points[0, 0, 0] == 0.5
+    assert clip.points.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        clip.points[0, 0, 0] = 0.25
+    assert clip.points[0, 0, 0] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +115,7 @@ def test_clip_frame_count_limits():
 
 
 def test_constant_frame_centroids():
-    frame = LandmarkFrame(np.full((68, 2), 0.5))
-    cents = region_centroids(frame, default_partition())
+    cents = region_centroids(np.full((68, 2), 0.5), default_partition())
     assert cents.shape == (9, 2)
     assert np.allclose(cents, 0.5)
 
@@ -107,7 +125,7 @@ def test_hexagon_eye_centroid():
     angles = np.arange(6) * math.pi / 3.0
     center = np.array([0.3, 0.4])
     pts[36:42] = center + 0.05 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    cents = region_centroids(LandmarkFrame(pts), default_partition())
+    cents = region_centroids(pts, default_partition())
     assert np.allclose(cents[5], center)  # right_eye is group 5
 
 
@@ -118,8 +136,8 @@ def test_region_centroids_match_mean_oracle():
         frame = random_frame(rng)
         cents = region_centroids(frame, part)
         for i, (_, idx) in enumerate(part.groups):
-            sx = sum(frame.points[j, 0] for j in idx) / len(idx)
-            sy = sum(frame.points[j, 1] for j in idx) / len(idx)
+            sx = sum(frame[j, 0] for j in idx) / len(idx)
+            sy = sum(frame[j, 1] for j in idx) / len(idx)
             assert cents[i, 0] == pytest.approx(sx, rel=0, abs=1e-15)
             assert cents[i, 1] == pytest.approx(sy, rel=0, abs=1e-15)
 
@@ -214,13 +232,13 @@ def test_rpp_rejects_nonfinite():
 
 def test_clip_rpp_masks_per_frame():
     rng = np.random.default_rng(5)
-    clip = frames_from_array(rng.uniform(0.2, 0.8, size=(3, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.2, 0.8, size=(3, 68, 2)))
     masks = clip_rpp_masks(clip, default_partition(), PatchGrid(4, 4))
     assert masks.shape == (3, 16, 9)
     # each frame's mask matches the single-frame computation
-    for t, frame in enumerate(clip.frames):
+    for t in range(clip.num_frames):
         single = rpp_mask(
-            region_centroids(frame, default_partition()),
+            region_centroids(clip.points[t], default_partition()),
             patch_centroids(PatchGrid(4, 4)),
         )
         assert np.array_equal(masks[t], single)
@@ -232,12 +250,12 @@ def test_clip_rpp_masks_per_frame():
 
 def test_landmark_json_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(13)
-    clip = frames_from_array(rng.uniform(-0.4, 1.4, size=(4, 68, 2)))
+    clip = LandmarkClip(rng.uniform(-0.4, 1.4, size=(4, 68, 2)))
     path = tmp_path / "lm.json"
     save_landmarks(str(path), "sample-01", clip)
     media_id, loaded = load_landmarks(str(path))
     assert media_id == "sample-01"
-    assert np.array_equal(loaded.as_array(), clip.as_array())
+    assert np.array_equal(loaded.points, clip.points)
 
 
 def test_landmark_json_schema(tmp_path):
@@ -259,9 +277,10 @@ POINT = [0.5, 0.5]
             r"frame 1: landmark point 12 \[0\.5, 3\.0\] lies outside \[-0\.5, 1\.5\]",
         ),
         ([[POINT] * 68, [POINT] * 67], r"frame 1: .*shape \(67, 2\)"),
+        ([[POINT] * 68, [POINT] * 67 + [[0.5, {"x": 0.5}]]], r"frame 1: float\(\) argument"),
         (3, r"'frames' must be a list of frames"),
     ],
-    ids=["nine_frames", "out_of_range", "short_frame", "frames_not_a_list"],
+    ids=["nine_frames", "out_of_range", "short_frame", "point_not_a_number", "frames_not_a_list"],
 )
 def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, message):
     path = tmp_path / "bad.json"
@@ -272,11 +291,11 @@ def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, m
 
 def test_whole_face_mask_is_distance_to_the_all_point_centroid():
     rng = np.random.default_rng(21)
-    clip = frames_from_array(rng.uniform(0.0, 1.0, size=(3, 68, 2)))
+    clip = LandmarkClip(rng.uniform(0.0, 1.0, size=(3, 68, 2)))
     grid = PatchGrid(3, 5)
     masks = clip_rpp_masks(clip, WHOLE_FACE, grid)
     assert WHOLE_FACE.num_regions == 1 and masks.shape == (3, 15, 1)
-    for t, frame in enumerate(clip.frames):
-        centroid = frame.points.mean(axis=0)
+    for t, frame in enumerate(clip.points):
+        centroid = frame.mean(axis=0)
         dist = np.linalg.norm(patch_centroids(grid) - centroid, axis=1)
         np.testing.assert_allclose(masks[t, :, 0], -dist, rtol=1e-12)

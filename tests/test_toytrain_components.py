@@ -216,8 +216,8 @@ def test_decoder_gradients():
 
 def test_template_frame_is_valid():
     frame = template_frame()
-    assert frame.points.shape == (68, 2)
-    assert frame.points.min() >= 0.0 and frame.points.max() <= 1.0
+    assert frame.shape == (68, 2)
+    assert frame.min() >= 0.0 and frame.max() <= 1.0
 
 
 def test_synth_deterministic_under_seed():
@@ -225,7 +225,7 @@ def test_synth_deterministic_under_seed():
     b = synth_dataset(seed=3, size=10)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.raw, sb.raw)
-        assert np.array_equal(sa.clip.as_array(), sb.clip.as_array())
+        assert np.array_equal(sa.clip.points, sb.clip.points)
         assert sa.response_ids == sb.response_ids
     c = synth_dataset(seed=4, size=10)
     assert any(not np.array_equal(sa.raw, sc.raw) for sa, sc in zip(a, c))
@@ -247,12 +247,12 @@ def test_synth_label_balance():
 
 def test_synth_label_marks_moved_region():
     data = synth_dataset(seed=2, size=20)
-    base = template_frame().points
+    base = template_frame()
     from facecond.geometry import default_partition
 
     part = default_partition()
     for sample in data:
-        pts = sample.clip.frames[0].points
+        pts = sample.clip.points[0]
         # the labelled region moved by ~REGION_SHIFT, everything else only jittered
         displacement = np.linalg.norm(pts - base, axis=1)
         moved = displacement > 0.05
