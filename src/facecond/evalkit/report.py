@@ -52,12 +52,16 @@ class EvalRecord:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
+        if not isinstance(self.generated, str):
+            raise ValueError(
+                f"record {self.id!r}: generated text {self.generated!r} is not a string"
+            )
         gt = self.ground_truth
         ok = {
             "expression": lambda: isinstance(gt, str),
             "deepfake": lambda: isinstance(gt, str),
             "au": lambda: isinstance(gt, (list, tuple, set))
-            and all(isinstance(v, int) for v in gt),
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in gt),
             "attribute": lambda: isinstance(gt, (list, tuple, set))
             and all(isinstance(v, str) for v in gt),
             "age": lambda: isinstance(gt, int) and not isinstance(gt, bool),
@@ -69,13 +73,16 @@ class EvalRecord:
 
 
 def load_eval_records(path: str) -> list[EvalRecord]:
+    """Parse a JSONL eval file; the first malformed line, including a line
+    that is not UTF-8, fails naming the file and the line. Lines are split
+    at newline bytes and decoded one by one."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 doc = json.loads(line)
                 records.append(
                     EvalRecord(
@@ -86,6 +93,7 @@ def load_eval_records(path: str) -> list[EvalRecord]:
                         chunk_group=doc.get("chunk_group"),
                     )
                 )
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc
     return records

@@ -78,6 +78,25 @@ def test_load_eval_records_rejects_bad_lines(tmp_path):
     path.write_text('{"id": "a", "task": "expression", "generated": "x"}\n')
     with pytest.raises(ValueError):
         load_eval_records(str(path))
+    good = {"id": "a", "task": "au", "generated": "AU1 is active.", "ground_truth": [1]}
+    bad = [
+        ({"generated": 5}, r"generated text 5 is not a string"),
+        ({"generated": None}, r"generated text None is not a string"),
+        ({"ground_truth": [True]}, r"ground truth \[True\] does not fit task 'au'"),
+        ({"ground_truth": [1, False]}, r"ground truth \[1, False\] does not fit task 'au'"),
+    ]
+    for change, message in bad:
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **change}) + "\n")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: bad eval record: record 'b': " + message):
+            load_eval_records(str(path))
+
+
+def test_load_eval_records_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = b'{"id": "a", "task": "expression", "generated": "x", "ground_truth": "happiness"}\n'
+    path.write_bytes(good + good.replace(b'"x"', b'"caf\xe9"'))
+    with pytest.raises(ValueError, match=r"bad\.jsonl:2: bad eval record: 'utf-8' codec can't decode"):
+        load_eval_records(str(path))
 
 
 def make_records(task, items):
