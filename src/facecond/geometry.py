@@ -196,25 +196,18 @@ def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
     if not isinstance(doc["frames"], list):
         raise ValueError(f"{path}: 'frames' must be a list of frames")
+    frames = []
+    for t, frame in enumerate(doc["frames"]):
+        try:
+            frames.append(np.asarray(frame, dtype=np.float64))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: frame {t}: {exc}") from None
+        if frames[-1].shape != (N_LANDMARKS, 2):
+            raise ValueError(
+                f"{path}: frame {t}: expected {N_LANDMARKS} landmark points of 2 coordinates, "
+                f"got shape {frames[-1].shape}"
+            )
     try:
-        return str(doc["id"]), LandmarkClip(_stack_frames(doc["frames"]))
+        return str(doc["id"]), LandmarkClip(np.reshape(frames, (-1, N_LANDMARKS, 2)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _stack_frames(frames: list) -> np.ndarray:
-    """The frames of a landmark document as a (T, 68, 2) array; names the
-    first frame that is not 68 points of 2 numbers."""
-    arrays = []
-    for t, frame in enumerate(frames):
-        try:
-            arr = np.asarray(frame, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"frame {t}: {exc}") from None
-        if arr.shape != (N_LANDMARKS, 2):
-            raise ValueError(
-                f"frame {t}: expected {N_LANDMARKS} landmark points of 2 coordinates, "
-                f"got shape {arr.shape}"
-            )
-        arrays.append(arr)
-    return np.array(arrays).reshape(-1, N_LANDMARKS, 2)

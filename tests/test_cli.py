@@ -279,17 +279,6 @@ def test_split_subcommand(tmp_path):
     assert labels.count("happiness") == 5 and labels.count("sadness") == 5
 
 
-def test_eval_records_line_that_is_not_utf8_names_the_file_and_line(tmp_path, capsys):
-    records = tmp_path / "records.jsonl"
-    good = b'{"id": "a", "task": "expression", "generated": "x", "ground_truth": "happiness"}\n'
-    records.write_bytes(good + good.replace(b'"x"', b'"caf\xe9"'))
-    out = tmp_path / "report.json"
-    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"].startswith(f"{records}:2: bad eval record: 'utf-8' codec"), err["message"]
-    assert not out.exists()
-
-
 def test_manifest_line_that_is_not_utf8_is_a_malformed_line(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, n=4)

@@ -74,14 +74,11 @@ def test_frame_validation():
         LandmarkClip(bad)
     LandmarkClip(np.full((1, 68, 2), -0.5))
     LandmarkClip(np.full((1, 68, 2), 1.5))
-
-
-def test_clip_names_the_first_bad_frame_and_point():
-    pts = np.full((3, 68, 2), 0.5)
-    pts[2, 5] = [2.0, 0.5]
-    pts[1, 40] = [0.5, -0.75]
+    bad = np.full((3, 68, 2), 0.5)
+    bad[2, 5] = [2.0, 0.5]
+    bad[1, 40] = [0.5, -0.75]  # the first bad frame and point are named
     with pytest.raises(ValueError, match=r"^frame 1: landmark point 40 \[0\.5, -0\.75\] lies outside"):
-        LandmarkClip(pts)
+        LandmarkClip(bad)
 
 
 def test_clip_frame_count_limits():
