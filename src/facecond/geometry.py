@@ -1,8 +1,8 @@
 """Facial landmark geometry.
 
-68-point landmark clips, the fixed 9-region partition, the one-region
-whole-face partition, the visual patch grid, and the region-patch
-proximity mask used to bias cross-attention. All operations
+68-point landmark clips, the fixed 9-region partition, the
+one-region whole-face partition, the visual patch grid, and the
+region-patch proximity mask used to bias cross-attention. All operations
 are pure functions on immutable inputs.
 """
 
@@ -53,7 +53,7 @@ class LandmarkClip:
             raise ValueError(f"clip has {pts.shape[0]} frames, exceeds max of {MAX_FRAMES}")
         inside = ((pts >= COORD_MIN) & (pts <= COORD_MAX)).all(axis=2)  # False for NaN
         if not inside.all():
-            t, point = (int(i) for i in np.unravel_index(np.argmin(inside), inside.shape))
+            t, point = np.argwhere(~inside)[0]
             raise ValueError(
                 f"frame {t}: landmark point {point} {pts[t, point].tolist()} "
                 f"lies outside [{COORD_MIN}, {COORD_MAX}]"
