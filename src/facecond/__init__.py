@@ -20,13 +20,9 @@ from .geometry import (
 )
 from .frlp import (
     FrlpParams,
-    LandmarkTokens,
-    combine_tokens,
     frlp_backward,
     frlp_forward,
-    global_project,
     init_frlp,
-    local_project,
     select_tokens,
 )
 from .frgca import (
@@ -43,22 +39,18 @@ __all__ = [
     "FrgcaParams",
     "FrlpParams",
     "LandmarkClip",
-    "LandmarkTokens",
     "PatchGrid",
     "RegionPartition",
     "attention_weights",
     "clip_rpp_masks",
-    "combine_tokens",
     "default_partition",
     "frgca_backward",
     "frgca_forward",
     "frlp_backward",
     "frlp_forward",
-    "global_project",
     "init_frgca",
     "init_frlp",
     "load_landmarks",
-    "local_project",
     "patch_centroids",
     "region_centroids",
     "rpp_mask",

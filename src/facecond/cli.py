@@ -130,20 +130,17 @@ def cmd_enrich(args) -> int:
         write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
         return 0
 
-    partition = default_partition()
     if args.checkpoint:
         arrays, meta = ckpt.load_arrays(args.checkpoint)
         frlp_params = ckpt.build_frlp(arrays)
         frgca_params = ckpt.build_frgca(arrays, meta)
     else:
-        frlp_params = init_frlp(d, partition, seed=args.seed)
+        frlp_params = init_frlp(d, default_partition(), seed=args.seed)
         frgca_params = init_frgca(d, heads=args.heads, seed=args.seed + 1)
     if frlp_params.d != d:
         raise ValueError(f"checkpoint dimension {frlp_params.d} != token dimension {d}")
 
-    h_l, masks = landmark_conditioning(
-        clip, frlp_params, partition, grid, args.variant, args.token_mode
-    )
+    h_l, masks = landmark_conditioning(clip, frlp_params, grid, args.variant, args.token_mode)
     enriched, cache = frgca_forward(
         h_v, h_l, masks, frgca_params, variant=args.variant, return_cache=True
     )

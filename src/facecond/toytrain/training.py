@@ -45,7 +45,6 @@ from ..geometry import (
     LandmarkClip,
     PatchGrid,
     WHOLE_FACE,
-    RegionPartition,
     clip_rpp_masks,
     default_partition,
 )
@@ -159,7 +158,6 @@ class ModelParams:
     frgca: FrgcaParams
     vision: VisionProjectorParams
     decoder: ToyDecoderParams
-    partition: RegionPartition = field(default_factory=default_partition)
     grid: PatchGrid = field(default_factory=PatchGrid)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -174,17 +172,14 @@ class ModelParams:
 
 def init_model(config: TrainConfig) -> ModelParams:
     """Seed-deterministic initialization of all four parameter groups."""
-    partition = default_partition()
-    grid = PatchGrid(config.grid_rows, config.grid_cols)
     return ModelParams(
-        frlp=init_frlp(config.d, partition, seed=config.seed),
+        frlp=init_frlp(config.d, default_partition(), seed=config.seed),
         frgca=init_frgca(
             config.d, d_attn=config.d_attn, heads=config.heads, seed=config.seed + 1
         ),
         vision=init_vision_projector(config.d_raw, config.d, seed=config.seed + 2),
         decoder=init_decoder(config.vocab, config.d, seed=config.seed + 3),
-        partition=partition,
-        grid=grid,
+        grid=PatchGrid(config.grid_rows, config.grid_cols),
     )
 
 
@@ -192,7 +187,7 @@ def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
     """Every parameter array, checkpoint-keyed, in flat order: the views
     that tile ``model.flat``."""
     specs = (
-        FrlpParams.spec(model.partition),
+        FrlpParams.spec(default_partition()),
         FrgcaParams.SPEC,
         VisionProjectorParams.SPEC,
         ToyDecoderParams.SPEC,
@@ -213,18 +208,15 @@ def trainable_keys(model: ModelParams, stage: str) -> list[str]:
 
 
 def landmark_conditioning(
-    clip: LandmarkClip,
-    frlp: FrlpParams,
-    partition: RegionPartition,
-    grid: PatchGrid,
-    variant: str,
-    tokens: str,
+    clip: LandmarkClip, frlp: FrlpParams, grid: PatchGrid, variant: str, tokens: str
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The landmark tokens and proximity masks that ``frgca_forward`` takes
-    for an attending variant: the FRLP tokens picked by ``tokens``, and for
-    "frgca" the masks of their regions (None for "simple"). The global
-    token is the ``WHOLE_FACE`` region's token; a softmax over that one
-    token is 1 whatever its mask, so "frgca" equals "simple" there."""
+    for an attending variant: the FRLP tokens of the default partition
+    picked by ``tokens``, and for "frgca" the masks of their regions (None
+    for "simple"). The global token is the ``WHOLE_FACE`` region's token;
+    a softmax over that one token is 1 whatever its mask, so "frgca"
+    equals "simple" there."""
+    partition = default_partition()
     h_l = select_tokens(frlp_forward(clip, partition, frlp), tokens)
     if variant != "frgca":
         return h_l, None
@@ -245,7 +237,7 @@ def forward_loss(
         enriched, attn_cache = h_v, None
     else:
         h_l, masks = landmark_conditioning(
-            sample.clip, model.frlp, model.partition, model.grid, config.variant, config.tokens
+            sample.clip, model.frlp, model.grid, config.variant, config.tokens
         )
         enriched, attn_cache = frgca_forward(
             h_v, h_l, masks, model.frgca, variant=config.variant, return_cache=True
@@ -277,7 +269,9 @@ def backward_pass(
         landmark = [np.zeros(sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays())))]
     else:
         att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
-        frl = frlp_backward(d_h_l, sample.clip, model.partition, model.frlp, mode=config.tokens)
+        frl = frlp_backward(
+            d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens
+        )
         landmark = [*frl.arrays(), *att.arrays()]
     vis, _ = vision_backward(d_h_v, vision_cache)
     parts = [*landmark, *vis.arrays(), *dec.arrays()]

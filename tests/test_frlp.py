@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from facecond.frlp import (
-    combine_tokens,
-    frlp_backward,
-    frlp_forward,
-    global_project,
-    init_frlp,
-    local_project,
-    select_tokens,
-)
+from facecond.frlp import frlp_backward, frlp_forward, init_frlp, select_tokens
 from facecond.geometry import LandmarkClip, RegionPartition, default_partition
 from facecond.gradcheck import check_named_gradients
 
@@ -19,9 +11,8 @@ def random_clip(rng, frames=2):
 
 
 def zeroed(params):
-    for w in params.local_weights:
+    for w in params.weights:
         w[:] = 0.0
-    params.global_weight[:] = 0.0
     return params
 
 
@@ -33,37 +24,40 @@ def test_init_deterministic_under_seed():
     part = default_partition()
     a = init_frlp(4, part, seed=0)
     b = init_frlp(4, part, seed=0)
-    for wa, wb in zip(a.local_weights, b.local_weights):
+    for wa, wb in zip(a.weights, b.weights, strict=True):
         assert np.array_equal(wa, wb)
-    assert np.array_equal(a.global_weight, b.global_weight)
     c = init_frlp(4, part, seed=1)
-    assert not np.array_equal(a.global_weight, c.global_weight)
+    assert not np.array_equal(a.weights[-1], c.weights[-1])
 
 
 def test_init_shapes_and_scaling():
     part = default_partition()
     params = init_frlp(4, part, seed=0)
-    assert params.local_weights[0].shape == (4, 34)  # jaw: 2 * 17
-    assert params.group_sizes() == part.sizes()
-    assert all(np.all(b == 0.0) for b in params.local_biases)
+    assert params.weights[0].shape == (4, 34)  # jaw: 2 * 17
+    # the partition's regions, then the whole face
+    assert tuple(w.shape[1] // 2 for w in params.weights) == (*part.sizes(), 68)
+    assert len(params.biases) == 10 and params.d == 4
+    assert all(np.all(b == 0.0) for b in params.biases)
     params8 = init_frlp(8, part, seed=0)
-    assert params8.global_weight.shape == (8, 136)  # 2 * 68
+    assert params8.weights[-1].shape == (8, 136)  # 2 * 68
+    assert params8.d == 8
     bound = 1.0 / np.sqrt(136)
-    assert np.abs(params8.global_weight).max() <= bound
+    assert np.abs(params8.weights[-1]).max() <= bound
     with pytest.raises(ValueError):
         init_frlp(0, part, seed=0)
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections: frlp_forward gives the partition's region tokens, then the
+# whole-face token
 
 
 def test_local_project_zero_params():
     rng = np.random.default_rng(0)
     part = default_partition()
     params = zeroed(init_frlp(4, part, seed=0))
-    out = local_project(random_clip(rng), part, params)
-    assert out.shape == (2, 9, 4)
+    out = frlp_forward(random_clip(rng), part, params)
+    assert out.shape == (2, 10, 4)
     assert np.all(out == 0.0)
 
 
@@ -77,10 +71,11 @@ def test_local_project_identity_on_singleton_group():
     rng = np.random.default_rng(1)
     clip = random_clip(rng, frames=1)
     params = init_frlp(4, part, seed=0)
-    params.local_weights[0][:] = 0.0
-    params.local_weights[0][0, 0] = 1.0  # x passthrough
-    params.local_weights[0][1, 1] = 1.0  # y passthrough
-    out = local_project(clip, part, params)
+    params.weights[0][:] = 0.0
+    params.weights[0][0, 0] = 1.0  # x passthrough
+    params.weights[0][1, 1] = 1.0  # y passthrough
+    out = frlp_forward(clip, part, params)[:, :-1]
+    assert out.shape == (1, 2, 4)
     x, y = clip.points[0, 33]
     assert np.allclose(out[0, 0], [x, y, 0.0, 0.0])
 
@@ -90,7 +85,7 @@ def test_local_project_matches_matmul_oracle():
     part = default_partition()
     params = init_frlp(5, part, seed=3)
     clip = random_clip(rng, frames=3)
-    out = local_project(clip, part, params)
+    out = frlp_forward(clip, part, params)[:, :-1]
     for t in range(3):
         pts = clip.points[t]
         for i, (_, idx) in enumerate(part.groups):
@@ -98,8 +93,8 @@ def test_local_project_matches_matmul_oracle():
             for j in idx:
                 flat.extend([pts[j, 0], pts[j, 1]])
             expected = [
-                sum(params.local_weights[i][r, k] * flat[k] for k in range(len(flat)))
-                + params.local_biases[i][r]
+                sum(params.weights[i][r, k] * flat[k] for k in range(len(flat)))
+                + params.biases[i][r]
                 for r in range(5)
             ]
             assert np.allclose(out[t, i], expected, rtol=1e-12)
@@ -109,9 +104,9 @@ def test_global_project_bias_only():
     rng = np.random.default_rng(4)
     part = default_partition()
     params = zeroed(init_frlp(3, part, seed=0))
-    params.global_bias[:] = [1.0, -2.0, 0.5]
-    out = global_project(random_clip(rng, frames=4), params)
-    assert out.shape == (4, 1, 3)
+    params.biases[-1][:] = [1.0, -2.0, 0.5]
+    out = frlp_forward(random_clip(rng, frames=4), part, params)[:, -1]
+    assert out.shape == (4, 3)
     assert np.allclose(out, np.array([1.0, -2.0, 0.5]))
 
 
@@ -120,11 +115,11 @@ def test_global_project_matches_matmul_oracle():
     part = default_partition()
     params = init_frlp(4, part, seed=6)
     clip = random_clip(rng, frames=2)
-    out = global_project(clip, params)
+    out = frlp_forward(clip, part, params)[:, -1]
     for t in range(2):
         flat = clip.points[t].reshape(-1)
-        expected = params.global_weight @ flat + params.global_bias
-        assert np.allclose(out[t, 0], expected, rtol=1e-12)
+        expected = params.weights[-1] @ flat + params.biases[-1]
+        assert np.allclose(out[t], expected, rtol=1e-12)
 
 
 def test_params_partition_mismatch_rejected():
@@ -132,53 +127,59 @@ def test_params_partition_mismatch_rejected():
     params = init_frlp(4, part, seed=0)
     groups = (("a", tuple(range(0, 30))), ("b", tuple(range(30, 68))))
     other = RegionPartition(groups)
-    with pytest.raises(ValueError):
-        local_project(random_clip(np.random.default_rng(0)), other, params)
+    clip = random_clip(np.random.default_rng(0))
+    message = (
+        r"params incompatible with partition: "
+        r"input widths \(34, .*, 136\), expected \(60, 76, 136\)"
+    )
+    with pytest.raises(ValueError, match=message):
+        frlp_forward(clip, other, params)
+    with pytest.raises(ValueError, match=message):
+        frlp_backward(np.zeros((2, 2, 4)), clip, other, params)
 
 
 # ---------------------------------------------------------------------------
-# combination
+# token selection over hand-built (T, 10, d) region tokens
+
+
+def region_tokens(local, glob):
+    return np.concatenate([local, glob], axis=1)
 
 
 def test_combine_zero_global_is_local():
     rng = np.random.default_rng(7)
     local = rng.normal(size=(2, 9, 4))
-    tokens = combine_tokens(local, np.zeros((2, 1, 4)))
-    assert np.array_equal(tokens.combined, local)
+    combined = select_tokens(region_tokens(local, np.zeros((2, 1, 4))), "both")
+    assert np.array_equal(combined, local)
 
 
 def test_combine_zero_local_broadcasts_global():
     rng = np.random.default_rng(8)
     glob = rng.normal(size=(3, 1, 4))
-    tokens = combine_tokens(np.zeros((3, 9, 4)), glob)
+    combined = select_tokens(region_tokens(np.zeros((3, 9, 4)), glob), "both")
+    assert combined.shape == (3, 9, 4)
     for m in range(9):
-        assert np.array_equal(tokens.combined[:, m, :], glob[:, 0, :])
+        assert np.array_equal(combined[:, m, :], glob[:, 0, :])
 
 
 def test_combine_matches_elementwise_sum():
     rng = np.random.default_rng(9)
     local = rng.normal(size=(2, 9, 3))
     glob = rng.normal(size=(2, 1, 3))
-    tokens = combine_tokens(local, glob)
+    combined = select_tokens(region_tokens(local, glob), "both")
     for t in range(2):
         for m in range(9):
             for k in range(3):
-                assert tokens.combined[t, m, k] == local[t, m, k] + glob[t, 0, k]
-
-
-def test_combine_dimension_mismatch():
-    with pytest.raises(ValueError):
-        combine_tokens(np.zeros((2, 9, 4)), np.zeros((3, 1, 4)))
-    with pytest.raises(ValueError):
-        combine_tokens(np.zeros((2, 9, 4)), np.zeros((2, 2, 4)))
+                assert combined[t, m, k] == local[t, m, k] + glob[t, 0, k]
 
 
 def test_select_tokens_modes():
     rng = np.random.default_rng(10)
-    tokens = combine_tokens(rng.normal(size=(1, 9, 2)), rng.normal(size=(1, 1, 2)))
-    assert select_tokens(tokens, "both") is tokens.combined
-    assert select_tokens(tokens, "local_only") is tokens.local
-    assert select_tokens(tokens, "global_only") is tokens.global_
+    local, glob = rng.normal(size=(1, 9, 2)), rng.normal(size=(1, 1, 2))
+    tokens = region_tokens(local, glob)
+    assert np.array_equal(select_tokens(tokens, "both"), local + glob)
+    assert np.array_equal(select_tokens(tokens, "local_only"), local)
+    assert np.array_equal(select_tokens(tokens, "global_only"), glob)
     with pytest.raises(ValueError):
         select_tokens(tokens, "bogus")
 
@@ -194,10 +195,12 @@ def test_linearity_with_zero_bias():
     a, b = 0.6, 0.3  # mix stays inside the accepted coordinate band
     arr1 = rng.uniform(0.1, 0.9, size=(2, 68, 2))
     arr2 = rng.uniform(0.1, 0.9, size=(2, 68, 2))
-    out_mix = local_project(LandmarkClip(a * arr1 + b * arr2), part, params)
-    out1 = local_project(LandmarkClip(arr1), part, params)
-    out2 = local_project(LandmarkClip(arr2), part, params)
-    assert np.allclose(out_mix, a * out1 + b * out2, rtol=1e-12, atol=1e-12)
+    out_mix = frlp_forward(LandmarkClip(a * arr1 + b * arr2), part, params)
+    out1 = frlp_forward(LandmarkClip(arr1), part, params)
+    out2 = frlp_forward(LandmarkClip(arr2), part, params)
+    # every region token and the whole-face token
+    assert out_mix.shape == (2, 10, 4)
+    np.testing.assert_allclose(out_mix, a * out1 + b * out2, rtol=1e-12, atol=1e-12)
 
 
 def test_region_and_frame_independence():
@@ -211,7 +214,7 @@ def test_region_and_frame_independence():
     perturbed[1, 36:42] += 0.05  # right eye (group 5) in frame 1
     tokens2 = frlp_forward(LandmarkClip(perturbed), part, params)
 
-    diff_local = tokens2.local - tokens.local
+    diff_local = tokens2[:, :-1] - tokens[:, :-1]
     changed = np.abs(diff_local) > 0
     assert changed[1, 5].any()
     # only region column 5 of frame 1 moved in the local tokens
@@ -219,9 +222,9 @@ def test_region_and_frame_independence():
     mask[1, 5] = True
     assert not changed[~mask].any()
     # frame independence on all outputs
-    assert np.array_equal(tokens2.combined[0], tokens.combined[0])
-    assert np.array_equal(tokens2.combined[2], tokens.combined[2])
-    assert np.array_equal(tokens2.global_[0], tokens.global_[0])
+    assert np.array_equal(select_tokens(tokens2, "both")[0], select_tokens(tokens, "both")[0])
+    assert np.array_equal(select_tokens(tokens2, "both")[2], select_tokens(tokens, "both")[2])
+    assert np.array_equal(tokens2[0, -1], tokens[0, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +245,16 @@ def test_frlp_gradients_match_finite_differences(mode):
         return float((select_tokens(tokens, mode) * weights).sum())
 
     grads = frlp_backward(weights, clip, part, params, mode=mode)
-    arrays = {"global.weight": params.global_weight, "global.bias": params.global_bias}
-    analytic = {"global.weight": grads.global_weight, "global.bias": grads.global_bias}
-    for i in (0, 5, 8):
-        arrays[f"local.{i}.weight"] = params.local_weights[i]
-        arrays[f"local.{i}.bias"] = params.local_biases[i]
-        analytic[f"local.{i}.weight"] = grads.local_weights[i]
-        analytic[f"local.{i}.bias"] = grads.local_biases[i]
+    arrays, analytic = {}, {}
+    for i in (0, 5, 8, 9):  # 9 is the whole-face region
+        arrays[f"{i}.weight"], arrays[f"{i}.bias"] = params.weights[i], params.biases[i]
+        analytic[f"{i}.weight"], analytic[f"{i}.bias"] = grads.weights[i], grads.biases[i]
     errors = check_named_gradients(loss, arrays, analytic)
     assert max(errors.values()) < 1e-4
+
+    # a cotangent whose frames, tokens or width differ from the selected
+    # tokens is rejected, whatever the mode
+    T, M, d = shape
+    for wrong in [(T + 1, M, d), (T, M + 1, d), (T, 10, d), (T, M, d + 1), (M, d)]:
+        with pytest.raises(ValueError, match=r"cotangent shape .* mismatches tokens"):
+            frlp_backward(np.zeros(wrong), clip, part, params, mode=mode)

@@ -175,7 +175,7 @@ def test_model_arrays_are_views_tiling_flat_in_key_order():
     assert offset == flat.size
     # the group fields are those same views
     flat[:] = np.arange(flat.size)
-    assert model.frlp.local_weights[0].ravel()[0] == 0.0
+    assert model.frlp.weights[0].ravel()[0] == 0.0
     assert model.decoder.readout_b[-1] == flat.size - 1
 
 
