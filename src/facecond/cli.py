@@ -41,7 +41,7 @@ from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmar
 from .jsonio import read_json, write_json
 from .toytrain import TrainConfig, evaluate, synth_dataset, train
 from .toytrain.synth import TASK_KINDS
-from .toytrain.training import VARIANTS, landmark_conditioning
+from .toytrain.training import VARIANTS, init_model, landmark_conditioning
 
 log = logging.getLogger("facecond")
 
@@ -182,10 +182,6 @@ def cmd_train(args) -> int:
     cfg_fields = {k: v for k, v in config.items() if k not in _TRAIN_DATA_KEYS}
     if args.seed is not None:
         cfg_fields["seed"] = args.seed
-    try:
-        cfg = TrainConfig.from_dict(cfg_fields)
-    except ValueError as exc:
-        raise ValueError(f"{args.config}: {exc}") from None
     train_size = _dataset_size(config, args.config, "train_size", default=256, minimum=1)
     eval_size = _dataset_size(config, args.config, "eval_size", default=0, minimum=0)
     task_kind = config.get("task_kind", "region")
@@ -200,7 +196,16 @@ def cmd_train(args) -> int:
             frames=cfg.frames, n_patches=cfg.n_patches, d_raw=cfg.d_raw, vocab=cfg.vocab,
         )
 
-    result = train(cfg, dataset(cfg.seed, train_size))
+    # the model and data builders check the values they use; a config
+    # value they reject fails naming the config file
+    try:
+        cfg = TrainConfig.from_dict(cfg_fields)
+        model = init_model(cfg)
+        train_set = dataset(cfg.seed, train_size)
+        eval_set = dataset(cfg.seed + 10_000, eval_size) if eval_size else None
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
+    result = train(cfg, train_set, model=model)
 
     os.makedirs(args.out, exist_ok=True)
     ckpt.save_model(os.path.join(args.out, "checkpoint.json"), result.model)
@@ -216,8 +221,7 @@ def cmd_train(args) -> int:
         "steps": len(result.trace),
         "final_train_loss": result.trace[-1][2] if result.trace else None,
     }
-    if eval_size:
-        eval_set = dataset(cfg.seed + 10_000, eval_size)
+    if eval_set:
         eval_loss, eval_accuracy = evaluate(result.model, eval_set, cfg)
         summary["eval_loss"] = eval_loss
         summary["eval_accuracy"] = eval_accuracy

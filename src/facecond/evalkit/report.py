@@ -56,6 +56,10 @@ class EvalRecord:
             raise ValueError(
                 f"record {self.id!r}: generated text {self.generated!r} is not a string"
             )
+        if not (self.chunk_group is None or isinstance(self.chunk_group, str)):
+            raise ValueError(
+                f"record {self.id!r}: chunk_group {self.chunk_group!r} is not a string or null"
+            )
         gt = self.ground_truth
         ok = {
             "expression": lambda: isinstance(gt, str),

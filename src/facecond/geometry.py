@@ -207,6 +207,12 @@ def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
                 f"{path}: frame {t}: expected {N_LANDMARKS} landmark points of 2 coordinates, "
                 f"got shape {frames[-1].shape}"
             )
+        # numpy reads true/false as 1.0/0.0
+        for point, xy in enumerate(frame):
+            if any(isinstance(v, bool) for v in xy):
+                raise ValueError(
+                    f"{path}: frame {t}: landmark point {point} {xy} is not two numbers"
+                )
     try:
         return str(doc["id"]), LandmarkClip(np.reshape(frames, (-1, N_LANDMARKS, 2)))
     except ValueError as exc:

@@ -204,6 +204,12 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"learning_rate": False},
          "config key 'learning_rate' must be a finite number or null, got False"),
         ({"variant": ["frgca"]}, "config key 'variant' must be a string, got ['frgca']"),
+        # values the model and data builders reject
+        ({"heads": 3}, "d_attn=16 not divisible by heads=3"),
+        ({"d": 0}, "token dimension must be >= 1"),
+        ({"frames": 9}, "clip has 9 frames, exceeds max of 8"),
+        ({"vocab": 5}, "vocab 5 too small: need 9 label tokens plus 2 instruction tokens"),
+        ({"grid_rows": 0}, "grid dimensions must be positive"),
     ]:
         cfg_path.write_text(json.dumps(config))
         assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1

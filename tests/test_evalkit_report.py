@@ -84,6 +84,8 @@ def test_load_eval_records_rejects_bad_lines(tmp_path):
         ({"generated": None}, r"generated text None is not a string"),
         ({"ground_truth": [True]}, r"ground truth \[True\] does not fit task 'au'"),
         ({"ground_truth": [1, False]}, r"ground truth \[1, False\] does not fit task 'au'"),
+        ({"chunk_group": ["v1"]}, r"chunk_group \['v1'\] is not a string or null"),
+        ({"chunk_group": 3}, r"chunk_group 3 is not a string or null"),
     ]
     for change, message in bad:
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **change}) + "\n")

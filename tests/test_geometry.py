@@ -275,9 +275,16 @@ POINT = [0.5, 0.5]
         ),
         ([[POINT] * 68, [POINT] * 67], r"frame 1: .*shape \(67, 2\)"),
         ([[POINT] * 68, [POINT] * 67 + [[0.5, {"x": 0.5}]]], r"frame 1: float\(\) argument"),
+        (
+            [[POINT] * 68, [POINT] * 7 + [[True, 0.5]] + [POINT] * 60],
+            r"frame 1: landmark point 7 \[True, 0\.5\] is not two numbers",
+        ),
         (3, r"'frames' must be a list of frames"),
     ],
-    ids=["nine_frames", "out_of_range", "short_frame", "point_not_a_number", "frames_not_a_list"],
+    ids=[
+        "nine_frames", "out_of_range", "short_frame", "point_not_a_number", "point_is_a_boolean",
+        "frames_not_a_list",
+    ],
 )
 def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, message):
     path = tmp_path / "bad.json"
