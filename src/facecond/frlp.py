@@ -140,7 +140,7 @@ def frlp_backward(
         d_regions[:, -1:] = d_tokens
     else:
         d_regions[:, :-1] = d_tokens
-    if mode == "both":
-        d_regions[:, -1] = d_tokens.sum(axis=1)
+        if mode == "both":
+            d_regions[:, -1] = d_tokens.sum(axis=1)
     grads = [d_regions[:, i] for i in range(len(inputs))]  # (T, d) each
     return FrlpParams([g.T @ x for g, x in zip(grads, inputs)], [g.sum(axis=0) for g in grads])
