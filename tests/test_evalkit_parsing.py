@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from facecond.evalkit import (
     taxonomy_from_mapping,
     vote_chunks,
 )
+from facecond.evalkit.taxonomy import _phrase_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +28,28 @@ def test_split_sentences_reconstructs_text():
     text = "First one. Second!? Third without end"
     assert "".join(split_sentences(text)) == text
     assert split_sentences("a. b.") == ["a.", " b."]
+
+
+def _split_by_char(text):
+    """Reference splitter: one character at a time, cutting after each
+    terminator."""
+    segments, current = [], []
+    for ch in text:
+        current.append(ch)
+        if ch in ".!?":
+            segments.append("".join(current))
+            current = []
+    if current:
+        segments.append("".join(current))
+    return segments
+
+
+def test_split_sentences_matches_character_loop():
+    rng = random.Random(0)
+    texts = ["", ".", "...", "?!.", "!\n?", "a", "a.b", "a..b", "é!\n"]
+    texts += ["".join(rng.choice("ab é.!?\n") for _ in range(rng.randint(0, 24))) for _ in range(2000)]
+    for text in texts:
+        assert split_sentences(text) == _split_by_char(text), repr(text)
 
 
 def test_strip_negatives_single_negation():
@@ -151,6 +175,53 @@ def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["Joyful"]}))
     with pytest.raises(ValueError, match=r"tax\.json: phrase 'Joyful' is not lowercase"):
         load_taxonomy(str(path), "expression")
+
+
+def _oracle(tax):
+    """Per-class counts the slow way: one word-bounded findall per phrase."""
+    patterns = {cls: [_phrase_pattern(p) for p in tax.synonyms[cls]] for cls in tax.classes}
+    return lambda text: {cls: sum(len(p.findall(text)) for p in pats) for cls, pats in patterns.items()}
+
+
+# neighbours of a phrase: word characters (letter, "_", digit, "é") that
+# block a word-bounded match, and separators that allow one
+_JOINERS = ("", " ", "  ", "_", "7", "é", "x", ",", ", ", ".", "!", "?", "-", "\n", " and ", "'")
+
+
+def _phrase_texts(phrases, seed, n):
+    """Seeded texts made of the taxonomy's own phrases: runs of the same
+    phrase back to back, nested phrases side by side, phrases at the very
+    start or end, each glued to a random neighbour."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            phrase = rng.choice(phrases)
+            parts += [rng.choice(_JOINERS), phrase] * rng.choice((1, 1, 2, 3))
+        if rng.random() < 0.5:
+            parts.append(rng.choice(_JOINERS))
+        yield "".join(parts)
+
+
+@pytest.mark.parametrize("task", ["expression", "attribute", "deepfake"])
+def test_count_matches_equals_per_phrase_findall(task):
+    tax = default_taxonomy(task)
+    oracle = _oracle(tax)
+    phrases = [p for cls in tax.classes for p in tax.synonyms[cls]]
+    # each phrase at the start and end, repeated with and without a space,
+    # and next to "_", a digit, "é", punctuation and a newline
+    fixed = [""] + [f"{p} {p}{p} _{p} {p}_ 1{p} {p}9 é{p} {p}é\n{p}.,{p}!{p}" for p in phrases]
+    for text in [*fixed, *_phrase_texts(phrases, seed=7, n=400)]:
+        assert tax.count_matches(text) == oracle(text), repr(text)
+
+
+def test_nested_phrases_each_count():
+    tax = default_taxonomy("attribute")
+    (cls,) = [c for c in tax.classes if "short stubble" in tax.synonyms[c]]
+    assert "stubble" in tax.synonyms[cls]
+    assert tax.count_matches("short stubble")[cls] == 2
+    assert tax.count_matches("stubble, short stubble.\nstubble")[cls] == 4
+    assert tax.count_matches("stubble_ 2stubble stubbleé")[cls] == 0
 
 
 def test_default_taxonomies_have_ten_phrases_per_class():
