@@ -16,24 +16,14 @@ from typing import Sequence
 
 from .taxonomy import Taxonomy, default_negation_cues
 
-SENTENCE_TERMINATORS = ".!?"
-
+_SEGMENT_PATTERN = re.compile(r"[^.!?]*[.!?]|[^.!?]+")
 _AU_PATTERN = re.compile(r"au ?(\d+)", re.IGNORECASE)
 _INT_PATTERN = re.compile(r"\d+")
 
 
 def split_sentences(text: str) -> list[str]:
     """Segments including their terminator; concatenation restores text."""
-    segments: list[str] = []
-    current: list[str] = []
-    for ch in text:
-        current.append(ch)
-        if ch in SENTENCE_TERMINATORS:
-            segments.append("".join(current))
-            current = []
-    if current:
-        segments.append("".join(current))
-    return segments
+    return _SEGMENT_PATTERN.findall(text)
 
 
 def strip_negatives(text: str, cues: Sequence[str] | None = None) -> str:

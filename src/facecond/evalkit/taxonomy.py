@@ -1,9 +1,10 @@
 """Synonym taxonomies for free-text label extraction.
 
 A taxonomy maps each class of a task to its lowercase synonym phrases.
-Phrases must be mutually exclusive across classes. Phrase occurrence is
-matched case-insensitively with word boundaries on both ends, so "real"
-does not fire inside "unrealistic".
+Phrases must be non-empty and mutually exclusive across classes. Phrase
+occurrence is matched case-insensitively with word boundaries on both
+ends, so "real" does not fire inside "unrealistic". Counting is per
+phrase and exact: "stubble" inside "short stubble" counts for both.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ class Taxonomy:
     task: str
     classes: tuple[str, ...]
     synonyms: dict[str, tuple[str, ...]]
-    _patterns: dict[str, list[re.Pattern]] = field(init=False, repr=False)
+    # phrase -> word-bounded pattern, compiled on the phrase's first hit
+    _patterns: dict[str, re.Pattern] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         if len(set(self.classes)) != len(self.classes):
@@ -44,6 +48,8 @@ class Taxonomy:
             if not phrases:
                 raise ValueError(f"class {cls!r} has no synonym phrases")
             for phrase in phrases:
+                if not phrase.strip():
+                    raise ValueError(f"class {cls!r} has an empty phrase {phrase!r}")
                 if phrase != phrase.lower():
                     raise ValueError(f"phrase {phrase!r} is not lowercase")
                 if phrase in seen:
@@ -51,15 +57,24 @@ class Taxonomy:
                         f"phrase {phrase!r} appears under both {seen[phrase]!r} and {cls!r}"
                     )
                 seen[phrase] = cls
-        self._patterns = {
-            cls: [_phrase_pattern(p) for p in self.synonyms[cls]]
-            for cls in self.classes
-        }
+
+    def _pattern(self, phrase: str) -> re.Pattern:
+        # two threads racing here at worst compile the same pattern twice
+        if phrase not in self._patterns:
+            self._patterns[phrase] = _phrase_pattern(phrase)
+        return self._patterns[phrase]
 
     def count_matches(self, text_lower: str) -> dict[str, int]:
-        """Total phrase occurrences per class in already-lowercased text."""
+        """Total phrase occurrences per class in already-lowercased text.
+
+        A word-bounded match is also a substring, so a phrase's regex runs
+        only where the phrase occurs as a substring."""
         return {
-            cls: sum(len(p.findall(text_lower)) for p in self._patterns[cls])
+            cls: sum(
+                len(self._pattern(p).findall(text_lower))
+                for p in self.synonyms[cls]
+                if p in text_lower
+            )
             for cls in self.classes
         }
 

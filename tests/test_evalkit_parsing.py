@@ -165,6 +165,9 @@ def test_taxonomy_validation():
         taxonomy_from_mapping("expression", {"a": []})
     with pytest.raises(ValueError):
         taxonomy_from_mapping("expression", {"a": ["UPPER"]})
+    for blank in ("", " ", "\n\t"):
+        with pytest.raises(ValueError, match=r"class 'sad' has an empty phrase"):
+            taxonomy_from_mapping("expression", {"happy": ["happy"], "sad": ["sad", blank]})
 
 
 def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
@@ -174,6 +177,9 @@ def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
         load_taxonomy(str(path), "expression")
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["Joyful"]}))
     with pytest.raises(ValueError, match=r"tax\.json: phrase 'Joyful' is not lowercase"):
+        load_taxonomy(str(path), "expression")
+    path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["joyful", " "]}))
+    with pytest.raises(ValueError, match=r"tax\.json: class 'happiness' has an empty phrase ' '"):
         load_taxonomy(str(path), "expression")
 
 

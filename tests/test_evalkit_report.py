@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import facecond.evalkit.taxonomy as taxonomy_module
 from facecond.evalkit import (
     EvalRecord,
     confusion_csv_lines,
@@ -215,6 +216,35 @@ def test_score_records_threads_match_serial():
     serial = score_records(records, threads=1)
     parallel = score_records(records, threads=4)
     assert serial == parallel
+
+
+def test_phrases_compile_only_where_they_occur(monkeypatch):
+    compiled = []
+    original = taxonomy_module._phrase_pattern
+
+    def counting(phrase):
+        compiled.append(phrase)
+        return original(phrase)
+
+    monkeypatch.setattr(taxonomy_module, "_phrase_pattern", counting)
+    taxonomies = {task: default_taxonomy(task) for task in ("expression", "attribute", "deepfake")}
+    assert compiled == []
+    records = [
+        EvalRecord("e1", "expression", "The person looks cheerful. Not sad.", "happiness"),
+        EvalRecord("e2", "expression", "A calm face with cheerful eyes!", "neutral"),
+        EvalRecord("a1", "attribute", "He has short stubble and arched eyebrows.", ["5_o_Clock_Shadow"]),
+        EvalRecord("d1", "deepfake", "This clip looks real.", "real"),
+        EvalRecord("u1", "au", "AU4 and AU12 are present.", [4, 12]),
+        EvalRecord("g1", "age", "About 30 years old.", 30),
+    ]
+    score_records(records, taxonomies=taxonomies)
+    texts = [r.generated.lower() for r in records]
+    assert {"cheerful", "stubble", "short stubble", "real"} <= set(compiled)
+    assert "sad" not in compiled  # it occurs only in a dropped sentence
+    assert all(any(p in t for t in texts) for p in compiled), compiled
+    first = len(compiled)
+    score_records(records, taxonomies=taxonomies)
+    assert len(compiled) == first  # memoised on each taxonomy
 
 
 def test_confusion_csv_layout():
