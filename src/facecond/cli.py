@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -104,7 +105,10 @@ def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
         raise ValueError(f"{path}: tokens must be a (T, N, d) array: {exc}") from None
     if tokens.ndim != 3:
         raise ValueError(f"{path}: tokens must be a (T, N, d) array")
-    if tokens.dtype.kind not in "iuf":  # strings, booleans, nulls
+    # numpy upcasts a boolean among numbers, so look at the JSON values
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(doc["tokens"])))):
+        raise ValueError(f"{path}: tokens must be numbers, got bool entries")
+    if tokens.dtype.kind not in "iuf":  # strings, nulls
         raise ValueError(f"{path}: tokens must be numbers, got {tokens.dtype} entries")
     tokens = tokens.astype(np.float64, copy=False)
     if not np.all(np.isfinite(tokens)):

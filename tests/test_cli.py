@@ -123,9 +123,11 @@ def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
         ([[["x"]]], r"tokens must be numbers, got <U1 entries"),
         ([[["0.5"]]], r"tokens must be numbers, got <U3 entries"),
         ([[[True]]], r"tokens must be numbers, got bool entries"),
+        ([[[0.5, 0.25]], [[1.5, True]]], r"tokens must be numbers, got bool entries"),
+        ([[[2, False]]], r"tokens must be numbers, got bool entries"),
         ([[[None]]], r"tokens must be numbers, got object entries"),
     ],
-    ids=["ragged", "string", "numeric_string", "bool", "null"],
+    ids=["ragged", "string", "numeric_string", "bool", "bool_among_floats", "bool_among_ints", "null"],
 )
 def test_enrich_rejects_tokens_that_are_not_numbers_naming_the_file(tmp_path, capsys, tokens, message):
     lm = tmp_path / "lm.json"
