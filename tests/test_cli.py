@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from facecond.checkpoint import save_model
 from facecond.cli import main
 from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
 from facecond.geometry import LandmarkClip, save_landmarks
+from facecond.toytrain import TrainConfig, init_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -99,6 +101,26 @@ def test_enrich_variant_none_is_identity(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert np.array_equal(np.asarray(doc["tokens"]), tokens)
+
+
+@pytest.mark.parametrize("seed, d, heads", [(0, 8, 2), (3, 16, 4)])
+def test_enrich_from_a_seed_init_checkpoint_matches_seed_init(tmp_path, seed, d, heads):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    ck = tmp_path / "ck.json"
+    write_landmarks(lm, seed=seed, frames=2)
+    write_tokens(tok, seed=seed, frames=2, n=16, d=d)
+    save_model(str(ck), init_model(TrainConfig(seed=seed, d=d, heads=heads)))
+    common = ["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--rows", "4", "--cols", "4"]
+    outputs = {}
+    for name, flags in [
+        ("checkpoint", ["--checkpoint", str(ck)]),
+        ("seed", ["--seed", str(seed), "--heads", str(heads)]),
+    ]:
+        out, att = tmp_path / f"{name}.json", tmp_path / f"{name}_attention.json"
+        assert main(common + flags + ["--attention-out", str(att), "--out", str(out)]) == 0
+        outputs[name] = (out.read_bytes(), att.read_bytes())
+    assert outputs["checkpoint"] == outputs["seed"]
 
 
 def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
