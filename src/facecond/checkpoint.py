@@ -19,7 +19,7 @@ import numpy as np
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
 from .geometry import PatchGrid, default_partition
-from .jsonio import read_json, write_json
+from .jsonio import number_array, read_json, write_json
 from .registry import take
 from .toytrain.decoder import ToyDecoderParams
 from .toytrain.projector import VisionProjectorParams
@@ -54,7 +54,7 @@ def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
     arrays = {}
     for key, entry in doc["tensors"].items():
         try:
-            arrays[key] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            arrays[key] = number_array(entry["data"], 1, "data").reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: tensor {key!r}: {exc}") from None
     return arrays, doc.get("meta", {})

@@ -22,7 +22,6 @@ import json
 import logging
 import os
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .evalkit import (
 from .frgca import attention_maps_json, frgca_forward, init_frgca
 from .frlp import TOKEN_MODES, init_frlp
 from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
-from .jsonio import read_json, write_json
+from .jsonio import is_int, number_array, read_json, write_json
 from .toytrain import TrainConfig, evaluate, synth_dataset, train
 from .toytrain.synth import TASK_KINDS
 from .toytrain.training import VARIANTS, init_model, landmark_conditioning
@@ -99,21 +98,7 @@ def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
     doc = read_json(path)
     if not isinstance(doc, dict) or "tokens" not in doc:
         raise ValueError(f"{path}: expected an object with a 'tokens' field")
-    try:
-        tokens = np.asarray(doc["tokens"])
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(f"{path}: tokens must be a (T, N, d) array: {exc}") from None
-    if tokens.ndim != 3:
-        raise ValueError(f"{path}: tokens must be a (T, N, d) array")
-    # numpy upcasts a boolean among numbers, so look at the JSON values
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(doc["tokens"])))):
-        raise ValueError(f"{path}: tokens must be numbers, got bool entries")
-    if tokens.dtype.kind not in "iuf":  # strings, nulls
-        raise ValueError(f"{path}: tokens must be numbers, got {tokens.dtype} entries")
-    tokens = tokens.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(tokens)):
-        raise ValueError(f"{path}: tokens contain non-finite values")
-    return doc.get("id"), tokens
+    return doc.get("id"), number_array(doc["tokens"], 3, f"{path}: tokens")
 
 
 def cmd_enrich(args) -> int:
@@ -174,10 +159,8 @@ _TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
 
 def _dataset_size(config: dict, path: str, key: str, default: int, minimum: int) -> int:
     value = config.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ValueError(
-            f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}"
-        )
+    if not is_int(value) or value < minimum:
+        raise ValueError(f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}")
     return value
 
 

@@ -19,13 +19,12 @@ weight}}, each task's weights finite, non-negative and not all zero.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .jsonio import read_json, write_jsonl
+from .jsonio import is_int, is_number, read_json, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
 RATING_KEYS = (
@@ -56,7 +55,7 @@ class AnnotationRecord:
         if unknown:
             raise ValueError(f"unknown rating keys: {sorted(unknown)}")
         for key, value in self.ratings.items():
-            if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= 10:
+            if not is_int(value) or not 1 <= value <= 10:
                 raise ValueError(f"rating {key}={value!r} outside 1..10")
 
     @property
@@ -221,11 +220,7 @@ def load_split_target(path: str) -> dict[str, dict[str, float]]:
         if not isinstance(weights, dict):
             raise ValueError(f"{path}: task {task!r} must map to a class -> weight object")
         for cls, weight in weights.items():
-            if (
-                not isinstance(weight, (int, float))
-                or isinstance(weight, bool)
-                or not 0 <= weight < math.inf  # also false for NaN
-            ):
+            if not is_number(weight) or weight < 0:
                 raise ValueError(
                     f"{path}: task {task!r} class {cls!r}: weight {weight!r} "
                     "is not a finite number >= 0"

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..jsonio import is_int
 from .metrics import (
     DISFA_AUS,
     compute_avg_f1,
@@ -64,11 +65,10 @@ class EvalRecord:
         ok = {
             "expression": lambda: isinstance(gt, str),
             "deepfake": lambda: isinstance(gt, str),
-            "au": lambda: isinstance(gt, (list, tuple, set))
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in gt),
+            "au": lambda: isinstance(gt, (list, tuple, set)) and all(map(is_int, gt)),
             "attribute": lambda: isinstance(gt, (list, tuple, set))
             and all(isinstance(v, str) for v in gt),
-            "age": lambda: isinstance(gt, int) and not isinstance(gt, bool),
+            "age": lambda: is_int(gt),
         }[self.task]()
         if not ok:
             raise ValueError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonio import read_json, write_json
+from .jsonio import number_array, read_json, write_json
 
 N_LANDMARKS = 68
 
@@ -190,30 +190,11 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
 
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
     """Read a landmark JSON document; returns (media id, clip). Errors name
-    the file, and the frame when one frame is bad."""
+    the file, and the first bad entry, frame or point."""
     doc = read_json(path)
     if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
         raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
-    if not isinstance(doc["frames"], list):
-        raise ValueError(f"{path}: 'frames' must be a list of frames")
-    frames = []
-    for t, frame in enumerate(doc["frames"]):
-        try:
-            frames.append(np.asarray(frame, dtype=np.float64))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: frame {t}: {exc}") from None
-        if frames[-1].shape != (N_LANDMARKS, 2):
-            raise ValueError(
-                f"{path}: frame {t}: expected {N_LANDMARKS} landmark points of 2 coordinates, "
-                f"got shape {frames[-1].shape}"
-            )
-        # numpy reads true/false as 1.0/0.0
-        for point, xy in enumerate(frame):
-            if any(isinstance(v, bool) for v in xy):
-                raise ValueError(
-                    f"{path}: frame {t}: landmark point {point} {xy} is not two numbers"
-                )
     try:
-        return str(doc["id"]), LandmarkClip(np.reshape(frames, (-1, N_LANDMARKS, 2)))
+        return str(doc["id"]), LandmarkClip(number_array(doc["frames"], 3, "frames"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -13,7 +13,12 @@ after parsing.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import suppress
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 _ENCODING = {"sort_keys": True}
 
@@ -42,3 +47,45 @@ def read_json(path: str):
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+
+def is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number finite as float64; math.isfinite raises OverflowError on huge ints."""
+    return (isinstance(value, float) or is_int(value)) and abs(value) <= sys.float_info.max
+
+
+def number_array(value, ndim: int, where: str) -> np.ndarray:
+    """`value`, `ndim` levels of equal-length lists of numbers, as a float64
+    array; otherwise ValueError naming `where` and the first bad index."""
+    with suppress(ValueError, OverflowError):  # ragged nesting, an integer beyond float64
+        arr = np.array(value)
+        if arr.ndim == ndim and arr.dtype.kind in "iuf":
+            leaves = value
+            for _ in range(ndim - 1):
+                leaves = chain.from_iterable(leaves)
+            # numpy reads a boolean among numbers as 1 or 0
+            if set(map(type, leaves)) <= {int, float} and np.isfinite(arr).all():
+                return arr.astype(np.float64, copy=False)
+    shape: dict[int, int] = {}
+    _check_nesting(value, ndim, where, shape)
+    # valid data off the fast path: integers beyond int64, or empty lists
+    return np.array(value, dtype=np.float64).reshape([shape.get(k, 0) for k in range(ndim)])
+
+
+def _check_nesting(value, ndim: int, where: str, shape: dict[int, int], depth: int = 0) -> None:
+    """Raise naming the first entry that breaks the nesting or is not a number."""
+    if depth < ndim and isinstance(value, list):
+        if len(value) != shape.setdefault(depth, len(value)):
+            raise ValueError(f"{where} has {len(value)} entries, not {shape[depth]}")
+        for i, item in enumerate(value):
+            _check_nesting(item, ndim, f"{where}[{i}]", shape, depth + 1)
+    elif depth < ndim or not is_number(value):
+        text = json.dumps(value)
+        kind = "not a list" if depth < ndim else (
+            "a non-finite value" if is_int(value) or isinstance(value, float) else "not a number")
+        raise ValueError(f"{where} is {text[:40]}{'...' * (len(text) > 40)}, {kind}")

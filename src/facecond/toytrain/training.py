@@ -56,6 +56,7 @@ from .decoder import (
     response_predictions,
     sequence_assemble,
 )
+from ..jsonio import is_int, is_number
 from ..registry import named, unflatten
 from .projector import VisionProjectorParams, init_vision_projector, vision_backward, vision_project
 from .synth import SynthSample
@@ -132,20 +133,13 @@ class TrainConfig:
         return cls(**data)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # the JSON values each TrainConfig field annotation accepts, and how an
 # error names them
 _JSON_FIELD_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (_is_int, "an integer"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "float | None": (
-        lambda v: v is None or ((_is_int(v) or isinstance(v, float)) and math.isfinite(v)),
-        "a finite number or null",
-    ),
+    "int": (is_int, "an integer"),
+    "int | None": (lambda v: v is None or is_int(v), "an integer or null"),
+    "float | None": (lambda v: v is None or is_number(v), "a finite number or null"),
 }
 
 

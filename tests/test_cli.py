@@ -141,13 +141,13 @@ def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tokens, message",
     [
-        ([[[0.5], [0.5, 0.5]]], r"tokens must be a \(T, N, d\) array: setting an array element"),
-        ([[["x"]]], r"tokens must be numbers, got <U1 entries"),
-        ([[["0.5"]]], r"tokens must be numbers, got <U3 entries"),
-        ([[[True]]], r"tokens must be numbers, got bool entries"),
-        ([[[0.5, 0.25]], [[1.5, True]]], r"tokens must be numbers, got bool entries"),
-        ([[[2, False]]], r"tokens must be numbers, got bool entries"),
-        ([[[None]]], r"tokens must be numbers, got object entries"),
+        ([[[0.5], [0.5, 0.5]]], r"tokens\[0\]\[1\] has 2 entries, not 1$"),
+        ([[["x"]]], r'tokens\[0\]\[0\]\[0\] is "x", not a number$'),
+        ([[["0.5"]]], r'tokens\[0\]\[0\]\[0\] is "0\.5", not a number$'),
+        ([[[True]]], r"tokens\[0\]\[0\]\[0\] is true, not a number$"),
+        ([[[0.5, 0.25]], [[1.5, True]]], r"tokens\[1\]\[0\]\[1\] is true, not a number$"),
+        ([[[2, False]]], r"tokens\[0\]\[0\]\[1\] is false, not a number$"),
+        ([[[None]]], r"tokens\[0\]\[0\]\[0\] is null, not a number$"),
     ],
     ids=["ragged", "string", "numeric_string", "bool", "bool_among_floats", "bool_among_ints", "null"],
 )

@@ -273,17 +273,24 @@ POINT = [0.5, 0.5]
             [[POINT] * 68, [POINT] * 12 + [[0.5, 3.0]] + [POINT] * 55],
             r"frame 1: landmark point 12 \[0\.5, 3\.0\] lies outside \[-0\.5, 1\.5\]",
         ),
-        ([[POINT] * 68, [POINT] * 67], r"frame 1: .*shape \(67, 2\)"),
-        ([[POINT] * 68, [POINT] * 67 + [[0.5, {"x": 0.5}]]], r"frame 1: float\(\) argument"),
+        ([[POINT] * 68, [POINT] * 67], r"frames\[1\] has 67 entries, not 68$"),
+        (
+            [[POINT] * 68, [POINT] * 67 + [[0.5, {"x": 0.5}]]],
+            r'frames\[1\]\[67\]\[1\] is \{"x": 0\.5\}, not a number$',
+        ),
         (
             [[POINT] * 68, [POINT] * 7 + [[True, 0.5]] + [POINT] * 60],
-            r"frame 1: landmark point 7 \[True, 0\.5\] is not two numbers",
+            r"frames\[1\]\[7\]\[0\] is true, not a number$",
         ),
-        (3, r"'frames' must be a list of frames"),
+        (
+            [[POINT] * 3 + [[0.5, "0.5"]] + [POINT] * 64],
+            r'frames\[0\]\[3\]\[1\] is "0\.5", not a number$',
+        ),
+        (3, r"frames is 3, not a list$"),
     ],
     ids=[
         "nine_frames", "out_of_range", "short_frame", "point_not_a_number", "point_is_a_boolean",
-        "frames_not_a_list",
+        "point_is_a_numeric_string", "frames_not_a_list",
     ],
 )
 def test_load_landmarks_errors_name_the_file_frame_and_point(tmp_path, frames, message):
