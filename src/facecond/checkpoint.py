@@ -8,7 +8,7 @@ so save/load round-trips are bit-exact.
 The parameter registry is the single source of key names and shapes:
 each parameter class's spec names its tensors, ``model_arrays`` adds the
 group prefix, and loading checks every tensor against the spec, failing
-with the key named. A loaded model is packed into one flat vector whose
+with the file and the key named. A loaded model is packed into one flat vector whose
 views are its arrays (see ``facecond.toytrain.training``).
 """
 
@@ -90,10 +90,13 @@ def build_frgca(
 def load_model(path: str) -> ModelParams:
     arrays, meta = load_arrays(path)
     dims: dict[str, int] = {}  # shared, so all four groups agree on d
-    return ModelParams(
-        frlp=build_frlp(arrays, dims),
-        frgca=build_frgca(arrays, meta, dims),
-        vision=VisionProjectorParams(*take(arrays, VisionProjectorParams.SPEC, "vision.", dims)),
-        decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
-        grid=PatchGrid(int(meta.get("grid_rows", 16)), int(meta.get("grid_cols", 16))),
-    )
+    try:
+        return ModelParams(
+            frlp=build_frlp(arrays, dims),
+            frgca=build_frgca(arrays, meta, dims),
+            vision=VisionProjectorParams(*take(arrays, VisionProjectorParams.SPEC, "vision.", dims)),
+            decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
+            grid=PatchGrid(int(meta.get("grid_rows", 16)), int(meta.get("grid_cols", 16))),
+        )
+    except ValueError as exc:  # the builders' errors name the tensor, not the file
+        raise ValueError(f"{path}: {exc}") from None

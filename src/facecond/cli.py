@@ -121,13 +121,15 @@ def cmd_enrich(args) -> int:
 
     if args.checkpoint:
         arrays, meta = ckpt.load_arrays(args.checkpoint)
-        frlp_params = ckpt.build_frlp(arrays)
-        frgca_params = ckpt.build_frgca(arrays, meta)
+        dims = {"d": d}  # shared, so FRLP, FRGCA and the tokens agree on d
+        try:
+            frlp_params = ckpt.build_frlp(arrays, dims)
+            frgca_params = ckpt.build_frgca(arrays, meta, dims)
+        except ValueError as exc:
+            raise ValueError(f"{args.checkpoint}: {exc}") from None
     else:
         frlp_params = init_frlp(d, default_partition(), seed=args.seed)
         frgca_params = init_frgca(d, heads=args.heads, seed=args.seed + 1)
-    if frlp_params.d != d:
-        raise ValueError(f"checkpoint dimension {frlp_params.d} != token dimension {d}")
 
     h_l, masks = landmark_conditioning(clip, frlp_params, grid, args.variant, args.token_mode)
     enriched, cache = frgca_forward(

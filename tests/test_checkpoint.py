@@ -140,3 +140,26 @@ def test_load_arrays_names_the_file_for_a_document_of_the_wrong_shape(tmp_path, 
     with pytest.raises(ValueError) as excinfo:
         load_arrays(str(path))
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+def _with_narrow_frgca(arrays):
+    """`arrays` with the FRGCA tensors of a d=4 model beside its d=8 FRLP."""
+    narrow = model_arrays(init_model(TrainConfig(grid_rows=2, grid_cols=2, d=4, heads=2)))
+    return {**arrays, **{k: v for k, v in narrow.items() if k.startswith("frgca.")}}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"},
+         "checkpoint is missing tensor 'frgca.w_k.bias'"),
+        (_with_narrow_frgca, "frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
+    ],
+    ids=["missing_tensor", "frgca_narrower_than_frlp"],
+)
+def test_load_model_errors_name_the_file(tmp_path, edit, message):
+    path, arrays, meta = _saved_arrays(tmp_path)
+    save_arrays(str(path), edit(arrays), meta)
+    with pytest.raises(ValueError) as excinfo:
+        load_model(str(path))
+    assert str(excinfo.value) == f"{path}: {message}"

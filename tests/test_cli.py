@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facecond.checkpoint import save_model
+from facecond.checkpoint import load_arrays, save_arrays, save_model
 from facecond.cli import main
 from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
 from facecond.geometry import LandmarkClip, save_landmarks
-from facecond.toytrain import TrainConfig, init_model
+from facecond.toytrain import TrainConfig, init_model, model_arrays
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,6 +121,38 @@ def test_enrich_from_a_seed_init_checkpoint_matches_seed_init(tmp_path, seed, d,
         assert main(common + flags + ["--attention-out", str(att), "--out", str(out)]) == 0
         outputs[name] = (out.read_bytes(), att.read_bytes())
     assert outputs["checkpoint"] == outputs["seed"]
+
+
+def _narrow_frgca(arrays):
+    """`arrays` with the FRGCA tensors of a d=4 model beside its d=8 FRLP."""
+    narrow = model_arrays(init_model(TrainConfig(d=4, heads=2)))
+    return {**arrays, **{k: v for k, v in narrow.items() if k.startswith("frgca.")}}
+
+
+@pytest.mark.parametrize(
+    "edit, token_dim, message",
+    [
+        (lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"}, 8,
+         "checkpoint is missing tensor 'frgca.w_k.bias'"),
+        (_narrow_frgca, 8, "frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
+        (lambda arrays: arrays, 16, "frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
+    ],
+    ids=["missing_tensor", "frgca_narrower_than_frlp", "tokens_wider_than_checkpoint"],
+)
+def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, edit, token_dim, message):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    ck = tmp_path / "ck.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=token_dim)
+    save_model(str(ck), init_model(TrainConfig(d=8, heads=2)))
+    arrays, meta = load_arrays(str(ck))
+    save_arrays(str(ck), edit(arrays), meta)
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--checkpoint", str(ck),
+                 "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{ck}: {message}"
+    assert not out.exists()
 
 
 def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
