@@ -1,7 +1,9 @@
 """Synonym taxonomies for free-text label extraction.
 
 A taxonomy maps each class of a task to its lowercase synonym phrases.
-Phrases must be non-empty and mutually exclusive across classes. Phrase
+Phrases must be non-empty, have no leading or trailing whitespace (a
+word-bounded match would then need a non-word character before or after
+the space), and be mutually exclusive across classes. Phrase
 occurrence is matched case-insensitively with word boundaries on both
 ends, so "real" does not fire inside "unrealistic". Counting is per
 phrase and exact: "stubble" inside "short stubble" counts for both.
@@ -50,6 +52,10 @@ class Taxonomy:
             for phrase in phrases:
                 if not phrase.strip():
                     raise ValueError(f"class {cls!r} has an empty phrase {phrase!r}")
+                if phrase != phrase.strip():
+                    raise ValueError(
+                        f"class {cls!r} has a phrase {phrase!r} with leading or trailing whitespace"
+                    )
                 if phrase != phrase.lower():
                     raise ValueError(f"phrase {phrase!r} is not lowercase")
                 if phrase in seen:

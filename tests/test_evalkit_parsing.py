@@ -170,6 +170,16 @@ def test_taxonomy_validation():
             taxonomy_from_mapping("expression", {"happy": ["happy"], "sad": ["sad", blank]})
 
 
+@pytest.mark.parametrize("phrase", [" sad", "sad ", "sad\n", "\tsad"])
+def test_taxonomy_rejects_phrases_with_edge_whitespace(phrase):
+    # " sad" would match "so,  sad" but not "she is sad"
+    with pytest.raises(ValueError) as excinfo:
+        taxonomy_from_mapping("expression", {"happy": ["happy"], "sad": [phrase]})
+    assert str(excinfo.value) == (
+        f"class 'sad' has a phrase {phrase!r} with leading or trailing whitespace"
+    )
+
+
 def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": "joyful"}))
