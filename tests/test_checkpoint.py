@@ -123,6 +123,27 @@ def test_load_arrays_names_the_tensor_whose_data_disagrees_with_its_shape(tmp_pa
 
 
 @pytest.mark.parametrize(
+    "bad, text",
+    [
+        (True, "true, not a number"),
+        (None, "null, not a number"),
+        (float("nan"), "NaN, a non-finite value"),
+        ("1.5", '"1.5", not a number'),
+    ],
+    ids=["bool", "null", "nan", "numeric_string"],
+)
+def test_load_arrays_names_the_tensor_and_index_of_data_that_is_not_a_number(tmp_path, bad, text):
+    path = tmp_path / "ck.json"
+    save_arrays(str(path), {"a.weight": np.zeros((2, 3)), "a.bias": np.zeros(3)})
+    doc = json.loads(path.read_text())
+    doc["tensors"]["a.weight"]["data"][4] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as excinfo:
+        load_arrays(str(path))
+    assert str(excinfo.value) == f"{path}: tensor 'a.weight': data[4] is {text}"
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         ([1], f"not a {FORMAT_TAG} archive"),

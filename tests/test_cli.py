@@ -155,6 +155,27 @@ def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, edit, token_di
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad", [True, None, float("nan"), "1.5"], ids=["bool", "null", "nan", "numeric_string"]
+)
+def test_enrich_rejects_a_checkpoint_value_that_is_not_a_number(tmp_path, capsys, bad):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    ck = tmp_path / "ck.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    save_model(str(ck), init_model(TrainConfig(d=8, heads=2)))
+    doc = json.loads(ck.read_text())
+    doc["tensors"]["frgca.w_v.bias"]["data"][1] = bad
+    ck.write_text(json.dumps(doc))
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--checkpoint", str(ck),
+                 "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"{ck}: tensor 'frgca.w_v.bias': data[1] is "), message
+    assert not out.exists()
+
+
 def test_enrich_rejects_non_finite_tokens_naming_the_file(tmp_path, capsys):
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"
@@ -259,6 +280,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
          "config key 'learning_rate' must be a finite number or null, got inf"),
         ({"learning_rate": False},
          "config key 'learning_rate' must be a finite number or null, got False"),
+        ({"learning_rate": 10**399},
+         f"config key 'learning_rate' must be a finite number or null, got {10**399}"),
         ({"variant": ["frgca"]}, "config key 'variant' must be a string, got ['frgca']"),
         # values the model and data builders reject
         ({"heads": 3}, "d_attn=16 not divisible by heads=3"),

@@ -296,8 +296,13 @@ def split_records(rng, n, klass_weights, task="expression"):
         ('{"age": {"adult": 1}, "expression": {"happiness": 0}}',
          "task 'expression' has no positive weight"),
         ('{"expression": {}}', "task 'expression' has no positive weight"),
+        ('{"expression": {"happiness": 1%s}}' % ("0" * 399),
+         f"task 'expression' class 'happiness': weight {10**399} is not a finite number >= 0"),
     ],
-    ids=["list", "task_list", "string", "bool", "negative", "nan", "inf", "zero_mass", "empty"],
+    ids=[
+        "list", "task_list", "string", "bool", "negative", "nan", "inf", "zero_mass", "empty",
+        "integer_beyond_float64",
+    ],
 )
 def test_load_split_target_names_the_file_task_and_class(tmp_path, target, message):
     path = tmp_path / "target.json"

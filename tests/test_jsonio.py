@@ -2,10 +2,11 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import facecond
-from facecond.jsonio import read_json
+from facecond.jsonio import is_int, is_number, number_array, read_json
 
 SRC = Path(facecond.__file__).parent
 
@@ -56,3 +57,122 @@ def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(b'{"id": "caf\xe9"}')
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: malformed JSON: 'utf-8' codec")):
         read_json(str(path))
+
+
+def test_is_int_and_is_number():
+    for value, want_int, want_number in [
+        (3, True, True), (-(10**30), True, True), (0.5, False, True), (-1e308, False, True),
+        (True, False, False), (False, False, False), (None, False, False), ("1", False, False),
+        (float("nan"), False, False), (float("inf"), False, False), (float("-inf"), False, False),
+        (10**399, True, False), (-(10**399), True, False), ([1], False, False),
+    ]:
+        assert (is_int(value), is_number(value)) == (want_int, want_number), value
+
+
+# shape (3, 3, 2) cut to the rank; `bad` goes at index (1, 1, 0) cut to the
+# rank, and a null in the last entry shows that the first bad entry is named
+_SHAPE, _AT = (3, 3, 2), (1, 1, 0)
+
+
+def _nested(ndim, fill, bad):
+    flat = np.full(_SHAPE[:ndim], fill, dtype=object)
+    flat[_AT[:ndim]] = bad
+    flat[(-1,) * ndim] = None
+    return flat.tolist()
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("fill", [0.5, 2], ids=["among_floats", "among_ints"])
+@pytest.mark.parametrize(
+    "bad, text",
+    [
+        (True, "true, not a number"),
+        (False, "false, not a number"),
+        (None, "null, not a number"),
+        ("1.5", '"1.5", not a number'),
+        ({"x": 1.5}, '{"x": 1.5}, not a number'),
+        ([1.5], "[1.5], not a number"),
+        (float("nan"), "NaN, a non-finite value"),
+        (float("inf"), "Infinity, a non-finite value"),
+        (-(10**399), "-1" + "0" * 38 + "..., a non-finite value"),
+    ],
+    ids=["true", "false", "null", "numeric_string", "dict", "too_deep", "nan", "infinity",
+         "integer_beyond_float64"],
+)
+def test_number_array_names_the_first_bad_leaf(ndim, fill, bad, text):
+    index = "".join(f"[{i}]" for i in _AT[:ndim])
+    with pytest.raises(ValueError) as excinfo:
+        number_array(_nested(ndim, fill, bad), ndim, "f.json: x")
+    assert str(excinfo.value) == f"f.json: x{index} is {text}"
+
+
+@pytest.mark.parametrize(
+    "value, ndim, message",
+    [
+        (0.5, 1, "x is 0.5, not a list"),
+        ({"a": [0.5]}, 1, 'x is {"a": [0.5]}, not a list'),
+        ([[0.5, 0.5], 0.5], 2, "x[1] is 0.5, not a list"),
+        ([[[0.5]], [0.5]], 3, "x[1][0] is 0.5, not a list"),
+        ([[0.5, 0.5], [0.5]], 2, "x[1] has 1 entries, not 2"),
+        ([[[0.5], [0.5]], [[0.5], [0.5, True]]], 3, "x[1][1] has 2 entries, not 1"),
+        ([[[0.5] * 2] * 3, [[0.5] * 2] * 4], 3, "x[1] has 4 entries, not 3"),
+        ([[1, 2], [3, 4]], 1, "x[0] is [1, 2], not a number"),
+        ([list(range(30))], 1, "x[0] is [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1..., not a number"),
+    ],
+    ids=["scalar", "object", "row_not_a_list", "frame_not_a_list", "ragged_rows",
+         "ragged_points", "ragged_frames", "too_deep", "long_value_cut"],
+)
+def test_number_array_names_where_the_nesting_breaks(value, ndim, message):
+    with pytest.raises(ValueError) as excinfo:
+        number_array(value, ndim, "f.json: x")
+    assert str(excinfo.value) == f"f.json: {message}"
+
+
+@pytest.mark.parametrize(
+    "value, ndim, shape",
+    [
+        ([0.5, 2, -3], 1, (3,)),
+        ([[1, 2], [3, 4]], 2, (2, 2)),
+        ([[[0.25, 1]], [[2**63, -(2**70)]]], 3, (2, 1, 2)),  # integers beyond int64
+        ([1e308, -1e308], 1, (2,)),
+        ([], 1, (0,)),
+        ([], 3, (0, 0, 0)),
+        ([[], []], 3, (2, 0, 0)),
+    ],
+    ids=["ints_and_floats", "ints", "beyond_int64", "largest_floats", "empty", "empty_clip",
+         "empty_frames"],
+)
+def test_number_array_reads_numbers_as_float64(value, ndim, shape):
+    arr = number_array(value, ndim, "f.json: x")
+    assert arr.dtype == np.float64 and arr.shape == shape
+    assert arr.ravel().tolist() == [float(v) for v in np.array(value, dtype=object).ravel()]
+
+
+def _bool_isinstance_calls(tree: ast.Module):
+    """Each isinstance call in `tree` whose type, or one of whose type tuple's
+    entries, is bool."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                yield node
+
+
+def test_bool_guard_sees_a_bool_alone_or_in_a_type_tuple():
+    tree = ast.parse("isinstance(v, bool)\nisinstance(v, (int, bool))\nisinstance(v, (int, float))")
+    assert [call.lineno for call in _bool_isinstance_calls(tree)] == [1, 2]
+
+
+def test_only_jsonio_asks_whether_a_value_is_a_bool():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).as_posix() != "jsonio.py"
+        for call in _bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
