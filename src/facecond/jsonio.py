@@ -8,6 +8,13 @@ or JSONL record ends in one newline. Floats serialize via repr, so a
 write/read round trip is bit-exact. A file that is not valid JSON fails as
 ``<path>: malformed JSON: ...``; each loader checks the shape it expects
 after parsing.
+
+This module alone decides what a JSON number is: an integer or a float
+that is finite as float64. Booleans, null, strings, NaN, the infinities
+and integers beyond float64 range are not numbers. ``is_int`` and
+``is_number`` test one value; ``number_array`` reads nested lists of
+numbers (landmark frames, visual tokens, checkpoint tensor data) and
+fails naming the first bad index.
 """
 
 from __future__ import annotations
