@@ -19,7 +19,7 @@ import numpy as np
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
 from .geometry import PatchGrid, default_partition
-from .jsonio import number_array, read_json, write_json
+from .jsonio import is_int, number_array, read_json, write_json
 from .registry import take
 from .toytrain.decoder import ToyDecoderParams
 from .toytrain.projector import VisionProjectorParams
@@ -70,6 +70,13 @@ def save_model(path: str, model: ModelParams) -> None:
     save_arrays(path, model_arrays(model), meta)
 
 
+def _meta_int(meta: dict, key: str, default: int) -> int:
+    value = meta.get(key, default)
+    if not is_int(value):
+        raise ValueError(f"checkpoint meta {key!r} is {value!r}, not an integer")
+    return value
+
+
 def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None) -> FrlpParams:
     return FrlpParams.with_arrays(
         take(arrays, FrlpParams.spec(default_partition()), "frlp.", dims)
@@ -83,7 +90,7 @@ def build_frgca(
         if meta.get(key, value) != value:
             raise ValueError(f"checkpoint meta {key!r} is {meta[key]!r}; only {value!r} is supported")
     return FrgcaParams(
-        *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=int(meta.get("heads", 8))
+        *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=_meta_int(meta, "heads", 8)
     )
 
 
@@ -96,7 +103,7 @@ def load_model(path: str) -> ModelParams:
             frgca=build_frgca(arrays, meta, dims),
             vision=VisionProjectorParams(*take(arrays, VisionProjectorParams.SPEC, "vision.", dims)),
             decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
-            grid=PatchGrid(int(meta.get("grid_rows", 16)), int(meta.get("grid_cols", 16))),
+            grid=PatchGrid(_meta_int(meta, "grid_rows", 16), _meta_int(meta, "grid_cols", 16)),
         )
     except ValueError as exc:  # the builders' errors name the tensor, not the file
         raise ValueError(f"{path}: {exc}") from None

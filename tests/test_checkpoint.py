@@ -112,6 +112,16 @@ def test_build_frgca_accepts_only_the_one_configuration(tmp_path):
         build_frgca(arrays, {**meta, "use_bias": False})
 
 
+@pytest.mark.parametrize("key", ["heads", "grid_rows", "grid_cols"])
+@pytest.mark.parametrize("value", [True, 2.0, "2", None], ids=["bool", "float", "string", "null"])
+def test_load_model_rejects_checkpoint_meta_that_is_not_an_integer(tmp_path, key, value):
+    path, arrays, meta = _saved_arrays(tmp_path)
+    save_arrays(str(path), arrays, {**meta, key: value})
+    with pytest.raises(ValueError) as excinfo:
+        load_model(str(path))
+    assert str(excinfo.value) == f"{path}: checkpoint meta {key!r} is {value!r}, not an integer"
+
+
 def test_load_arrays_names_the_tensor_whose_data_disagrees_with_its_shape(tmp_path):
     path = tmp_path / "ck.json"
     save_arrays(str(path), {"a.weight": np.zeros((2, 3)), "a.bias": np.zeros(3)})
