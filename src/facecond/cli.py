@@ -163,7 +163,9 @@ _TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
 def _dataset_size(config: dict, path: str, key: str, default: int, minimum: int) -> int:
     value = config.get(key, default)
     if not is_int(value) or value < minimum:
-        raise ValueError(f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(
+            f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}"
+        )
     return value
 
 

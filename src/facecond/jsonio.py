@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import sys
-from contextlib import suppress
 from itertools import chain
 from typing import Iterable
 
@@ -62,22 +61,25 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A JSON number finite as float64; math.isfinite raises OverflowError on huge ints."""
+    """A JSON number that is finite as float64."""
+    # math.isfinite raises OverflowError on an integer beyond float64 range
     return (isinstance(value, float) or is_int(value)) and abs(value) <= sys.float_info.max
 
 
 def number_array(value, ndim: int, where: str) -> np.ndarray:
     """`value`, `ndim` levels of equal-length lists of numbers, as a float64
     array; otherwise ValueError naming `where` and the first bad index."""
-    with suppress(ValueError, OverflowError):  # ragged nesting, an integer beyond float64
+    try:
         arr = np.array(value)
-        if arr.ndim == ndim and arr.dtype.kind in "iuf":
-            leaves = value
-            for _ in range(ndim - 1):
-                leaves = chain.from_iterable(leaves)
-            # numpy reads a boolean among numbers as 1 or 0
-            if set(map(type, leaves)) <= {int, float} and np.isfinite(arr).all():
-                return arr.astype(np.float64, copy=False)
+    except (ValueError, OverflowError):  # ragged nesting, an integer beyond float64
+        arr = None
+    if arr is not None and arr.ndim == ndim and arr.dtype.kind in "iuf":
+        leaves = value
+        for _ in range(ndim - 1):
+            leaves = chain.from_iterable(leaves)
+        # numpy reads a boolean among numbers as 1 or 0
+        if set(map(type, leaves)) <= {int, float} and np.isfinite(arr).all():
+            return arr.astype(np.float64, copy=False)
     shape: dict[int, int] = {}
     _check_nesting(value, ndim, where, shape)
     # valid data off the fast path: integers beyond int64, or empty lists
@@ -85,14 +87,23 @@ def number_array(value, ndim: int, where: str) -> np.ndarray:
 
 
 def _check_nesting(value, ndim: int, where: str, shape: dict[int, int], depth: int = 0) -> None:
-    """Raise naming the first entry that breaks the nesting or is not a number."""
-    if depth < ndim and isinstance(value, list):
-        if len(value) != shape.setdefault(depth, len(value)):
-            raise ValueError(f"{where} has {len(value)} entries, not {shape[depth]}")
+    """Raise naming the first entry that breaks the nesting or is not a
+    number. Each level's length binds in `shape` at its first list."""
+    if depth == ndim:
+        if not is_number(value):
+            numeric = is_int(value) or isinstance(value, float)
+            kind = "a non-finite value" if numeric else "not a number"
+            raise ValueError(f"{where} is {_shown(value)}, {kind}")
+    elif not isinstance(value, list):
+        raise ValueError(f"{where} is {_shown(value)}, not a list")
+    elif len(value) != shape.setdefault(depth, len(value)):
+        raise ValueError(f"{where} has {len(value)} entries, not {shape[depth]}")
+    else:
         for i, item in enumerate(value):
             _check_nesting(item, ndim, f"{where}[{i}]", shape, depth + 1)
-    elif depth < ndim or not is_number(value):
-        text = json.dumps(value)
-        kind = "not a list" if depth < ndim else (
-            "a non-finite value" if is_int(value) or isinstance(value, float) else "not a number")
-        raise ValueError(f"{where} is {text[:40]}{'...' * (len(text) > 40)}, {kind}")
+
+
+def _shown(value) -> str:
+    """`value` as JSON, cut after 40 characters."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:40] + "..."
