@@ -8,8 +8,8 @@ so save/load round-trips are bit-exact.
 The parameter registry is the single source of key names and shapes:
 each parameter class's spec names its tensors, ``model_arrays`` adds the
 group prefix, and loading checks every tensor against the spec, failing
-with the file and the key named. A loaded model is packed into one flat vector whose
-views are its arrays (see ``facecond.toytrain.training``).
+with the file and the key named. A loaded model is packed into one flat
+vector whose views are its arrays (see ``facecond.toytrain.training``).
 """
 
 from __future__ import annotations
