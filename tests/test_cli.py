@@ -11,6 +11,7 @@ from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
 from facecond.geometry import LandmarkClip, save_landmarks
 from facecond.toytrain import TrainConfig, init_model, model_arrays
+from make_golden import CASES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -105,6 +106,9 @@ def test_enrich_variant_none_is_identity(tmp_path):
 
 @pytest.mark.parametrize("seed, d, heads", [(0, 8, 2), (3, 16, 4)])
 def test_enrich_from_a_seed_init_checkpoint_matches_seed_init(tmp_path, seed, d, heads):
+    """Every golden enrich case: an attending variant gives the same output
+    and attention bytes from a checkpoint as from seed init; variant "none"
+    gives the same output with a checkpoint as without one."""
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"
     ck = tmp_path / "ck.json"
@@ -112,15 +116,22 @@ def test_enrich_from_a_seed_init_checkpoint_matches_seed_init(tmp_path, seed, d,
     write_tokens(tok, seed=seed, frames=2, n=16, d=d)
     save_model(str(ck), init_model(TrainConfig(seed=seed, d=d, heads=heads)))
     common = ["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--rows", "4", "--cols", "4"]
-    outputs = {}
-    for name, flags in [
-        ("checkpoint", ["--checkpoint", str(ck)]),
-        ("seed", ["--seed", str(seed), "--heads", str(heads)]),
-    ]:
-        out, att = tmp_path / f"{name}.json", tmp_path / f"{name}_attention.json"
-        assert main(common + flags + ["--attention-out", str(att), "--out", str(out)]) == 0
-        outputs[name] = (out.read_bytes(), att.read_bytes())
-    assert outputs["checkpoint"] == outputs["seed"]
+    for variant, mode in CASES:
+        runs = [("checkpoint", ["--checkpoint", str(ck)])]
+        if variant == "none":
+            runs.append(("without", []))
+        else:
+            runs.append(("seed", ["--seed", str(seed), "--heads", str(heads)]))
+        outputs = {}
+        for name, flags in runs:
+            out, att = tmp_path / f"{name}.json", tmp_path / f"{name}_attention.json"
+            flags = flags + ["--variant", variant, "--token-mode", mode, "--out", str(out)]
+            if variant != "none":
+                flags += ["--attention-out", str(att)]
+            assert main(common + flags) == 0, (variant, mode, name)
+            outputs[name] = (out.read_bytes(), att.read_bytes() if variant != "none" else None)
+        first, second = outputs.values()
+        assert first == second, (variant, mode)
 
 
 def _narrow_frgca(arrays):
