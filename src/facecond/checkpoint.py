@@ -18,7 +18,7 @@ import numpy as np
 
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
-from .geometry import PatchGrid, default_partition
+from .geometry import PatchGrid
 from .jsonio import is_int, number_array, read_json, write_json
 from .registry import take
 from .toytrain.decoder import ToyDecoderParams
@@ -78,9 +78,7 @@ def _meta_int(meta: dict, key: str, default: int) -> int:
 
 
 def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None) -> FrlpParams:
-    return FrlpParams.with_arrays(
-        take(arrays, FrlpParams.spec(default_partition()), "frlp.", dims)
-    )
+    return FrlpParams.with_arrays(take(arrays, FrlpParams.SPEC, "frlp.", dims))
 
 
 def build_frgca(

@@ -36,13 +36,13 @@ from .evalkit import (
     load_taxonomy,
     score_records,
 )
-from .frgca import attention_maps_json, frgca_forward, init_frgca
-from .frlp import TOKEN_MODES, init_frlp
+from .frgca import attention_maps_json
+from .frlp import TOKEN_MODES
 from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
 from .jsonio import is_int, number_array, read_json, write_json
-from .toytrain import TrainConfig, evaluate, synth_dataset, train
+from .toytrain import TrainConfig, evaluate, train
 from .toytrain.synth import TASK_KINDS
-from .toytrain.training import VARIANTS, init_model, landmark_conditioning
+from .toytrain.training import VARIANTS, condition, config_dataset, init_model
 
 log = logging.getLogger("facecond")
 
@@ -114,12 +114,10 @@ def cmd_enrich(args) -> int:
     if grid.num_patches != N:
         raise ValueError(f"grid {args.rows}x{args.cols} does not match {N} visual tokens")
 
-    if args.variant == "none":  # the no-landmarks baseline passes the tokens through
-        if args.attention_out:
-            raise ValueError("variant 'none' has no attention maps to export")
-        write_json(args.out, {"id": media_id or token_id, "tokens": h_v.tolist()})
-        return 0
+    if args.variant == "none" and args.attention_out:
+        raise ValueError("variant 'none' has no attention maps to export")
 
+    frlp_params = frgca_params = None  # variant "none" reads no parameters
     if args.checkpoint:
         arrays, meta = ckpt.load_arrays(args.checkpoint)
         dims = {"d": d}  # shared, so FRLP, FRGCA and the tokens agree on d
@@ -128,13 +126,12 @@ def cmd_enrich(args) -> int:
             frgca_params = ckpt.build_frgca(arrays, meta, dims)
         except ValueError as exc:
             raise ValueError(f"{args.checkpoint}: {exc}") from None
-    else:
-        frlp_params = init_frlp(d, default_partition(), seed=args.seed)
-        frgca_params = init_frgca(d, heads=args.heads, seed=args.seed + 1)
+    elif args.variant != "none":
+        model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
+        frlp_params, frgca_params = model.frlp, model.frgca
 
-    h_l, masks = landmark_conditioning(clip, frlp_params, grid, args.variant, args.token_mode)
-    enriched, cache = frgca_forward(
-        h_v, h_l, masks, frgca_params, variant=args.variant, return_cache=True
+    enriched, cache = condition(
+        h_v, clip, frlp_params, frgca_params, grid, args.variant, args.token_mode
     )
     write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
     if args.attention_out:
@@ -182,19 +179,15 @@ def cmd_train(args) -> int:
             f"{args.config}: config key 'task_kind' must be one of {TASK_KINDS}, got {task_kind!r}"
         )
 
-    def dataset(seed: int, size: int) -> list:
-        return synth_dataset(
-            seed=seed, size=size, task_kind=task_kind,
-            frames=cfg.frames, n_patches=cfg.n_patches, d_raw=cfg.d_raw, vocab=cfg.vocab,
-        )
-
     # the model and data builders check the values they use; a config
     # value they reject fails naming the config file
     try:
         cfg = TrainConfig.from_dict(cfg_fields)
         model = init_model(cfg)
-        train_set = dataset(cfg.seed, train_size)
-        eval_set = dataset(cfg.seed + 10_000, eval_size) if eval_size else None
+        train_set = config_dataset(cfg, cfg.seed, train_size, task_kind)
+        eval_set = None
+        if eval_size:
+            eval_set = config_dataset(cfg, cfg.seed + 10_000, eval_size, task_kind)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     result = train(cfg, train_set, model=model)

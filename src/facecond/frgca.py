@@ -9,8 +9,8 @@ onto the visual tokens. No layer normalization anywhere.
 There is one configuration: biased q/k/v/o projections and logits scaled
 by 1/sqrt(d_head) per head, as in standard multi-head attention. Variant
 "simple" attends without the mask. The no-landmarks baseline (variant
-``none`` in training and the CLI) never reaches this module: its callers
-pass the visual tokens through unchanged.
+``none`` in training and the CLI) never reaches this module:
+``toytrain.training.condition`` passes the visual tokens through unchanged.
 
 Backward is hand-written reverse mode over the cached forward state.
 

@@ -15,10 +15,11 @@ index, x before y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .geometry import WHOLE_FACE, LandmarkClip, RegionPartition, N_LANDMARKS
+from .geometry import WHOLE_FACE, LandmarkClip, RegionPartition, N_LANDMARKS, default_partition
 from .registry import Spec
 
 TOKEN_MODES = ("both", "local_only", "global_only")
@@ -40,13 +41,17 @@ class FrlpParams:
     def d(self) -> int:
         return self.biases[0].shape[0]
 
-    @staticmethod
-    def spec(partition: RegionPartition) -> Spec:
-        """Checkpoint keys and shapes, in checkpoint order (see registry)."""
-        rows: list = []
-        for i, (_, idx) in enumerate(partition.groups):
-            rows += [(f"local.{i}.weight", ("d", 2 * len(idx))), (f"local.{i}.bias", ("d",))]
-        return (*rows, ("global.weight", ("d", 2 * N_LANDMARKS)), ("global.bias", ("d",)))
+    # checkpoint keys and shapes for the default partition, in checkpoint
+    # order (see registry)
+    SPEC: ClassVar[Spec] = (
+        *(
+            row
+            for i, (_, idx) in enumerate(default_partition().groups)
+            for row in ((f"local.{i}.weight", ("d", 2 * len(idx))), (f"local.{i}.bias", ("d",)))
+        ),
+        ("global.weight", ("d", 2 * N_LANDMARKS)),
+        ("global.bias", ("d",)),
+    )
 
     def arrays(self) -> list[np.ndarray]:
         return [a for pair in zip(self.weights, self.biases) for a in pair]

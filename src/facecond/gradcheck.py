@@ -124,7 +124,7 @@ def frlp_suite(seed: int = 0) -> float:
         return float((select_tokens(tokens, "both") * weights).sum())
 
     grads = frlp_backward(weights, clip, partition, params, mode="both")
-    spec = FrlpParams.spec(partition)
+    spec = FrlpParams.SPEC
     arrays = named(spec, params.arrays())
     return max(check_named_gradients(loss, arrays, named(spec, grads.arrays())).values())
 

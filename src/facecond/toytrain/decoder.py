@@ -6,7 +6,8 @@ embeddings]; the logits for response position i come from mean-pooling
 the prefix that ends just before that position. The mean pool is the
 parameter-free stand-in for sequence mixing, which keeps the likelihood
 autoregressive while the conditioning modules stay the subject under
-test.
+test. The loss scores the response tokens of the assembled sequence, so
+``sequence_assemble`` is the one place that checks token ids.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class DecoderCache:
     sequence: DecoderSequence
     pooled: np.ndarray  # (R, d) mean-pooled prefixes
     probs: np.ndarray  # (R, vocab) softmax rows
-    targets: tuple[int, ...]
     params: ToyDecoderParams
 
 
@@ -130,21 +130,16 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def autoregressive_loss(
-    sequence: DecoderSequence,
-    targets: Sequence[int],
-    params: ToyDecoderParams,
-    return_cache: bool = False,
+    sequence: DecoderSequence, params: ToyDecoderParams, return_cache: bool = False
 ):
-    """Mean negative log-likelihood of the response tokens.
+    """Mean negative log-likelihood of the sequence's response tokens.
 
     Position i is predicted from the mean of all rows before it (visual
     block, instruction, and earlier response tokens).
     """
-    targets = _check_ids(targets, params.vocab, "target")
+    targets = sequence.response_ids
     if not targets:
         raise ValueError("response is empty; nothing to score")
-    if targets != sequence.response_ids:
-        raise ValueError("targets must cover exactly the response positions")
     n_prefix = sequence.n_visual + len(sequence.instruction_ids)
     pooled = np.empty((len(targets), params.d))
     for i in range(len(targets)):
@@ -157,7 +152,7 @@ def autoregressive_loss(
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     if return_cache:
-        return loss, DecoderCache(sequence, pooled, probs, targets, params)
+        return loss, DecoderCache(sequence, pooled, probs, params)
     return loss
 
 
@@ -173,11 +168,11 @@ def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]
         raise ValueError("missing forward cache")
     params = cache.params
     seq = cache.sequence
-    R = len(cache.targets)
+    R = len(seq.response_ids)
     n_prefix = seq.n_visual + len(seq.instruction_ids)
 
     d_logits = cache.probs.copy()
-    d_logits[np.arange(R), list(cache.targets)] -= 1.0
+    d_logits[np.arange(R), list(seq.response_ids)] -= 1.0
     d_logits /= R
 
     d_readout_w = d_logits.T @ cache.pooled

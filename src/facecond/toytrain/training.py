@@ -2,11 +2,12 @@
 
 Stage "pretrain" trains only the landmark modules (projector gamma,
 attention alpha) with everything else frozen; stage "finetune" trains
-all four parameter groups at a lower learning rate. AdamW with a
-half-period cosine learning-rate schedule, batch size 1, no warmup.
+all four parameter groups at a lower learning rate. AdamW with zero
+weight decay and a half-period cosine learning-rate schedule, batch size
+1, no warmup. ``config_dataset`` sizes the synthetic data for a config.
 
 Parameter keys come from one registry (``facecond.registry``): each
-parameter class names its arrays in a spec, and ``model_arrays`` prefixes
+parameter class names its arrays in its ``SPEC``, and ``model_arrays`` prefixes
 them in the order gamma, alpha, theta, phi. ``ModelParams.flat`` holds
 every array in that order, so each stage trains a prefix of it. The group
 arrays are views into ``flat``: write into them in place, never rebind them.
@@ -15,8 +16,10 @@ Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention
 without the mask. Variant "none" is the no-landmarks baseline: FRLP, the
 masks and FRGCA do not run, the visual tokens reach the decoder unchanged
-and the gamma and alpha gradients are zero. ``landmark_conditioning`` is
-the one place that picks the landmark tokens and masks for a variant.
+and the gamma and alpha gradients are zero. ``condition`` is the one place
+that turns visual tokens into conditioned tokens for a variant, in
+training and in ``facecond enrich``; ``backward_pass`` reads the variant
+back from its attention cache, which is None for "none".
 
 Layers are called through this module's globals (``frlp_forward``,
 ``clip_rpp_masks``, ``frgca_forward``, ...), so a profiler can wrap them
@@ -32,15 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from ..frgca import VARIANTS as ATTENTION_VARIANTS
-from ..frgca import FrgcaParams, frgca_backward, frgca_forward, init_frgca
-from ..frlp import (
-    TOKEN_MODES,
-    FrlpParams,
-    frlp_backward,
-    frlp_forward,
-    init_frlp,
-    select_tokens,
-)
+from ..frgca import FrgcaCache, FrgcaParams, frgca_backward, frgca_forward, init_frgca
+from ..frlp import TOKEN_MODES, FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
 from ..geometry import (
     LandmarkClip,
     PatchGrid,
@@ -59,7 +55,7 @@ from .decoder import (
 from ..jsonio import is_int, is_number
 from ..registry import named, unflatten
 from .projector import VisionProjectorParams, init_vision_projector, vision_backward, vision_project
-from .synth import SynthSample
+from .synth import SynthSample, synth_dataset
 
 STAGES = ("pretrain", "finetune")
 VARIANTS = (*ATTENTION_VARIANTS, "none")
@@ -180,15 +176,10 @@ def init_model(config: TrainConfig) -> ModelParams:
 def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
     """Every parameter array, checkpoint-keyed, in flat order: the views
     that tile ``model.flat``."""
-    specs = (
-        FrlpParams.spec(default_partition()),
-        FrgcaParams.SPEC,
-        VisionProjectorParams.SPEC,
-        ToyDecoderParams.SPEC,
-    )
     arrays: dict[str, np.ndarray] = {}
-    for prefix, spec in zip(_GROUP_OF, specs, strict=True):
-        arrays.update(named(spec, getattr(model, prefix).arrays(), prefix + "."))
+    for prefix in _GROUP_OF:
+        params = getattr(model, prefix)
+        arrays.update(named(params.SPEC, params.arrays(), prefix + "."))
     return arrays
 
 
@@ -201,21 +192,31 @@ def trainable_keys(model: ModelParams, stage: str) -> list[str]:
     return [k for k in model_arrays(model) if parameter_group(k) in groups]
 
 
-def landmark_conditioning(
-    clip: LandmarkClip, frlp: FrlpParams, grid: PatchGrid, variant: str, tokens: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The landmark tokens and proximity masks that ``frgca_forward`` takes
-    for an attending variant: the FRLP tokens of the default partition
-    picked by ``tokens``, and for "frgca" the masks of their regions (None
-    for "simple"). The global token is the ``WHOLE_FACE`` region's token;
-    a softmax over that one token is 1 whatever its mask, so "frgca"
-    equals "simple" there."""
+def condition(
+    h_v: np.ndarray,
+    clip: LandmarkClip,
+    frlp: FrlpParams | None,
+    frgca: FrgcaParams | None,
+    grid: PatchGrid,
+    variant: str,
+    tokens: str,
+) -> tuple[np.ndarray, FrgcaCache | None]:
+    """The conditioned visual tokens for ``variant`` and FRGCA's forward
+    cache. Variant "none" returns ``h_v`` itself and a None cache, and
+    reads no parameters. An attending variant attends from ``h_v`` to the
+    FRLP tokens of the default partition picked by ``tokens``, under the
+    masks of their regions for "frgca" and no mask for "simple". The
+    global token is the ``WHOLE_FACE`` region's token; a softmax over that
+    one token is 1 whatever its mask, so "frgca" equals "simple" there."""
+    if variant == "none":
+        return h_v, None
     partition = default_partition()
     h_l = select_tokens(frlp_forward(clip, partition, frlp), tokens)
-    if variant != "frgca":
-        return h_l, None
-    regions = WHOLE_FACE if tokens == "global_only" else partition
-    return h_l, clip_rpp_masks(clip, regions, grid)
+    masks = None
+    if variant == "frgca":
+        regions = WHOLE_FACE if tokens == "global_only" else partition
+        masks = clip_rpp_masks(clip, regions, grid)
+    return frgca_forward(h_v, h_l, masks, frgca, variant=variant, return_cache=True)
 
 
 def forward_loss(
@@ -227,15 +228,9 @@ def forward_loss(
     """Full pipeline loss for one sample; optionally keep caches for
     backward (the attention cache is None for variant "none")."""
     h_v, vision_cache = vision_project(sample.raw, model.vision, return_cache=True)
-    if config.variant == "none":
-        enriched, attn_cache = h_v, None
-    else:
-        h_l, masks = landmark_conditioning(
-            sample.clip, model.frlp, model.grid, config.variant, config.tokens
-        )
-        enriched, attn_cache = frgca_forward(
-            h_v, h_l, masks, model.frgca, variant=config.variant, return_cache=True
-        )
+    enriched, attn_cache = condition(
+        h_v, sample.clip, model.frlp, model.frgca, model.grid, config.variant, config.tokens
+    )
     sequence = sequence_assemble(
         enriched,
         sample.instruction_ids,
@@ -243,9 +238,7 @@ def forward_loss(
         model.decoder,
         max_context=config.max_context,
     )
-    loss, decoder_cache = autoregressive_loss(
-        sequence, sample.response_ids, model.decoder, return_cache=True
-    )
+    loss, decoder_cache = autoregressive_loss(sequence, model.decoder, return_cache=True)
     if return_state:
         return loss, (vision_cache, attn_cache, decoder_cache)
     return loss
@@ -258,7 +251,7 @@ def backward_pass(
     written into ``out`` when given."""
     vision_cache, attn_cache, decoder_cache = state
     dec, d_visual = decoder_backward(decoder_cache)
-    if config.variant == "none":  # FRLP and FRGCA never reach the loss
+    if attn_cache is None:  # variant "none": FRLP and FRGCA never reach the loss
         d_h_v = d_visual
         landmark = [np.zeros(sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays())))]
     else:
@@ -282,12 +275,12 @@ def cosine_lr(base: float, step: int, total_steps: int) -> float:
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-WEIGHT_DECAY = 0.0
 
 
 class AdamW:
     """AdamW with bias correction over one parameter vector; the moments
-    and scratch buffers are allocated once, so a step allocates nothing."""
+    and scratch buffers are allocated once, so a step allocates nothing.
+    Weight decay is zero, so a step is Adam's."""
 
     def __init__(self, size: int) -> None:
         self.step_count = 0
@@ -315,8 +308,6 @@ class AdamW:
         a += EPS
         np.divide(self.m, bc1, out=update)
         update /= a
-        if WEIGHT_DECAY:
-            update += WEIGHT_DECAY * params
         update *= lr
         params -= update
 
@@ -385,6 +376,22 @@ def evaluate(
     return float(np.mean(losses)), correct / total
 
 
+def config_dataset(
+    config: TrainConfig, seed: int, size: int, task_kind: str
+) -> list[SynthSample]:
+    """``size`` synthetic samples of ``task_kind``, shaped for ``config``'s
+    frames, grid, raw features and vocabulary."""
+    return synth_dataset(
+        seed=seed,
+        size=size,
+        task_kind=task_kind,
+        frames=config.frames,
+        n_patches=config.n_patches,
+        d_raw=config.d_raw,
+        vocab=config.vocab,
+    )
+
+
 def ablation_experiment(
     variants: Sequence[str],
     seeds: Sequence[int],
@@ -395,8 +402,6 @@ def ablation_experiment(
 ) -> dict[str, dict[str, float]]:
     """Train each attention variant across seeds on the synthetic task and
     report mean final evaluation loss and accuracy."""
-    from .synth import synth_dataset
-
     base = config or TrainConfig(stage="finetune", learning_rate=3e-3)
     results: dict[str, dict[str, float]] = {}
     for variant in variants:
@@ -405,24 +410,8 @@ def ablation_experiment(
             cfg = TrainConfig(
                 **{**base.to_dict(), "variant": variant, "seed": int(seed)}
             )
-            train_set = synth_dataset(
-                seed=seed,
-                size=train_size,
-                task_kind=task_kind,
-                frames=cfg.frames,
-                n_patches=cfg.n_patches,
-                d_raw=cfg.d_raw,
-                vocab=cfg.vocab,
-            )
-            eval_set = synth_dataset(
-                seed=seed + 10_000,
-                size=eval_size,
-                task_kind=task_kind,
-                frames=cfg.frames,
-                n_patches=cfg.n_patches,
-                d_raw=cfg.d_raw,
-                vocab=cfg.vocab,
-            )
+            train_set = config_dataset(cfg, seed, train_size, task_kind)
+            eval_set = config_dataset(cfg, seed + 10_000, eval_size, task_kind)
             result = train(cfg, train_set)
             loss, accuracy = evaluate(result.model, eval_set, cfg)
             losses.append(loss)

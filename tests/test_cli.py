@@ -141,16 +141,23 @@ def _narrow_frgca(arrays):
 
 
 @pytest.mark.parametrize(
-    "edit, token_dim, message",
+    "variant, edit, token_dim, message",
     [
-        (lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"}, 8,
-         "checkpoint is missing tensor 'frgca.w_k.bias'"),
-        (_narrow_frgca, 8, "frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
-        (lambda arrays: arrays, 16, "frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
+        ("frgca", lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"}, 8,
+         "{ck}: checkpoint is missing tensor 'frgca.w_k.bias'"),
+        ("frgca", _narrow_frgca, 8, "{ck}: frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
+        ("frgca", lambda arrays: arrays, 16,
+         "{ck}: frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
+        ("none", None, 8, "[Errno 2] No such file or directory: '{ck}'"),
+        ("none", lambda arrays: arrays, 16,
+         "{ck}: frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
     ],
-    ids=["missing_tensor", "frgca_narrower_than_frlp", "tokens_wider_than_checkpoint"],
+    ids=["missing_tensor", "frgca_narrower_than_frlp", "tokens_wider_than_checkpoint",
+         "none_missing_checkpoint", "none_tokens_wider_than_checkpoint"],
 )
-def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, edit, token_dim, message):
+def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, variant, edit, token_dim, message):
+    """A bad checkpoint fails before --out is written, for variant "none"
+    too; an ``edit`` of None removes the checkpoint file."""
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"
     ck = tmp_path / "ck.json"
@@ -158,11 +165,14 @@ def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, edit, token_di
     write_landmarks(lm)
     write_tokens(tok, n=16, d=token_dim)
     save_model(str(ck), init_model(TrainConfig(d=8, heads=2)))
-    arrays, meta = load_arrays(str(ck))
-    save_arrays(str(ck), edit(arrays), meta)
+    if edit is None:
+        ck.unlink()
+    else:
+        arrays, meta = load_arrays(str(ck))
+        save_arrays(str(ck), edit(arrays), meta)
     assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--checkpoint", str(ck),
-                 "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{ck}: {message}"
+                 "--variant", variant, "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == message.format(ck=ck)
     assert not out.exists()
 
 
