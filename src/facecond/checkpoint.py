@@ -85,8 +85,9 @@ def build_frgca(
     arrays: dict[str, np.ndarray], meta: dict, dims: dict[str, int] | None = None
 ) -> FrgcaParams:
     for key, value in FRGCA_META.items():
-        if meta.get(key, value) != value:
-            raise ValueError(f"checkpoint meta {key!r} is {meta[key]!r}; only {value!r} is supported")
+        got = meta.get(key, value)
+        if type(got) is not type(value) or got != value:  # 1 and 1.0 equal True
+            raise ValueError(f"checkpoint meta {key!r} is {got!r}; only {value!r} is supported")
     return FrgcaParams(
         *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=_meta_int(meta, "heads", 8)
     )

@@ -257,6 +257,8 @@ def build_test_split(
     top. ``target`` maps task -> class -> proportion. The selection is
     deterministic, so it takes no seed.
     """
+    if per_task < 0:
+        raise ValueError(f"per_task must be >= 0, got {per_task}")
     selected: list[AnnotationRecord] = []
     summary: dict = {"per_task": per_task, "tasks": {}}
     for task in sorted(target):

@@ -108,8 +108,9 @@ def test_build_frgca_accepts_only_the_one_configuration(tmp_path):
     build_frgca(arrays, {"heads": 2})  # archives without these keys load
     with pytest.raises(ValueError, match=r"checkpoint meta 'scale' is 'total'"):
         build_frgca(arrays, {**meta, "scale": "total"})
-    with pytest.raises(ValueError, match=r"checkpoint meta 'use_bias' is False"):
-        build_frgca(arrays, {**meta, "use_bias": False})
+    for use_bias in (False, 1, 1.0):  # 1 == 1.0 == True, yet none is the boolean
+        with pytest.raises(ValueError, match=rf"checkpoint meta 'use_bias' is {use_bias!r};"):
+            build_frgca(arrays, {**meta, "use_bias": use_bias})
 
 
 @pytest.mark.parametrize("key", ["heads", "grid_rows", "grid_cols"])

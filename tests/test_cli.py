@@ -385,6 +385,23 @@ def test_split_subcommand(tmp_path):
     assert labels.count("happiness") == 5 and labels.count("sadness") == 5
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_split_rejects_a_negative_per_task(tmp_path, capsys, via):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, n=60, seed=4)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"expression": {"happiness": 0.5, "sadness": 0.5}}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"per_task": -3}))
+    out = tmp_path / "split.jsonl"
+    per_task = ["--per-task", "-3"] if via == "flag" else ["--config", str(config)]
+    code = main(["split", "--manifest", str(manifest), "--target", str(target),
+                 *per_task, "--out", str(out)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == "per_task must be >= 0, got -3"
+    assert not out.exists()
+
+
 def test_manifest_line_that_is_not_utf8_is_a_malformed_line(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, n=4)
