@@ -104,6 +104,23 @@ def test_enrich_variant_none_is_identity(tmp_path):
     assert np.array_equal(np.asarray(doc["tokens"]), tokens)
 
 
+def test_enrich_variant_none_has_no_attention_maps(tmp_path, capsys):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    out = tmp_path / "enriched.json"
+    att = tmp_path / "attention.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=4, d=4)
+    code = main([
+        "enrich", "--landmarks", str(lm), "--tokens", str(tok), "--rows", "2", "--cols", "2",
+        "--variant", "none", "--attention-out", str(att), "--out", str(out),
+    ])
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "variant 'none' has no attention maps to export"
+    assert not out.exists() and not att.exists()
+
+
 @pytest.mark.parametrize("seed, d, heads", [(0, 8, 2), (3, 16, 4)])
 def test_enrich_from_a_seed_init_checkpoint_matches_seed_init(tmp_path, seed, d, heads):
     """Every golden enrich case: an attending variant gives the same output
