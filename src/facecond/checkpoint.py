@@ -36,7 +36,7 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
         "format": FORMAT_TAG,
         "meta": meta or {},
         "tensors": {
-            key: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).ravel().tolist()}
+            key: {"shape": list(arr.shape), "data": np.asarray(arr, dtype=np.float64).ravel()}
             for key, arr in arrays.items()
         },
     }

@@ -88,7 +88,7 @@ def cmd_mask(args) -> int:
             "rows": args.rows,
             "cols": args.cols,
             "region_names": list(partition.names),
-            "masks": masks.tolist(),
+            "masks": masks,
         },
     )
     log.info("wrote %s masks of shape %s", masks.shape[0], masks.shape[1:])
@@ -133,7 +133,7 @@ def cmd_enrich(args) -> int:
     enriched, cache = condition(
         h_v, clip, frlp_params, frgca_params, grid, args.variant, args.token_mode
     )
-    write_json(args.out, {"id": media_id or token_id, "tokens": enriched.tolist()})
+    write_json(args.out, {"id": media_id or token_id, "tokens": enriched})
     if args.attention_out:
         write_json(args.attention_out, attention_maps_json(cache.attn))
     return 0

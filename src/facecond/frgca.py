@@ -101,6 +101,8 @@ def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0)
     if d < 1:
         raise ValueError("token dimension must be >= 1")
     d_attn = d if d_attn is None else d_attn
+    if d_attn < 1:
+        raise ValueError(f"d_attn must be >= 1, got {d_attn}")
     rng = np.random.default_rng(seed)
 
     def affine(out_dim, in_dim):
@@ -278,10 +280,11 @@ def frgca_backward(
 
 
 def attention_maps_json(weights: np.ndarray) -> list[dict]:
-    """Flatten (T, H, N, M) attention weights for JSON export."""
+    """(T, H, N, M) attention weights as one JSON entry per (frame, head),
+    each holding a view of that (N, M) map; `write_json` lists it."""
     weights = np.asarray(weights)
     return [
-        {"frame": t, "head": h, "weights": weights[t, h].tolist()}
+        {"frame": t, "head": h, "weights": weights[t, h]}
         for t in range(weights.shape[0])
         for h in range(weights.shape[1])
     ]

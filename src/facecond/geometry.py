@@ -185,7 +185,7 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
     Floats serialize via repr (shortest round-trip), so load(save(x)) is
     bit-exact.
     """
-    write_json(path, {"id": media_id, "frames": clip.points.tolist()})
+    write_json(path, {"id": media_id, "frames": clip.points})
 
 
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:

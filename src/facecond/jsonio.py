@@ -9,6 +9,18 @@ write/read round trip is bit-exact. A file that is not valid JSON fails as
 ``<path>: malformed JSON: ...``; each loader checks the shape it expects
 after parsing.
 
+``write_json`` streams the containers of the top two levels (the document
+and the values it holds) item by item, and encodes each value below them
+in one call to the C encoder: one call per frame of a token or landmark
+document, per tensor entry of a checkpoint, per value of an attention
+map entry. Only one such value's text is in memory at a time. A numpy
+array may stand wherever a list may; it is written as its ``tolist()``
+would be, and a streamed array is listed one item at a time, so the
+whole array is never a Python list at once. An object with a key that is
+not a string is encoded in one call, so the encoder's key rule applies.
+The bytes are those of ``json.dumps(obj, sort_keys=True)`` plus the
+newline.
+
 This module alone decides what a JSON number is: an integer or a float
 that is finite as float64. Booleans, null, strings, NaN, the infinities
 and integers beyond float64 range are not numbers. ``is_int`` and
@@ -26,24 +38,54 @@ from typing import Iterable
 
 import numpy as np
 
-_ENCODING = {"sort_keys": True}
+
+def _array_as_list(value):
+    """A numpy array as its ``tolist()``; any other type fails as in json."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# json.dumps(value, sort_keys=True), through the C encoder, with numpy
+# arrays written as lists
+_encode = json.JSONEncoder(sort_keys=True, default=_array_as_list).encode
 
 
 def write_json(path: str, obj) -> None:
     """Write `obj` to `path` as one JSON document."""
-    # json.dump streams the text through the Python encoder; one-shot
-    # json.dumps is faster but holds the whole text in memory, which raises
-    # `facecond enrich`'s peak RSS
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, **_ENCODING)
+        fh.writelines(_chunks(obj, 2))
         fh.write("\n")
+
+
+def _chunks(value, levels: int):
+    """The text of `value` in pieces: the containers of the top `levels`
+    levels one item at a time, each value below them in one `_encode`
+    call, so only one such value's text is held at once."""
+    if isinstance(value, np.ndarray) and value.ndim < 2:
+        value = value.tolist()  # a number, or a list of numbers, not numpy scalars
+    if levels and isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield (", " if i else "") + _encode(key) + ": "
+            yield from _chunks(value[key], levels - 1)
+        yield "}"
+    elif levels and isinstance(value, (list, tuple, np.ndarray)):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _chunks(item, levels - 1)
+        yield "]"
+    else:  # a scalar, a value below the streamed levels, or an object with a non-str key
+        yield _encode(value)
 
 
 def write_jsonl(path: str, objs: Iterable) -> None:
     """Write each of `objs` to `path` as one JSON line."""
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, **_ENCODING) + "\n")
+            fh.write(_encode(obj) + "\n")
 
 
 def read_json(path: str):

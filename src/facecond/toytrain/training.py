@@ -380,8 +380,9 @@ def config_dataset(
     config: TrainConfig, seed: int, size: int, task_kind: str
 ) -> list[SynthSample]:
     """``size`` synthetic samples of ``task_kind``, shaped for ``config``'s
-    frames, grid, raw features and vocabulary."""
-    return synth_dataset(
+    frames, grid, raw features and vocabulary, each short enough for its
+    ``max_context``."""
+    samples = synth_dataset(
         seed=seed,
         size=size,
         task_kind=task_kind,
@@ -390,6 +391,14 @@ def config_dataset(
         d_raw=config.d_raw,
         vocab=config.vocab,
     )
+    for i, sample in enumerate(samples):
+        T, N, _ = sample.raw.shape
+        total = T * N + len(sample.instruction_ids) + len(sample.response_ids)
+        if total > config.max_context:
+            raise ValueError(
+                f"sample {i} has sequence length {total}, beyond max_context {config.max_context}"
+            )
+    return samples
 
 
 def ablation_experiment(

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,9 +328,16 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"frames": 9}, "clip has 9 frames, exceeds max of 8"),
         ({"vocab": 5}, "vocab 5 too small: need 9 label tokens plus 2 instruction tokens"),
         ({"grid_rows": 0}, "grid dimensions must be positive"),
+        ({"d_attn": 0, "train_size": 2}, "d_attn must be >= 1, got 0"),
+        ({"d_attn": -8, "train_size": 2}, "d_attn must be >= 1, got -8"),
+        ({"max_context": 1, "train_size": 2},
+         "sample 0 has sequence length 19, beyond max_context 1"),
     ]:
         cfg_path.write_text(json.dumps(config))
-        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert [str(w.message) for w in caught] == [], config
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["message"] == f"{cfg_path}: {message}"
         assert not out_dir.exists()

@@ -1,4 +1,5 @@
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -6,13 +7,18 @@ import numpy as np
 import pytest
 
 import facecond
-from facecond.jsonio import is_int, is_number, number_array, read_json
+from facecond.jsonio import is_int, is_number, number_array, read_json, write_json
 
 SRC = Path(facecond.__file__).parent
 
 
+_GUARDED = ("dump", "dumps", "load")
+
+
 def _json_file_calls(tree: ast.Module):
-    """(enclosing function, call) for each json.dump/json.load call in `tree`."""
+    """(enclosing function, call) for each json.dump/json.dumps/json.load call
+    in `tree`; a json.dumps call is flagged because a whole-document string
+    built around `write_json` would undo its streaming."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -23,7 +29,7 @@ def _json_file_calls(tree: ast.Module):
                 and isinstance(child.func, ast.Attribute)
                 and isinstance(child.func.value, ast.Name)
                 and child.func.value.id == "json"
-                and child.func.attr in ("dump", "load")
+                and child.func.attr in _GUARDED
             ):
                 yield function, child
             yield from walk(child, function)
@@ -41,7 +47,7 @@ def test_only_jsonio_reads_or_writes_json_files():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders += [f"{module}: from json import {a.name}" for a in node.names
-                              if a.name in ("dump", "load")]
+                              if a.name in _GUARDED]
         for function, call in _json_file_calls(tree):
             # the one exception: main() writes its error object to stderr
             if (module, function, call.func.attr) == ("cli.py", "main", "dump") and (
@@ -50,6 +56,12 @@ def test_only_jsonio_reads_or_writes_json_files():
                 continue
             offenders.append(f"{module}:{call.lineno} json.{call.func.attr} in {function}()")
     assert offenders == []
+
+
+def test_json_guard_sees_each_guarded_call_and_its_function():
+    tree = ast.parse("json.dumps(x)\ndef f():\n    json.dump(x, fh)\n    json.loads(s)\n    json.load(fh)")
+    assert [(f, c.lineno, c.func.attr) for f, c in _json_file_calls(tree)] == [
+        (None, 1, "dumps"), ("f", 3, "dump"), ("f", 5, "load")]
 
 
 def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
@@ -176,3 +188,76 @@ def test_only_jsonio_asks_whether_a_value_is_a_bool():
         for call in _bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        0, -7, 0.1, True, None, "caf\u00e9", _NAN, -_INF, {}, [], (),
+        {"a": {}, "b": [], "c": {"d": {}, "e": []}},
+        [{}, [], [{}, []]],
+        {"x": 1, "k": [1.5, "s", None, False]},
+        {1: "a", 2: {3: "b"}, 10: 0},
+        {"a": {2.5: 0, -1.0: [1], _INF: 2}},
+        {True: 0, False: 1},
+        {"a": {None: [1]}},
+        {"a": [{10: "x", 9: "y"}]},
+        {"\u00e9\u4e2d": "\u00fc\U0001f600", "q": '"\\\n'},
+        [_NAN, _INF, -_INF, {"n": _NAN}, [[-_INF]]],
+        (1, (2, (3, 4)), {"t": (5,)}),
+        [[[0.5, 1], [2, 3]], [[4, 5.25]]],
+        {"z": [[[1e-300, -0.0]]], "a": [[[[7]]]]},
+    ],
+    ids=["int", "negative_int", "float", "bool", "null", "non_ascii", "nan", "minus_infinity",
+         "empty_object", "empty_list", "empty_tuple", "empty_containers_at_levels_1_2",
+         "empty_containers_in_a_list", "scalars_at_levels_1_2", "int_keys_at_levels_0_1",
+         "float_keys_at_level_1", "bool_keys", "null_key_at_level_1", "int_keys_at_level_2",
+         "non_ascii_keys_and_escapes", "nan_and_infinities", "tuples", "lists_three_deep",
+         "lists_four_deep"],
+)
+def test_write_json_writes_what_one_shot_dumps_writes(tmp_path, obj):
+    path = tmp_path / "doc.json"
+    write_json(str(path), obj)
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: 0, "a": 1}, {"a": {None: 0, 2: 1}}, {"a": [{"b": 0, 3: 1}]}, {"a": {"b": {1: 0, "c": 1}}}],
+    ids=["level_0", "level_1", "level_2", "level_3"],
+)
+def test_write_json_rejects_mixed_key_types_as_dumps_does(tmp_path, obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        write_json(str(tmp_path / "doc.json"), obj)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (0,), (3,), (0, 2), (2, 0), (2, 3), (0, 0, 0), (2, 1, 3), (2, 3, 4)]
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+def test_write_json_writes_an_array_as_its_tolist(tmp_path, shape, dtype):
+    arr = np.asarray(np.arange(int(np.prod(shape))).reshape(shape) * 0.37 - 1, dtype=dtype)
+    assert isinstance(arr, np.ndarray) and arr.shape == shape
+    as_list = arr.tolist()
+    path = tmp_path / "doc.json"
+    for obj, want in [
+        (arr, as_list),
+        ({"t": arr, "id": "x"}, {"t": as_list, "id": "x"}),
+        ([arr, [arr]], [as_list, [as_list]]),
+        ({"a": {"b": arr}}, {"a": {"b": as_list}}),
+        ({"a": [{"b": arr}]}, {"a": [{"b": as_list}]}),
+    ]:
+        write_json(str(path), obj)
+        assert path.read_bytes() == (json.dumps(want, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_write_json_rejects_what_dumps_cannot_encode(tmp_path):
+    for obj in [{"a": {1, 2}}, [np.float32(1.5)], {"a": {"b": [object()]}}]:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(str(tmp_path / "doc.json"), obj)
