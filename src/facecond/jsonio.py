@@ -60,8 +60,7 @@ def write_json(path: str, obj) -> None:
 
 def _chunks(value, levels: int):
     """The text of `value` in pieces: the containers of the top `levels`
-    levels one item at a time, each value below them in one `_encode`
-    call, so only one such value's text is held at once."""
+    levels one item at a time, each value below them in one `_encode` call."""
     if isinstance(value, np.ndarray) and value.ndim < 2:
         value = value.tolist()  # a number, or a list of numbers, not numpy scalars
     if levels and isinstance(value, dict) and all(isinstance(key, str) for key in value):
