@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from facecond.frlp import frlp_backward, frlp_forward, init_frlp, select_tokens
-from facecond.geometry import LandmarkClip, RegionPartition, default_partition
+from facecond.geometry import WHOLE_FACE, LandmarkClip, RegionPartition, default_partition
 from facecond.gradcheck import check_named_gradients
 
 
@@ -258,3 +258,38 @@ def test_frlp_gradients_match_finite_differences(mode):
     for wrong in [(T + 1, M, d), (T, M + 1, d), (T, 10, d), (T, M, d + 1), (M, d)]:
         with pytest.raises(ValueError, match=r"cotangent shape .* mismatches tokens"):
             frlp_backward(np.zeros(wrong), clip, part, params, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["both", "local_only", "global_only"])
+def test_frlp_equals_a_per_group_gather_on_a_shuffled_partition(mode):
+    # groups neither contiguous nor ascending; each region's input is its
+    # points gathered in the group's own order, x before y
+    rng = np.random.default_rng(31)
+    order = rng.permutation(68).tolist()
+    part = RegionPartition((("a", tuple(order[:5])), ("b", tuple(order[5:29])), ("c", tuple(order[29:]))))
+    params = init_frlp(6, part, seed=2)
+    for b in params.biases:
+        b[:] = rng.normal(size=b.shape)
+    for frames in range(1, 9):
+        clip = random_clip(rng, frames)
+        inputs = [
+            clip.points[:, list(idx), :].reshape(frames, -1)
+            for _, idx in (*part.groups, *WHOLE_FACE.groups)
+        ]
+        expected = np.stack(
+            [x @ w.T + b for x, w, b in zip(inputs, params.weights, params.biases)], axis=1
+        )
+        assert np.array_equal(frlp_forward(clip, part, params), expected)
+
+        d_tokens = rng.normal(size=select_tokens(expected, mode).shape)
+        d_regions = np.zeros(expected.shape)
+        if mode == "global_only":
+            d_regions[:, -1:] = d_tokens
+        else:
+            d_regions[:, :-1] = d_tokens
+            if mode == "both":
+                d_regions[:, -1] = d_tokens.sum(axis=1)
+        grads = frlp_backward(d_tokens, clip, part, params, mode=mode)
+        for i, x in enumerate(inputs):
+            assert np.array_equal(grads.weights[i], d_regions[:, i].T @ x), (frames, i)
+            assert np.array_equal(grads.biases[i], d_regions[:, i].sum(axis=0)), (frames, i)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from facecond.geometry import (
+    N_LANDMARKS,
     WHOLE_FACE,
     LandmarkClip,
     PatchGrid,
@@ -21,6 +22,15 @@ from facecond.geometry import (
 
 def random_frame(rng):
     return rng.uniform(0.0, 1.0, size=(68, 2))
+
+
+def shuffled_partition(seed):
+    """Seven groups of 1 to 23 landmarks, neither contiguous nor ascending."""
+    order = np.random.default_rng(seed).permutation(N_LANDMARKS).tolist()
+    cuts = (0, 1, 4, 11, 20, 38, 45, N_LANDMARKS)
+    return RegionPartition(
+        tuple((f"g{i}", tuple(order[a:b])) for i, (a, b) in enumerate(zip(cuts, cuts[1:])))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +147,26 @@ def test_region_centroids_match_mean_oracle():
             sy = sum(frame[j, 1] for j in idx) / len(idx)
             assert cents[i, 0] == pytest.approx(sx, rel=0, abs=1e-15)
             assert cents[i, 1] == pytest.approx(sy, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [default_partition(), WHOLE_FACE, shuffled_partition(3)],
+    ids=["default", "whole_face", "shuffled"],
+)
+def test_region_centroids_equal_the_per_group_mean_bit_for_bit(partition):
+    # the exact numpy mean of each group, in the group's own index order,
+    # for a single frame and for clips of every length
+    rng = np.random.default_rng(29)
+    shapes = [(N_LANDMARKS, 2)] + [(t, N_LANDMARKS, 2) for t in range(1, 9)]
+    for _ in range(40):
+        for shape in shapes:
+            points = rng.uniform(-0.5, 1.5, size=shape)
+            expected = np.stack(
+                [points[..., list(idx), :].mean(axis=-2) for _, idx in partition.groups], axis=-2
+            )
+            got = region_centroids(points, partition)
+            assert got.shape == expected.shape and np.array_equal(got, expected), shape
 
 
 # ---------------------------------------------------------------------------
