@@ -63,7 +63,9 @@ class FrgcaParams(SpecParams):
     )
 
     def __post_init__(self) -> None:
-        if self.heads < 1 or self.d_attn % self.heads:
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if self.d_attn % self.heads:
             raise ValueError(f"d_attn={self.d_attn} not divisible by heads={self.heads}")
 
     @property

@@ -8,8 +8,8 @@ the local tokens, the global token, or both, with the global token
 summed into every local token. Each projector is a single affine layer
 with no nonlinearity.
 
-Flattening order for projector inputs is fixed: ascending landmark
-index, x before y.
+Flattening order for projector inputs is fixed: the group's own index
+order (ascending for the default partition), x before y.
 """
 
 from __future__ import annotations
@@ -80,17 +80,21 @@ def _region_inputs(
     """The (T, 2 * L_i) input of each region of ``partition`` and then
     ``WHOLE_FACE``, after checking that ``params`` has one projector of
     that width per region. The ravel of (L_i, 2) rows interleaves x
-    before y."""
-    regions = (*partition.groups, *WHOLE_FACE.groups)
-    expected = tuple(2 * len(idx) for _, idx in regions)
+    before y. One gather orders the points group after group; each
+    region's input is a column slice of it, and the whole face's is a
+    view of the clip."""
+    offsets = partition.offsets
+    expected = (*(2 * (b - a) for a, b in zip(offsets, offsets[1:])), 2 * N_LANDMARKS)
     got = tuple(w.shape[1] for w in params.weights)
     if expected != got:
         raise ValueError(
             f"params incompatible with partition: input widths {got}, expected {expected}"
         )
+    T = clip.num_frames
+    grouped = clip.points[:, partition.order].reshape(T, 2 * N_LANDMARKS)
     return [
-        clip.points[:, list(idx), :].reshape(clip.num_frames, width)
-        for (_, idx), width in zip(regions, expected)
+        *(grouped[:, 2 * a : 2 * b] for a, b in zip(offsets, offsets[1:])),
+        clip.points.reshape(T, 2 * N_LANDMARKS),
     ]
 
 

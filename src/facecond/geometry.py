@@ -8,11 +8,12 @@ are pure functions on immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import number_array, read_json, write_json
+from .jsonio import is_int, number_array, read_json, write_json
 
 N_LANDMARKS = 68
 
@@ -68,23 +69,50 @@ class LandmarkClip:
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Named, disjoint landmark index groups covering {0..67} exactly."""
+    """Named, disjoint landmark index groups covering {0..67} exactly.
+
+    Construction also builds read-only gather tables: ``order`` holds every
+    group's indices, group after group; group i is
+    ``order[offsets[i]:offsets[i + 1]]``; and row i of the (M, max L)
+    ``table`` is group i padded with index 68, which addresses a zero row
+    appended to the points."""
 
     groups: tuple[tuple[str, tuple[int, ...]], ...]
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
             raise ValueError("partition needs at least one group")
         seen: set[int] = set()
+        names: set[str] = set()
         for name, idx in self.groups:
+            if name in names:
+                raise ValueError(f"group name {name!r} is used twice")
+            names.add(name)
             if not idx:
                 raise ValueError(f"group {name!r} is empty")
+            bad = [i for i in idx if not is_int(i)]
+            if bad:
+                raise ValueError(f"group {name!r} has indices that are not integers: {bad}")
             overlap = seen.intersection(idx)
             if overlap:
                 raise ValueError(f"group {name!r} reuses indices {sorted(overlap)}")
             seen.update(idx)
         if seen != set(range(N_LANDMARKS)):
             raise ValueError("groups must cover indices 0..67 exactly once")
+
+        sizes = self.sizes()
+        table = np.full((len(sizes), max(sizes)), N_LANDMARKS, dtype=np.intp)
+        for row, (_, idx) in zip(table, self.groups):
+            row[: len(idx)] = idx
+        order = np.concatenate([idx for _, idx in self.groups]).astype(np.intp)
+        counts = np.array(sizes, dtype=np.float64)[:, None]
+        for name, value in (("order", order), ("table", table), ("_counts", counts)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "offsets", (0, *np.cumsum(sizes).tolist()))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -124,6 +152,8 @@ class PatchGrid:
     cols: int = 16
 
     def __post_init__(self) -> None:
+        if not (is_int(self.rows) and is_int(self.cols)):
+            raise ValueError(f"grid dimensions must be integers, got {self.rows!r} x {self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
 
@@ -134,21 +164,29 @@ class PatchGrid:
 
 def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarray:
     """Arithmetic mean of each group's points: (..., 68, 2) landmarks give
-    (..., M, 2) centroids."""
-    return np.stack(
-        [points[..., list(idx), :].mean(axis=-2) for _, idx in partition.groups], axis=-2
-    )
+    (..., M, 2) centroids.
+
+    One gather through ``partition.table`` sums each group's points in
+    group order, as ``mean`` does, then adds the padding's -0.0, which
+    leaves every sum unchanged, so the result equals ``mean`` bit for bit.
+    """
+    padded = np.concatenate([points, np.full((*points.shape[:-2], 1, 2), -0.0)], axis=-2)
+    return np.add.reduce(padded[..., partition.table, :], axis=-2) / partition._counts
 
 
+@functools.cache
 def patch_centroids(grid: PatchGrid) -> np.ndarray:
     """Centroid of every patch, row-major from top-left; shape (N, 2).
 
-    Patch (r, c) has centroid ((c + 0.5) / cols, (r + 0.5) / rows).
+    Patch (r, c) has centroid ((c + 0.5) / cols, (r + 0.5) / rows). Built
+    once per grid and shared, so the array is read-only.
     """
     xs = (np.arange(grid.cols) + 0.5) / grid.cols
     ys = (np.arange(grid.rows) + 0.5) / grid.rows
     grid_x, grid_y = np.meshgrid(xs, ys)
-    return np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+    cents = np.stack([grid_x.ravel(), grid_y.ravel()], axis=1)
+    cents.flags.writeable = False
+    return cents
 
 
 def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:

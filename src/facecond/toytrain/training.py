@@ -262,7 +262,7 @@ def backward_pass(
         landmark = [*frl.arrays(), *att.arrays()]
     vis, _ = vision_backward(d_h_v, vision_cache)
     parts = [*landmark, *vis.arrays(), *dec.arrays()]
-    return np.concatenate([np.ravel(a) for a in parts], out=out)
+    return np.concatenate(parts, axis=None, out=out)
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:

@@ -90,6 +90,20 @@ def test_enrich_subcommand_with_attention(tmp_path):
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("heads", ["0", "-8"])
+def test_enrich_rejects_heads_below_one(tmp_path, capsys, heads):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok),
+                 "--rows", "4", "--cols", "4", "--heads", heads, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"heads must be >= 1, got {heads}"
+    assert not out.exists()
+
+
 def test_enrich_variant_none_is_identity(tmp_path):
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"

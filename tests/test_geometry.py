@@ -67,6 +67,45 @@ def test_partition_rejects_overlap_and_gaps():
         RegionPartition(tuple(groups))
 
 
+def _with_group(index, group):
+    groups = list(default_partition().groups)
+    groups[index] = group
+    return tuple(groups)
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        (_with_group(1, ("right_brow", (17.0, 18, 19, 20, 21))),
+         r"group 'right_brow' has indices that are not integers: \[17\.0\]"),
+        (_with_group(0, ("face_boundary", (0, True, *range(2, 17)))),
+         r"group 'face_boundary' has indices that are not integers: \[True\]"),
+        (_with_group(8, ("inner_lips", (60, 61, "62", 63, 64, 65, 66, 67))),
+         r"group 'inner_lips' has indices that are not integers: \['62'\]"),
+        (_with_group(6, ("right_eye", tuple(range(42, 48)))),
+         r"group name 'right_eye' is used twice"),
+    ],
+    ids=["float", "bool", "string", "duplicate_name"],
+)
+def test_partition_rejects_non_integer_indices_and_duplicate_names(groups, message):
+    with pytest.raises(ValueError, match=message):
+        RegionPartition(groups)
+
+
+def test_partition_tables_are_read_only_and_follow_group_order():
+    part = shuffled_partition(5)
+    assert part.order.tolist() == [i for _, idx in part.groups for i in idx]
+    for i, (_, idx) in enumerate(part.groups):
+        a, b = part.offsets[i : i + 2]
+        assert tuple(part.order[a:b]) == idx
+        row = part.table[i].tolist()
+        assert row == [*idx, *[N_LANDMARKS] * (part.table.shape[1] - len(idx))]
+    assert part.table.shape == (7, 23) and part.offsets[-1] == N_LANDMARKS
+    for table in (part.order, part.table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
 # ---------------------------------------------------------------------------
 # frames and clips
 
@@ -200,6 +239,25 @@ def test_patch_centroids_16x16_closed_form():
 def test_patch_grid_validation():
     with pytest.raises(ValueError):
         PatchGrid(0, 4)
+    for rows, cols in [(2.5, 4), (4, 4.0), (True, 4), (4, "4"), (None, 4)]:
+        with pytest.raises(ValueError, match=r"grid dimensions must be integers, got "):
+            PatchGrid(rows, cols)
+
+
+def test_patch_centroids_are_read_only_and_masks_are_fresh():
+    grid = PatchGrid(4, 4)
+    cents = patch_centroids(grid)
+    with pytest.raises(ValueError, match="read-only"):
+        cents[0, 0] = 0.0
+    assert patch_centroids(PatchGrid(4, 4)) is cents  # built once per grid
+    clip = LandmarkClip(np.random.default_rng(9).uniform(0.2, 0.8, size=(2, 68, 2)))
+    first = clip_rpp_masks(clip, default_partition(), grid)
+    second = clip_rpp_masks(clip, default_partition(), grid)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, cents)
+    first[:] = 1.0  # a caller may write into its masks
+    assert np.array_equal(clip_rpp_masks(clip, default_partition(), grid), second)
+    assert np.all(second <= 0.0)
 
 
 # ---------------------------------------------------------------------------
