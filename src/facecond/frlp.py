@@ -83,8 +83,7 @@ def _region_inputs(
     before y. One gather orders the points group after group; each
     region's input is a column slice of it, and the whole face's is a
     view of the clip."""
-    offsets = partition.offsets
-    expected = (*(2 * (b - a) for a, b in zip(offsets, offsets[1:])), 2 * N_LANDMARKS)
+    expected = (*(2 * size for size in partition.sizes()), 2 * N_LANDMARKS)
     got = tuple(w.shape[1] for w in params.weights)
     if expected != got:
         raise ValueError(
@@ -92,6 +91,7 @@ def _region_inputs(
         )
     T = clip.num_frames
     grouped = clip.points[:, partition.order].reshape(T, 2 * N_LANDMARKS)
+    offsets = partition.offsets
     return [
         *(grouped[:, 2 * a : 2 * b] for a, b in zip(offsets, offsets[1:])),
         clip.points.reshape(T, 2 * N_LANDMARKS),

@@ -75,12 +75,13 @@ class RegionPartition:
     group's indices, group after group; group i is
     ``order[offsets[i]:offsets[i + 1]]``; and row i of the (M, max L)
     ``table`` is group i padded with index 68, which addresses a zero row
-    appended to the points."""
+    appended to the points. ``_counts`` is the (M, 1) float group sizes."""
 
     groups: tuple[tuple[str, tuple[int, ...]], ...]
     order: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
