@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import facecond
+from facecond.datapipe import load_manifest
+from facecond.evalkit import load_eval_records
 from facecond.jsonio import is_int, is_number, number_array, read_json, write_json
 
 SRC = Path(facecond.__file__).parent
@@ -62,6 +64,42 @@ def test_json_guard_sees_each_guarded_call_and_its_function():
     tree = ast.parse("json.dumps(x)\ndef f():\n    json.dump(x, fh)\n    json.loads(s)\n    json.load(fh)")
     assert [(f, c.lineno, c.func.attr) for f, c in _json_file_calls(tree)] == [
         (None, 1, "dumps"), ("f", 3, "dump"), ("f", 5, "load")]
+
+
+_GOOD_EVAL = b'{"id": "a", "task": "expression", "generated": "x", "ground_truth": "happiness"}'
+_GOOD_MANIFEST = json.dumps({"id": "m", "task": "expression", "label": "happiness",
+                             "media": {"path": "v/0.mp4", "type": "video"},
+                             "description": "d"}).encode()
+
+
+# each input with G for a good line, and the lines that are malformed
+@pytest.mark.parametrize(
+    "text, bad_lines",
+    [
+        (b"G\n\nG\n", []),
+        (b"G\n \t \nG\n", []),
+        (b"G\r\nG\r\n\r\nG\r\n", []),
+        (b"G\nG", []),
+        (b"", []),
+        (b"G\n\ncaf\xe9\nG\n", [3]),
+        (b"G\nnot json\n\n{\"id\": \nG", [2, 4]),
+        (b"G\n[1, 2]\n\"text\"\nnull\n7\nG\n", [2, 3, 4, 5]),
+    ],
+    ids=["blank_line", "whitespace_only_line", "crlf", "no_final_newline", "empty_file",
+         "not_utf8", "not_json", "not_an_object"],
+)
+def test_both_jsonl_loaders_read_lines_alike(tmp_path, text, bad_lines):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(text.replace(b"G", _GOOD_MANIFEST))
+    records, errors = load_manifest(str(path))
+    assert [e.line for e in errors] == bad_lines
+    assert len(records) == text.count(b"G")
+    path.write_bytes(text.replace(b"G", _GOOD_EVAL))
+    if bad_lines:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_lines[0]}: bad eval record: "):
+            load_eval_records(str(path))
+    else:
+        assert len(load_eval_records(str(path))) == len(records)
 
 
 def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
