@@ -33,6 +33,7 @@ from .evalkit import (
     DISFA_AUS,
     confusion_csv_lines,
     load_eval_records,
+    load_negation_cues,
     load_taxonomy,
     score_records,
 )
@@ -232,11 +233,7 @@ def cmd_eval(args) -> int:
     taxonomies = {}
     for task, path in args.taxonomy or []:
         taxonomies[task] = load_taxonomy(path, task)
-    cues = None
-    if args.negation_cues:
-        cues = read_json(args.negation_cues)
-        if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
-            raise ValueError(f"{args.negation_cues}: negation cues must be a JSON list of strings")
+    cues = load_negation_cues(args.negation_cues) if args.negation_cues else None
 
     records = load_eval_records(args.records)
     report = score_records(

@@ -18,13 +18,12 @@ weight}}, each task's weights finite, non-negative and not all zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .jsonio import is_int, is_number, read_json, write_jsonl
+from .jsonio import is_int, is_number, read_json, read_jsonl, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
 RATING_KEYS = (
@@ -98,22 +97,10 @@ class ManifestError:
 
 
 def load_manifest(path: str) -> tuple[list[AnnotationRecord], list[ManifestError]]:
-    """Parse a JSONL manifest; malformed lines, including lines that are
-    not UTF-8, become error entries instead of aborting the load. Lines
-    are split at newline bytes and decoded one by one, so a bad byte costs
-    only its own line."""
-    records: list[AnnotationRecord] = []
-    errors: list[ManifestError] = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                stripped = raw.decode("utf-8").strip()
-                if stripped:
-                    records.append(AnnotationRecord.from_json_obj(json.loads(stripped)))
-            # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(ManifestError(line=lineno, message=str(exc)))
-    return records, errors
+    """Parse a JSONL manifest with ``jsonio.read_jsonl``; malformed lines
+    become error entries instead of aborting the load."""
+    records, errors = read_jsonl(path, AnnotationRecord.from_json_obj)
+    return records, [ManifestError(line, message) for line, message in errors]
 
 
 def load_manifest_strict(path: str) -> list[AnnotationRecord]:

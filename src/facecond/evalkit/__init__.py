@@ -30,6 +30,7 @@ from .taxonomy import (
     Taxonomy,
     default_negation_cues,
     default_taxonomy,
+    load_negation_cues,
     load_taxonomy,
     taxonomy_from_mapping,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "default_taxonomy",
     "extract_prediction",
     "load_eval_records",
+    "load_negation_cues",
     "load_taxonomy",
     "match_synonyms",
     "match_synonyms_all",

@@ -13,12 +13,11 @@ prediction for the single-label tasks.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..jsonio import is_int
+from ..jsonio import is_int, read_jsonl
 from .metrics import (
     DISFA_AUS,
     compute_avg_f1,
@@ -75,31 +74,24 @@ class EvalRecord:
                 f"record {self.id!r}: ground truth {gt!r} does not fit task {self.task!r}"
             )
 
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "EvalRecord":
+        return cls(
+            id=str(obj["id"]),
+            task=obj["task"],
+            generated=obj["generated"],
+            ground_truth=obj["ground_truth"],
+            chunk_group=obj.get("chunk_group"),
+        )
+
 
 def load_eval_records(path: str) -> list[EvalRecord]:
-    """Parse a JSONL eval file; the first malformed line, including a line
-    that is not UTF-8, fails naming the file and the line. Lines are split
-    at newline bytes and decoded one by one."""
-    records = []
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                records.append(
-                    EvalRecord(
-                        id=str(doc["id"]),
-                        task=doc["task"],
-                        generated=doc["generated"],
-                        ground_truth=doc["ground_truth"],
-                        chunk_group=doc.get("chunk_group"),
-                    )
-                )
-            # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad eval record: {exc}") from exc
+    """Parse a JSONL eval file with ``jsonio.read_jsonl``; the first
+    malformed line fails naming the file and the line."""
+    records, errors = read_jsonl(path, EvalRecord.from_json_obj)
+    if errors:
+        lineno, message = errors[0]
+        raise ValueError(f"{path}:{lineno}: bad eval record: {message}")
     return records
 
 

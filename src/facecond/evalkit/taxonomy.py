@@ -11,10 +11,9 @@ phrase and exact: "stubble" inside "short stubble" counts for both.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
 from ..jsonio import read_json
 
@@ -108,19 +107,24 @@ def load_taxonomy(path: str, task: str) -> Taxonomy:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def load_negation_cues(path: str) -> tuple[str, ...]:
+    """Read a JSON list of negation cues. Errors name the file."""
+    cues = read_json(path)
+    if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
+        raise ValueError(f"{path}: negation cues must be a JSON list of strings")
+    return tuple(cues)
+
+
+def _resource(name: str) -> str:
+    return os.path.join(os.path.dirname(__file__), "resources", name)
+
+
 def default_taxonomy(task: str) -> Taxonomy:
     """The bundled taxonomy for expression, attribute, or deepfake."""
     if task not in _RESOURCE_FILES:
         raise KeyError(f"no bundled taxonomy for task {task!r}")
-    ref = resources.files("facecond.evalkit").joinpath(
-        "resources", _RESOURCE_FILES[task]
-    )
-    mapping = json.loads(ref.read_text(encoding="utf-8"))
-    return taxonomy_from_mapping(task, mapping)
+    return load_taxonomy(_resource(_RESOURCE_FILES[task]), task)
 
 
 def default_negation_cues() -> tuple[str, ...]:
-    ref = resources.files("facecond.evalkit").joinpath(
-        "resources", "negation_cues.json"
-    )
-    return tuple(json.loads(ref.read_text(encoding="utf-8")))
+    return load_negation_cues(_resource("negation_cues.json"))

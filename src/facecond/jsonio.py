@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import chain
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -85,6 +85,24 @@ def write_jsonl(path: str, objs: Iterable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
             fh.write(_encode(obj) + "\n")
+
+
+def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]:
+    """`build(obj)` for each non-blank line of `path`, and a (line, message)
+    for each line that is not UTF-8, not JSON, or that `build` rejects with
+    KeyError, TypeError or ValueError. Lines are split at newline bytes and
+    decoded one by one, so a bad byte costs only its own line."""
+    values, errors = [], []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    values.append(build(json.loads(line)))
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            except (KeyError, TypeError, ValueError) as exc:
+                errors.append((lineno, str(exc)))
+    return values, errors
 
 
 def read_json(path: str):

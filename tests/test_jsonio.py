@@ -14,13 +14,15 @@ from facecond.jsonio import is_int, is_number, number_array, read_json, write_js
 SRC = Path(facecond.__file__).parent
 
 
-_GUARDED = ("dump", "dumps", "load")
+_GUARDED = ("dump", "dumps", "load", "loads")
 
 
 def _json_file_calls(tree: ast.Module):
-    """(enclosing function, call) for each json.dump/json.dumps/json.load call
-    in `tree`; a json.dumps call is flagged because a whole-document string
-    built around `write_json` would undo its streaming."""
+    """(enclosing function, call) for each json.dump/json.dumps/json.load/
+    json.loads call in `tree`; a json.dumps call is flagged because a
+    whole-document string built around `write_json` would undo its
+    streaming, and a json.loads call because JSONL lines and bundled
+    resources are decoded by jsonio too."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -63,7 +65,18 @@ def test_only_jsonio_reads_or_writes_json_files():
 def test_json_guard_sees_each_guarded_call_and_its_function():
     tree = ast.parse("json.dumps(x)\ndef f():\n    json.dump(x, fh)\n    json.loads(s)\n    json.load(fh)")
     assert [(f, c.lineno, c.func.attr) for f, c in _json_file_calls(tree)] == [
-        (None, 1, "dumps"), ("f", 3, "dump"), ("f", 5, "load")]
+        (None, 1, "dumps"), ("f", 3, "dump"), ("f", 4, "loads"), ("f", 5, "load")]
+
+
+def test_only_jsonio_and_cli_import_json():
+    importers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "json" in names:
+                importers.append(path.relative_to(SRC).as_posix())
+    assert importers == ["cli.py", "jsonio.py"]
 
 
 _GOOD_EVAL = b'{"id": "a", "task": "expression", "generated": "x", "ground_truth": "happiness"}'
