@@ -7,6 +7,11 @@ the space), and be mutually exclusive across classes. Phrase
 occurrence is matched case-insensitively with word boundaries on both
 ends, so "real" does not fire inside "unrealistic". Counting is per
 phrase and exact: "stubble" inside "short stubble" counts for both.
+
+Negation cues are matched as substrings of the lowercased text, so each
+cue must be lowercase and not empty; surrounding spaces are kept, as in
+the bundled "no ". The bundled files load through the same loaders as a
+user's override.
 """
 
 from __future__ import annotations
@@ -108,10 +113,16 @@ def load_taxonomy(path: str, task: str) -> Taxonomy:
 
 
 def load_negation_cues(path: str) -> tuple[str, ...]:
-    """Read a JSON list of negation cues. Errors name the file."""
+    """Read a JSON list of negation cues. Errors name the file, and the cue
+    when one cue is bad."""
     cues = read_json(path)
     if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
         raise ValueError(f"{path}: negation cues must be a JSON list of strings")
+    for cue in cues:
+        if not cue.strip():
+            raise ValueError(f"{path}: negation cue {cue!r} is empty")
+        if cue != cue.lower():
+            raise ValueError(f"{path}: negation cue {cue!r} is not lowercase")
     return tuple(cues)
 
 

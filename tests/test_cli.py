@@ -648,6 +648,31 @@ def test_eval_rejects_negation_cues_that_are_not_a_list_of_strings(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cues, bad",
+    [(["", "not"], "'' is empty"), (["not", "  "], "'  ' is empty"),
+     (["Not"], "'Not' is not lowercase"), (["never", "NO "], "'NO ' is not lowercase")],
+    ids=["empty", "spaces_only", "capitalised", "upper_with_space"],
+)
+def test_eval_rejects_empty_or_non_lowercase_negation_cues(tmp_path, capsys, cues, bad):
+    path = tmp_path / "cues.json"
+    path.write_text(json.dumps(cues))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
+                 "--negation-cues", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{path}: negation cue {bad}"
+    assert not out.exists()
+
+
+def test_eval_reads_negation_cues_with_surrounding_spaces(tmp_path):
+    path = tmp_path / "cues.json"
+    path.write_text(json.dumps(["no ", " not", "never"]))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
+                 "--negation-cues", str(path), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_prints_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
