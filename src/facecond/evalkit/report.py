@@ -173,6 +173,11 @@ def score_records(
         entry: dict = {"n": len(task_records)}
         if task in _SINGLE_LABEL_TASKS:
             taxonomy = taxonomies[task]
+            for record in task_records:
+                if record.ground_truth not in taxonomy.synonyms:
+                    raise ValueError(
+                        f"record {record.id!r}: unknown {task} class {record.ground_truth!r}"
+                    )
             entry["parse_failure_rate"] = parse_failure_rate(task_preds)
             voted_preds, voted_gts = _collapse_chunks(task_records, task_preds, taxonomy)
             entry["n_groups"] = len(voted_gts)

@@ -261,3 +261,17 @@ def test_confusion_csv_layout():
 def test_score_records_rejects_empty():
     with pytest.raises(ValueError):
         score_records([])
+
+
+@pytest.mark.parametrize(
+    "task, gt, group",
+    [("expression", "Happiness", None), ("deepfake", "genuine", None), ("deepfake", "genuine", "v1")],
+    ids=["expression", "deepfake", "deepfake_chunked"],
+)
+def test_score_records_names_the_record_and_label_outside_the_classes(task, gt, group):
+    known = "happiness" if task == "expression" else "real"
+    records = make_records(task, [("A face.", known, None), ("A face.", gt, group),
+                                  ("Another face.", gt, group)])
+    with pytest.raises(ValueError) as excinfo:
+        score_records(records)
+    assert str(excinfo.value) == f"record '{task}-001': unknown {task} class {gt!r}"
