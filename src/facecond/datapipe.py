@@ -50,6 +50,10 @@ class AnnotationRecord:
     def __post_init__(self) -> None:
         if self.media_type not in MEDIA_TYPES:
             raise ValueError(f"media type must be one of {MEDIA_TYPES}")
+        if not (self.instruction is None or isinstance(self.instruction, str)):
+            raise ValueError(f"instruction {self.instruction!r} is not a string or null")
+        if not isinstance(self.ratings, dict):
+            raise ValueError(f"ratings {self.ratings!r} is not an object")
         unknown = set(self.ratings) - set(RATING_KEYS)
         if unknown:
             raise ValueError(f"unknown rating keys: {sorted(unknown)}")
@@ -86,7 +90,7 @@ class AnnotationRecord:
             label=obj["label"],
             description=str(obj["description"]),
             instruction=obj.get("instruction"),
-            ratings=dict(obj.get("ratings", {})),
+            ratings=obj.get("ratings", {}),
         )
 
 

@@ -389,3 +389,30 @@ def test_split_multiple_tasks():
     assert summary["tasks"]["expression"]["selected"] == 20
     assert summary["tasks"]["age"]["selected"] == 20
     assert len(selected) == 40
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"instruction": 5}, "instruction 5 is not a string or null"),
+        ({"instruction": ["Describe."]}, "instruction ['Describe.'] is not a string or null"),
+        ({"ratings": [["overall", 9]]}, "ratings [['overall', 9]] is not an object"),
+        ({"ratings": None}, "ratings None is not an object"),
+    ],
+    ids=["int_instruction", "list_instruction", "pair_list_ratings", "null_ratings"],
+)
+def test_load_manifest_rejects_a_non_string_instruction_and_non_object_ratings(
+    tmp_path, change, message
+):
+    good = make_record(0, rating=7).to_json_obj()
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+    records, errors = load_manifest(str(path))
+    assert records == [make_record(0, rating=7)]
+    assert [(e.line, e.message) for e in errors] == [(2, message)]
+
+
+def test_load_manifest_reads_a_null_instruction_as_none(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**make_record(0, rating=7).to_json_obj(), "instruction": None}) + "\n")
+    assert load_manifest(str(path)) == ([make_record(0, rating=7)], [])
