@@ -90,10 +90,9 @@ def vision_project(
     return out
 
 
-def vision_backward(
-    cotangent: np.ndarray, cache: VisionCache
-) -> tuple[VisionProjectorParams, np.ndarray]:
-    """Parameter gradients shaped like the parameters, then d_raw."""
+def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjectorParams:
+    """Parameter gradients shaped like the parameters. The raw features are
+    fixed inputs, so their gradient is not computed."""
     if cache is None:
         raise ValueError("missing forward cache")
     g = np.asarray(cotangent, dtype=np.float64)
@@ -106,5 +105,4 @@ def vision_backward(
     d_pre = d_hidden * gelu_grad(cache.pre_act)
     d_w1 = d_pre.reshape(rows, -1).T @ cache.raw.reshape(rows, -1)
     d_b1 = d_pre.sum(axis=(0, 1))
-    d_raw = d_pre @ params.w1
-    return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2), d_raw
+    return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2)

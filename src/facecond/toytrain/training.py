@@ -260,7 +260,7 @@ def backward_pass(
             d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens
         )
         landmark = [*frl.arrays(), *att.arrays()]
-    vis, _ = vision_backward(d_h_v, vision_cache)
+    vis = vision_backward(d_h_v, vision_cache)
     parts = [*landmark, *vis.arrays(), *dec.arrays()]
     return np.concatenate(parts, axis=None, out=out)
 
