@@ -36,7 +36,6 @@ def _phrase_pattern(phrase: str) -> re.Pattern:
 @dataclass
 class Taxonomy:
     task: str
-    classes: tuple[str, ...]
     synonyms: dict[str, tuple[str, ...]]
     # phrase -> word-bounded pattern, compiled on the phrase's first hit
     _patterns: dict[str, re.Pattern] = field(
@@ -44,13 +43,8 @@ class Taxonomy:
     )
 
     def __post_init__(self) -> None:
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate class names")
-        if set(self.classes) != set(self.synonyms):
-            raise ValueError("classes and synonym table disagree")
         seen: dict[str, str] = {}
-        for cls in self.classes:
-            phrases = self.synonyms[cls]
+        for cls, phrases in self.synonyms.items():
             if not phrases:
                 raise ValueError(f"class {cls!r} has no synonym phrases")
             for phrase in phrases:
@@ -68,6 +62,11 @@ class Taxonomy:
                     )
                 seen[phrase] = cls
 
+    @property
+    def classes(self) -> tuple[str, ...]:
+        """The class names, in synonym-table order."""
+        return tuple(self.synonyms)
+
     def _pattern(self, phrase: str) -> re.Pattern:
         # two threads racing here at worst compile the same pattern twice
         if phrase not in self._patterns:
@@ -82,10 +81,10 @@ class Taxonomy:
         return {
             cls: sum(
                 len(self._pattern(p).findall(text_lower))
-                for p in self.synonyms[cls]
+                for p in phrases
                 if p in text_lower
             )
-            for cls in self.classes
+            for cls, phrases in self.synonyms.items()
         }
 
 
@@ -95,7 +94,6 @@ def taxonomy_from_mapping(task: str, mapping: dict[str, list[str]]) -> Taxonomy:
             raise ValueError(f"class {cls!r} must map to a list of phrase strings")
     return Taxonomy(
         task=task,
-        classes=tuple(mapping),
         synonyms={cls: tuple(phrases) for cls, phrases in mapping.items()},
     )
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from facecond.evalkit import (
+    Taxonomy,
     default_negation_cues,
     default_taxonomy,
     load_taxonomy,
@@ -130,6 +131,12 @@ def test_tie_breaks_by_taxonomy_order():
     assert match_synonyms("alpha beta", tax) == "a"
     reversed_tax = taxonomy_from_mapping("expression", {"b": ["beta"], "a": ["alpha"]})
     assert match_synonyms("alpha beta", reversed_tax) == "b"
+
+
+def test_taxonomy_takes_only_the_synonym_table():
+    tax = Taxonomy("expression", {"b": ("beta",), "a": ("alpha", "alef")})
+    assert tax.classes == ("b", "a")
+    assert tax.count_matches("alpha beta alef") == {"b": 1, "a": 2}
 
 
 def test_matching_is_case_insensitive():
