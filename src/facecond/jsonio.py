@@ -9,6 +9,13 @@ write/read round trip is bit-exact. A file that is not valid JSON fails as
 ``<path>: malformed JSON: ...``; each loader checks the shape it expects
 after parsing.
 
+``read_jsonl`` reads every JSONL stream (manifests, eval records). Each
+line is split at its newline byte and decoded as UTF-8 on its own;
+surrounding whitespace, a CR included, is stripped, and a blank line is
+skipped. A line is malformed when it is not UTF-8, is not JSON, or the
+caller's builder rejects what it holds; the loader gets each malformed
+line's 1-based number and message.
+
 ``write_json`` streams the containers of the top two levels (the document
 and the values it holds) item by item, and encodes each value below them
 in one call to the C encoder: one call per frame of a token or landmark
