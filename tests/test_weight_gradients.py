@@ -1,12 +1,14 @@
-"""The weight gradients of ``frgca_backward`` and ``vision_backward``
-against an einsum reference.
+"""``frgca_forward``/``frgca_backward`` and ``vision_backward`` against
+an einsum reference.
 
-The reference recomputes, from the forward cache, the cotangents that
-reach each projection and contracts them over (frame, token) with
-``np.einsum``. The backward passes sum in another order (one GEMM per
-weight), so the two agree to a relative tolerance, not bit for bit. The
-error is measured as the largest absolute difference over the largest
-reference entry.
+The FRGCA reference is self-contained: it recomputes q, k, v, the
+attention and the merged heads from the inputs, the mask and the
+parameters in the textbook order (project, attend, merge, project back),
+then the forward output and every gradient, contracting over (frame,
+token) with ``np.einsum``. It reads nothing from the forward cache. The
+package sums in another order (one GEMM per product), so the two agree to
+a relative tolerance, not bit for bit. The error is measured as the
+largest absolute difference over the largest reference entry.
 
 This file is the only place in the repository that keeps ``einsum``;
 ``test_no_einsum_in_the_package`` keeps it out of ``src/facecond``.
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import facecond
-from facecond.frgca import frgca_backward, frgca_forward, init_frgca
+from facecond.frgca import attention_weights, frgca_backward, frgca_forward, init_frgca
 from facecond.toytrain.projector import (
     gelu_grad,
     init_vision_projector,
@@ -29,7 +31,6 @@ from facecond.toytrain.projector import (
 
 SRC = Path(facecond.__file__).parent
 RTOL = 1e-12
-M = 10  # nine region tokens and the whole-face token
 
 # (T, N, d, heads, d_raw): the toy training shape and the paper_step shape
 SHAPES = {
@@ -39,26 +40,47 @@ SHAPES = {
 
 
 def _rel_err(actual: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.max(np.abs(actual - reference)) / np.max(np.abs(reference)))
+    # an all-zero reference (the key gradients when M = 1) is matched exactly
+    scale = np.max(np.abs(reference))
+    return float(np.max(np.abs(actual - reference)) / (scale if scale else 1.0))
 
 
-def _frgca_reference(g, cache) -> dict[str, np.ndarray]:
-    p = cache.params
-    T, N, _ = g.shape
+def _frgca_reference(h_v, h_l, mask, p, g) -> dict[str, np.ndarray]:
+    """Forward output, attention, input and parameter gradients of FRGCA
+    recomputed from scratch; ``mask`` is None for variant "simple"."""
+    T, N, _ = h_v.shape
+    M = h_l.shape[1]
     H, dh = p.heads, p.d_head
+    q = (np.einsum("tnd,ad->tna", h_v, p.w_q) + p.b_q).reshape(T, N, H, dh)
+    k = np.einsum("tmd,ad->tma", h_l, p.w_k).reshape(T, M, H, dh)
+    v = (np.einsum("tmd,ad->tma", h_l, p.w_v) + p.b_v).reshape(T, M, H, dh)
+    logits = np.einsum("tnhe,tmhe->thnm", q, k) / p.scale_factor()
+    if mask is not None:
+        logits = logits + mask[:, None]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)
+    merged = np.einsum("thnm,tmhe->tnhe", a, v).reshape(T, N, H * dh)
+    out = np.einsum("tna,da->tnd", merged, p.w_o) + p.b_o + h_v
+
     d_per_head = np.einsum("tnd,da->tna", g, p.w_o).reshape(T, N, H, dh)
-    d_attn = np.einsum("tnhe,thme->thnm", d_per_head, cache.v)
-    a = cache.attn
+    d_attn = np.einsum("tnhe,tmhe->thnm", d_per_head, v)
     d_logits = a * (d_attn - np.einsum("thnm,thnm->thn", d_attn, a)[..., None])
     d_logits /= p.scale_factor()
-    d_q = np.einsum("thnm,thme->tnhe", d_logits, cache.k).reshape(T, N, H * dh)
-    d_k = np.einsum("thnm,thne->tmhe", d_logits, cache.q).reshape(T, M, H * dh)
+    d_q = np.einsum("thnm,tmhe->tnhe", d_logits, k).reshape(T, N, H * dh)
+    d_k = np.einsum("thnm,tnhe->tmhe", d_logits, q).reshape(T, M, H * dh)
     d_v = np.einsum("thnm,tnhe->tmhe", a, d_per_head).reshape(T, M, H * dh)
     return {
-        "w_q": np.einsum("tna,tnd->ad", d_q, cache.h_v),
-        "w_k": np.einsum("tma,tmd->ad", d_k, cache.h_l),
-        "w_v": np.einsum("tma,tmd->ad", d_v, cache.h_l),
-        "w_o": np.einsum("tnd,tna->da", g, cache.merged),
+        "out": out,
+        "attn": a,
+        "h_v": g + np.einsum("tna,ad->tnd", d_q, p.w_q),
+        "h_l": np.einsum("tma,ad->tmd", d_k, p.w_k) + np.einsum("tma,ad->tmd", d_v, p.w_v),
+        "w_q": np.einsum("tna,tnd->ad", d_q, h_v),
+        "b_q": d_q.sum(axis=(0, 1)),
+        "w_k": np.einsum("tma,tmd->ad", d_k, h_l),
+        "w_v": np.einsum("tma,tmd->ad", d_v, h_l),
+        "b_v": d_v.sum(axis=(0, 1)),
+        "w_o": np.einsum("tnd,tna->da", g, merged),
+        "b_o": g.sum(axis=(0, 1)),
     }
 
 
@@ -71,20 +93,41 @@ def _vision_reference(g, cache) -> dict[str, np.ndarray]:
     }
 
 
+# (variant, M): nine region tokens and the whole-face token; the
+# whole-face token alone (token mode "global_only"); no mask
+CASES = {
+    "frgca": ("frgca", 10),
+    "global_only": ("frgca", 1),
+    "simple": ("simple", 10),
+}
+
+
 @pytest.mark.parametrize("shape", SHAPES)
-@pytest.mark.parametrize("variant", ["frgca", "simple"])
-def test_frgca_weight_gradients_match_einsum(shape, variant):
+@pytest.mark.parametrize("case", CASES)
+def test_frgca_weight_gradients_match_einsum(shape, case):
     T, N, d, heads, _ = SHAPES[shape]
+    variant, M = CASES[case]
     rng = np.random.default_rng(7)
     params = init_frgca(d, heads=heads, seed=8)
+    for bias in (params.b_q, params.b_v, params.b_o):
+        bias[:] = rng.normal(size=bias.shape)
     h_v = rng.normal(size=(T, N, d))
     h_l = rng.normal(size=(T, M, d))
     mask = -np.abs(rng.normal(size=(T, N, M))) if variant == "frgca" else None
     g = rng.normal(size=(T, N, d))
-    _, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
-    grads, _, _ = frgca_backward(g, cache)
-    reference = _frgca_reference(g, cache)
-    errors = {name: _rel_err(getattr(grads, name), ref) for name, ref in reference.items()}
+    out, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
+    grads, d_h_v, d_h_l = frgca_backward(g, cache)
+    got = {
+        "out": out,
+        "attn": attention_weights(h_v, h_l, mask, params, variant=variant),
+        "h_v": d_h_v,
+        "h_l": d_h_l,
+    }
+    reference = _frgca_reference(h_v, h_l, mask, params, g)
+    errors = {
+        name: _rel_err(got[name] if name in got else getattr(grads, name), ref)
+        for name, ref in reference.items()
+    }
     assert max(errors.values()) <= RTOL, errors
 
 
