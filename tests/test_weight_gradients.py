@@ -45,14 +45,15 @@ def _rel_err(actual: np.ndarray, reference: np.ndarray) -> float:
     return float(np.max(np.abs(actual - reference)) / (scale if scale else 1.0))
 
 
-def _frgca_reference(h_v, h_l, mask, p, g) -> dict[str, np.ndarray]:
+def _frgca_reference(h_v, h_l, mask, p, g, b_k=0.0) -> dict[str, np.ndarray]:
     """Forward output, attention, input and parameter gradients of FRGCA
-    recomputed from scratch; ``mask`` is None for variant "simple"."""
+    recomputed from scratch; ``mask`` is None for variant "simple" and
+    ``b_k`` is a key bias, which the package does not have."""
     T, N, _ = h_v.shape
     M = h_l.shape[1]
     H, dh = p.heads, p.d_head
     q = (np.einsum("tnd,ad->tna", h_v, p.w_q) + p.b_q).reshape(T, N, H, dh)
-    k = np.einsum("tmd,ad->tma", h_l, p.w_k).reshape(T, M, H, dh)
+    k = (np.einsum("tmd,ad->tma", h_l, p.w_k) + b_k).reshape(T, M, H, dh)
     v = (np.einsum("tmd,ad->tma", h_l, p.w_v) + p.b_v).reshape(T, M, H, dh)
     logits = np.einsum("tnhe,tmhe->thnm", q, k) / p.scale_factor()
     if mask is not None:
@@ -129,6 +130,34 @@ def test_frgca_weight_gradients_match_einsum(shape, case):
         for name, ref in reference.items()
     }
     assert max(errors.values()) <= RTOL, errors
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_key_bias_cannot_move_the_output(shape):
+    """A key bias adds q . b_k to every logit of a query row, a shift that
+    the softmax removes; its gradient is roundoff, so FRGCA has none."""
+    T, N, d, heads, _ = SHAPES[shape]
+    rng = np.random.default_rng(11)
+    params = init_frgca(d, heads=heads, seed=12)
+    for bias in (params.b_q, params.b_v, params.b_o):
+        bias[:] = rng.normal(size=bias.shape)
+    h_v = rng.normal(size=(T, N, d))
+    h_l = rng.normal(size=(T, 10, d))
+    mask = -np.abs(rng.normal(size=(T, N, 10)))
+    g = rng.normal(size=(T, N, d))
+    b_k = rng.normal(size=params.d_attn)
+    out, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
+    grads, d_h_v, d_h_l = frgca_backward(g, cache)
+    got = {"out": out, "attn": cache.attn, "h_v": d_h_v, "h_l": d_h_l}
+    reference = _frgca_reference(h_v, h_l, mask, params, g, b_k=b_k)
+    errors = {
+        name: _rel_err(got[name] if name in got else getattr(grads, name), ref)
+        for name, ref in reference.items()
+    }
+    assert max(errors["out"], errors["attn"]) <= 1e-14, errors
+    assert max(errors.values()) <= RTOL, errors
+    params.b_k[:] = b_k
+    assert _rel_err(frgca_forward(h_v, h_l, mask, params), out) <= 1e-14
 
 
 @pytest.mark.parametrize("shape", SHAPES)
