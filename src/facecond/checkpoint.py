@@ -26,7 +26,8 @@ from .toytrain.projector import VisionProjectorParams
 from .toytrain.training import ModelParams, model_arrays
 
 FORMAT_TAG = "facecond-checkpoint-v1"
-# FRGCA has one configuration (per-head logit scaling, biased projections);
+# FRGCA has one configuration (per-head logit scaling, biased query, value
+# and output projections);
 # archives keep recording it, and loading rejects any other
 FRGCA_META = {"scale": "per_head", "use_bias": True}
 
@@ -88,6 +89,11 @@ def build_frgca(
         got = meta.get(key, value)
         if type(got) is not type(value) or got != value:  # 1 and 1.0 equal True
             raise ValueError(f"checkpoint meta {key!r} is {got!r}; only {value!r} is supported")
+    known = {"frgca." + key for key, _ in FrgcaParams.SPEC}
+    for name in arrays:
+        # e.g. "frgca.w_k.bias", which older archives hold
+        if name.startswith("frgca.") and name not in known:
+            raise ValueError(f"checkpoint has unknown tensor {name!r}")
     return FrgcaParams(
         *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=_meta_int(meta, "heads", 8)
     )

@@ -6,8 +6,11 @@ pre-softmax logits of every head, the attended values pass through an
 output projection, and the block closes with a residual connection back
 onto the visual tokens. No layer normalization anywhere.
 
-There is one configuration: biased q/k/v/o projections and logits scaled
-by 1/sqrt(d_head) per head, as in standard multi-head attention. Variant
+There is one configuration: biased q/v/o projections, an unbiased key
+projection and logits scaled by 1/sqrt(d_head) per head, as in standard
+multi-head attention. A key bias would add q . b_k to every logit of a
+query row, a shift that the softmax removes, so it could not change the
+output and its gradient would be roundoff. Variant
 "simple" attends without the mask. The no-landmarks baseline (variant
 ``none`` in training and the CLI) never reaches this module:
 ``toytrain.training.condition`` passes the visual tokens through unchanged.
@@ -34,7 +37,8 @@ VARIANTS = ("frgca", "simple")
 
 @dataclass
 class FrgcaParams(SpecParams):
-    """Query/key/value projections (d_attn, d), output projection (d, d_attn).
+    """Query/key/value projections (d_attn, d), output projection (d, d_attn);
+    every projection but the key has a bias.
 
     The mask encodes geometry, not head-specific content, so it is added
     identically to every head's logits, which are divided by
@@ -44,7 +48,6 @@ class FrgcaParams(SpecParams):
     w_q: np.ndarray
     b_q: np.ndarray
     w_k: np.ndarray
-    b_k: np.ndarray
     w_v: np.ndarray
     b_v: np.ndarray
     w_o: np.ndarray
@@ -55,7 +58,6 @@ class FrgcaParams(SpecParams):
         ("w_q.weight", ("d_attn", "d")),
         ("w_q.bias", ("d_attn",)),
         ("w_k.weight", ("d_attn", "d")),
-        ("w_k.bias", ("d_attn",)),
         ("w_v.weight", ("d_attn", "d")),
         ("w_v.bias", ("d_attn",)),
         ("w_o.weight", ("d", "d_attn")),
@@ -99,7 +101,8 @@ class FrgcaCache:
 
 
 def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0) -> FrgcaParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases; the
+    weights are drawn in the order q, k, v, o."""
     if d < 1:
         raise ValueError("token dimension must be >= 1")
     d_attn = d if d_attn is None else d_attn
@@ -112,10 +115,10 @@ def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0)
         return rng.uniform(-bound, bound, size=(out_dim, in_dim)), np.zeros(out_dim)
 
     w_q, b_q = affine(d_attn, d)
-    w_k, b_k = affine(d_attn, d)
+    w_k, _ = affine(d_attn, d)
     w_v, b_v = affine(d_attn, d)
     w_o, b_o = affine(d, d_attn)
-    return FrgcaParams(w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, heads)
+    return FrgcaParams(w_q, b_q, w_k, w_v, b_v, w_o, b_o, heads)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -178,7 +181,7 @@ def frgca_forward(
     """
     h_v, h_l, mask = _validate(h_v, h_l, mask, params, variant)
     q = _project_heads(h_v, params.w_q, params.b_q, params)
-    k = _project_heads(h_l, params.w_k, params.b_k, params)
+    k = _project_heads(h_l, params.w_k, 0.0, params)
     v = _project_heads(h_l, params.w_v, params.b_v, params)
 
     logits = q @ k.transpose(0, 1, 3, 2) / params.scale_factor()
@@ -271,13 +274,12 @@ def frgca_backward(
     d_w_k = d_k_full.reshape(T * M, -1).T @ h_l_rows
     d_w_v = d_v_full.reshape(T * M, -1).T @ h_l_rows
     d_b_q = d_q_full.sum(axis=(0, 1))
-    d_b_k = d_k_full.sum(axis=(0, 1))
     d_b_v = d_v_full.sum(axis=(0, 1))
 
     d_h_v += d_q_full @ params.w_q
     d_h_l = d_k_full @ params.w_k + d_v_full @ params.w_v
 
-    grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_b_k, d_w_v, d_b_v, d_w_o, d_b_o])
+    grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_w_v, d_b_v, d_w_o, d_b_o])
     return grads, d_h_v, d_h_l
 
 

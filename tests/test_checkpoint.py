@@ -72,6 +72,8 @@ def test_checkpoint_key_names(tmp_path):
         "decoder.readout.bias",
     ):
         assert key in arrays, key
+    assert "frgca.w_k.bias" not in arrays  # a key bias cannot change FRGCA's output
+    assert len(arrays) == 34
 
 
 def _saved_arrays(tmp_path):
@@ -183,11 +185,13 @@ def _with_narrow_frgca(arrays):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"},
-         "checkpoint is missing tensor 'frgca.w_k.bias'"),
+        (lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_v.bias"},
+         "checkpoint is missing tensor 'frgca.w_v.bias'"),
         (_with_narrow_frgca, "frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
+        (lambda arrays: {**arrays, "frgca.w_k.bias": np.zeros(8)},
+         "checkpoint has unknown tensor 'frgca.w_k.bias'"),
     ],
-    ids=["missing_tensor", "frgca_narrower_than_frlp"],
+    ids=["missing_tensor", "frgca_narrower_than_frlp", "key_bias"],
 )
 def test_load_model_errors_name_the_file(tmp_path, edit, message):
     path, arrays, meta = _saved_arrays(tmp_path)

@@ -175,8 +175,10 @@ def _narrow_frgca(arrays):
 @pytest.mark.parametrize(
     "variant, edit, token_dim, message",
     [
-        ("frgca", lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_k.bias"}, 8,
-         "{ck}: checkpoint is missing tensor 'frgca.w_k.bias'"),
+        ("frgca", lambda arrays: {k: v for k, v in arrays.items() if k != "frgca.w_v.bias"}, 8,
+         "{ck}: checkpoint is missing tensor 'frgca.w_v.bias'"),
+        ("frgca", lambda arrays: {**arrays, "frgca.w_k.bias": np.zeros(8)}, 8,
+         "{ck}: checkpoint has unknown tensor 'frgca.w_k.bias'"),
         ("frgca", _narrow_frgca, 8, "{ck}: frgca.w_q.weight has shape (4, 4), expected (4, 8)"),
         ("frgca", lambda arrays: arrays, 16,
          "{ck}: frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
@@ -184,7 +186,7 @@ def _narrow_frgca(arrays):
         ("none", lambda arrays: arrays, 16,
          "{ck}: frlp.local.0.weight has shape (8, 34), expected (16, 34)"),
     ],
-    ids=["missing_tensor", "frgca_narrower_than_frlp", "tokens_wider_than_checkpoint",
+    ids=["missing_tensor", "key_bias", "frgca_narrower_than_frlp", "tokens_wider_than_checkpoint",
          "none_missing_checkpoint", "none_tokens_wider_than_checkpoint"],
 )
 def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, variant, edit, token_dim, message):

@@ -25,7 +25,6 @@ def named_param_arrays(params):
         "w_q": params.w_q,
         "b_q": params.b_q,
         "w_k": params.w_k,
-        "b_k": params.b_k,
         "w_v": params.w_v,
         "b_v": params.b_v,
         "w_o": params.w_o,
@@ -67,7 +66,6 @@ def test_tiny_single_head_matches_scalar_oracle():
         w_q=np.array([[1.0, 0.0], [0.0, 1.0]]),
         b_q=np.zeros(2),
         w_k=np.array([[0.0, 1.0], [1.0, 0.0]]),
-        b_k=np.array([0.1, -0.1]),
         w_v=np.array([[1.0, 1.0], [0.0, 1.0]]),
         b_v=np.array([0.0, 0.2]),
         w_o=np.array([[0.5, 0.0], [0.0, 0.5]]),

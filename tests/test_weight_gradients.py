@@ -156,8 +156,6 @@ def test_a_key_bias_cannot_move_the_output(shape):
     }
     assert max(errors["out"], errors["attn"]) <= 1e-14, errors
     assert max(errors.values()) <= RTOL, errors
-    params.b_k[:] = b_k
-    assert _rel_err(frgca_forward(h_v, h_l, mask, params), out) <= 1e-14
 
 
 @pytest.mark.parametrize("shape", SHAPES)
