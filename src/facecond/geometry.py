@@ -205,6 +205,10 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
         raise ValueError(f"patch centroids must be (N, 2), got {patches.shape}")
     if not (np.all(np.isfinite(regions)) and np.all(np.isfinite(patches))):
         raise ValueError("centroids must be finite")
+    return _proximity(regions, patches)
+
+
+def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
     diff = patches[:, None, :] - regions[..., None, :, :]
     return -np.sqrt((diff * diff).sum(axis=-1))
 
@@ -215,7 +219,9 @@ def clip_rpp_masks(
     grid: PatchGrid,
 ) -> np.ndarray:
     """One (N, M) mask per frame, from that frame's landmarks; shape (T, N, M)."""
-    return rpp_mask(region_centroids(clip.points, partition), patch_centroids(grid))
+    # a clip's points and a grid's patch centroids are finite float64 by
+    # construction, so rpp_mask's checks would only repeat
+    return _proximity(region_centroids(clip.points, partition), patch_centroids(grid))
 
 
 def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
