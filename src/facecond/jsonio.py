@@ -97,8 +97,9 @@ def write_jsonl(path: str, objs: Iterable) -> None:
 def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]:
     """`build(obj)` for each non-blank line of `path`, and a (line, message)
     for each line that is not UTF-8, not JSON, or that `build` rejects with
-    KeyError, TypeError or ValueError. Lines are split at newline bytes and
-    decoded one by one, so a bad byte costs only its own line."""
+    KeyError (reported as ``missing key 'name'``), TypeError or ValueError.
+    Lines are split at newline bytes and decoded one by one, so a bad byte
+    costs only its own line."""
     values, errors = [], []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -106,8 +107,10 @@ def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]
                 line = raw.decode("utf-8").strip()
                 if line:
                     values.append(build(json.loads(line)))
+            except KeyError as exc:  # str() of a KeyError is the bare key
+                errors.append((lineno, f"missing key {exc}"))
             # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            except (KeyError, TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 errors.append((lineno, str(exc)))
     return values, errors
 

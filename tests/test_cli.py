@@ -675,6 +675,31 @@ def test_eval_reads_negation_cues_with_surrounding_spaces(tmp_path):
                  "--negation-cues", str(path), "--out", str(out)]) == 0
 
 
+def test_filter_names_a_missing_key(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, n=3)
+    first, *rest = manifest.read_bytes().splitlines(keepends=True)
+    no_media = {k: v for k, v in json.loads(first).items() if k != "media"}
+    manifest.write_bytes(first + json.dumps(no_media).encode() + b"\n" + b"".join(rest))
+    summary = tmp_path / "summary.json"
+    assert main(["filter", "--manifest", str(manifest), "--out-kept", str(tmp_path / "k.jsonl"),
+                 "--out-removed", str(tmp_path / "r.jsonl"), "--summary-out", str(summary)]) == 0
+    report = json.loads(summary.read_text())
+    assert report["parse_errors"] == [{"line": 2, "message": "missing key 'media'"}]
+
+
+def test_eval_names_a_missing_key(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    first, second, *_ = (FIXTURES / "eval_expression.jsonl").read_bytes().splitlines(keepends=True)
+    no_truth = {k: v for k, v in json.loads(second).items() if k != "ground_truth"}
+    records.write_bytes(first + json.dumps(no_truth).encode() + b"\n")
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{records}:2: bad eval record: missing key 'ground_truth'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_every_subcommand_prints_help(capsys, command):
     with pytest.raises(SystemExit) as excinfo:
