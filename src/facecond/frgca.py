@@ -15,6 +15,26 @@ output and its gradient would be roundoff. Variant
 ``none`` in training and the CLI) never reaches this module:
 ``toytrain.training.condition`` passes the visual tokens through unchanged.
 
+Evaluation order. The N visual tokens query only M landmark tokens (9
+regions and the whole face, or the whole face alone), and M is far below
+d_attn, so no query, merged head or any other (T, N, d_attn) array is
+formed. Per frame and head, the query projection is folded into the keys
+and the output projection into the values:
+
+    keys_h   = k_h W_q,h / sqrt(d_head)      (M, d)
+    offset_h = k_h b_q,h / sqrt(d_head)      (M,)
+    values_h = v_h W_o,h^T                   (M, d)
+
+so that head h's logits are h_v keys_h^T + offset_h (+ mask) and its share
+of the output is attn_h values_h. Stacked over heads, the N-row products
+(the logits and the output forward; d_attn, d_h_v and the cotangents of
+the folded keys and values backward) have inner or outer size heads * M
+instead of d_attn. The weight gradients come from the small cotangents of
+the folded blocks, as matmuls batched over heads. This is the
+associativity DeepSeek-V2's multi-head latent attention uses to absorb
+its up-projections (arXiv 2405.04434). Sums run in another order than the
+textbook q k^T form, so results agree with it to roundoff, not bit for bit.
+
 Backward is hand-written reverse mode over the cached forward state.
 
 Shapes (per call):
@@ -92,11 +112,11 @@ class FrgcaCache:
 
     h_v: np.ndarray
     h_l: np.ndarray
-    q: np.ndarray  # (T, H, N, d_head)
-    k: np.ndarray  # (T, H, M, d_head)
-    v: np.ndarray  # (T, H, M, d_head)
-    attn: np.ndarray  # (T, H, N, M)
-    merged: np.ndarray  # (T, N, d_attn) attended values before W_o
+    k: np.ndarray  # (T, H, M, d_head) keys over sqrt(d_head); no key bias
+    v: np.ndarray  # (T, H, M, d_head) values, with their bias
+    keys: np.ndarray  # (T, H * M, d) k_h W_q,h, heads stacked
+    values: np.ndarray  # (T, H * M, d) v_h W_o,h^T, heads stacked
+    attn: np.ndarray  # (T, H, N, M), a transposed view of a (T, N, H, M) array
     params: FrgcaParams
 
 
@@ -119,13 +139,6 @@ def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0)
     w_v, b_v = affine(d_attn, d)
     w_o, b_o = affine(d, d_attn)
     return FrgcaParams(w_q, b_q, w_k, w_v, b_v, w_o, b_o, heads)
-
-
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    # subtract per-row max for stability with large negative mask entries
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _validate(h_v, h_l, mask, params, variant):
@@ -160,11 +173,10 @@ def _validate(h_v, h_l, mask, params, variant):
     return h_v, h_l, mask
 
 
-def _project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, params: FrgcaParams):
-    # (T, L, d) -> (T, H, L, d_head)
-    out = x @ w.T + b
-    T, L, _ = out.shape
-    return out.reshape(T, L, params.heads, params.d_head).transpose(0, 2, 1, 3)
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    # (T, L, H * d_head) -> (T, H, L, d_head)
+    T, L, width = x.shape
+    return x.reshape(T, L, heads, width // heads).transpose(0, 2, 1, 3)
 
 
 def frgca_forward(
@@ -180,25 +192,39 @@ def frgca_forward(
     Variant "simple" runs the same attention with a zero mask.
     """
     h_v, h_l, mask = _validate(h_v, h_l, mask, params, variant)
-    q = _project_heads(h_v, params.w_q, params.b_q, params)
-    k = _project_heads(h_l, params.w_k, 0.0, params)
-    v = _project_heads(h_l, params.w_v, params.b_v, params)
+    T, N, d = h_v.shape
+    M = h_l.shape[1]
+    H, d_head = params.heads, params.d_head
+    k = h_l @ params.w_k.T
+    k *= 1.0 / params.scale_factor()
+    k = _heads(k, H)
+    v = _heads(h_l @ params.w_v.T + params.b_v, H)
+    keys = (k @ params.w_q.reshape(H, d_head, d)).reshape(T, H * M, d)
+    offset = (k @ params.b_q.reshape(H, d_head, 1)).reshape(T, 1, H * M)
+    # W_o,h^T for every head, (H, d_head, d), a view of w_o
+    values = (v @ params.w_o.reshape(d, H, d_head).transpose(1, 2, 0)).reshape(T, H * M, d)
 
-    logits = q @ k.transpose(0, 1, 3, 2) / params.scale_factor()
+    # the logits, heads stacked, (T, N, H * M); the softmax below turns
+    # them into the attention in place
+    attn_rows = h_v @ keys.transpose(0, 2, 1)
+    attn_rows += offset
+    attn = attn_rows.reshape(T, N, H, M)
     if variant == "frgca":
-        logits = logits + mask[:, None, :, :]
-    attn = _softmax_rows(logits)
+        # the softmax ignores a shift that is the same across a row; each
+        # mask row is moved to a max of 0 before it meets the logits, so
+        # such a shift of the mask cannot change how that sum rounds
+        attn += (mask - mask.max(axis=-1, keepdims=True))[:, :, None, :]
+    # subtracting the row max keeps large negative mask entries stable
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
 
-    per_head = attn @ v  # (T, H, N, d_head)
-    T, H, N, d_head = per_head.shape
-    merged = per_head.transpose(0, 2, 1, 3).reshape(T, N, H * d_head)
-    out = merged @ params.w_o.T + params.b_o
-    # a separate statement: fusing the residual into the line above raised
-    # peak RSS by one (T, N, d) array in the T=8, N=256, d=256 training step
-    out = out + h_v
+    out = attn_rows @ values
+    out += params.b_o
+    out += h_v
 
     if return_cache:
-        return out, FrgcaCache(h_v, h_l, q, k, v, attn, merged, params)
+        return out, FrgcaCache(h_v, h_l, k, v, keys, values, attn.transpose(0, 2, 1, 3), params)
     return out
 
 
@@ -239,45 +265,48 @@ def frgca_backward(
     T, N, d = h_v.shape
     M = h_l.shape[1]
     H, d_head = params.heads, params.d_head
+    attn = cache.attn.transpose(0, 2, 1, 3)  # (T, N, H, M), contiguous
+    attn_rows = attn.reshape(T, N, H * M)
 
-    # residual path
-    d_h_v = g.copy()
-
-    # output projection: out = merged @ w_o.T + b_o. Each weight gradient
-    # folds (T, L) into one row axis so that it is a single GEMM.
-    d_merged = g @ params.w_o  # (T, N, d_attn)
-    d_w_o = g.reshape(T * N, d).T @ cache.merged.reshape(T * N, -1)
+    # out = attn_rows @ values + b_o + h_v
     d_b_o = g.sum(axis=(0, 1))
-
-    d_per_head = d_merged.reshape(T, N, H, d_head).transpose(0, 2, 1, 3)
-
-    # per_head = attn @ v
-    d_attn = d_per_head @ cache.v.transpose(0, 1, 3, 2)  # (T, H, N, M)
-    d_v = cache.attn.transpose(0, 1, 3, 2) @ d_per_head  # (T, H, M, d_head)
+    d_values = attn_rows.transpose(0, 2, 1) @ g  # (T, H * M, d)
+    d_logits = (g @ cache.values.transpose(0, 2, 1)).reshape(T, N, H, M)
 
     # softmax rows: dS = A * (dA - sum(dA * A))
-    a = cache.attn
-    d_logits = a * (d_attn - (d_attn * a).sum(axis=-1, keepdims=True))
+    d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
+    d_logits *= attn
+    d_logit_rows = d_logits.reshape(T, N, H * M)
 
-    inv_scale = 1.0 / params.scale_factor()
-    d_q = d_logits @ cache.k * inv_scale  # (T, H, N, d_head)
-    d_k = d_logits.transpose(0, 1, 3, 2) @ cache.q * inv_scale  # (T, H, M, d_head)
+    # logits = h_v @ keys^T + offset
+    d_h_v = d_logit_rows @ cache.keys
+    d_h_v += g  # residual path
+    d_keys = (d_logit_rows.transpose(0, 2, 1) @ h_v).reshape(T, H, M, d)
+    d_offset = d_logit_rows.sum(axis=1).reshape(T, H, M, 1)
 
-    # merge heads back to (T, L, d_attn)
-    d_q_full = d_q.transpose(0, 2, 1, 3).reshape(T, N, H * d_head)
-    d_k_full = d_k.transpose(0, 2, 1, 3).reshape(T, M, H * d_head)
-    d_v_full = d_v.transpose(0, 2, 1, 3).reshape(T, M, H * d_head)
+    # unfold: keys_h = k_h W_q,h, offset_h = k_h b_q,h and values_h =
+    # v_h W_o,h^T, with k scaled; each weight gradient sums over (frame,
+    # landmark) as one matmul per head
+    w_q_t = params.w_q.reshape(H, d_head, d).transpose(0, 2, 1)  # W_q,h^T
+    d_k = d_keys @ w_q_t + d_offset * params.b_q.reshape(H, 1, d_head)
+    d_k *= 1.0 / params.scale_factor()
+    d_v = d_values.reshape(T, H, M, d) @ params.w_o.reshape(d, H, d_head).transpose(1, 0, 2)
+    k_rows = cache.k.transpose(1, 3, 0, 2).reshape(H, d_head, T * M)
+    d_w_q = (k_rows @ d_keys.transpose(1, 0, 2, 3).reshape(H, T * M, d)).reshape(-1, d)
+    d_b_q = (k_rows @ d_offset.transpose(1, 0, 2, 3).reshape(H, T * M, 1)).ravel()
+    v_rows = cache.v.transpose(1, 3, 0, 2).reshape(H, d_head, T * M)
+    d_values_rows = d_values.reshape(T, H, M, d).transpose(1, 0, 2, 3).reshape(H, T * M, d)
+    d_w_o = (v_rows @ d_values_rows).reshape(-1, d).T
 
-    # input projections
+    # k = h_l @ w_k.T and v = h_l @ w_v.T + b_v, heads merged back to
+    # (T * M, d_attn) rows
+    d_k_rows = d_k.transpose(0, 2, 1, 3).reshape(T * M, -1)
+    d_v_rows = d_v.transpose(0, 2, 1, 3).reshape(T * M, -1)
     h_l_rows = h_l.reshape(T * M, d)
-    d_w_q = d_q_full.reshape(T * N, -1).T @ h_v.reshape(T * N, d)
-    d_w_k = d_k_full.reshape(T * M, -1).T @ h_l_rows
-    d_w_v = d_v_full.reshape(T * M, -1).T @ h_l_rows
-    d_b_q = d_q_full.sum(axis=(0, 1))
-    d_b_v = d_v_full.sum(axis=(0, 1))
-
-    d_h_v += d_q_full @ params.w_q
-    d_h_l = d_k_full @ params.w_k + d_v_full @ params.w_v
+    d_w_k = d_k_rows.T @ h_l_rows
+    d_w_v = d_v_rows.T @ h_l_rows
+    d_b_v = d_v_rows.sum(axis=0)
+    d_h_l = (d_k_rows @ params.w_k + d_v_rows @ params.w_v).reshape(T, M, d)
 
     grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_w_v, d_b_v, d_w_o, d_b_o])
     return grads, d_h_v, d_h_l
