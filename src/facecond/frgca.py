@@ -16,10 +16,11 @@ output and its gradient would be roundoff. Variant
 ``toytrain.training.condition`` passes the visual tokens through unchanged.
 
 Evaluation order. The N visual tokens query only M landmark tokens (9
-regions and the whole face, or the whole face alone), and M is far below
-d_attn, so no query, merged head or any other (T, N, d_attn) array is
-formed. Per frame and head, the query projection is folded into the keys
-and the output projection into the values:
+regions and the whole face, or the whole face alone), and M is below
+d_head (10 against 32 at the paper-like shape, d = d_attn = 256 with 8
+heads). So no query, merged head or any other (T, N, d_attn) array is
+formed: per frame and head, the query projection is folded into the keys
+and the output projection into the values,
 
     keys_h   = k_h W_q,h / sqrt(d_head)      (M, d)
     offset_h = k_h b_q,h / sqrt(d_head)      (M,)
@@ -27,10 +28,12 @@ and the output projection into the values:
 
 so that head h's logits are h_v keys_h^T + offset_h (+ mask) and its share
 of the output is attn_h values_h. Stacked over heads, the N-row products
-(the logits and the output forward; d_attn, d_h_v and the cotangents of
-the folded keys and values backward) have inner or outer size heads * M
-instead of d_attn. The weight gradients come from the small cotangents of
-the folded blocks, as matmuls batched over heads. This is the
+(forward: the logits and the output; backward: the attention's cotangent,
+d_h_v and the cotangents of the folded keys and values) have inner or
+outer size heads * M instead of d_attn. The weight gradients come from the
+small cotangents of the folded blocks, as matmuls batched over heads. At
+the toy shape (d_head = 4) heads * M exceeds d_attn, but there numpy's
+per-call overhead, not arithmetic, sets the time. This is the
 associativity DeepSeek-V2's multi-head latent attention uses to absorb
 its up-projections (arXiv 2405.04434). Sums run in another order than the
 textbook q k^T form, so results agree with it to roundoff, not bit for bit.
@@ -112,10 +115,10 @@ class FrgcaCache:
 
     h_v: np.ndarray
     h_l: np.ndarray
-    k: np.ndarray  # (T, H, M, d_head) keys over sqrt(d_head); no key bias
-    v: np.ndarray  # (T, H, M, d_head) values, with their bias
-    keys: np.ndarray  # (T, H * M, d) k_h W_q,h, heads stacked
-    values: np.ndarray  # (T, H * M, d) v_h W_o,h^T, heads stacked
+    k: np.ndarray  # (T, H, M, d_head) projected keys over sqrt(d_head)
+    v: np.ndarray  # (T, H, M, d_head) projected values, bias included
+    keys: np.ndarray  # (T, H * M, d) folded keys k_h W_q,h, heads stacked
+    values: np.ndarray  # (T, H * M, d) folded values v_h W_o,h^T, heads stacked
     attn: np.ndarray  # (T, H, N, M), a transposed view of a (T, N, H, M) array
     params: FrgcaParams
 
