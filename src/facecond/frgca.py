@@ -49,6 +49,7 @@ Shapes (per call):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class FrgcaParams(SpecParams):
         return self.d_attn // self.heads
 
     def scale_factor(self) -> float:
-        return float(np.sqrt(self.d_head))
+        return math.sqrt(self.d_head)
 
 
 @dataclass
@@ -216,11 +217,13 @@ def frgca_forward(
         # the softmax ignores a shift that is the same across a row; each
         # mask row is moved to a max of 0 before it meets the logits, so
         # such a shift of the mask cannot change how that sum rounds
-        attn += (mask - mask.max(axis=-1, keepdims=True))[:, :, None, :]
-    # subtracting the row max keeps large negative mask entries stable
-    attn -= attn.max(axis=-1, keepdims=True)
+        attn += (mask - np.maximum.reduce(mask, axis=-1, keepdims=True))[:, :, None, :]
+    # subtracting the row max keeps large negative mask entries stable;
+    # the ufunc reductions skip the Python wrappers of .max() and .sum(),
+    # which count at the toy shape
+    attn -= np.maximum.reduce(attn, axis=-1, keepdims=True)
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    attn /= np.add.reduce(attn, axis=-1, keepdims=True)
 
     out = attn_rows @ values
     out += params.b_o
@@ -272,12 +275,12 @@ def frgca_backward(
     attn_rows = attn.reshape(T, N, H * M)
 
     # out = attn_rows @ values + b_o + h_v
-    d_b_o = g.sum(axis=(0, 1))
+    d_b_o = np.add.reduce(g, axis=(0, 1))
     d_values = attn_rows.transpose(0, 2, 1) @ g  # (T, H * M, d)
     d_logits = (g @ cache.values.transpose(0, 2, 1)).reshape(T, N, H, M)
 
     # softmax rows: dS = A * (dA - sum(dA * A))
-    d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
+    d_logits -= np.add.reduce(d_logits * attn, axis=-1, keepdims=True)
     d_logits *= attn
     d_logit_rows = d_logits.reshape(T, N, H * M)
 
@@ -285,7 +288,7 @@ def frgca_backward(
     d_h_v = d_logit_rows @ cache.keys
     d_h_v += g  # residual path
     d_keys = (d_logit_rows.transpose(0, 2, 1) @ h_v).reshape(T, H, M, d)
-    d_offset = d_logit_rows.sum(axis=1).reshape(T, H, M, 1)
+    d_offset = np.add.reduce(d_logit_rows, axis=1).reshape(T, H, M, 1)
 
     # unfold: keys_h = k_h W_q,h, offset_h = k_h b_q,h and values_h =
     # v_h W_o,h^T, with k scaled; each weight gradient sums over (frame,
@@ -308,7 +311,7 @@ def frgca_backward(
     h_l_rows = h_l.reshape(T * M, d)
     d_w_k = d_k_rows.T @ h_l_rows
     d_w_v = d_v_rows.T @ h_l_rows
-    d_b_v = d_v_rows.sum(axis=0)
+    d_b_v = np.add.reduce(d_v_rows, axis=0)
     d_h_l = (d_k_rows @ params.w_k + d_v_rows @ params.w_v).reshape(T, M, d)
 
     grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_w_v, d_b_v, d_w_o, d_b_o])
