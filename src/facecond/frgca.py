@@ -216,7 +216,8 @@ def frgca_forward(
     if variant == "frgca":
         # the softmax ignores a shift that is the same across a row; each
         # mask row is moved to a max of 0 before it meets the logits, so
-        # such a shift of the mask cannot change how that sum rounds
+        # such a shift of the mask reaches that sum only through the
+        # rounding of the shifted mask itself
         attn += (mask - np.maximum.reduce(mask, axis=-1, keepdims=True))[:, :, None, :]
     # subtracting the row max keeps large negative mask entries stable;
     # the ufunc reductions skip the Python wrappers of .max() and .sum(),
