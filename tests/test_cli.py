@@ -601,6 +601,105 @@ def test_truncated_json_input_fails_naming_the_file(tmp_path, capsys, command, f
 
 
 @pytest.mark.parametrize(
+    "command, flag, doc, message",
+    [
+        ("mask", "--landmarks", {"id": None, "frames": [[[0.5, 0.5]] * 68]},
+         "'id' is null, not a string"),
+        ("mask", "--landmarks", {"id": ["x"], "frames": [[[0.5, 0.5]] * 68]},
+         "'id' is [\"x\"], not a string"),
+        ("enrich", "--tokens", {"id": 5, "tokens": [[[0.5] * 8] * 16]}, "'id' is 5, not a string"),
+        ("pair", "--manifest",
+         {"id": None, "task": "expression", "media": {"path": 7, "type": "video"},
+          "label": "happiness", "description": 5},
+         "manifest has 1 malformed lines (first: line 1: 'id' is null, not a string)"),
+        ("split", "--manifest",
+         {"id": "r", "task": "expression", "media": {"path": 7, "type": "video"},
+          "label": "happiness", "description": "d"},
+         "manifest has 1 malformed lines (first: line 1: media 'path' is 7, not a string)"),
+    ],
+    ids=["mask-null_id", "mask-list_id", "enrich-number_token_id", "pair-null_id",
+         "split-number_media_path"],
+)
+def test_a_field_of_the_wrong_kind_fails_naming_the_file_and_writes_nothing(
+    tmp_path, capsys, command, flag, doc, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc) + "\n")
+    argv = runnable_argv(tmp_path, command)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{bad}: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_filter_lists_a_record_with_a_null_id_as_malformed(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    [good] = write_manifest(manifest, n=1)
+    bad = {**good.to_json_obj(), "id": None, "description": 5, "media": {"path": 7, "type": "video"}}
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(bad) + "\n")
+    kept, removed, summary = (tmp_path / n for n in ("kept.jsonl", "removed.jsonl", "s.json"))
+    assert main(["filter", "--manifest", str(manifest), "--threshold", "0", "--out-kept", str(kept),
+                 "--out-removed", str(removed), "--summary-out", str(summary)]) == 0
+    assert json.loads(summary.read_text())["parse_errors"] == [
+        {"line": 2, "message": "'id' is null, not a string"}]
+    assert kept.read_text() == json.dumps(good.to_json_obj(), sort_keys=True) + "\n"
+
+
+def test_a_non_ascii_id_and_null_optionals_pass_through_byte_for_byte(tmp_path):
+    lm, tok = tmp_path / "lm.json", tmp_path / "tokens.json"
+    out = {name: tmp_path / f"{name}.json" for name in ("mask", "mask_ascii", "enrich",
+                                                        "enrich_named")}
+    clip = write_landmarks(lm)
+    tokens = write_tokens(tok, n=16, d=8)
+    grid = ["--rows", "4", "--cols", "4"]
+    assert main(["mask", "--landmarks", str(lm), *grid, "--out", str(out["mask_ascii"])]) == 0
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), *grid, "--heads", "2",
+                 "--out", str(out["enrich_named"])]) == 0
+    save_landmarks(str(lm), "clip-é中", clip)
+    tok.write_text(json.dumps({"id": None, "tokens": tokens.tolist()}) + "\n")
+    assert main(["mask", "--landmarks", str(lm), *grid, "--out", str(out["mask"])]) == 0
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), *grid, "--heads", "2",
+                 "--out", str(out["enrich"])]) == 0
+    renamed = b'"id": "clip-\\u00e9\\u4e2d"'
+    assert out["mask"].read_bytes() == out["mask_ascii"].read_bytes().replace(b'"id": "clip-0"', renamed)
+    assert out["enrich"].read_bytes() == out["enrich_named"].read_bytes().replace(
+        b'"id": "clip-0"', renamed)
+
+    manifest, kept = tmp_path / "m.jsonl", tmp_path / "kept.jsonl"
+    doc = {"id": "r-é", "task": "expression", "media": {"path": "v/é.mp4", "type": "video"},
+           "label": "happiness", "description": "d", "ratings": {"overall": 9}}
+    manifest.write_text(json.dumps({**doc, "instruction": None}) + "\n", encoding="utf-8")
+    assert main(["filter", "--manifest", str(manifest), "--out-kept", str(kept),
+                 "--out-removed", str(tmp_path / "removed.jsonl")]) == 0
+    assert kept.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+    records, report = tmp_path / "records.jsonl", tmp_path / "report.json"
+    line = {"id": "e-é", "task": "deepfake", "generated": "It looks fake.", "ground_truth": "fake"}
+    records.write_text(json.dumps(line) + "\n")
+    assert main(["eval", "--records", str(records), "--out", str(report)]) == 0
+    want = report.read_bytes()
+    records.write_text(json.dumps({**line, "chunk_group": None}) + "\n")
+    assert main(["eval", "--records", str(records), "--out", str(report)]) == 0
+    assert report.read_bytes() == want
+
+
+@pytest.mark.parametrize("task", ["expresion", "au", "age"])
+def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps({"happiness": ["happy"], "sadness": ["sad"]}))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
+                 "--taxonomy", task, str(tax), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == (
+        f"--taxonomy {task}: no taxonomy for task {task!r}; "
+        "expected one of ('expression', 'attribute', 'deepfake')")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, flags, message",
     [
         ("mask", ["--seed", "1"], "unrecognized arguments: --seed 1"),

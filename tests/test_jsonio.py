@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import facecond
-from facecond.datapipe import load_manifest
+from facecond.checkpoint import load_arrays
+from facecond.cli import _load_tokens
+from facecond.datapipe import load_manifest, load_manifest_strict
 from facecond.evalkit import load_eval_records
+from facecond.geometry import load_landmarks
 from facecond.jsonio import is_int, is_number, number_array, read_json, write_json
 
 SRC = Path(facecond.__file__).parent
@@ -120,6 +123,86 @@ def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
     path.write_bytes(b'{"id": "caf\xe9"}')
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: malformed JSON: 'utf-8' codec")):
         read_json(str(path))
+
+
+def _manifest_line(**change):
+    return json.dumps({**json.loads(_GOOD_MANIFEST), **change})
+
+
+def _eval_line(**change):
+    return json.dumps({**json.loads(_GOOD_EVAL), **change})
+
+
+def _checkpoint(**tensors):
+    return json.dumps({"format": "facecond-checkpoint-v1", "meta": {}, "tensors": {
+        "a.weight": {"shape": [2, 1], "data": [0.5, 1.5]}, **tensors}})
+
+
+_FRAMES = [[[0.5, 0.5]] * 68]
+
+
+# each loader, a file with one field of the wrong kind, and what follows the
+# file's name in the error: the key path, the value as JSON and the kind
+@pytest.mark.parametrize(
+    "load, text, message",
+    [
+        (load_manifest_strict,
+         _manifest_line(id=None, description=5, media={"path": 7, "type": "video"}),
+         ": manifest has 1 malformed lines (first: line 1: 'id' is null, not a string)"),
+        (load_manifest_strict, _manifest_line(description=5),
+         ": manifest has 1 malformed lines (first: line 1: 'description' is 5, not a string)"),
+        (load_manifest_strict, _manifest_line(media={"path": 7, "type": "video"}),
+         ": manifest has 1 malformed lines (first: line 1: media 'path' is 7, not a string)"),
+        (load_manifest_strict, _manifest_line(task=["expression"]),
+         ": manifest has 1 malformed lines (first: line 1: 'task' is [\"expression\"], not a string)"),
+        (load_manifest_strict, _manifest_line(media=["v/0.mp4"]),
+         ": manifest has 1 malformed lines (first: line 1: 'media' is [\"v/0.mp4\"], not an object)"),
+        (load_manifest_strict, "[1, 2]",
+         ": manifest has 1 malformed lines (first: line 1: record is [1, 2], not an object)"),
+        (load_eval_records, _eval_line(id=None), ":1: bad eval record: 'id' is null, not a string"),
+        (load_eval_records, "[1]", ":1: bad eval record: record is [1], not an object"),
+        (load_landmarks, json.dumps({"id": None, "frames": _FRAMES}),
+         ": 'id' is null, not a string"),
+        (load_landmarks, json.dumps({"id": ["x"], "frames": _FRAMES}),
+         ": 'id' is [\"x\"], not a string"),
+        (load_landmarks, "[1]", ": document is [1], not an object"),
+        (_load_tokens, json.dumps({"id": 5, "tokens": [[[0.5]]]}), ": 'id' is 5, not a string"),
+        (load_arrays, _checkpoint(**{"a.weight": {"data": [0.5, 1.5]}}),
+         ": tensor 'a.weight': missing key 'shape'"),
+        (load_arrays, _checkpoint(**{"a.bias": [0.0]}), ": tensor 'a.bias' is [0.0], not an object"),
+        (load_arrays, _checkpoint(**{"a.weight": {"shape": [2.0, 1], "data": [0.5, 1.5]}}),
+         ": tensor 'a.weight': 'shape' is [2.0, 1], not a list of integers"),
+    ],
+    ids=["manifest-null_id_number_description_and_path", "manifest-number_description",
+         "manifest-number_media_path", "manifest-list_task", "manifest-list_media",
+         "manifest-a_list", "eval-null_id", "eval-a_list", "landmarks-null_id",
+         "landmarks-list_id", "landmarks-a_list", "tokens-number_id", "checkpoint-no_shape",
+         "checkpoint-entry_list", "checkpoint-float_shape"],
+)
+def test_loaders_name_the_file_and_key_path_of_a_field_of_the_wrong_kind(
+    tmp_path, load, text, message
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load(str(path))
+    assert str(excinfo.value) == f"{path}{message}"
+
+
+def test_valid_documents_with_a_non_ascii_id_and_null_optionals_load_as_written(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_manifest_line(id="r-é中", instruction=None) + "\n", encoding="utf-8")
+    [record] = load_manifest_strict(str(path))
+    assert (record.id, record.instruction) == ("r-é中", None)
+    path.write_text(_eval_line(id="e-é", chunk_group=None) + "\n", encoding="utf-8")
+    [record] = load_eval_records(str(path))
+    assert (record.id, record.chunk_group) == ("e-é", None)
+    path.write_text(json.dumps({"id": "clip-é", "frames": _FRAMES}), encoding="utf-8")
+    assert load_landmarks(str(path))[0] == "clip-é"
+    for doc, want in [({"tokens": [[[0.5]]]}, None), ({"id": None, "tokens": [[[0.5]]]}, None),
+                      ({"id": "t-é", "tokens": [[[0.5]]]}, "t-é")]:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _load_tokens(str(path))[0] == want
 
 
 def test_is_int_and_is_number():
