@@ -19,7 +19,7 @@ import numpy as np
 from .frgca import FrgcaParams
 from .frlp import FrlpParams
 from .geometry import PatchGrid
-from .jsonio import is_int, number_array, read_json, write_json
+from .jsonio import INTEGER, INTEGERS, OBJECT, member, number_array, read_json, typed, within, write_json
 from .registry import take
 from .toytrain.decoder import ToyDecoderParams
 from .toytrain.projector import VisionProjectorParams
@@ -45,20 +45,23 @@ def save_arrays(path: str, arrays: dict[str, np.ndarray], meta: dict | None = No
 
 
 def load_arrays(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
-        raise ValueError(f"{path}: not a {FORMAT_TAG} archive")
-    if not isinstance(doc.get("tensors"), dict):
-        raise ValueError(f"{path}: 'tensors' must be an object of tensor entries")
-    if not isinstance(doc.get("meta", {}), dict):
-        raise ValueError(f"{path}: 'meta' must be an object")
+    return read_json(path, _archive)
+
+
+def _archive(doc) -> tuple[dict[str, np.ndarray], dict]:
+    doc = typed(doc, OBJECT, "document")
+    if doc.get("format") != FORMAT_TAG:
+        raise ValueError(f"not a {FORMAT_TAG} archive")
+    meta = typed(doc.get("meta", {}), OBJECT, "'meta'")
     arrays = {}
-    for key, entry in doc["tensors"].items():
-        try:
-            arrays[key] = number_array(entry["data"], 1, "data").reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: tensor {key!r}: {exc}") from None
-    return arrays, doc.get("meta", {})
+    for key, entry in member(doc, "tensors", OBJECT).items():
+        where = f"tensor {key!r}"
+        entry = typed(entry, OBJECT, where)
+        with within(where):
+            arrays[key] = number_array(entry["data"], 1, "data").reshape(
+                member(entry, "shape", INTEGERS)
+            )
+    return arrays, meta
 
 
 def save_model(path: str, model: ModelParams) -> None:
@@ -72,10 +75,7 @@ def save_model(path: str, model: ModelParams) -> None:
 
 
 def _meta_int(meta: dict, key: str, default: int) -> int:
-    value = meta.get(key, default)
-    if not is_int(value):
-        raise ValueError(f"checkpoint meta {key!r} is {value!r}, not an integer")
-    return value
+    return typed(meta.get(key, default), INTEGER, f"checkpoint meta {key!r}")
 
 
 def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None) -> FrlpParams:
@@ -102,7 +102,7 @@ def build_frgca(
 def load_model(path: str) -> ModelParams:
     arrays, meta = load_arrays(path)
     dims: dict[str, int] = {}  # shared, so all four groups agree on d
-    try:
+    with within(path):  # the builders' errors name the tensor, not the file
         return ModelParams(
             frlp=build_frlp(arrays, dims),
             frgca=build_frgca(arrays, meta, dims),
@@ -110,5 +110,3 @@ def load_model(path: str) -> ModelParams:
             decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
             grid=PatchGrid(_meta_int(meta, "grid_rows", 16), _meta_int(meta, "grid_cols", 16)),
         )
-    except ValueError as exc:  # the builders' errors name the tensor, not the file
-        raise ValueError(f"{path}: {exc}") from None

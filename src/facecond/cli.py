@@ -40,7 +40,7 @@ from .evalkit import (
 from .frgca import attention_maps_json
 from .frlp import TOKEN_MODES
 from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
-from .jsonio import is_int, number_array, read_json, write_json
+from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, within, write_json
 from .toytrain import TrainConfig, evaluate, train
 from .toytrain.synth import TASK_KINDS
 from .toytrain.training import VARIANTS, condition, config_dataset, init_model
@@ -49,10 +49,7 @@ log = logging.getLogger("facecond")
 
 
 def _read_config(path: str) -> dict:
-    config = read_json(path)
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return config
+    return read_json(path, lambda doc: typed(doc, OBJECT, "document"))
 
 
 def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
@@ -97,10 +94,12 @@ def cmd_mask(args) -> int:
 
 
 def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "tokens" not in doc:
-        raise ValueError(f"{path}: expected an object with a 'tokens' field")
-    return doc.get("id"), number_array(doc["tokens"], 3, f"{path}: tokens")
+    return read_json(path, _tokens)
+
+
+def _tokens(doc) -> tuple[str | None, np.ndarray]:
+    doc = typed(doc, OBJECT, "document")
+    return member(doc, "id", STRING, optional=True), number_array(doc["tokens"], 3, "tokens")
 
 
 def cmd_enrich(args) -> int:
@@ -122,11 +121,9 @@ def cmd_enrich(args) -> int:
     if args.checkpoint:
         arrays, meta = ckpt.load_arrays(args.checkpoint)
         dims = {"d": d}  # shared, so FRLP, FRGCA and the tokens agree on d
-        try:
+        with within(args.checkpoint):
             frlp_params = ckpt.build_frlp(arrays, dims)
             frgca_params = ckpt.build_frgca(arrays, meta, dims)
-        except ValueError as exc:
-            raise ValueError(f"{args.checkpoint}: {exc}") from None
     elif args.variant != "none":
         model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
         frlp_params, frgca_params = model.frlp, model.frgca

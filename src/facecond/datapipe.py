@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import is_int, is_number, read_json, read_jsonl, write_jsonl
+from .jsonio import OBJECT, STRING, STRINGS, is_int, is_number, member, read_json, read_jsonl
+from .jsonio import typed, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
 RATING_KEYS = (
@@ -50,10 +51,6 @@ class AnnotationRecord:
     def __post_init__(self) -> None:
         if self.media_type not in MEDIA_TYPES:
             raise ValueError(f"media type must be one of {MEDIA_TYPES}")
-        if not (self.instruction is None or isinstance(self.instruction, str)):
-            raise ValueError(f"instruction {self.instruction!r} is not a string or null")
-        if not isinstance(self.ratings, dict):
-            raise ValueError(f"ratings {self.ratings!r} is not an object")
         unknown = set(self.ratings) - set(RATING_KEYS)
         if unknown:
             raise ValueError(f"unknown rating keys: {sorted(unknown)}")
@@ -80,17 +77,19 @@ class AnnotationRecord:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "AnnotationRecord":
-        media = obj["media"]
+    def from_json_obj(cls, obj) -> "AnnotationRecord":
+        """The record of a decoded manifest line; ``label`` is any JSON value."""
+        obj = typed(obj, OBJECT, "record")
+        media = member(obj, "media", OBJECT)
         return cls(
-            id=str(obj["id"]),
-            task=str(obj["task"]),
-            media_path=str(media["path"]),
-            media_type=str(media["type"]),
+            id=member(obj, "id", STRING),
+            task=member(obj, "task", STRING),
+            media_path=typed(media["path"], STRING, "media 'path'"),
+            media_type=typed(media["type"], STRING, "media 'type'"),
             label=obj["label"],
-            description=str(obj["description"]),
-            instruction=obj.get("instruction"),
-            ratings=obj.get("ratings", {}),
+            description=member(obj, "description", STRING),
+            instruction=member(obj, "instruction", STRING, optional=True),
+            ratings=typed(obj.get("ratings", {}), OBJECT, "'ratings'"),
         )
 
 
@@ -164,16 +163,10 @@ class InstructionBank:
 def load_instruction_bank(path: str) -> InstructionBank:
     """Read a {task: [instructions]} JSON file. Errors name the file, and
     the task when one task is bad."""
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a task -> instruction-list object")
-    for task, items in data.items():
-        if not isinstance(items, list) or not all(isinstance(text, str) for text in items):
-            raise ValueError(f"{path}: task {task!r} must map to a list of instruction strings")
-    try:
-        return InstructionBank({task: tuple(items) for task, items in data.items()})
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, lambda doc: InstructionBank({
+        task: tuple(typed(items, STRINGS, f"task {task!r}"))
+        for task, items in typed(doc, OBJECT, "document").items()
+    }))
 
 
 def pair_instructions(
@@ -204,21 +197,19 @@ def pair_instructions(
 def load_split_target(path: str) -> dict[str, dict[str, float]]:
     """Read a {task: {class: weight}} JSON file for ``build_test_split``.
     Errors name the file, and the task and class when one is bad."""
-    target = read_json(path)
-    if not isinstance(target, dict):
-        raise ValueError(f"{path}: expected a task -> {{class: weight}} object")
-    for task, weights in target.items():
-        if not isinstance(weights, dict):
-            raise ValueError(f"{path}: task {task!r} must map to a class -> weight object")
-        for cls, weight in weights.items():
+    return read_json(path, _split_target)
+
+
+def _split_target(doc) -> dict[str, dict[str, float]]:
+    for task, weights in typed(doc, OBJECT, "document").items():
+        for cls, weight in typed(weights, OBJECT, f"task {task!r}").items():
             if not is_number(weight) or weight < 0:
                 raise ValueError(
-                    f"{path}: task {task!r} class {cls!r}: weight {weight!r} "
-                    "is not a finite number >= 0"
+                    f"task {task!r} class {cls!r}: weight {weight!r} is not a finite number >= 0"
                 )
         if sum(weights.values()) <= 0:
-            raise ValueError(f"{path}: task {task!r} has no positive weight")
-    return target
+            raise ValueError(f"task {task!r} has no positive weight")
+    return doc
 
 
 def _quotas(target: dict[str, float], per_task: int) -> dict[str, int]:

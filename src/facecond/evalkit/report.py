@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..jsonio import is_int, read_jsonl
+from ..jsonio import INTEGER, INTEGERS, OBJECT, STRING, STRINGS, member, read_jsonl, typed
 from .metrics import (
     DISFA_AUS,
     compute_avg_f1,
@@ -37,7 +37,15 @@ from .parsing import (
 )
 from .taxonomy import Taxonomy, default_negation_cues, default_taxonomy
 
-TASKS = ("expression", "au", "attribute", "age", "deepfake")
+# each task, and the JSON kind of its ground truth
+_TRUTH_KINDS = {
+    "expression": STRING,
+    "au": INTEGERS,
+    "attribute": STRINGS,
+    "age": INTEGER,
+    "deepfake": STRING,
+}
+TASKS = tuple(_TRUTH_KINDS)
 _SINGLE_LABEL_TASKS = ("expression", "deepfake")
 
 
@@ -52,37 +60,21 @@ class EvalRecord:
     def __post_init__(self) -> None:
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
-        if not isinstance(self.generated, str):
-            raise ValueError(
-                f"record {self.id!r}: generated text {self.generated!r} is not a string"
-            )
-        if not (self.chunk_group is None or isinstance(self.chunk_group, str)):
-            raise ValueError(
-                f"record {self.id!r}: chunk_group {self.chunk_group!r} is not a string or null"
-            )
-        gt = self.ground_truth
-        ok = {
-            "expression": lambda: isinstance(gt, str),
-            "deepfake": lambda: isinstance(gt, str),
-            "au": lambda: isinstance(gt, (list, tuple, set)) and all(map(is_int, gt)),
-            "attribute": lambda: isinstance(gt, (list, tuple, set))
-            and all(isinstance(v, str) for v in gt),
-            "age": lambda: is_int(gt),
-        }[self.task]()
-        if not ok:
-            raise ValueError(
-                f"record {self.id!r}: ground truth {gt!r} does not fit task {self.task!r}"
-            )
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "EvalRecord":
-        return cls(
-            id=str(obj["id"]),
-            task=obj["task"],
-            generated=obj["generated"],
+    def from_json_obj(cls, obj) -> "EvalRecord":
+        """The record of a decoded eval line; ground truth of the task's kind."""
+        obj = typed(obj, OBJECT, "record")
+        record = cls(
+            id=member(obj, "id", STRING),
+            task=member(obj, "task", STRING),
+            generated=member(obj, "generated", STRING),
             ground_truth=obj["ground_truth"],
-            chunk_group=obj.get("chunk_group"),
+            chunk_group=member(obj, "chunk_group", STRING, optional=True),
         )
+        what = f"'ground_truth' of task {record.task!r}"
+        typed(record.ground_truth, _TRUTH_KINDS[record.task], what)
+        return record
 
 
 def load_eval_records(path: str) -> list[EvalRecord]:

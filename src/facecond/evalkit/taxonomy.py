@@ -20,7 +20,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from ..jsonio import read_json
+from ..jsonio import OBJECT, STRINGS, read_json, typed
 
 _RESOURCE_FILES = {
     "expression": "taxonomy_expression.json",
@@ -89,39 +89,34 @@ class Taxonomy:
 
 
 def taxonomy_from_mapping(task: str, mapping: dict[str, list[str]]) -> Taxonomy:
-    for cls, phrases in mapping.items():
-        if not isinstance(phrases, list) or not all(isinstance(p, str) for p in phrases):
-            raise ValueError(f"class {cls!r} must map to a list of phrase strings")
     return Taxonomy(
         task=task,
-        synonyms={cls: tuple(phrases) for cls, phrases in mapping.items()},
+        synonyms={
+            cls: tuple(typed(phrases, STRINGS, f"class {cls!r}"))
+            for cls, phrases in mapping.items()
+        },
     )
 
 
 def load_taxonomy(path: str, task: str) -> Taxonomy:
     """Read a {class: [phrases]} JSON file; class order follows the file.
     Errors name the file, and the class when one class is bad."""
-    mapping = read_json(path)
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{path}: expected a class -> phrase-list object")
-    try:
-        return taxonomy_from_mapping(task, mapping)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, lambda doc: taxonomy_from_mapping(task, typed(doc, OBJECT, "document")))
 
 
 def load_negation_cues(path: str) -> tuple[str, ...]:
     """Read a JSON list of negation cues. Errors name the file, and the cue
     when one cue is bad."""
-    cues = read_json(path)
-    if not isinstance(cues, list) or not all(isinstance(c, str) for c in cues):
-        raise ValueError(f"{path}: negation cues must be a JSON list of strings")
-    for cue in cues:
+    return read_json(path, _negation_cues)
+
+
+def _negation_cues(doc) -> tuple[str, ...]:
+    for cue in typed(doc, STRINGS, "document"):
         if not cue.strip():
-            raise ValueError(f"{path}: negation cue {cue!r} is empty")
+            raise ValueError(f"negation cue {cue!r} is empty")
         if cue != cue.lower():
-            raise ValueError(f"{path}: negation cue {cue!r} is not lowercase")
-    return tuple(cues)
+            raise ValueError(f"negation cue {cue!r} is not lowercase")
+    return tuple(doc)
 
 
 def _resource(name: str) -> str:

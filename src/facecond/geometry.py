@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import is_int, number_array, read_json, write_json
+from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, write_json
 
 N_LANDMARKS = 68
 
@@ -236,10 +236,9 @@ def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
 def load_landmarks(path: str) -> tuple[str, LandmarkClip]:
     """Read a landmark JSON document; returns (media id, clip). Errors name
     the file, and the first bad entry, frame or point."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "id" not in doc or "frames" not in doc:
-        raise ValueError(f"{path}: expected an object with 'id' and 'frames'")
-    try:
-        return str(doc["id"]), LandmarkClip(number_array(doc["frames"], 3, "frames"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(path, _landmarks)
+
+
+def _landmarks(doc) -> tuple[str, LandmarkClip]:
+    doc = typed(doc, OBJECT, "document")
+    return member(doc, "id", STRING), LandmarkClip(number_array(doc["frames"], 3, "frames"))

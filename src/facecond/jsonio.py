@@ -6,8 +6,9 @@ split targets, taxonomies, configs and reports. Files are UTF-8. Objects
 are written with sorted keys and the default separators, and each document
 or JSONL record ends in one newline. Floats serialize via repr, so a
 write/read round trip is bit-exact. A file that is not valid JSON fails as
-``<path>: malformed JSON: ...``; each loader checks the shape it expects
-after parsing.
+``<path>: malformed JSON: ...``; ``read_json(path, build)`` returns
+``build(doc)``, and a document `build` rejects fails with ``<path>: ``
+before the reason.
 
 ``read_jsonl`` reads every JSONL stream (manifests, eval records). Each
 line is split at its newline byte and decoded as UTF-8 on its own;
@@ -34,12 +35,18 @@ and integers beyond float64 range are not numbers. ``is_int`` and
 ``is_number`` test one value; ``number_array`` reads nested lists of
 numbers (landmark frames, visual tokens, checkpoint tensor data) and
 fails naming the first bad index.
+
+It alone decides, too, what kind a decoded value is (``KINDS``): a
+string, an object, an integer, a finite number, or a list of strings or
+of integers. ``typed`` and ``member`` return a value of the kind asked
+for or fail as ``'id' is null, not a string``; no value is converted.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -107,21 +114,78 @@ def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]
                 line = raw.decode("utf-8").strip()
                 if line:
                     values.append(build(json.loads(line)))
-            except KeyError as exc:  # str() of a KeyError is the bare key
-                errors.append((lineno, f"missing key {exc}"))
             # UnicodeDecodeError and JSONDecodeError are ValueErrors
-            except (TypeError, ValueError) as exc:
-                errors.append((lineno, str(exc)))
+            except (KeyError, TypeError, ValueError) as exc:
+                errors.append((lineno, _reason(exc)))
     return values, errors
 
 
-def read_json(path: str):
-    """The JSON document in `path`."""
+def read_json(path: str, build: Callable):
+    """`build(doc)` for the JSON document `doc` in `path`; what `build`
+    rejects fails as ``within(path)`` words it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for non-UTF-8 bytes
             raise ValueError(f"{path}: malformed JSON: {exc}") from None
+    with within(path):
+        return build(doc)
+
+
+@contextmanager
+def within(where: str):
+    """Re-raise a KeyError (as ``missing key 'name'``), TypeError or
+    ValueError of the block as a ValueError prefixed with ``<where>: ``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {_reason(exc)}") from None
+
+
+def _reason(exc: Exception) -> str:
+    # str() of a KeyError is the bare key
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+# The closed table of kinds and how an error names each. A plain kind is the
+# one type its values decode to (`type(v) is int` leaves out bool); a list
+# kind's items are all of one plain kind; a number follows the number rule.
+STRING, OBJECT, INTEGER, NUMBER = str, dict, int, (int, float)
+STRINGS, INTEGERS = list[str], list[int]
+KINDS = {
+    STRING: "a string",
+    OBJECT: "an object",
+    INTEGER: "an integer",
+    NUMBER: "a finite number",
+    STRINGS: "a list of strings",
+    INTEGERS: "a list of integers",
+}
+
+
+def fits(value, kind) -> bool:
+    """Whether `value` is of `kind`, one of `KINDS`."""
+    if kind is NUMBER:
+        return is_number(value)
+    if kind is STRINGS or kind is INTEGERS:
+        return type(value) is list and all(type(item) is kind.__args__[0] for item in value)
+    return type(value) is kind
+
+
+def typed(value, kind, what: str):
+    """`value` if it is of `kind`; otherwise ValueError
+    ``<what> is <value as JSON>, not <kind>``."""
+    if type(value) is kind or fits(value, kind):
+        return value
+    raise ValueError(f"{what} is {_shown(value)}, not {KINDS[kind]}")
+
+
+def member(obj: dict, key: str, kind, optional: bool = False):
+    """`obj[key]`, typed as ``'key'``. A missing key raises KeyError; with
+    `optional`, a missing or null member is None."""
+    value = obj.get(key) if optional else obj[key]
+    if type(value) is kind or (optional and value is None):
+        return value
+    return typed(value, kind, repr(key))
 
 
 def is_int(value) -> bool:

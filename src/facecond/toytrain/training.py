@@ -52,7 +52,7 @@ from .decoder import (
     response_predictions,
     sequence_assemble,
 )
-from ..jsonio import is_int, is_number
+from ..jsonio import INTEGER, KINDS, NUMBER, STRING, fits
 from ..registry import named, unflatten
 from .projector import VisionProjectorParams, init_vision_projector, vision_backward, vision_project
 from .synth import SynthSample, synth_dataset
@@ -123,20 +123,17 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
         for key, value in data.items():
-            accepts, kind = _JSON_FIELD_TYPES[fields[key].type]
-            if not accepts(value):
-                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
+            annotation = fields[key].type
+            nullable = annotation.endswith(" | None")
+            kind = _JSON_FIELD_KINDS[annotation.removesuffix(" | None")]
+            if not ((nullable and value is None) or fits(value, kind)):
+                or_null = " or null" if nullable else ""
+                raise ValueError(f"config key {key!r} must be {KINDS[kind]}{or_null}, got {value!r}")
         return cls(**data)
 
 
-# the JSON values each TrainConfig field annotation accepts, and how an
-# error names them
-_JSON_FIELD_TYPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "int": (is_int, "an integer"),
-    "int | None": (lambda v: v is None or is_int(v), "an integer or null"),
-    "float | None": (lambda v: v is None or is_number(v), "a finite number or null"),
-}
+# the JSON kind of each TrainConfig field annotation; "| None" adds null
+_JSON_FIELD_KINDS = {"str": STRING, "int": INTEGER, "float": NUMBER}
 
 
 @dataclass

@@ -557,7 +557,7 @@ def runnable_argv(tmp_path, command):
         pytest.param("eval", '{"au_list": "1,x"}',
                      r"config key 'au_list': AU entries \['x'\]", id="eval-bad_au_entry"),
         pytest.param("mask", '{"rows": 2', r"malformed JSON", id="mask-malformed_json"),
-        pytest.param("mask", '[2]', r"config must be a JSON object", id="mask-not_an_object"),
+        pytest.param("mask", '[2]', r"document is \[2\], not an object", id="mask-not_an_object"),
     ],
 )
 def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command, config, message):
@@ -745,7 +745,7 @@ def test_eval_rejects_negation_cues_that_are_not_a_list_of_strings(tmp_path, cap
     assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
                  "--negation-cues", str(path), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == f"{path}: negation cues must be a JSON list of strings"
+    assert err["message"] == f"{path}: document is {cues}, not a list of strings"
     assert not out.exists()
 
 

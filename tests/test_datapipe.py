@@ -200,11 +200,11 @@ def test_bank_validation():
 @pytest.mark.parametrize(
     "bank, message",
     [
-        ('["Describe the {media}."]', "expected a task -> instruction-list object"),
+        ('["Describe the {media}."]', 'document is ["Describe the {media}."], not an object'),
         ('{"expression": "Describe {media}"}',
-         "task 'expression' must map to a list of instruction strings"),
+         "task 'expression' is \"Describe {media}\", not a list of strings"),
         ('{"expression": ["Describe the {media}.", 3]}',
-         "task 'expression' must map to a list of instruction strings"),
+         "task 'expression' is [\"Describe the {media}.\", 3], not a list of strings"),
         ('{"expression": []}', "task 'expression' has no instructions"),
         ('{"expression": ["Describe it."]}',
          "instruction 'Describe it.' must contain exactly one {media}"),
@@ -281,8 +281,8 @@ def split_records(rng, n, klass_weights, task="expression"):
 @pytest.mark.parametrize(
     "target, message",
     [
-        ('["expression"]', "expected a task -> {class: weight} object"),
-        ('{"expression": ["happiness"]}', "task 'expression' must map to a class -> weight object"),
+        ('["expression"]', 'document is ["expression"], not an object'),
+        ('{"expression": ["happiness"]}', "task 'expression' is [\"happiness\"], not an object"),
         ('{"expression": {"happiness": "x"}}',
          "task 'expression' class 'happiness': weight 'x' is not a finite number >= 0"),
         ('{"expression": {"happiness": true}}',
@@ -394,10 +394,10 @@ def test_split_multiple_tasks():
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"instruction": 5}, "instruction 5 is not a string or null"),
-        ({"instruction": ["Describe."]}, "instruction ['Describe.'] is not a string or null"),
-        ({"ratings": [["overall", 9]]}, "ratings [['overall', 9]] is not an object"),
-        ({"ratings": None}, "ratings None is not an object"),
+        ({"instruction": 5}, "'instruction' is 5, not a string"),
+        ({"instruction": ["Describe."]}, "'instruction' is [\"Describe.\"], not a string"),
+        ({"ratings": [["overall", 9]]}, "'ratings' is [[\"overall\", 9]], not an object"),
+        ({"ratings": None}, "'ratings' is null, not an object"),
     ],
     ids=["int_instruction", "list_instruction", "pair_list_ratings", "null_ratings"],
 )

@@ -190,7 +190,7 @@ def test_taxonomy_rejects_phrases_with_edge_whitespace(phrase):
 def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
     path = tmp_path / "tax.json"
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": "joyful"}))
-    with pytest.raises(ValueError, match=r"tax\.json: class 'happiness' must map to a list"):
+    with pytest.raises(ValueError, match=r"tax\.json: class 'happiness' is \"joyful\", not a list of strings"):
         load_taxonomy(str(path), "expression")
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["Joyful"]}))
     with pytest.raises(ValueError, match=r"tax\.json: phrase 'Joyful' is not lowercase"):

@@ -81,16 +81,17 @@ def test_load_eval_records_rejects_bad_lines(tmp_path):
         load_eval_records(str(path))
     good = {"id": "a", "task": "au", "generated": "AU1 is active.", "ground_truth": [1]}
     bad = [
-        ({"generated": 5}, r"generated text 5 is not a string"),
-        ({"generated": None}, r"generated text None is not a string"),
-        ({"ground_truth": [True]}, r"ground truth \[True\] does not fit task 'au'"),
-        ({"ground_truth": [1, False]}, r"ground truth \[1, False\] does not fit task 'au'"),
-        ({"chunk_group": ["v1"]}, r"chunk_group \['v1'\] is not a string or null"),
-        ({"chunk_group": 3}, r"chunk_group 3 is not a string or null"),
+        ({"generated": 5}, r"'generated' is 5, not a string"),
+        ({"generated": None}, r"'generated' is null, not a string"),
+        ({"ground_truth": [True]}, r"'ground_truth' of task 'au' is \[true\], not a list of integers"),
+        ({"ground_truth": [1, False]},
+         r"'ground_truth' of task 'au' is \[1, false\], not a list of integers"),
+        ({"chunk_group": ["v1"]}, r"'chunk_group' is \[\"v1\"\], not a string"),
+        ({"chunk_group": 3}, r"'chunk_group' is 3, not a string"),
     ]
     for change, message in bad:
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **change}) + "\n")
-        with pytest.raises(ValueError, match=r"bad\.jsonl:2: bad eval record: record 'b': " + message):
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: bad eval record: " + message):
             load_eval_records(str(path))
 
 

@@ -122,7 +122,7 @@ def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"id": "caf\xe9"}')
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}: malformed JSON: 'utf-8' codec")):
-        read_json(str(path))
+        read_json(str(path), dict)
 
 
 def _manifest_line(**change):
