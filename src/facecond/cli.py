@@ -31,6 +31,7 @@ from . import datapipe, gradcheck
 from .evalkit import (
     BP4D_AUS,
     DISFA_AUS,
+    TAXONOMY_TASKS,
     confusion_csv_lines,
     load_eval_records,
     load_negation_cues,
@@ -229,6 +230,10 @@ def _au_list(text: str) -> tuple[int, ...]:
 def cmd_eval(args) -> int:
     taxonomies = {}
     for task, path in args.taxonomy or []:
+        if task not in TAXONOMY_TASKS:
+            raise ValueError(
+                f"--taxonomy {task}: no taxonomy for task {task!r}; expected one of {TAXONOMY_TASKS}"
+            )
         taxonomies[task] = load_taxonomy(path, task)
     cues = load_negation_cues(args.negation_cues) if args.negation_cues else None
 

@@ -27,6 +27,7 @@ from .report import (
     score_records,
 )
 from .taxonomy import (
+    TAXONOMY_TASKS,
     Taxonomy,
     default_negation_cues,
     default_taxonomy,
@@ -39,6 +40,7 @@ __all__ = [
     "BP4D_AUS",
     "DISFA_AUS",
     "EvalRecord",
+    "TAXONOMY_TASKS",
     "Taxonomy",
     "compute_avg_f1",
     "compute_mae",

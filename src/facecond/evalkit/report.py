@@ -35,7 +35,7 @@ from .parsing import (
     strip_negatives,
     vote_chunks,
 )
-from .taxonomy import Taxonomy, default_negation_cues, default_taxonomy
+from .taxonomy import TAXONOMY_TASKS, Taxonomy, default_negation_cues, default_taxonomy
 
 # each task, and the JSON kind of its ground truth
 _TRUTH_KINDS = {
@@ -141,7 +141,7 @@ def score_records(
     if not records:
         raise ValueError("no records to score")
     taxonomies = dict(taxonomies) if taxonomies else {}
-    for task in ("expression", "attribute", "deepfake"):
+    for task in TAXONOMY_TASKS:
         taxonomies.setdefault(task, default_taxonomy(task))
     cues = tuple(negation_cues) if negation_cues is not None else default_negation_cues()
 

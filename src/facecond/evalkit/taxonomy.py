@@ -27,6 +27,8 @@ _RESOURCE_FILES = {
     "attribute": "taxonomy_attribute.json",
     "deepfake": "taxonomy_deepfake.json",
 }
+# the tasks scored by synonym matching, each with a bundled taxonomy
+TAXONOMY_TASKS = tuple(_RESOURCE_FILES)
 
 
 def _phrase_pattern(phrase: str) -> re.Pattern:
