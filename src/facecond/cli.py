@@ -280,7 +280,8 @@ def cmd_filter(args) -> int:
 def cmd_pair(args) -> int:
     records = datapipe.load_manifest_strict(args.manifest)
     bank = datapipe.load_instruction_bank(args.bank)
-    paired = datapipe.pair_instructions(records, bank, seed=args.seed)
+    with within(args.bank):  # a record whose task the bank lacks
+        paired = datapipe.pair_instructions(records, bank, seed=args.seed)
     datapipe.save_manifest(args.out, paired)
     return 0
 

@@ -154,11 +154,6 @@ class InstructionBank:
                         f"instruction {text!r} must contain exactly one {MEDIA_PLACEHOLDER}"
                     )
 
-    def for_task(self, task: str) -> tuple[str, ...]:
-        if task not in self.instructions:
-            raise KeyError(f"instruction bank has no task {task!r}")
-        return self.instructions[task]
-
 
 def load_instruction_bank(path: str) -> InstructionBank:
     """Read a {task: [instructions]} JSON file. Errors name the file, and
@@ -177,16 +172,18 @@ def pair_instructions(
     """Give every instruction-less record a uniformly drawn instruction
     for its task, substituting the media placeholder. Records that
     already carry an instruction pass through untouched."""
-    for record in records:
-        if record.instruction is None:
-            bank.for_task(record.task)  # fail fast on missing tasks
+    for record in records:  # fail fast on missing tasks
+        if record.instruction is None and record.task not in bank.instructions:
+            raise ValueError(
+                f"record {record.id!r}: instruction bank has no task {record.task!r}"
+            )
     rng = np.random.default_rng(seed)
     out = []
     for record in records:
         if record.instruction is not None:
             out.append(record)
             continue
-        options = bank.for_task(record.task)
+        options = bank.instructions[record.task]
         choice = options[int(rng.integers(len(options)))]
         out.append(
             replace(record, instruction=choice.replace(MEDIA_PLACEHOLDER, record.media_type))

@@ -685,6 +685,18 @@ def test_a_non_ascii_id_and_null_optionals_pass_through_byte_for_byte(tmp_path):
     assert report.read_bytes() == want
 
 
+def test_pair_names_the_bank_the_task_and_the_record_the_bank_lacks(tmp_path, capsys):
+    argv = runnable_argv(tmp_path, "pair")
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"au": ["Describe the {media}."]}))
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"{bank}: record 'r000': instruction bank has no task 'expression'",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("task", ["expresion", "au", "age"])
 def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
     tax = tmp_path / "tax.json"

@@ -245,7 +245,7 @@ def test_pairing_preserves_existing_instruction_and_fields():
 
 def test_pairing_missing_task_rejected():
     records = [make_record(0, task="deepfake", rating=7)]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="^record 'r0000': instruction bank has no task 'deepfake'$"):
         pair_instructions(records, BANK, seed=0)
 
 
