@@ -294,9 +294,9 @@ def test_number_array_reads_numbers_as_float64(value, ndim, shape):
     assert arr.ravel().tolist() == [float(v) for v in np.array(value, dtype=object).ravel()]
 
 
-def _bool_isinstance_calls(tree: ast.Module):
+def _isinstance_calls(tree: ast.Module, types: set[str]):
     """Each isinstance call in `tree` whose type, or one of whose type tuple's
-    entries, is bool."""
+    entries, is named in `types`."""
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
@@ -305,23 +305,45 @@ def _bool_isinstance_calls(tree: ast.Module):
             and len(node.args) == 2
         ):
             kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
-            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+            if any(isinstance(k, ast.Name) and k.id in types for k in kinds):
                 yield node
+
+
+def _offenders(types: set[str], exempt=frozenset()) -> list[str]:
+    """module:line of each isinstance call outside jsonio.py that asks about
+    one of `types`, but for the (module, call text) pairs in `exempt`."""
+    return [
+        f"{module}:{call.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if (module := path.relative_to(SRC).as_posix()) != "jsonio.py"
+        for call in _isinstance_calls(ast.parse(path.read_text(encoding="utf-8")), types)
+        if (module, ast.unparse(call)) not in exempt
+    ]
 
 
 def test_bool_guard_sees_a_bool_alone_or_in_a_type_tuple():
     tree = ast.parse("isinstance(v, bool)\nisinstance(v, (int, bool))\nisinstance(v, (int, float))")
-    assert [call.lineno for call in _bool_isinstance_calls(tree)] == [1, 2]
+    assert [call.lineno for call in _isinstance_calls(tree, {"bool"})] == [1, 2]
 
 
 def test_only_jsonio_asks_whether_a_value_is_a_bool():
-    offenders = [
-        f"{path.relative_to(SRC).as_posix()}:{call.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        if path.relative_to(SRC).as_posix() != "jsonio.py"
-        for call in _bool_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    assert offenders == []
+    assert _offenders({"bool"}) == []
+
+
+_JSON_CONTAINERS = {"str", "dict", "list"}
+
+
+def test_kind_guard_sees_a_string_object_or_list_alone_or_in_a_type_tuple():
+    tree = ast.parse(
+        "isinstance(v, str)\nisinstance(v, dict)\nisinstance(v, list)\n"
+        "isinstance(v, (list, tuple, set))\nisinstance(v, (int, float))\nisinstance(v, np.ndarray)"
+    )
+    assert [call.lineno for call in _isinstance_calls(tree, _JSON_CONTAINERS)] == [1, 2, 3, 4]
+
+
+def test_only_jsonio_asks_whether_a_value_is_a_string_object_or_list():
+    # a parameter spec's named dimension is a Python string, not a JSON value
+    assert _offenders(_JSON_CONTAINERS, exempt={("registry.py", "isinstance(dim, str)")}) == []
 
 
 _NAN, _INF = float("nan"), float("inf")
