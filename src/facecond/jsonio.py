@@ -189,8 +189,8 @@ def member(obj: dict, key: str, kind, optional: bool = False):
 
 
 def is_int(value) -> bool:
-    """A JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer, the INTEGER kind: an int, which a bool is not."""
+    return type(value) is int
 
 
 def is_number(value) -> bool:
