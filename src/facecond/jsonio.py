@@ -164,9 +164,9 @@ KINDS = {
 
 def fits(value, kind) -> bool:
     """Whether `value` is of `kind`, one of `KINDS`."""
-    if kind is NUMBER:
+    if kind == NUMBER:
         return is_number(value)
-    if kind is STRINGS or kind is INTEGERS:
+    if kind in (STRINGS, INTEGERS):
         return type(value) is list and all(type(item) is kind.__args__[0] for item in value)
     return type(value) is kind
 
