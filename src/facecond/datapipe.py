@@ -51,7 +51,7 @@ class AnnotationRecord:
     def __post_init__(self) -> None:
         if self.media_type not in MEDIA_TYPES:
             raise ValueError(f"media type must be one of {MEDIA_TYPES}")
-        unknown = set(self.ratings) - set(RATING_KEYS)
+        unknown = self.ratings.keys() - RATING_KEYS
         if unknown:
             raise ValueError(f"unknown rating keys: {sorted(unknown)}")
         for key, value in self.ratings.items():
