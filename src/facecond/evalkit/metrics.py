@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..registry import shaped
+
 # AU sets scored per dataset
 DISFA_AUS = (1, 2, 4, 6, 9, 12, 25, 26)
 BP4D_AUS = (1, 2, 4, 6, 7, 10, 12, 14, 15, 17, 23, 24)
@@ -107,11 +109,7 @@ def compute_mean_attr_accuracy(
     negative. Ground truth is one binary vector per sample over the
     attribute list.
     """
-    gt = np.asarray(gt_vectors, dtype=np.int64)
-    if gt.ndim != 2 or gt.shape[1] != len(attributes):
-        raise ValueError(
-            f"ground truth must be (n, {len(attributes)}) binary vectors, got {gt.shape}"
-        )
+    gt = shaped(np.asarray(gt_vectors, dtype=np.int64), ("n", len(attributes)), {}, "ground truth")
     if gt.shape[0] == 0:
         raise ValueError("empty input")
     if len(pred_sets) != gt.shape[0]:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import SpecParams
+from .registry import SpecParams, shaped
 
 VARIANTS = ("frgca", "simple")
 
@@ -148,29 +148,18 @@ def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0)
 def _validate(h_v, h_l, mask, params, variant):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    h_v = np.asarray(h_v, dtype=np.float64)
-    if h_v.ndim != 3:
-        raise ValueError(f"h_v must be (T, N, d), got {h_v.shape}")
-    if not np.all(np.isfinite(h_v)):
+    dims = {"d": params.d}
+    h_v = shaped(np.asarray(h_v, dtype=np.float64), ("T", "N", "d"), dims, "h_v")
+    if not np.isfinite(h_v).all():
         raise ValueError("h_v contains non-finite values")
-    h_l = np.asarray(h_l, dtype=np.float64)
-    if h_l.ndim != 3 or h_l.shape[0] != h_v.shape[0]:
-        raise ValueError(f"h_l must be (T, M, d) with matching T, got {h_l.shape}")
-    if h_v.shape[2] != params.d or h_l.shape[2] != params.d:
-        raise ValueError(
-            f"token dim mismatch: h_v {h_v.shape}, h_l {h_l.shape}, params d={params.d}"
-        )
-    if not np.all(np.isfinite(h_l)):
+    h_l = shaped(np.asarray(h_l, dtype=np.float64), ("T", "M", "d"), dims, "h_l")
+    if not np.isfinite(h_l).all():
         raise ValueError("h_l contains non-finite values")
     if variant == "frgca":
         if mask is None:
             raise ValueError("variant 'frgca' requires a proximity mask")
-        mask = np.asarray(mask, dtype=np.float64)
-        T, N, _ = h_v.shape
-        M = h_l.shape[1]
-        if mask.shape != (T, N, M):
-            raise ValueError(f"mask must be {(T, N, M)}, got {mask.shape}")
-        if not np.all(np.isfinite(mask)):
+        mask = shaped(np.asarray(mask, dtype=np.float64), ("T", "N", "M"), dims, "mask")
+        if not np.isfinite(mask).all():
             raise ValueError("mask contains non-finite values")
     else:
         mask = None
@@ -262,11 +251,7 @@ def frgca_backward(
     if cache is None:
         raise ValueError("missing forward cache; call frgca_forward(..., return_cache=True)")
     params = cache.params
-    g = np.asarray(cotangent, dtype=np.float64)
-    if g.shape != cache.h_v.shape:
-        raise ValueError(
-            f"cotangent shape {g.shape} does not match cached forward output {cache.h_v.shape}"
-        )
+    g = shaped(np.asarray(cotangent, dtype=np.float64), cache.h_v.shape, {}, "cotangent")
 
     h_v, h_l = cache.h_v, cache.h_l
     T, N, d = h_v.shape

@@ -20,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .geometry import WHOLE_FACE, LandmarkClip, RegionPartition, N_LANDMARKS, default_partition
-from .registry import Spec
+from .registry import Spec, shaped
 
 TOKEN_MODES = ("both", "local_only", "global_only")
 
@@ -138,10 +138,10 @@ def frlp_backward(
     if mode not in TOKEN_MODES:
         raise ValueError(f"unknown token mode {mode!r}; expected one of {TOKEN_MODES}")
     inputs = _region_inputs(clip, partition, params)
-    d_tokens = np.asarray(d_tokens, dtype=np.float64)
     selected = 1 if mode == "global_only" else len(inputs) - 1
-    if d_tokens.shape != (clip.num_frames, selected, params.d):
-        raise ValueError(f"cotangent shape {d_tokens.shape} mismatches tokens")
+    d_tokens = shaped(
+        np.asarray(d_tokens, dtype=np.float64), (clip.num_frames, selected, params.d), {}, "cotangent"
+    )
 
     # the cotangent of frlp_forward's output; zero where the mode reads nothing
     d_regions = np.zeros((clip.num_frames, len(inputs), params.d))

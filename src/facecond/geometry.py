@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, write_json
+from .registry import shaped
 
 N_LANDMARKS = 68
 
@@ -45,9 +46,7 @@ class LandmarkClip:
     1 <= T <= MAX_FRAMES. The constructor copies and validates its input."""
 
     def __init__(self, points) -> None:
-        pts = np.array(points, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[1:] != (N_LANDMARKS, 2):
-            raise ValueError(f"expected (T, {N_LANDMARKS}, 2) array, got shape {pts.shape}")
+        pts = shaped(np.array(points, dtype=np.float64), ("T", N_LANDMARKS, 2), {}, "landmarks")
         if not pts.shape[0]:
             raise ValueError("a clip needs at least one frame")
         if pts.shape[0] > MAX_FRAMES:
@@ -198,11 +197,9 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
     values, one per leading index.
     """
     regions = np.asarray(regions, dtype=np.float64)
-    patches = np.asarray(patches, dtype=np.float64)
     if regions.ndim < 2 or regions.shape[-1] != 2:
         raise ValueError(f"region centroids must be (..., M, 2), got {regions.shape}")
-    if patches.ndim != 2 or patches.shape[1] != 2:
-        raise ValueError(f"patch centroids must be (N, 2), got {patches.shape}")
+    patches = shaped(np.asarray(patches, dtype=np.float64), ("N", 2), {}, "patches")
     if not (np.all(np.isfinite(regions)) and np.all(np.isfinite(patches))):
         raise ValueError("centroids must be finite")
     return _proximity(regions, patches)

@@ -6,6 +6,13 @@ in checkpoint order; a shape entry is a size or a named dimension such
 as "d". ``arrays()`` returns an instance's arrays in spec order and
 ``with_arrays`` rebuilds it around new ones, so one spec names weights,
 gradients, checkpoint tensors and gradcheck arrays alike.
+
+The dimension rule: every array a layer takes, like every checkpoint
+tensor, is checked by ``shaped(arr, shape, dims, what)`` against a shape
+written once in sizes and named dimensions, such as ("T", "N", "d"). A
+named dimension binds in ``dims`` at its first use, and the arrays of one
+call share ``dims``, so they must agree on it. A mismatch fails as
+``h_l has shape (3, 10, 16), expected (2, 10, 16)``.
 """
 
 from __future__ import annotations
@@ -52,15 +59,29 @@ def take(
         name = prefix + key
         if name not in archive:
             raise ValueError(f"checkpoint is missing tensor {name!r}")
-        arr = archive[name]
-        for dim, size in zip(shape, arr.shape):
-            if isinstance(dim, str):
-                dims.setdefault(dim, size)
-        expected = tuple(dims.get(dim, dim) for dim in shape)
-        if arr.shape != expected:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
-        out.append(arr)
+        out.append(shaped(archive[name], shape, dims, name))
     return out
+
+
+def shaped(arr: np.ndarray, shape: tuple[int | str, ...], dims: dict[str, int], what: str):
+    """`arr` if its shape is `shape`; otherwise ValueError
+    ``<what> has shape (2, 5), expected (2, 4)``.
+
+    When `arr` has as many axes as `shape`, each named dimension binds in
+    `dims` at its first use; one left unbound is shown by its name, as in
+    ``expected (T, 68, 2)``.
+    """
+    if arr.ndim == len(shape):
+        expected = tuple(
+            dims.setdefault(dim, size) if isinstance(dim, str) else dim
+            for dim, size in zip(shape, arr.shape)
+        )
+    else:
+        expected = tuple(dims.get(dim, dim) for dim in shape)
+    if arr.shape != expected:
+        shown = str(expected).replace("'", "")  # a dimension's name, unquoted
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shown}")
+    return arr
 
 
 def unflatten(vec: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:

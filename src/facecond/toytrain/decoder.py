@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..registry import SpecParams
+from ..registry import SpecParams, shaped
 
 DEFAULT_MAX_CONTEXT = 2048
 
@@ -104,9 +104,7 @@ def sequence_assemble(
     The visual block has length exactly T*N; landmark tokens never enter
     the sequence.
     """
-    visual = np.asarray(visual, dtype=np.float64)
-    if visual.ndim != 3 or visual.shape[2] != params.d:
-        raise ValueError(f"visual tokens must be (T, N, {params.d}), got {visual.shape}")
+    visual = shaped(np.asarray(visual, dtype=np.float64), ("T", "N", params.d), {}, "visual")
     instruction_ids = _check_ids(instruction_ids, params.vocab, "instruction")
     response_ids = _check_ids(response_ids, params.vocab, "response")
     T, N, d = visual.shape

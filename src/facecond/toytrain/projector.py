@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from ..registry import SpecParams
+from ..registry import SpecParams, shaped
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -75,11 +75,7 @@ def vision_project(
     raw: np.ndarray, params: VisionProjectorParams, return_cache: bool = False
 ):
     """Project raw (T, N, d_raw) features into (T, N, d) visual tokens."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 3 or raw.shape[2] != params.d_raw:
-        raise ValueError(
-            f"raw features must be (T, N, {params.d_raw}), got {raw.shape}"
-        )
+    raw = shaped(np.asarray(raw, dtype=np.float64), ("T", "N", params.d_raw), {}, "raw")
     pre = raw @ params.w1.T + params.b1
     hid = gelu(pre)
     out = hid @ params.w2.T + params.b2

@@ -256,7 +256,7 @@ def test_frlp_gradients_match_finite_differences(mode):
     # tokens is rejected, whatever the mode
     T, M, d = shape
     for wrong in [(T + 1, M, d), (T, M + 1, d), (T, 10, d), (T, M, d + 1), (M, d)]:
-        with pytest.raises(ValueError, match=r"cotangent shape .* mismatches tokens"):
+        with pytest.raises(ValueError, match=r"^cotangent has shape .*, expected "):
             frlp_backward(np.zeros(wrong), clip, part, params, mode=mode)
 
 
