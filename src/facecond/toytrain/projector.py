@@ -91,8 +91,9 @@ def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjecto
     fixed inputs, so their gradient is not computed."""
     if cache is None:
         raise ValueError("missing forward cache")
-    g = np.asarray(cotangent, dtype=np.float64)
     params = cache.params
+    expected = (*cache.raw.shape[:2], params.d)  # the (T, N, d) output
+    g = shaped(np.asarray(cotangent, dtype=np.float64), expected, {}, "cotangent")
     # fold (T, N) into one row axis: each weight gradient is one GEMM
     rows = g.shape[0] * g.shape[1]
     d_hidden = g @ params.w2
