@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import OBJECT, STRING, STRINGS, is_int, is_number, member, read_json, read_jsonl
+from .jsonio import OBJECT, STRING, STRINGS, fits, is_int, is_number, member, read_json, read_jsonl
 from .jsonio import typed, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
@@ -245,8 +245,10 @@ def build_test_split(
         candidates = [r for r in records if r.task == task]
         by_class: dict[str, list[AnnotationRecord]] = {cls: [] for cls in quotas}
         for record in candidates:
-            cls = str(record.label)
-            if cls in by_class:
+            # a label meets the class key that is the label itself or, for
+            # an integer label such as an age, its decimal text
+            cls = str(record.label) if is_int(record.label) else record.label
+            if fits(cls, STRING) and cls in by_class:
                 by_class[cls].append(record)
         task_summary = {"classes": {}, "selected": 0}
         for cls, quota in quotas.items():

@@ -426,6 +426,30 @@ def test_split_subcommand(tmp_path):
     assert labels.count("happiness") == 5 and labels.count("sadness") == 5
 
 
+def test_split_counts_no_null_or_boolean_label_under_a_class(tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    lines = [
+        {"id": f"r{i}", "task": "age", "label": label, "ratings": {"overall": 9 - i},
+         "media": {"path": f"v/{i}.mp4", "type": "video"}, "description": "d"}
+        for i, label in enumerate([None, "None", 37, True])
+    ]
+    manifest.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"age": {"None": 1, "37": 1, "True": 1}}))
+    out = tmp_path / "split.jsonl"
+    code = main(["split", "--manifest", str(manifest), "--target", str(target),
+                 "--per-task", "3", "--out", str(out)])
+    assert code == 1
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message == "task 'age' class 'True': need 1 records, have 0"
+    assert not out.exists()
+    target.write_text(json.dumps({"age": {"None": 1, "37": 1}}))
+    code = main(["split", "--manifest", str(manifest), "--target", str(target),
+                 "--per-task", "2", "--out", str(out)])
+    assert code == 0
+    assert [json.loads(line)["id"] for line in out.read_text().splitlines()] == ["r1", "r2"]
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_split_rejects_a_negative_per_task(tmp_path, capsys, via):
     manifest = tmp_path / "m.jsonl"

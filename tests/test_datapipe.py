@@ -391,6 +391,21 @@ def test_split_multiple_tasks():
     assert len(selected) == 40
 
 
+def test_split_meets_a_class_key_only_with_its_string_or_an_integer_label():
+    # an age manifest's labels; null, true and 2.0 meet no class, though
+    # their str() is "None", "True" and "2.0"
+    labels = [(None, 9), ("None", 8), (37, 7), (True, 6), (2.0, 5)]
+    records = [
+        make_record(i, task="age", rating=rating, label=label)
+        for i, (label, rating) in enumerate(labels)
+    ]
+    selected, _ = build_test_split(records, {"age": {"None": 1, "37": 1}}, per_task=2)
+    assert [r.id for r in selected] == ["r0001", "r0002"]
+    for cls in ("True", "2.0"):
+        with pytest.raises(ValueError, match=rf"^task 'age' class '{cls}': need 1 records, have 0$"):
+            build_test_split(records, {"age": {cls: 1}}, per_task=1)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
