@@ -4,8 +4,8 @@ One subcommand per pipeline stage: mask, enrich, gradcheck, train, eval,
 filter, pair, split. Structured I/O is JSON (JSONL for record streams,
 CSV only for loss traces and confusion matrices). Every subcommand is
 deterministic given its inputs, and never mutates its input files; only
-enrich, gradcheck, train and pair take --seed, which is then one of those
-inputs. --help shows each option's default. A --config JSON object
+enrich, gradcheck, train and pair take --seed, an integer >= 0, which is
+then one of those inputs. --help shows each option's default. A --config JSON object
 replaces defaults: its keys are option names ("token_mode"), each value
 is checked as that flag's text, and explicit flags win. train's --config
 is a TrainConfig plus train_size, eval_size and task_kind. Files are read and
@@ -214,6 +214,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:  # argparse's own words for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {seed}")
+    return seed
+
+
 _AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
 
 
@@ -322,7 +333,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="output mask JSON")
 
     p = command("enrich", cmd_enrich, "visual tokens + landmarks -> enriched tokens")
-    p.add_argument("--seed", type=int, default=0, help="seed init's seed, without --checkpoint")
+    p.add_argument("--seed", type=_seed, default=0, help="seed init's seed, without --checkpoint")
     p.add_argument("--landmarks", required=True)
     p.add_argument("--tokens", required=True, help="visual token JSON ({'tokens': (T,N,d)})")
     p.add_argument("--checkpoint", help="parameter archive; seed init when omitted")
@@ -335,14 +346,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True)
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--out", help="optional JSON report path")
 
     p = command(
         "train", cmd_train, "toy two-stage training on synthetic data",
         config_help="TrainConfig JSON, plus train_size, eval_size and task_kind",
     )
-    p.add_argument("--seed", type=int, help="overrides the config's seed")
+    p.add_argument("--seed", type=_seed, help="overrides the config's seed")
     p.add_argument("--out", required=True, help="output directory")
 
     p = command("eval", cmd_eval, "score generated descriptions against labels")
@@ -370,7 +381,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--summary-out")
 
     p = command("pair", cmd_pair, "attach task instructions to records")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed")
     p.add_argument("--manifest", required=True)
     p.add_argument("--bank", required=True, help="JSON {task: [instructions]}")
     p.add_argument("--out", required=True)

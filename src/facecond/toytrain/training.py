@@ -95,6 +95,8 @@ class TrainConfig:
             raise ValueError(f"stage must be one of {STAGES}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
         if self.variant not in VARIANTS:

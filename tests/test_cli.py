@@ -328,6 +328,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"epochs": 2.5}, "config key 'epochs' must be an integer, got 2.5"),
         ({"d": "8"}, "config key 'd' must be an integer, got '8'"),
         ({"seed": True}, "config key 'seed' must be an integer, got True"),
+        ({"seed": -2, "train_size": 2}, "seed must be >= 0"),
         ({"d_attn": 8.0}, "config key 'd_attn' must be an integer or null, got 8.0"),
         ({"learning_rate": "0.1"},
          "config key 'learning_rate' must be a finite number or null, got '0.1'"),
@@ -564,6 +565,7 @@ def runnable_argv(tmp_path, command):
         "filter": ["--manifest", str(manifest), "--out-removed", str(tmp_path / "removed")],
         "pair": ["--manifest", str(manifest), "--bank", str(bank)],
         "split": ["--manifest", str(manifest), "--target", str(target), "--per-task", "2"],
+        "train": [],
     }[command] + ["--out-kept" if command == "filter" else "--out", out]
 
 
@@ -582,6 +584,11 @@ def runnable_argv(tmp_path, command):
                      r"config key 'au_list': AU entries \['x'\]", id="eval-bad_au_entry"),
         pytest.param("mask", '{"rows": 2', r"malformed JSON", id="mask-malformed_json"),
         pytest.param("mask", '[2]', r"document is \[2\], not an object", id="mask-not_an_object"),
+    ]
+    + [
+        pytest.param(c, '{"seed": -1}', r"config key 'seed': expected an integer >= 0, got -1$",
+                     id=f"{c}-negative_seed")
+        for c in ("enrich", "gradcheck", "pair")
     ],
 )
 def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command, config, message):
@@ -741,14 +748,20 @@ def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
         ("mask", ["--seed", "1"], "unrecognized arguments: --seed 1"),
         ("eval", ["--threads", "2"], "unrecognized arguments: --threads 2"),
         ("eval", ["--au-list", "1,x"], "argument --au-list: AU entries ['x'] in '1,x'"),
+        *(
+            (command, ["--seed", "-1"], "argument --seed: expected an integer >= 0, got -1")
+            for command in ("enrich", "gradcheck", "train", "pair")
+        ),
     ],
-    ids=["mask-seed", "eval-threads", "eval-bad_au_entry"],
+    ids=["mask-seed", "eval-threads", "eval-bad_au_entry", "enrich-negative_seed",
+         "gradcheck-negative_seed", "train-negative_seed", "pair-negative_seed"],
 )
 def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
     with pytest.raises(SystemExit) as excinfo:
         main(runnable_argv(tmp_path, command) + flags)
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
