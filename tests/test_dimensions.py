@@ -1,8 +1,11 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import facecond
 from facecond.evalkit import compute_mean_attr_accuracy
 from facecond.frgca import frgca_backward, frgca_forward, init_frgca
 from facecond.frlp import frlp_backward, init_frlp
@@ -10,6 +13,8 @@ from facecond.geometry import LandmarkClip, default_partition, rpp_mask
 from facecond.registry import take
 from facecond.toytrain.decoder import init_decoder, sequence_assemble
 from facecond.toytrain.projector import init_vision_projector, vision_backward, vision_project
+
+SRC = Path(facecond.__file__).parent
 
 
 def _frgca(h_v=(2, 3, 16), h_l=(2, 10, 16), mask=(2, 3, 10)):
@@ -74,3 +79,40 @@ def _vision_backward(cotangent):
 def test_a_wrong_shaped_array_fails_naming_its_shape(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+def _raising_axis_tests(tree: ast.Module):
+    """Each `if` in `tree` whose test reads an `.ndim` and under which, in
+    either branch, a `raise` stands."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.If)
+            and any(isinstance(n, ast.Attribute) and n.attr == "ndim" for n in ast.walk(node.test))
+            and any(isinstance(n, ast.Raise) for n in ast.walk(node))
+        ):
+            yield node
+
+
+def test_dimension_guard_sees_an_axis_test_that_raises():
+    tree = ast.parse(
+        "if a.ndim != 3:\n    raise ValueError\n"
+        "if a.ndim < 2 or a.shape[-1] != 2:\n    raise ValueError(a.shape)\n"
+        "if a.ndim == 2:\n    a = a.T\n"
+        "if x:\n    pass\nelif a.ndim:\n    if y:\n        raise ValueError\n"
+        "if a.ndim == 3:\n    pass\nelse:\n    raise ValueError\n"
+        "if a.shape != (2, 3):\n    raise ValueError\n"
+    )
+    assert sorted(node.lineno for node in _raising_axis_tests(tree)) == [1, 3, 9, 12]
+
+
+def test_only_registry_tests_an_arrays_axes_before_raising():
+    # rpp_mask's region centroids take leading axes, which no fixed shape states
+    exempt = {("geometry.py", "regions.ndim < 2 or regions.shape[-1] != 2")}
+    offenders = [
+        f"{module}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if (module := path.relative_to(SRC).as_posix()) != "registry.py"
+        for node in _raising_axis_tests(ast.parse(path.read_text(encoding="utf-8")))
+        if (module, ast.unparse(node.test)) not in exempt
+    ]
+    assert offenders == []
