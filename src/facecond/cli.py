@@ -5,12 +5,13 @@ filter, pair, split. Structured I/O is JSON (JSONL for record streams,
 CSV only for loss traces and confusion matrices). Every subcommand is
 deterministic given its inputs, and never mutates its input files; only
 enrich, gradcheck, train and pair take --seed, an integer >= 0, which is
-then one of those inputs. --help shows each option's default. A --config JSON object
-replaces defaults: its keys are option names ("token_mode"), each value
-is checked as that flag's text, and explicit flags win. train's --config
-is a TrainConfig plus train_size, eval_size and task_kind. Files are read and
-written through facecond.jsonio; an input file that is malformed or the
-wrong shape fails with a message that starts with its path.
+then one of those inputs. --help shows each option's default. A --config
+JSON object replaces defaults: its keys are option names ("token_mode"),
+each value is checked as that flag's text, and explicit flags win.
+train's --config is a TrainConfig plus train_size, eval_size and
+task_kind. Files are read and written through facecond.jsonio; an input
+file that is malformed or the wrong shape fails with a message that
+starts with its path.
 
 FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
 """

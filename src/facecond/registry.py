@@ -63,7 +63,9 @@ def take(
     return out
 
 
-def shaped(arr: np.ndarray, shape: tuple[int | str, ...], dims: dict[str, int], what: str):
+def shaped(
+    arr: np.ndarray, shape: tuple[int | str, ...], dims: dict[str, int], what: str
+) -> np.ndarray:
     """`arr` if its shape is `shape`; otherwise ValueError
     ``<what> has shape (2, 5), expected (2, 4)``.
 
