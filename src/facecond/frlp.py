@@ -139,9 +139,8 @@ def frlp_backward(
         raise ValueError(f"unknown token mode {mode!r}; expected one of {TOKEN_MODES}")
     inputs = _region_inputs(clip, partition, params)
     selected = 1 if mode == "global_only" else len(inputs) - 1
-    d_tokens = shaped(
-        np.asarray(d_tokens, dtype=np.float64), (clip.num_frames, selected, params.d), {}, "cotangent"
-    )
+    expected = (clip.num_frames, selected, params.d)
+    d_tokens = shaped(np.asarray(d_tokens, dtype=np.float64), expected, {}, "cotangent")
 
     # the cotangent of frlp_forward's output; zero where the mode reads nothing
     d_regions = np.zeros((clip.num_frames, len(inputs), params.d))

@@ -66,20 +66,15 @@ def take(
 def shaped(
     arr: np.ndarray, shape: tuple[int | str, ...], dims: dict[str, int], what: str
 ) -> np.ndarray:
-    """`arr` if its shape is `shape`; otherwise ValueError
-    ``<what> has shape (2, 5), expected (2, 4)``.
-
-    When `arr` has as many axes as `shape`, each named dimension binds in
-    `dims` at its first use; one left unbound is shown by its name, as in
-    ``expected (T, 68, 2)``.
-    """
+    """`arr` if its shape is `shape`, else ValueError ``<what> has shape
+    (2, 5), expected (2, 4)``. When `arr` has as many axes as `shape`, a
+    named dimension binds in `dims` at its first use; one left unbound is
+    shown by its name, as in ``expected (T, 68, 2)``."""
     if arr.ndim == len(shape):
-        expected = tuple(
-            dims.setdefault(dim, size) if isinstance(dim, str) else dim
-            for dim, size in zip(shape, arr.shape)
-        )
-    else:
-        expected = tuple(dims.get(dim, dim) for dim in shape)
+        for dim, size in zip(shape, arr.shape):
+            if isinstance(dim, str):
+                dims.setdefault(dim, size)
+    expected = tuple(dims.get(dim, dim) for dim in shape)
     if arr.shape != expected:
         shown = str(expected).replace("'", "")  # a dimension's name, unquoted
         raise ValueError(f"{what} has shape {arr.shape}, expected {shown}")
