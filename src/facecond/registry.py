@@ -71,14 +71,15 @@ def shaped(
     named dimension binds in `dims` at its first use; one left unbound is
     shown by its name, as in ``expected (T, 68, 2)``."""
     if arr.ndim == len(shape):
+        matches = True
         for dim, size in zip(shape, arr.shape):
-            if isinstance(dim, str):
-                dims.setdefault(dim, size)
+            if (dims.setdefault(dim, size) if isinstance(dim, str) else dim) != size:
+                matches = False
+        if matches:
+            return arr
     expected = tuple(dims.get(dim, dim) for dim in shape)
-    if arr.shape != expected:
-        shown = str(expected).replace("'", "")  # a dimension's name, unquoted
-        raise ValueError(f"{what} has shape {arr.shape}, expected {shown}")
-    return arr
+    shown = str(expected).replace("'", "")  # a dimension's name, unquoted
+    raise ValueError(f"{what} has shape {arr.shape}, expected {shown}")
 
 
 def unflatten(vec: np.ndarray, like: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
