@@ -11,7 +11,9 @@ and of the ``--attention-out`` bytes with both token sets. It pins the
 manifest pipeline on one fixed manifest: a sha256 of every file that
 ``facecond filter``, ``pair`` and ``split`` write, of one
 ``save_landmarks`` file, and of the ``facecond mask`` output for a 3-frame
-clip. Rerun only when a change is meant to alter those
+clip. It pins ``facecond eval`` on each of the five ``eval_*.jsonl``
+fixtures: a sha256 of the report, and of the ``--confusion-out`` CSV for
+the two single-label tasks. Rerun only when a change is meant to alter those
 outputs; tests/test_golden.py compares against the committed file.
 """
 
@@ -30,7 +32,8 @@ from facecond.frlp import TOKEN_MODES
 from facecond.geometry import LandmarkClip, save_landmarks
 from facecond.toytrain import TrainConfig, model_arrays, synth_dataset, train
 
-GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "train_golden.json")
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+GOLDEN_PATH = os.path.join(FIXTURES, "train_golden.json")
 STAGES = ("pretrain", "finetune")
 STEPS = 20
 SEED = 3
@@ -215,6 +218,32 @@ def run_mask_case() -> dict:
         return {"sha256": _sha256_file(out)}
 
 
+EVAL_TASKS = ("age", "attribute", "au", "deepfake", "expression")
+# the single-label tasks, whose report has a confusion matrix
+CONFUSION_TASKS = ("deepfake", "expression")
+
+
+def eval_key(task: str) -> str:
+    return f"eval/{task}"
+
+
+def run_eval_case(task: str) -> dict:
+    """``facecond eval`` on ``fixtures/eval_<task>.jsonl`` with the bundled
+    taxonomies and negation cues."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        confusion = os.path.join(tmp, "confusion.csv")
+        argv = ["eval", "--records", os.path.join(FIXTURES, f"eval_{task}.jsonl"), "--out", out]
+        if task in CONFUSION_TASKS:
+            argv += ["--confusion-out", confusion]
+        if main(argv) != 0:
+            raise RuntimeError(f"eval failed for {task}")
+        result = {"report_sha256": _sha256_file(out)}
+        if task in CONFUSION_TASKS:
+            result["confusion_sha256"] = _sha256_file(confusion)
+    return result
+
+
 def compute() -> dict:
     golden = {
         train_key(variant, mode, stage): run_case(variant, mode, stage)
@@ -226,6 +255,8 @@ def compute() -> dict:
     golden.update(run_pipeline_case())
     golden[LANDMARKS_KEY] = run_landmarks_case()
     golden[MASK_KEY] = run_mask_case()
+    for task in EVAL_TASKS:
+        golden[eval_key(task)] = run_eval_case(task)
     return golden
 
 

@@ -3,8 +3,9 @@
 
 The golden pins loss traces, trained parameters, checkpoint bytes, enrich
 output bytes, the bytes of every file filter, pair and split write, one
-landmark file's bytes and the bytes ``facecond mask`` writes for a 3-frame
-clip; it is regenerated only by tests/make_golden.py, when
+landmark file's bytes, the bytes ``facecond mask`` writes for a 3-frame
+clip and the report and confusion CSV bytes ``facecond eval`` writes for
+each eval fixture; it is regenerated only by tests/make_golden.py, when
 an output is meant to change.
 """
 
@@ -14,15 +15,18 @@ import pytest
 
 from make_golden import (
     CASES,
+    EVAL_TASKS,
     GOLDEN_PATH,
     LANDMARKS_KEY,
     MASK_KEY,
     PIPELINE_STEPS,
     STAGES,
     enrich_key,
+    eval_key,
     pipeline_key,
     run_case,
     run_enrich_case,
+    run_eval_case,
     run_landmarks_case,
     run_mask_case,
     run_pipeline_case,
@@ -72,3 +76,8 @@ def test_save_landmarks_matches_golden(golden):
 
 def test_mask_matches_golden(golden):
     assert run_mask_case() == golden[MASK_KEY]
+
+
+@pytest.mark.parametrize("task", EVAL_TASKS)
+def test_eval_matches_golden(golden, task):
+    assert run_eval_case(task) == golden[eval_key(task)]
