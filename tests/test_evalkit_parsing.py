@@ -91,6 +91,45 @@ def test_strip_negatives_idempotent_on_corpus():
         assert len(once) <= len(text)
 
 
+def _strip_reference(text, cues):
+    """Per-sentence reference: drop each sentence whose own lowercased text
+    holds a cue."""
+    return "".join(s for s in split_sentences(text) if not any(c in s.lower() for c in cues))
+
+
+# ASCII and non-ASCII words, cue words in several cases, and separators;
+# "Σ" lowercases to "ς" or "σ" depending on its neighbours, and "İ" to two
+# characters
+_STRIP_WORDS = ("He", "smiles", "not", "NOT", "No", "never", "LACKS", "sad", "a", "Σ", "σ", "ς",
+                "Ση", "É", "é", "İ", "straße", "STRASSE", "7")
+_STRIP_SEPARATORS = ("", " ", ". ", ".", "!", "? ", "\n", ", ", "-")
+_STRIP_CUES = (*default_negation_cues(), "σ", "ς", "é", "i\u0307", "ss", "s.", ". n")
+
+
+def _strip_texts(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 8)):
+            parts += [rng.choice(_STRIP_WORDS), rng.choice(_STRIP_SEPARATORS)]
+        yield "".join(parts)
+
+
+def test_strip_negatives_equals_per_sentence_reference():
+    rng = random.Random(5)
+    for text in _strip_texts(seed=19, n=3000):
+        cues = rng.sample(_STRIP_CUES, rng.randint(0, 4))
+        assert strip_negatives(text, cues) == _strip_reference(text, cues), (text, cues)
+        assert strip_negatives(text) == _strip_reference(text, default_negation_cues()), text
+
+
+def test_strip_negatives_lowers_each_sentence_on_its_own():
+    # "A.Σ is here".lower() ends the sigma as "ς"; the sentence "Σ is here"
+    # alone lowers it to "σ"
+    assert "σ" not in "A.Σ is here".lower()
+    assert strip_negatives("A.Σ is here", ["σ"]) == "A."
+
+
 # ---------------------------------------------------------------------------
 # synonym matching
 
@@ -236,6 +275,21 @@ def test_count_matches_equals_per_phrase_findall(task):
     fixed = [""] + [f"{p} {p}{p} _{p} {p}_ 1{p} {p}9 é{p} {p}é\n{p}.,{p}!{p}" for p in phrases]
     for text in [*fixed, *_phrase_texts(phrases, seed=7, n=400)]:
         assert tax.count_matches(text) == oracle(text), repr(text)
+
+
+def test_count_matches_equals_per_phrase_findall_for_non_word_edges():
+    # a phrase that starts with a non-word character, one with an inner
+    # one, and first words with a non-ASCII letter, a digit and "_"
+    tax = Taxonomy(task="custom", synonyms={
+        "dash": ("-x",), "ray": ("x-ray", "ray", "x"), "accent": ("é2", "é2 b"), "under": ("_a", "a"),
+    })
+    oracle = _oracle(tax)
+    phrases = [p for cls in tax.classes for p in tax.synonyms[cls]]
+    fixed = ["", "-x", "a-x", " -x-ray", "x-ray-x", "é2 é2é é2 b", "_a a_a _a_a", "-x\n-x,-x"]
+    for text in [*fixed, *_phrase_texts(phrases, seed=11, n=2000)]:
+        assert tax.count_matches(text) == oracle(text), repr(text)
+    # "-x", then "x-ray", "x" and "ray"
+    assert tax.count_matches(" -x-ray") == {"dash": 1, "ray": 3, "accent": 0, "under": 0}
 
 
 def test_nested_phrases_each_count():
