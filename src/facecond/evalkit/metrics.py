@@ -109,7 +109,12 @@ def compute_mean_attr_accuracy(
     negative. Ground truth is one binary vector per sample over the
     attribute list.
     """
-    gt = shaped(np.asarray(gt_vectors, dtype=np.int64), ("n", len(attributes)), {}, "ground truth")
+    gt = shaped(np.asarray(gt_vectors), ("n", len(attributes)), {}, "ground truth")
+    bad = np.argwhere((gt != 0) & (gt != 1))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"ground truth row {row}, column {col} is {gt[row, col].item()!r}, not 0 or 1")
+    gt = gt.astype(np.int64)
     if gt.shape[0] == 0:
         raise ValueError("empty input")
     if len(pred_sets) != gt.shape[0]:

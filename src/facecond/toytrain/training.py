@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.learning_rate is not None and self.learning_rate <= 0:
+            raise ValueError("learning_rate must be > 0")
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
         if self.variant not in VARIANTS:

@@ -329,6 +329,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"d": "8"}, "config key 'd' must be an integer, got '8'"),
         ({"seed": True}, "config key 'seed' must be an integer, got True"),
         ({"seed": -2, "train_size": 2}, "seed must be >= 0"),
+        ({"learning_rate": -0.5, "train_size": 2}, "learning_rate must be > 0"),
+        ({"learning_rate": 0, "train_size": 2}, "learning_rate must be > 0"),
         ({"d_attn": 8.0}, "config key 'd_attn' must be an integer or null, got 8.0"),
         ({"learning_rate": "0.1"},
          "config key 'learning_rate' must be a finite number or null, got '0.1'"),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,20 @@ def test_attr_accuracy_hand_counted():
 def test_attr_accuracy_unknown_attribute_rejected():
     with pytest.raises(ValueError):
         compute_mean_attr_accuracy([{"z"}], [[0, 0, 0, 0]], ATTRS)
+
+
+@pytest.mark.parametrize(
+    "gts, message",
+    [
+        ([[0.7, 2, 0, 0]], "ground truth row 0, column 0 is 0.7, not 0 or 1"),
+        ([[0, 1, 0, 0], [1, 0, 2, 0]], "ground truth row 1, column 2 is 2, not 0 or 1"),
+        ([[0, 0, 0, -1]], "ground truth row 0, column 3 is -1, not 0 or 1"),
+    ],
+    ids=["fraction", "two", "negative"],
+)
+def test_attr_accuracy_rejects_ground_truth_that_is_not_binary(gts, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        compute_mean_attr_accuracy([set()] * len(gts), gts, ATTRS)
 
 
 def test_attr_accuracy_matches_bruteforce():
