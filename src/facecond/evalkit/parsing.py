@@ -29,13 +29,9 @@ def split_sentences(text: str) -> list[str]:
 def strip_negatives(text: str, cues: Sequence[str] | None = None) -> str:
     """Remove every sentence containing a negation cue (substring,
     case-insensitive); remaining sentences keep their original order and
-    spacing.
-
-    An ASCII text lowers one character at a time, so a sentence's lowered
-    text is a slice of the whole text's: only the cues found in the whole
-    text are tested per sentence, and a text with none is returned as is.
-    Other texts test every cue, since lowering can depend on neighbours
-    ("Σ" ends a word as "ς")."""
+    spacing. An ASCII text lowers character by character, so only the cues
+    in the whole lowered text are tested per sentence, and a text with none
+    comes back as is; other texts test every cue ("Σ" may lower to "ς")."""
     if cues is None:
         cues = default_negation_cues()
     if text.isascii():
@@ -43,10 +39,7 @@ def strip_negatives(text: str, cues: Sequence[str] | None = None) -> str:
         cues = [cue for cue in cues if cue in lower]
         if not cues:
             return text
-    return "".join(
-        segment for segment in split_sentences(text)
-        if not any(cue in segment.lower() for cue in cues)
-    )
+    return "".join(s for s in split_sentences(text) if not any(cue in s.lower() for cue in cues))
 
 
 def _first_sentence(text: str) -> str | None:

@@ -7,11 +7,9 @@ the space), and be mutually exclusive across classes. Phrase
 occurrence is matched case-insensitively with word boundaries on both
 ends, so "real" does not fire inside "unrealistic". Counting is per
 phrase and exact: "stubble" inside "short stubble" counts for both.
-Each phrase is indexed under its first word, the run of word characters
-it starts with, and a text is scanned only for the phrases indexed under
-one of its own words: a word-bounded match starts a whole word of the
-text, and that word is the phrase's first. The phrases that start with a
-non-word character, if any, are scanned in every text.
+A text is scanned only for the phrases whose first word (the run of word
+characters a phrase starts with) is a word of the text, and for those
+that start with a non-word character.
 
 Negation cues are matched as substrings of the lowercased text, so each
 cue must be lowercase and not empty; surrounding spaces are kept, as in
@@ -51,10 +49,9 @@ class Taxonomy:
     _patterns: dict[str, re.Pattern] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # phrase -> class, and first word -> its phrases; "" holds the phrases
-    # that start with a non-word character, looked up for every text
-    _class_of: dict[str, str] = field(init=False, repr=False, compare=False)
-    _by_word: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    # first word -> its (phrase, class) pairs; "" holds the phrases that
+    # start with a non-word character, looked up for every text
+    _by_word: dict[str, list[tuple[str, str]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen: dict[str, str] = {}
@@ -75,11 +72,10 @@ class Taxonomy:
                         f"phrase {phrase!r} appears under both {seen[phrase]!r} and {cls!r}"
                     )
                 seen[phrase] = cls
-        self._class_of = seen
         self._by_word = {}
-        for phrase in seen:
+        for phrase, cls in seen.items():
             word = _WORD.match(phrase)
-            self._by_word.setdefault(word.group() if word else "", []).append(phrase)
+            self._by_word.setdefault(word.group() if word else "", []).append((phrase, cls))
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -95,15 +91,14 @@ class Taxonomy:
     def count_matches(self, text_lower: str) -> dict[str, int]:
         """Total phrase occurrences per class in already-lowercased text.
 
-        A word-bounded match starts a whole word of the text, and that word
-        is the phrase's first, so only the phrases indexed under a word of
-        the text and those that start with a non-word character are
-        scanned. A phrase's regex runs only where it occurs as a substring."""
+        A word-bounded match starts a whole word of the text, the phrase's
+        first, so only the phrases indexed under a word of the text (or
+        under "") are scanned, each by regex only where it is a substring."""
         counts = dict.fromkeys(self.synonyms, 0)
         for word in {"", *_WORD.findall(text_lower)}:
-            for phrase in self._by_word.get(word, ()):
+            for phrase, cls in self._by_word.get(word, ()):
                 if phrase in text_lower:
-                    counts[self._class_of[phrase]] += len(self._pattern(phrase).findall(text_lower))
+                    counts[cls] += len(self._pattern(phrase).findall(text_lower))
         return counts
 
 
