@@ -84,12 +84,6 @@ def test_config_validation():
         TrainConfig(variant="none", tokens="all")
 
 
-@pytest.mark.parametrize("lr", [-0.5, 0.0])
-def test_config_rejects_a_learning_rate_that_is_not_positive(lr):
-    with pytest.raises(ValueError, match="^learning_rate must be > 0$"):
-        TrainConfig(learning_rate=lr)
-
-
 def test_config_dict_roundtrip():
     cfg = tiny_config(variant="simple", tokens="local_only")
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
