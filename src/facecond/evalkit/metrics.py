@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..registry import shaped
-
 # AU sets scored per dataset
 DISFA_AUS = (1, 2, 4, 6, 9, 12, 25, 26)
 BP4D_AUS = (1, 2, 4, 6, 7, 10, 12, 14, 15, 17, 23, 24)
@@ -100,35 +98,25 @@ def parse_failure_rate(preds: Sequence[object | None]) -> float:
 
 def compute_mean_attr_accuracy(
     pred_sets: Sequence[set[str]],
-    gt_vectors: Sequence[Sequence[int]] | np.ndarray,
+    gt_sets: Sequence[set[str]],
     attributes: Sequence[str],
 ) -> tuple[dict[str, float], float]:
     """Per-attribute binary accuracy and the unweighted mean.
 
-    A prediction set holds the attributes called positive; absence means
-    negative. Ground truth is one binary vector per sample over the
-    attribute list.
+    Predictions and ground truth are each one set per sample of the
+    attribute names called positive; absence means negative.
     """
-    gt = shaped(np.asarray(gt_vectors), ("n", len(attributes)), {}, "ground truth")
-    bad = np.argwhere((gt != 0) & (gt != 1))
-    if len(bad):
-        row, col = bad[0]
-        raise ValueError(f"ground truth row {row}, column {col} is {gt[row, col].item()!r}, not 0 or 1")
-    gt = gt.astype(np.int64)
-    if gt.shape[0] == 0:
+    if not gt_sets:
         raise ValueError("empty input")
-    if len(pred_sets) != gt.shape[0]:
+    if len(pred_sets) != len(gt_sets):
         raise ValueError("preds and gts must be aligned")
     known = set(attributes)
-    for pred in pred_sets:
-        unknown = pred - known
-        if unknown:
-            raise ValueError(f"unknown attribute names: {sorted(unknown)}")
-    pred_matrix = np.zeros_like(gt)
-    index = {attr: i for i, attr in enumerate(attributes)}
-    for row, pred in enumerate(pred_sets):
-        for attr in pred:
-            pred_matrix[row, index[attr]] = 1
-    per_attr_acc = (pred_matrix == gt).mean(axis=0)
-    per_attr = {attr: float(per_attr_acc[i]) for attr, i in index.items()}
-    return per_attr, float(per_attr_acc.mean())
+    for side, sets in (("prediction", pred_sets), ("ground truth", gt_sets)):
+        for row, names in enumerate(sets):
+            if not names <= known:
+                raise ValueError(f"{side} row {row}: unknown attribute names {sorted(names - known)}")
+    per_attr = {
+        attr: sum((attr in pred) == (attr in gt) for pred, gt in zip(pred_sets, gt_sets)) / len(gt_sets)
+        for attr in attributes
+    }
+    return per_attr, float(np.mean(list(per_attr.values())))

@@ -100,22 +100,18 @@ def vote_chunks(
 ) -> str | None:
     """Majority vote over one group's chunk predictions.
 
-    Deepfake ties resolve to "fake" (conservative); other tasks resolve
-    to taxonomy class order. Failed parses abstain; an all-None group
-    stays None.
+    Ties resolve to taxonomy class order, as in `match_synonyms`, except
+    that a tied deepfake vote goes to "fake" (conservative). Failed parses
+    abstain; an all-None group stays None.
     """
     if len(predictions) == 0:
         raise ValueError("empty chunk group")
-    counts = {cls: 0 for cls in taxonomy.classes}
+    counts = dict.fromkeys(taxonomy.classes, 0)
     for pred in predictions:
         if pred is not None:
             if pred not in counts:
                 raise ValueError(f"prediction {pred!r} not in taxonomy classes")
             counts[pred] += 1
-    best = max(counts.values(), default=0)
-    if best == 0:
-        return None
-    tied = [cls for cls in taxonomy.classes if counts[cls] == best]
-    if taxonomy.task == "deepfake" and "fake" in tied:
+    if taxonomy.task == "deepfake" and counts.get("fake", 0) == max(counts.values(), default=0) > 0:
         return "fake"
-    return tied[0]
+    return _vote(counts, taxonomy.classes)

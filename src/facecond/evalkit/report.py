@@ -190,32 +190,21 @@ def score_records(
             entry["metrics"] = {"mae": compute_mae(task_preds, gts)}
             entry["parse_failure_rate"] = parse_failure_rate(task_preds)
         elif task == "attribute":
-            attributes = list(taxonomies["attribute"].classes)
-            index = {a: i for i, a in enumerate(attributes)}
-            gt_vectors = []
+            attributes = taxonomies["attribute"].classes
             for record in task_records:
-                vec = [0] * len(attributes)
                 for name in record.ground_truth:
-                    if name not in index:
-                        raise ValueError(
-                            f"record {record.id!r}: unknown attribute {name!r}"
-                        )
-                    vec[index[name]] = 1
-                gt_vectors.append(vec)
-            per_attr, mean_acc = compute_mean_attr_accuracy(
-                task_preds, gt_vectors, attributes
-            )
+                    if name not in attributes:
+                        raise ValueError(f"record {record.id!r}: unknown attribute {name!r}")
+            gt_sets = [set(r.ground_truth) for r in task_records]
+            per_attr, mean_acc = compute_mean_attr_accuracy(task_preds, gt_sets, attributes)
             entry["metrics"] = {"mean_attribute_accuracy": mean_acc}
             entry["per_attribute_accuracy"] = per_attr
         report["tasks"][task] = entry
     return report
 
 
-def confusion_csv_lines(entry: dict) -> list[str]:
+def confusion_csv_rows(entry: dict) -> list[list]:
     """CSV rows for one task's confusion matrix (gt rows, pred columns)."""
     classes = entry["classes"]
     header = ["gt\\pred"] + classes + ["nomatch"]
-    lines = [",".join(header)]
-    for cls, row in zip(classes, entry["confusion"]):
-        lines.append(",".join([cls] + [str(v) for v in row]))
-    return lines
+    return [header] + [[cls, *row] for cls, row in zip(classes, entry["confusion"])]

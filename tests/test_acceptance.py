@@ -334,7 +334,8 @@ def test_criterion_09_metric_oracles():
             {attrs[j] for j in range(len(attrs)) if rng.random() < 0.4}
             for _ in range(n)
         ]
-        _, mean_acc = compute_mean_attr_accuracy(pred_attr, gt_vectors, attrs)
+        gt_attr = [{attrs[j] for j in range(len(attrs)) if row[j]} for row in gt_vectors]
+        _, mean_acc = compute_mean_attr_accuracy(pred_attr, gt_attr, attrs)
         brute_acc = np.mean(
             [
                 sum((attrs[j] in pred_attr[i]) == bool(gt_vectors[i][j]) for i in range(n)) / n

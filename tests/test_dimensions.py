@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import facecond
-from facecond.evalkit import compute_mean_attr_accuracy
 from facecond.frgca import frgca_backward, frgca_forward, init_frgca
 from facecond.frlp import frlp_backward, init_frlp
 from facecond.geometry import LandmarkClip, default_partition, rpp_mask
@@ -66,14 +65,11 @@ def _vision_backward(cotangent):
          "landmarks has shape (1, 67, 2), expected (1, 68, 2)"),
         (lambda: rpp_mask(np.zeros((9, 2)), np.zeros((16, 3))),
          "patches has shape (16, 3), expected (16, 2)"),
-        (lambda: compute_mean_attr_accuracy([set()], [[0, 1]], ["a", "b", "c"]),
-         "ground truth has shape (1, 2), expected (1, 3)"),
     ],
     ids=[
         "take", "take-axes", "frgca-h_v-axes", "frgca-h_v-d", "frgca-h_l-T", "frgca-h_l-d",
         "frgca-mask", "frgca_backward", "frlp_backward", "vision_project", "vision_backward",
         "sequence_assemble", "landmarks-axes", "landmarks-points", "rpp_mask-patches",
-        "mean_attr_accuracy",
     ],
 )
 def test_a_wrong_shaped_array_fails_naming_its_shape(call, message):
