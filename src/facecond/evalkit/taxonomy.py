@@ -19,6 +19,7 @@ user's override.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field
@@ -144,5 +145,7 @@ def default_taxonomy(task: str) -> Taxonomy:
     return load_taxonomy(_resource(_RESOURCE_FILES[task]), task)
 
 
+@functools.cache
 def default_negation_cues() -> tuple[str, ...]:
+    """The bundled negation cues, read once per process."""
     return load_negation_cues(_resource("negation_cues.json"))

@@ -18,6 +18,7 @@ from facecond.evalkit import (
     taxonomy_from_mapping,
     vote_chunks,
 )
+import facecond.evalkit.taxonomy as taxonomy_module
 from facecond.evalkit.taxonomy import _phrase_pattern
 
 
@@ -128,6 +129,17 @@ def test_strip_negatives_lowers_each_sentence_on_its_own():
     # alone lowers it to "σ"
     assert "σ" not in "A.Σ is here".lower()
     assert strip_negatives("A.Σ is here", ["σ"]) == "A."
+
+
+def test_the_bundled_cues_are_read_once(monkeypatch):
+    loads = []
+    load = taxonomy_module.load_negation_cues
+    monkeypatch.setattr(taxonomy_module, "load_negation_cues", lambda path: loads.append(path) or load(path))
+    for _ in range(3):
+        assert strip_negatives("He smiles. He is not sad.") == "He smiles."
+        assert parse_aus("AU4 is present.") == {4}
+        assert parse_age("About 30.") == 30
+    assert len(loads) <= 1
 
 
 # ---------------------------------------------------------------------------
