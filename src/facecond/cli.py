@@ -33,7 +33,7 @@ from .evalkit import (
     BP4D_AUS,
     DISFA_AUS,
     TAXONOMY_TASKS,
-    confusion_csv_lines,
+    confusion_csv_rows,
     load_eval_records,
     load_negation_cues,
     load_taxonomy,
@@ -263,9 +263,10 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"--confusion-out needs exactly one applicable task, found {with_confusion}"
             )
-        lines = confusion_csv_lines(report["tasks"][with_confusion[0]])
-        with open(args.confusion_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(args.confusion_out, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                confusion_csv_rows(report["tasks"][with_confusion[0]])
+            )
     return 0
 
 

@@ -21,7 +21,7 @@ from .parsing import (
 )
 from .report import (
     EvalRecord,
-    confusion_csv_lines,
+    confusion_csv_rows,
     extract_prediction,
     load_eval_records,
     score_records,
@@ -46,7 +46,7 @@ __all__ = [
     "compute_mae",
     "compute_mean_attr_accuracy",
     "compute_uar_war",
-    "confusion_csv_lines",
+    "confusion_csv_rows",
     "confusion_matrix",
     "default_negation_cues",
     "default_taxonomy",

@@ -133,11 +133,9 @@ def score_records(
     negation_cues: Sequence[str] | None = None,
     threads: int = 1,
 ) -> dict:
-    """Metric report over records of any mix of tasks.
-
-    Records are sorted by id before aggregation so that parallel parsing
-    stays deterministic.
-    """
+    """Metric report over records of any mix of tasks. Every metric is
+    computed from counts and integer sums, so the order of the records
+    does not change the report."""
     if not records:
         raise ValueError("no records to score")
     taxonomies = dict(taxonomies) if taxonomies else {}
@@ -145,7 +143,6 @@ def score_records(
         taxonomies.setdefault(task, default_taxonomy(task))
     cues = tuple(negation_cues) if negation_cues is not None else default_negation_cues()
 
-    records = sorted(records, key=lambda r: r.id)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             preds = list(

@@ -1,4 +1,6 @@
+import csv
 import json
+import random
 import re
 import warnings
 from pathlib import Path
@@ -373,6 +375,42 @@ def test_eval_subcommand_with_fixtures(tmp_path):
     report = json.loads(out.read_text())
     assert "deepfake" in report["tasks"]
     assert conf.read_text().startswith("gt\\pred,real,fake,nomatch")
+
+
+def test_eval_confusion_csv_quotes_a_class_name_with_a_comma(tmp_path):
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps({"happy, excited": ["happy"], "sad": ["sad"]}))
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        json.dumps({"id": f"r{i}", "task": "expression", "generated": text, "ground_truth": gt}) + "\n"
+        for i, (text, gt) in enumerate([("So happy.", "happy, excited"), ("Sad.", "sad")])
+    ))
+    conf = tmp_path / "confusion.csv"
+    assert main(["eval", "--records", str(records), "--taxonomy", "expression", str(tax),
+                 "--out", str(tmp_path / "report.json"), "--confusion-out", str(conf)]) == 0
+    with open(conf, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["gt\\pred", "happy, excited", "sad", "nomatch"]
+    assert [len(row) for row in rows] == [len(rows[0])] * 3
+    assert rows[1] == ["happy, excited", "1", "0", "0"]
+
+
+def test_eval_report_bytes_do_not_depend_on_record_order(tmp_path):
+    lines = [
+        line
+        for task in ("age", "attribute", "au", "deepfake", "expression")
+        for line in (FIXTURES / f"eval_{task}.jsonl").read_text().splitlines()
+    ]
+    reports = set()
+    for seed in (None, 1, 2, 3):
+        if seed is not None:
+            random.Random(seed).shuffle(lines)
+        records = tmp_path / "records.jsonl"
+        records.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--records", str(records), "--out", str(out)]) == 0
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
 
 
 def test_filter_subcommand_threshold_semantics(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import facecond.evalkit.taxonomy as taxonomy_module
 from facecond.evalkit import (
     EvalRecord,
-    confusion_csv_lines,
+    confusion_csv_rows,
     default_negation_cues,
     default_taxonomy,
     extract_prediction,
@@ -254,9 +254,9 @@ def test_confusion_csv_layout():
         [("real footage", "real", None), ("mumble", "fake", None)],
     )
     report = score_records(records)
-    lines = confusion_csv_lines(report["tasks"]["deepfake"])
-    assert lines[0] == "gt\\pred,real,fake,nomatch"
-    assert len(lines) == 3
+    rows = confusion_csv_rows(report["tasks"]["deepfake"])
+    assert rows[0] == ["gt\\pred", "real", "fake", "nomatch"]
+    assert rows[1:] == [["real", 1, 0, 0], ["fake", 0, 0, 1]]
 
 
 def test_score_records_rejects_empty():
