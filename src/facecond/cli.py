@@ -230,13 +230,17 @@ _AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
 
 
 def _au_list(text: str) -> tuple[int, ...]:
-    """--au-list: disfa, bp4d, or comma-separated AU numbers."""
+    """--au-list: disfa, bp4d, or distinct comma-separated AU numbers."""
     if text in _AU_LISTS:
         return _AU_LISTS[text]
     bad = [entry for entry in text.split(",") if not entry.strip().isdecimal()]
     if bad:
         raise argparse.ArgumentTypeError(f"AU entries {bad} in {text!r} are not AU numbers")
-    return tuple(int(entry) for entry in text.split(","))
+    aus = tuple(int(entry) for entry in text.split(","))
+    repeated = sorted({au for au in aus if aus.count(au) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"AUs {repeated} in {text!r} are listed more than once")
+    return aus
 
 
 def cmd_eval(args) -> int:

@@ -622,6 +622,9 @@ def runnable_argv(tmp_path, command):
                      r"config key 'threshold': invalid int value: '6.5'", id="filter-float_int"),
         pytest.param("eval", '{"au_list": "1,x"}',
                      r"config key 'au_list': AU entries \['x'\]", id="eval-bad_au_entry"),
+        pytest.param("eval", '{"au_list": "1,2,1"}',
+                     r"config key 'au_list': AUs \[1\] in '1,2,1' are listed more than once",
+                     id="eval-repeated_au"),
         pytest.param("mask", '{"rows": 2', r"malformed JSON", id="mask-malformed_json"),
         pytest.param("mask", '[2]', r"document is \[2\], not an object", id="mask-not_an_object"),
     ]
@@ -788,12 +791,14 @@ def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
         ("mask", ["--seed", "1"], "unrecognized arguments: --seed 1"),
         ("eval", ["--threads", "2"], "unrecognized arguments: --threads 2"),
         ("eval", ["--au-list", "1,x"], "argument --au-list: AU entries ['x'] in '1,x'"),
+        ("eval", ["--au-list", "1,1,2"],
+         "argument --au-list: AUs [1] in '1,1,2' are listed more than once"),
         *(
             (command, ["--seed", "-1"], "argument --seed: expected an integer >= 0, got -1")
             for command in ("enrich", "gradcheck", "train", "pair")
         ),
     ],
-    ids=["mask-seed", "eval-threads", "eval-bad_au_entry", "enrich-negative_seed",
+    ids=["mask-seed", "eval-threads", "eval-bad_au_entry", "eval-repeated_au", "enrich-negative_seed",
          "gradcheck-negative_seed", "train-negative_seed", "pair-negative_seed"],
 )
 def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
