@@ -13,21 +13,27 @@ manifest pipeline on one fixed manifest: a sha256 of every file that
 ``save_landmarks`` file, and of the ``facecond mask`` output for a 3-frame
 clip. It pins ``facecond eval`` on each of the five ``eval_*.jsonl``
 fixtures: a sha256 of the report, and of the ``--confusion-out`` CSV for
-the two single-label tasks. Rerun only when a change is meant to alter those
-outputs; tests/test_golden.py compares against the committed file.
+the two single-label tasks. It pins a sha256 of ``facecond --help`` and of
+``facecond <command> --help`` for every subcommand, at COLUMNS=80, so an
+added, removed or renamed option shows. Rerun only when a change is meant
+to alter those outputs; tests/test_golden.py compares against the
+committed file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 
 from facecond.checkpoint import save_model
-from facecond.cli import main
+from facecond.cli import build_parser, main
 from facecond.frlp import TOKEN_MODES
 from facecond.geometry import LandmarkClip, save_landmarks
 from facecond.toytrain import TrainConfig, model_arrays, synth_dataset, train
@@ -244,6 +250,26 @@ def run_eval_case(task: str) -> dict:
     return result
 
 
+# "" is the top-level parser
+HELP_COMMANDS = ("", *build_parser()[1])
+
+
+def help_key(command: str) -> str:
+    return f"help/{command}" if command else "help"
+
+
+def run_help_case(command: str) -> dict:
+    """``facecond [<command>] --help`` with an 80-column terminal."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(out):
+        try:
+            main([command, "--help"] if command else ["--help"])
+        except SystemExit as exc:
+            if exc.code != 0:
+                raise RuntimeError(f"--help exited with {exc.code} for {command!r}") from None
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
 def compute() -> dict:
     golden = {
         train_key(variant, mode, stage): run_case(variant, mode, stage)
@@ -257,6 +283,8 @@ def compute() -> dict:
     golden[MASK_KEY] = run_mask_case()
     for task in EVAL_TASKS:
         golden[eval_key(task)] = run_eval_case(task)
+    for command in HELP_COMMANDS:
+        golden[help_key(command)] = run_help_case(command)
     return golden
 
 

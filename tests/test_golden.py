@@ -4,9 +4,10 @@
 The golden pins loss traces, trained parameters, checkpoint bytes, enrich
 output bytes, the bytes of every file filter, pair and split write, one
 landmark file's bytes, the bytes ``facecond mask`` writes for a 3-frame
-clip and the report and confusion CSV bytes ``facecond eval`` writes for
-each eval fixture; it is regenerated only by tests/make_golden.py, when
-an output is meant to change.
+clip, the report and confusion CSV bytes ``facecond eval`` writes for
+each eval fixture and the ``--help`` text of every command; it is
+regenerated only by tests/make_golden.py, when an output is meant to
+change.
 """
 
 import json
@@ -17,16 +18,19 @@ from make_golden import (
     CASES,
     EVAL_TASKS,
     GOLDEN_PATH,
+    HELP_COMMANDS,
     LANDMARKS_KEY,
     MASK_KEY,
     PIPELINE_STEPS,
     STAGES,
     enrich_key,
     eval_key,
+    help_key,
     pipeline_key,
     run_case,
     run_enrich_case,
     run_eval_case,
+    run_help_case,
     run_landmarks_case,
     run_mask_case,
     run_pipeline_case,
@@ -81,3 +85,8 @@ def test_mask_matches_golden(golden):
 @pytest.mark.parametrize("task", EVAL_TASKS)
 def test_eval_matches_golden(golden, task):
     assert run_eval_case(task) == golden[eval_key(task)]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda command: command or "facecond")
+def test_help_matches_golden(golden, command):
+    assert run_help_case(command) == golden[help_key(command)]
