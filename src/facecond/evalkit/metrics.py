@@ -115,8 +115,8 @@ def compute_mean_attr_accuracy(
         for row, names in enumerate(sets):
             if not names <= known:
                 raise ValueError(f"{side} row {row}: unknown attribute names {sorted(names - known)}")
-    per_attr = {
-        attr: sum((attr in pred) == (attr in gt) for pred, gt in zip(pred_sets, gt_sets)) / len(gt_sets)
-        for attr in attributes
-    }
+    # a sample is wrong on exactly the attributes in one set but not both
+    wrong = Counter(attr for pred, gt in zip(pred_sets, gt_sets) for attr in pred ^ gt)
+    n = len(gt_sets)
+    per_attr = {attr: (n - wrong[attr]) / n for attr in attributes}
     return per_attr, float(np.mean(list(per_attr.values())))
