@@ -1,4 +1,14 @@
-"""Vision projector: a two-layer GeLU MLP applied per token."""
+"""Vision projector: a two-layer GeLU MLP applied per token.
+
+GELU(x) = 0.5 x (1 + erf(x / sqrt(2))) and its slope is
+0.5 (1 + erf(x / sqrt(2))) + x exp(-x^2 / 2) / sqrt(2 pi). The forward
+keeps ``cdf2 = 1 + erf(x / sqrt(2))`` in its cache, so the backward builds
+the slope from it and computes no ``erf`` of its own. Both work in place,
+yet round each product and sum as the plain NumPy expressions
+``0.5 * x * (1.0 + erf(x * (1 / sqrt(2))))`` and
+``0.5 * (1.0 + erf(...)) + x * (1 / sqrt(2 pi)) * np.exp(-0.5 * x * x)``
+do, so the results are bit-identical to those expressions.
+"""
 
 from __future__ import annotations
 
@@ -11,14 +21,6 @@ from ..registry import SpecParams, shaped
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 @dataclass
@@ -48,8 +50,12 @@ class VisionProjectorParams(SpecParams):
 
 @dataclass
 class VisionCache:
+    """Forward values the backward reads: the input, fc1's output, its
+    ``1 + erf(pre_act / sqrt(2))`` and the GELU of it."""
+
     raw: np.ndarray
     pre_act: np.ndarray
+    cdf2: np.ndarray
     hidden: np.ndarray
     params: VisionProjectorParams
 
@@ -57,9 +63,9 @@ class VisionCache:
 def init_vision_projector(
     d_raw: int, d: int, hidden: int | None = None, seed: int = 0
 ) -> VisionProjectorParams:
-    if d_raw < 1 or d < 1:
-        raise ValueError("dimensions must be >= 1")
     hidden = d if hidden is None else hidden
+    if d_raw < 1 or d < 1 or hidden < 1:
+        raise ValueError("dimensions must be >= 1")
     rng = np.random.default_rng(seed)
     bound1 = 1.0 / np.sqrt(d_raw)
     bound2 = 1.0 / np.sqrt(hidden)
@@ -76,13 +82,19 @@ def vision_project(
 ):
     """Project raw (T, N, d_raw) features into (T, N, d) visual tokens."""
     raw = shaped(np.asarray(raw, dtype=np.float64), ("T", "N", params.d_raw), {}, "raw")
-    pre = raw @ params.w1.T + params.b1
-    hid = gelu(pre)
-    out = hid @ params.w2.T + params.b2
+    pre = raw @ params.w1.T
+    pre += params.b1
+    cdf2 = np.multiply(pre, _INV_SQRT2)
+    erf(cdf2, out=cdf2)
+    cdf2 += 1.0
+    hid = np.multiply(pre, 0.5)
+    hid *= cdf2
+    out = hid @ params.w2.T
+    out += params.b2
     if not np.all(np.isfinite(out)):
         raise ValueError("vision projector produced non-finite output")
     if return_cache:
-        return out, VisionCache(raw, pre, hid, params)
+        return out, VisionCache(raw, pre, cdf2, hid, params)
     return out
 
 
@@ -99,7 +111,16 @@ def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjecto
     d_hidden = g @ params.w2
     d_w2 = g.reshape(rows, -1).T @ cache.hidden.reshape(rows, -1)
     d_b2 = g.sum(axis=(0, 1))
-    d_pre = d_hidden * gelu_grad(cache.pre_act)
+    # d_hidden becomes d_pre in place: times the GELU slope
+    # 0.5 cdf2 + (x / sqrt(2 pi)) exp((-0.5 x) x), built in one scratch array
+    x = cache.pre_act
+    slope = np.multiply(x, -0.5)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= x * _INV_SQRT_2PI
+    slope += 0.5 * cache.cdf2
+    d_hidden *= slope
+    d_pre = d_hidden
     d_w1 = d_pre.reshape(rows, -1).T @ cache.raw.reshape(rows, -1)
     d_b1 = d_pre.sum(axis=(0, 1))
     return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from facecond.gradcheck import check_named_gradients
+from facecond.toytrain import projector
 from facecond.toytrain.decoder import (
     autoregressive_loss,
     decoder_backward,
@@ -60,6 +62,56 @@ def test_vision_shape_validation():
     params = init_vision_projector(3, 4, seed=0)
     with pytest.raises(ValueError):
         vision_project(np.zeros((2, 5, 4)), params)
+
+
+def test_vision_projector_rejects_an_empty_hidden_layer():
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        init_vision_projector(3, 4, hidden=0)
+
+
+def _projector_case(T, N, d, d_raw, seed):
+    rng = np.random.default_rng(seed)
+    params = init_vision_projector(d_raw, d, seed=seed)
+    for bias in (params.b1, params.b2):
+        bias[:] = rng.normal(size=bias.shape)
+    return params, rng.normal(size=(T, N, d_raw)), rng.normal(size=(T, N, d))
+
+
+# (T, N, d, d_raw): the toy training shape and the paper_step shape
+PROJECTOR_SHAPES = {"toy": (1, 16, 16, 8), "paper": (8, 256, 256, 64)}
+
+
+@pytest.mark.parametrize("shape", PROJECTOR_SHAPES)
+def test_vision_projector_is_bit_exact_to_the_textbook_gelu(shape):
+    """The projector reorders no product or sum of the textbook GELU and
+    its slope, so its output and fc1 gradient equal them bit for bit."""
+    params, raw, g = _projector_case(*PROJECTOR_SHAPES[shape], seed=6)
+    x = raw @ params.w1.T + params.b1
+    hidden = 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    slope = (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+             + x * (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x))
+    d_pre = (g @ params.w2) * slope
+    rows = raw.shape[0] * raw.shape[1]
+
+    out, cache = vision_project(raw, params, return_cache=True)
+    grads = vision_backward(g, cache)
+    assert np.array_equal(out, hidden @ params.w2.T + params.b2)
+    assert np.array_equal(grads.w1, d_pre.reshape(rows, -1).T @ raw.reshape(rows, -1))
+
+
+def test_vision_projector_computes_erf_once_per_step(monkeypatch):
+    calls = []
+
+    def counted_erf(*args, **kwargs):
+        calls.append(1)
+        return erf(*args, **kwargs)
+
+    monkeypatch.setattr(projector, "erf", counted_erf)
+    params, raw, g = _projector_case(*PROJECTOR_SHAPES["toy"], seed=7)
+    _, cache = vision_project(raw, params, return_cache=True)
+    assert len(calls) == 1
+    vision_backward(g, cache)
+    assert len(calls) == 1
 
 
 def test_vision_gradients():

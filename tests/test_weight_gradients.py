@@ -10,6 +10,9 @@ package sums in another order (one GEMM per product), so the two agree to
 a relative tolerance, not bit for bit. The error is measured as the
 largest absolute difference over the largest reference entry.
 
+The projector reference is self-contained in the same way: it writes
+GELU and its slope from ``erf`` and ``exp`` itself.
+
 This file is the only place in the repository that keeps ``einsum``;
 ``test_no_einsum_in_the_package`` keeps it out of ``src/facecond``.
 """
@@ -19,15 +22,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import facecond
 from facecond.frgca import attention_weights, frgca_backward, frgca_forward, init_frgca
-from facecond.toytrain.projector import (
-    gelu_grad,
-    init_vision_projector,
-    vision_backward,
-    vision_project,
-)
+from facecond.toytrain.projector import init_vision_projector, vision_backward, vision_project
 
 SRC = Path(facecond.__file__).parent
 RTOL = 1e-12
@@ -85,12 +84,20 @@ def _frgca_reference(h_v, h_l, mask, p, g, b_k=0.0) -> dict[str, np.ndarray]:
     }
 
 
-def _vision_reference(g, cache) -> dict[str, np.ndarray]:
-    p = cache.params
-    d_pre = np.einsum("tnd,dh->tnh", g, p.w2) * gelu_grad(cache.pre_act)
+def _vision_reference(raw, p, g) -> dict[str, np.ndarray]:
+    """Output and parameter gradients of the projector recomputed from
+    scratch, with GELU(x) = 0.5 x (1 + erf(x / sqrt(2))) and its slope."""
+    pre = np.einsum("tnr,hr->tnh", raw, p.w1) + p.b1
+    cdf2 = 1.0 + erf(pre / np.sqrt(2.0))
+    hidden = 0.5 * pre * cdf2
+    slope = 0.5 * cdf2 + pre * np.exp(-0.5 * pre**2) / np.sqrt(2.0 * np.pi)
+    d_pre = np.einsum("tnd,dh->tnh", g, p.w2) * slope
     return {
-        "w1": np.einsum("tnh,tnr->hr", d_pre, cache.raw),
-        "w2": np.einsum("tnd,tnh->dh", g, cache.hidden),
+        "out": np.einsum("tnh,dh->tnd", hidden, p.w2) + p.b2,
+        "w1": np.einsum("tnh,tnr->hr", d_pre, raw),
+        "b1": d_pre.sum(axis=(0, 1)),
+        "w2": np.einsum("tnd,tnh->dh", g, hidden),
+        "b2": g.sum(axis=(0, 1)),
     }
 
 
@@ -165,10 +172,15 @@ def test_vision_weight_gradients_match_einsum(shape):
     params = init_vision_projector(d_raw, d, seed=10)
     raw = rng.normal(size=(T, N, d_raw))
     g = rng.normal(size=(T, N, d))
-    _, cache = vision_project(raw, params, return_cache=True)
+    for bias in (params.b1, params.b2):
+        bias[:] = rng.normal(size=bias.shape)
+    out, cache = vision_project(raw, params, return_cache=True)
     grads = vision_backward(g, cache)
-    reference = _vision_reference(g, cache)
-    errors = {name: _rel_err(getattr(grads, name), ref) for name, ref in reference.items()}
+    reference = _vision_reference(raw, params, g)
+    errors = {
+        name: _rel_err(out if name == "out" else getattr(grads, name), ref)
+        for name, ref in reference.items()
+    }
     assert max(errors.values()) <= RTOL, errors
 
 
