@@ -33,6 +33,7 @@ from .evalkit import (
     BP4D_AUS,
     DISFA_AUS,
     TAXONOMY_TASKS,
+    check_au_list,
     confusion_csv_rows,
     load_eval_records,
     load_negation_cues,
@@ -236,11 +237,11 @@ def _au_list(text: str) -> tuple[int, ...]:
     bad = [entry for entry in text.split(",") if not entry.strip().isdecimal()]
     if bad:
         raise argparse.ArgumentTypeError(f"AU entries {bad} in {text!r} are not AU numbers")
-    aus = tuple(int(entry) for entry in text.split(","))
-    repeated = sorted({au for au in aus if aus.count(au) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"AUs {repeated} in {text!r} are listed more than once")
-    return aus
+    aus = [int(entry) for entry in text.split(",")]
+    try:
+        return check_au_list(aus, repr(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def cmd_eval(args) -> int:

@@ -3,6 +3,7 @@
 from .metrics import (
     BP4D_AUS,
     DISFA_AUS,
+    check_au_list,
     compute_avg_f1,
     compute_mae,
     compute_mean_attr_accuracy,
@@ -42,6 +43,7 @@ __all__ = [
     "EvalRecord",
     "TAXONOMY_TASKS",
     "Taxonomy",
+    "check_au_list",
     "compute_avg_f1",
     "compute_mae",
     "compute_mean_attr_accuracy",

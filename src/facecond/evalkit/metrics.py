@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ..jsonio import is_int
+
 # AU sets scored per dataset
 DISFA_AUS = (1, 2, 4, 6, 9, 12, 25, 26)
 BP4D_AUS = (1, 2, 4, 6, 7, 10, 12, 14, 15, 17, 23, 24)
@@ -51,6 +53,21 @@ def confusion_matrix(
     return matrix
 
 
+def check_au_list(au_list: Sequence[int], source: str = "au_list") -> tuple[int, ...]:
+    """The AUs to score as a tuple: at least one, each an integer listed
+    once. ``source`` names the list in the error."""
+    aus = tuple(au_list)
+    if not aus:
+        raise ValueError(f"{source} lists no AUs")
+    bad = [au for au in aus if not (is_int(au) or isinstance(au, np.integer))]
+    if bad:
+        raise ValueError(f"AU entries {bad} in {source} are not AU numbers")
+    repeated = sorted({au for au in aus if aus.count(au) > 1})
+    if repeated:
+        raise ValueError(f"AUs {repeated} in {source} are listed more than once")
+    return aus
+
+
 def compute_avg_f1(
     pred_sets: Sequence[set[int]],
     gt_sets: Sequence[set[int]],
@@ -65,7 +82,7 @@ def compute_avg_f1(
     if len(pred_sets) != len(gt_sets):
         raise ValueError("preds and gts must be aligned")
     per_au: dict[int, float] = {}
-    for au in au_list:
+    for au in check_au_list(au_list):
         tp = fp = fn = 0
         for pred, gt in zip(pred_sets, gt_sets):
             in_pred = au in pred

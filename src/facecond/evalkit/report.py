@@ -20,6 +20,7 @@ from typing import Sequence
 from ..jsonio import INTEGER, INTEGERS, OBJECT, STRING, STRINGS, member, read_jsonl, typed
 from .metrics import (
     DISFA_AUS,
+    check_au_list,
     compute_avg_f1,
     compute_mae,
     compute_mean_attr_accuracy,
@@ -138,6 +139,7 @@ def score_records(
     does not change the report."""
     if not records:
         raise ValueError("no records to score")
+    au_list = check_au_list(au_list)
     taxonomies = dict(taxonomies) if taxonomies else {}
     for task in TAXONOMY_TASKS:
         taxonomies.setdefault(task, default_taxonomy(task))

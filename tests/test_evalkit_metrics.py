@@ -113,6 +113,27 @@ def test_avg_f1_hand_computed_counts():
     assert mean == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize(
+    "au_list, message",
+    [
+        ((), "au_list lists no AUs"),
+        ((1, 1, 2), r"AUs \[1\] in au_list are listed more than once"),
+        ((4, 2, 4, 2, 6), r"AUs \[2, 4\] in au_list are listed more than once"),
+        (("1", "2"), r"AU entries \['1', '2'\] in au_list are not AU numbers"),
+        ((1, True), r"AU entries \[True\] in au_list are not AU numbers"),
+    ],
+    ids=["empty", "one_repeat", "two_repeats", "text", "bool"],
+)
+def test_avg_f1_rejects_a_bad_au_list(au_list, message):
+    with pytest.raises(ValueError, match=message):
+        compute_avg_f1([{1}], [{1}], au_list)
+
+
+def test_avg_f1_takes_numpy_integer_aus():
+    preds, gts = [{1, 2}, {2}], [{1}, {2}]
+    assert compute_avg_f1(preds, gts, np.array([1, 2])) == compute_avg_f1(preds, gts, (1, 2))
+
+
 def test_avg_f1_matches_bruteforce():
     rng = np.random.default_rng(1)
     for _ in range(100):

@@ -190,6 +190,24 @@ def test_score_records_numeric_tasks():
     assert age_entry["parse_failure_rate"] == 0.5
 
 
+@pytest.mark.parametrize(
+    "au_list, message",
+    [
+        ((), "au_list lists no AUs"),
+        ((1, 1, 2), r"AUs \[1\] in au_list are listed more than once"),
+        (("1", "2"), r"AU entries \['1', '2'\] in au_list are not AU numbers"),
+        ((1, True), r"AU entries \[True\] in au_list are not AU numbers"),
+    ],
+    ids=["empty", "repeated", "text", "bool"],
+)
+@pytest.mark.parametrize("task", ["au", "age"])
+def test_score_records_rejects_a_bad_au_list(task, au_list, message):
+    # the list is checked whether or not the records hold an AU task
+    records = make_records(task, [("AU1 appears, 30 years old.", [1] if task == "au" else 30, None)])
+    with pytest.raises(ValueError, match=message):
+        score_records(records, au_list=au_list)
+
+
 def test_score_records_attribute_task():
     records = make_records(
         "attribute",
