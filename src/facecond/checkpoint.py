@@ -8,7 +8,8 @@ so save/load round-trips are bit-exact.
 The parameter registry is the single source of key names and shapes:
 each parameter class's spec names its tensors, ``model_arrays`` adds the
 group prefix, and loading checks every tensor against the spec, failing
-with the file and the key named. A loaded model is packed into one flat
+with the file and the key named, also for a tensor under a group prefix
+that the spec does not name. A loaded model is packed into one flat
 vector whose views are its arrays (see ``facecond.toytrain.training``).
 """
 
@@ -89,11 +90,6 @@ def build_frgca(
         got = meta.get(key, value)
         if type(got) is not type(value) or got != value:  # 1 and 1.0 equal True
             raise ValueError(f"checkpoint meta {key!r} is {got!r}; only {value!r} is supported")
-    known = {"frgca." + key for key, _ in FrgcaParams.SPEC}
-    for name in arrays:
-        # e.g. "frgca.w_k.bias", which older archives hold
-        if name.startswith("frgca.") and name not in known:
-            raise ValueError(f"checkpoint has unknown tensor {name!r}")
     return FrgcaParams(
         *take(arrays, FrgcaParams.SPEC, "frgca.", dims), heads=_meta_int(meta, "heads", 8)
     )

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import SpecParams, shaped
+from .registry import SpecParams, init_arrays, shaped
 
 VARIANTS = ("frgca", "simple")
 
@@ -125,24 +125,9 @@ class FrgcaCache:
 
 
 def init_frgca(d: int, d_attn: int | None = None, heads: int = 8, seed: int = 0) -> FrgcaParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases; the
-    weights are drawn in the order q, k, v, o."""
-    if d < 1:
-        raise ValueError("token dimension must be >= 1")
-    d_attn = d if d_attn is None else d_attn
-    if d_attn < 1:
-        raise ValueError(f"d_attn must be >= 1, got {d_attn}")
-    rng = np.random.default_rng(seed)
-
-    def affine(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        return rng.uniform(-bound, bound, size=(out_dim, in_dim)), np.zeros(out_dim)
-
-    w_q, b_q = affine(d_attn, d)
-    w_k, _ = affine(d_attn, d)
-    w_v, b_v = affine(d_attn, d)
-    w_o, b_o = affine(d, d_attn)
-    return FrgcaParams(w_q, b_q, w_k, w_v, b_v, w_o, b_o, heads)
+    """Weights drawn in the order q, k, v, o (``registry.init_arrays``)."""
+    dims = {"d": d, "d_attn": d if d_attn is None else d_attn}
+    return FrgcaParams(*init_arrays(FrgcaParams.SPEC, dims, seed), heads)
 
 
 def _validate(h_v, h_l, mask, params, variant):

@@ -10,6 +10,9 @@ with no nonlinearity.
 
 Flattening order for projector inputs is fixed: the group's own index
 order (ascending for the default partition), x before y.
+
+``frlp_spec(partition)`` gives the projectors' keys and shapes, so any
+partition's projectors start by the registry's init rule.
 """
 
 from __future__ import annotations
@@ -19,10 +22,24 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import WHOLE_FACE, LandmarkClip, RegionPartition, N_LANDMARKS, default_partition
-from .registry import Spec, shaped
+from .geometry import LandmarkClip, RegionPartition, N_LANDMARKS, default_partition
+from .registry import Spec, init_arrays, shaped
 
 TOKEN_MODES = ("both", "local_only", "global_only")
+
+
+def frlp_spec(partition: RegionPartition) -> Spec:
+    """Checkpoint keys and shapes of the projectors of ``partition``'s
+    regions and then ``WHOLE_FACE``, in checkpoint order (see registry)."""
+    return (
+        *(
+            row
+            for i, size in enumerate(partition.sizes())
+            for row in ((f"local.{i}.weight", ("d", 2 * size)), (f"local.{i}.bias", ("d",)))
+        ),
+        ("global.weight", ("d", 2 * N_LANDMARKS)),
+        ("global.bias", ("d",)),
+    )
 
 
 @dataclass
@@ -41,17 +58,7 @@ class FrlpParams:
     def d(self) -> int:
         return self.biases[0].shape[0]
 
-    # checkpoint keys and shapes for the default partition, in checkpoint
-    # order (see registry)
-    SPEC: ClassVar[Spec] = (
-        *(
-            row
-            for i, (_, idx) in enumerate(default_partition().groups)
-            for row in ((f"local.{i}.weight", ("d", 2 * len(idx))), (f"local.{i}.bias", ("d",)))
-        ),
-        ("global.weight", ("d", 2 * N_LANDMARKS)),
-        ("global.bias", ("d",)),
-    )
+    SPEC: ClassVar[Spec] = frlp_spec(default_partition())
 
     def arrays(self) -> list[np.ndarray]:
         return [a for pair in zip(self.weights, self.biases) for a in pair]
@@ -63,15 +70,8 @@ class FrlpParams:
 
 
 def init_frlp(d: int, partition: RegionPartition, seed: int = 0) -> FrlpParams:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-    if d < 1:
-        raise ValueError("token dimension must be >= 1")
-    rng = np.random.default_rng(seed)
-    arrays = []
-    for _, idx in (*partition.groups, *WHOLE_FACE.groups):
-        bound = 1.0 / np.sqrt(2 * len(idx))
-        arrays += [rng.uniform(-bound, bound, size=(d, 2 * len(idx))), np.zeros(d)]
-    return FrlpParams.with_arrays(arrays)
+    """``partition``'s projectors, initialized by ``registry.init_arrays``."""
+    return FrlpParams.with_arrays(init_arrays(frlp_spec(partition), {"d": d}, seed))
 
 
 def _region_inputs(

@@ -6,6 +6,9 @@ in checkpoint order; a shape entry is a size or a named dimension such
 as "d". ``arrays()`` returns an instance's arrays in spec order and
 ``with_arrays`` rebuilds it around new ones, so one spec names weights,
 gradients, checkpoint tensors and gradcheck arrays alike.
+``init_arrays`` gives every spec its initial values by one rule, the
+fan-in scaling of LeCun et al., "Efficient BackProp" (1998), and ``take``
+loads exactly the tensors a spec names, failing on one missing or extra.
 
 The dimension rule: every array a layer takes, like every checkpoint
 tensor, is checked by ``shaped(arr, shape, dims, what)`` against a shape
@@ -45,14 +48,38 @@ def named(spec: Spec, arrays: Sequence[np.ndarray], prefix: str = "") -> dict[st
     return {prefix + key: arr for (key, _), arr in zip(spec, arrays, strict=True)}
 
 
+def init_arrays(spec: Spec, dims: Mapping[str, int], seed: int) -> list[np.ndarray]:
+    """``spec``'s arrays at the sizes ``dims`` names: one ``default_rng(seed)``
+    draws each 2-D weight in spec order from Uniform(-b, b), b = 1/sqrt(fan_in),
+    fan_in = shape[1]; each 1-D bias is zero and draws nothing."""
+    for name, size in dims.items():
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size}")
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for _, shape in spec:
+        size = tuple(dims[dim] if isinstance(dim, str) else dim for dim in shape)
+        if len(size) == 2:
+            bound = 1.0 / np.sqrt(size[1])
+            arrays.append(rng.uniform(-bound, bound, size=size))
+        else:
+            arrays.append(np.zeros(size))
+    return arrays
+
+
 def take(
     archive: Mapping[str, np.ndarray], spec: Spec, prefix: str, dims: dict[str, int] | None = None
 ) -> list[np.ndarray]:
     """The tensors ``spec`` names, in spec order, with their shapes checked.
 
     A named dimension binds in ``dims`` at its first use; share ``dims``
-    to make several groups agree. Failures name the key.
+    to make several groups agree. Failures name the key, also of a tensor
+    under ``prefix`` the spec does not name, such as "frgca.w_k.bias".
     """
+    known = {prefix + key for key, _ in spec}
+    for name in archive:
+        if name.startswith(prefix) and name not in known:
+            raise ValueError(f"checkpoint has unknown tensor {name!r}")
     dims = {} if dims is None else dims
     out = []
     for key, shape in spec:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..registry import SpecParams, shaped
+from ..registry import SpecParams, init_arrays, shaped
 
 DEFAULT_MAX_CONTEXT = 2048
 
@@ -76,13 +76,7 @@ class DecoderCache:
 def init_decoder(vocab: int, d: int, seed: int = 0) -> ToyDecoderParams:
     if vocab < 2:
         raise ValueError("vocabulary needs at least 2 tokens")
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(d)
-    return ToyDecoderParams(
-        embedding=rng.uniform(-bound, bound, size=(vocab, d)),
-        readout_w=rng.uniform(-bound, bound, size=(vocab, d)),
-        readout_b=np.zeros(vocab),
-    )
+    return ToyDecoderParams(*init_arrays(ToyDecoderParams.SPEC, {"vocab": vocab, "d": d}, seed))
 
 
 def _check_ids(ids: Sequence[int], vocab: int, what: str) -> tuple[int, ...]:

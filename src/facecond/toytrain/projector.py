@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from ..registry import SpecParams, shaped
+from ..registry import SpecParams, init_arrays, shaped
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -64,17 +64,8 @@ def init_vision_projector(
     d_raw: int, d: int, hidden: int | None = None, seed: int = 0
 ) -> VisionProjectorParams:
     hidden = d if hidden is None else hidden
-    if d_raw < 1 or d < 1 or hidden < 1:
-        raise ValueError("dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    bound1 = 1.0 / np.sqrt(d_raw)
-    bound2 = 1.0 / np.sqrt(hidden)
-    return VisionProjectorParams(
-        w1=rng.uniform(-bound1, bound1, size=(hidden, d_raw)),
-        b1=np.zeros(hidden),
-        w2=rng.uniform(-bound2, bound2, size=(d, hidden)),
-        b2=np.zeros(d),
-    )
+    dims = {"d_raw": d_raw, "d": d, "hidden": hidden}
+    return VisionProjectorParams(*init_arrays(VisionProjectorParams.SPEC, dims, seed))
 
 
 def vision_project(

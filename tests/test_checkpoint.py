@@ -11,6 +11,7 @@ from facecond.checkpoint import (
     save_arrays,
     save_model,
 )
+from facecond.registry import take
 from facecond.toytrain import TrainConfig, forward_loss, init_model, model_arrays, synth_dataset
 
 
@@ -200,3 +201,25 @@ def test_load_model_errors_name_the_file(tmp_path, edit, message):
     with pytest.raises(ValueError) as excinfo:
         load_model(str(path))
     assert str(excinfo.value) == f"{path}: {message}"
+
+
+# one tensor too many under each group prefix; before, only FRGCA's failed
+@pytest.mark.parametrize(
+    "name",
+    ["frlp.local.9.weight", "frgca.w_k.bias", "vision.fc3.weight", "decoder.extra"],
+    ids=["frlp", "frgca", "vision", "decoder"],
+)
+def test_load_model_rejects_an_unknown_tensor(tmp_path, name):
+    path, arrays, meta = _saved_arrays(tmp_path)
+    save_arrays(str(path), {**arrays, name: np.zeros((8, 4))}, meta)
+    with pytest.raises(ValueError) as excinfo:
+        load_model(str(path))
+    assert str(excinfo.value) == f"{path}: checkpoint has unknown tensor {name!r}"
+
+
+def test_take_reads_only_its_own_prefix():
+    spec = (("w", (2,)),)
+    archive = {"a.w": np.zeros(2), "b.w": np.ones(2), "b.extra": np.ones(3)}
+    assert [x.tolist() for x in take(archive, spec, "a.")] == [[0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"^checkpoint has unknown tensor 'b\.extra'$"):
+        take(archive, spec, "b.")

@@ -345,7 +345,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"variant": ["frgca"]}, "config key 'variant' must be a string, got ['frgca']"),
         # values the model and data builders reject
         ({"heads": 3}, "d_attn=16 not divisible by heads=3"),
-        ({"d": 0}, "token dimension must be >= 1"),
+        ({"d": 0}, "d must be >= 1, got 0"),
         ({"frames": 9}, "clip has 9 frames, exceeds max of 8"),
         ({"vocab": 5}, "vocab 5 too small: need 9 label tokens plus 2 instruction tokens"),
         ({"grid_rows": 0}, "grid dimensions must be positive"),

@@ -65,7 +65,7 @@ def test_vision_shape_validation():
 
 
 def test_vision_projector_rejects_an_empty_hidden_layer():
-    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+    with pytest.raises(ValueError, match="hidden must be >= 1, got 0"):
         init_vision_projector(3, 4, hidden=0)
 
 
