@@ -231,7 +231,7 @@ _AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
 
 
 def _au_list(text: str) -> tuple[int, ...]:
-    """--au-list: disfa, bp4d, or distinct comma-separated AU numbers."""
+    """--au-list: disfa, bp4d, or distinct comma-separated AU numbers >= 1."""
     if text in _AU_LISTS:
         return _AU_LISTS[text]
     bad = [entry for entry in text.split(",") if not entry.strip().isdecimal()]

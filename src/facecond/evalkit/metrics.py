@@ -54,14 +54,18 @@ def confusion_matrix(
 
 
 def check_au_list(au_list: Sequence[int], source: str = "au_list") -> tuple[int, ...]:
-    """The AUs to score as a tuple: at least one, each an integer listed
-    once. ``source`` names the list in the error."""
+    """The AUs to score as a tuple: at least one, each an integer of at
+    least 1 (FACS numbers its action units from 1) listed once. ``source``
+    names the list in the error."""
     aus = tuple(au_list)
     if not aus:
         raise ValueError(f"{source} lists no AUs")
     bad = [au for au in aus if not (is_int(au) or isinstance(au, np.integer))]
     if bad:
         raise ValueError(f"AU entries {bad} in {source} are not AU numbers")
+    low = [au for au in aus if au < 1]
+    if low:
+        raise ValueError(f"AUs {low} in {source} are below 1, where AU numbers start")
     repeated = sorted({au for au in aus if aus.count(au) > 1})
     if repeated:
         raise ValueError(f"AUs {repeated} in {source} are listed more than once")

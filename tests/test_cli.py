@@ -830,6 +830,25 @@ def test_au_list_from_flag_or_config(tmp_path, flags, config, want):
     assert json.loads(out.read_text())["tasks"]["au"]["au_list"] == list(want)
 
 
+def test_au_list_below_1_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(runnable_argv(tmp_path, "eval") + ["--au-list", "0,1"])
+    assert excinfo.value.code == 2
+    assert ("argument --au-list: AUs [0] in '0,1' are below 1, where AU numbers start"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_au_list_below_1_in_config_names_the_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"au_list": "0,1"}')
+    assert main(runnable_argv(tmp_path, "eval") + ["--config", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == (
+        f"{cfg}: config key 'au_list': AUs [0] in '0,1' are below 1, where AU numbers start")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cues", ['"not"', '["not", 3]', '{"not": 1}'],
                          ids=["string", "mixed_list", "object"])
 def test_eval_rejects_negation_cues_that_are_not_a_list_of_strings(tmp_path, capsys, cues):

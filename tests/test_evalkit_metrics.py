@@ -129,6 +129,19 @@ def test_avg_f1_rejects_a_bad_au_list(au_list, message):
         compute_avg_f1([{1}], [{1}], au_list)
 
 
+@pytest.mark.parametrize(
+    "au_list, message",
+    [
+        ((0, 1), r"AUs \[0\] in au_list are below 1, where AU numbers start"),
+        ((-3, 1, -1), r"AUs \[-3, -1\] in au_list are below 1, where AU numbers start"),
+    ],
+    ids=["zero", "negative"],
+)
+def test_avg_f1_rejects_an_au_below_1(au_list, message):
+    with pytest.raises(ValueError, match=message):
+        compute_avg_f1([{1}], [{1}], au_list)
+
+
 def test_avg_f1_takes_numpy_integer_aus():
     preds, gts = [{1, 2}, {2}], [{1}, {2}]
     assert compute_avg_f1(preds, gts, np.array([1, 2])) == compute_avg_f1(preds, gts, (1, 2))

@@ -208,6 +208,13 @@ def test_score_records_rejects_a_bad_au_list(task, au_list, message):
         score_records(records, au_list=au_list)
 
 
+@pytest.mark.parametrize("au_list", [(0, 1), (-3, 1)], ids=["zero", "negative"])
+def test_score_records_rejects_an_au_below_1(au_list):
+    records = make_records("au", [("AU1 appears.", [1], None)])
+    with pytest.raises(ValueError, match=r"in au_list are below 1, where AU numbers start"):
+        score_records(records, au_list=au_list)
+
+
 def test_score_records_attribute_task():
     records = make_records(
         "attribute",
