@@ -411,25 +411,29 @@ def ablation_experiment(
     task_kind: str = "region",
 ) -> dict[str, dict[str, float]]:
     """Train each attention variant across seeds on the synthetic task and
-    report mean final evaluation loss and accuracy."""
+    report mean final evaluation loss and accuracy. Each seed's datasets
+    are built once and shared by every variant; the datasets depend only
+    on the seed and on shape fields that no variant changes."""
     base = config or TrainConfig(stage="finetune", learning_rate=3e-3)
-    results: dict[str, dict[str, float]] = {}
-    for variant in variants:
-        losses, accuracies = [], []
-        for seed in seeds:
+    losses: dict[str, list[float]] = {variant: [] for variant in variants}
+    accuracies: dict[str, list[float]] = {variant: [] for variant in variants}
+    for seed in seeds:
+        train_set = config_dataset(base, seed, train_size, task_kind)
+        eval_set = config_dataset(base, seed + 10_000, eval_size, task_kind)
+        for variant in losses:
             cfg = TrainConfig(
                 **{**base.to_dict(), "variant": variant, "seed": int(seed)}
             )
-            train_set = config_dataset(cfg, seed, train_size, task_kind)
-            eval_set = config_dataset(cfg, seed + 10_000, eval_size, task_kind)
             result = train(cfg, train_set)
             loss, accuracy = evaluate(result.model, eval_set, cfg)
-            losses.append(loss)
-            accuracies.append(accuracy)
-        results[variant] = {
-            "mean_eval_loss": float(np.mean(losses)),
-            "mean_eval_accuracy": float(np.mean(accuracies)),
-            "per_seed_loss": [float(x) for x in losses],
-            "per_seed_accuracy": [float(x) for x in accuracies],
+            losses[variant].append(loss)
+            accuracies[variant].append(accuracy)
+    return {
+        variant: {
+            "mean_eval_loss": float(np.mean(losses[variant])),
+            "mean_eval_accuracy": float(np.mean(accuracies[variant])),
+            "per_seed_loss": [float(x) for x in losses[variant]],
+            "per_seed_accuracy": [float(x) for x in accuracies[variant]],
         }
-    return results
+        for variant in losses
+    }

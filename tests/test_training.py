@@ -392,3 +392,39 @@ def test_layer_names_the_benchmark_wraps_exist_on_training():
         for name in names:
             assert hasattr(target, name), ".".join(names)
             target = getattr(target, name)
+
+
+def test_ablation_experiment_equals_per_variant_train_and_evaluate():
+    base = TrainConfig(stage="finetune", learning_rate=3e-3)
+    variants, seeds = ("frgca", "none", "simple"), (0, 1)
+    results = training.ablation_experiment(variants, seeds, train_size=12, eval_size=6)
+    assert list(results) == list(variants)
+    for variant in variants:
+        losses, accuracies = [], []
+        for seed in seeds:
+            cfg = TrainConfig(**{**base.to_dict(), "variant": variant, "seed": seed})
+            model = train(cfg, training.config_dataset(cfg, seed, 12, "region")).model
+            loss, accuracy = evaluate(
+                model, training.config_dataset(cfg, seed + 10_000, 6, "region"), cfg
+            )
+            losses.append(loss)
+            accuracies.append(accuracy)
+        assert results[variant] == {
+            "mean_eval_loss": float(np.mean(losses)),
+            "mean_eval_accuracy": float(np.mean(accuracies)),
+            "per_seed_loss": losses,
+            "per_seed_accuracy": accuracies,
+        }
+
+
+def test_ablation_experiment_builds_each_seeds_datasets_once(monkeypatch):
+    built = []
+
+    def counting(config, seed, size, task_kind):
+        built.append(seed)
+        return real(config, seed, size, task_kind)
+
+    real = training.config_dataset
+    monkeypatch.setattr(training, "config_dataset", counting)
+    training.ablation_experiment(("frgca", "none"), (0, 1), train_size=4, eval_size=2)
+    assert built == [0, 10_000, 1, 10_001]
