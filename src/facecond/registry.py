@@ -51,19 +51,20 @@ def named(spec: Spec, arrays: Sequence[np.ndarray], prefix: str = "") -> dict[st
 def init_arrays(spec: Spec, dims: Mapping[str, int], seed: int) -> list[np.ndarray]:
     """``spec``'s arrays at the sizes ``dims`` names: one ``default_rng(seed)``
     draws each 2-D weight in spec order from Uniform(-b, b), b = 1/sqrt(fan_in),
-    fan_in = shape[1]; each 1-D bias is zero and draws nothing."""
+    fan_in = shape[1]; each 1-D bias is zero and draws nothing. A size
+    below 1 fails naming its dimension, as ``d_attn must be >= 1, got 0``."""
     for name, size in dims.items():
         if size < 1:
             raise ValueError(f"{name} must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     arrays = []
     for _, shape in spec:
-        size = tuple(dims[dim] if isinstance(dim, str) else dim for dim in shape)
-        if len(size) == 2:
-            bound = 1.0 / np.sqrt(size[1])
-            arrays.append(rng.uniform(-bound, bound, size=size))
+        sizes = tuple(dims[dim] if isinstance(dim, str) else dim for dim in shape)
+        if len(sizes) == 2:
+            bound = 1.0 / np.sqrt(sizes[1])
+            arrays.append(rng.uniform(-bound, bound, size=sizes))
         else:
-            arrays.append(np.zeros(size))
+            arrays.append(np.zeros(sizes))
     return arrays
 
 
