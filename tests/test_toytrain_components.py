@@ -259,6 +259,47 @@ def test_decoder_gradients():
     assert max(errors.values()) < 1e-4, errors
 
 
+@pytest.mark.parametrize("n_instruction", [1, 4])
+@pytest.mark.parametrize("n_response", [1, 3])
+def test_decoder_is_bit_exact_to_the_textbook_mean_pool(n_response, n_instruction):
+    """Each pooled prefix is ``rows[:span].mean(axis=0)`` bit for bit, and
+    the loss and every gradient round as the textbook NumPy expressions."""
+    rng = np.random.default_rng(10 + n_response + n_instruction)
+    decoder = init_decoder(16, 16, seed=11)
+    visual = rng.normal(size=(1, 16, 16))
+    instruction = rng.integers(0, 16, size=n_instruction).tolist()
+    targets = rng.integers(0, 16, size=n_response).tolist()
+    seq = sequence_assemble(visual, instruction, targets, decoder)
+    loss, cache = autoregressive_loss(seq, decoder, return_cache=True)
+    grads, d_visual = decoder_backward(cache)
+
+    R, n_prefix = n_response, 16 + n_instruction
+    rows = np.concatenate(
+        [visual.reshape(16, 16), decoder.embedding[instruction], decoder.embedding[targets]]
+    )
+    pooled = np.stack([rows[: n_prefix + i].mean(axis=0) for i in range(R)])
+    logits = pooled @ decoder.readout_w.T + decoder.readout_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    d_logits = probs.copy()
+    d_logits[np.arange(R), targets] -= 1.0
+    d_logits /= R
+    d_pooled = d_logits @ decoder.readout_w
+    d_rows = np.zeros_like(rows)
+    for i in range(R):
+        d_rows[: n_prefix + i] += d_pooled[i] / (n_prefix + i)
+    d_embedding = np.zeros_like(decoder.embedding)
+    np.add.at(d_embedding, instruction + targets, d_rows[16:])
+
+    assert np.array_equal(cache.pooled, pooled)
+    assert np.array_equal(cache.probs, probs)
+    assert loss == float(-np.log(probs[np.arange(R), targets]).mean())
+    assert np.array_equal(grads.readout_w, d_logits.T @ pooled)
+    assert np.array_equal(grads.readout_b, d_logits.sum(axis=0))
+    assert np.array_equal(grads.embedding, d_embedding)
+    assert np.array_equal(d_visual, d_rows[:16].reshape(1, 16, 16))
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 
