@@ -135,16 +135,16 @@ def _validate(h_v, h_l, mask, params, variant):
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     dims = {"d": params.d}
     h_v = shaped(np.asarray(h_v, dtype=np.float64), ("T", "N", "d"), dims, "h_v")
-    if not np.isfinite(h_v).all():
+    if not np.logical_and.reduce(np.isfinite(h_v), axis=None):
         raise ValueError("h_v contains non-finite values")
     h_l = shaped(np.asarray(h_l, dtype=np.float64), ("T", "M", "d"), dims, "h_l")
-    if not np.isfinite(h_l).all():
+    if not np.logical_and.reduce(np.isfinite(h_l), axis=None):
         raise ValueError("h_l contains non-finite values")
     if variant == "frgca":
         if mask is None:
             raise ValueError("variant 'frgca' requires a proximity mask")
         mask = shaped(np.asarray(mask, dtype=np.float64), ("T", "N", "M"), dims, "mask")
-        if not np.isfinite(mask).all():
+        if not np.logical_and.reduce(np.isfinite(mask), axis=None):
             raise ValueError("mask contains non-finite values")
     else:
         mask = None

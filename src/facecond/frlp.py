@@ -82,19 +82,18 @@ def _region_inputs(
     that width per region. The ravel of (L_i, 2) rows interleaves x
     before y. One gather orders the points group after group; each
     region's input is a column slice of it, and the whole face's is a
-    view of the clip."""
-    expected = (*(2 * size for size in partition.sizes()), 2 * N_LANDMARKS)
-    got = tuple(w.shape[1] for w in params.weights)
+    view of the clip. The widths and column slices are the partition's
+    tables."""
+    expected = (*partition.widths, 2 * N_LANDMARKS)
+    got = tuple([w.shape[1] for w in params.weights])
     if expected != got:
         raise ValueError(
             f"params incompatible with partition: input widths {got}, expected {expected}"
         )
     T = clip.num_frames
     grouped = clip.points[:, partition.order].reshape(T, 2 * N_LANDMARKS)
-    offsets = partition.offsets
-    return [
-        *(grouped[:, 2 * a : 2 * b] for a, b in zip(offsets, offsets[1:])),
-        clip.points.reshape(T, 2 * N_LANDMARKS),
+    return [grouped[:, cols] for cols in partition.columns] + [
+        clip.points.reshape(T, 2 * N_LANDMARKS)
     ]
 
 
@@ -104,9 +103,10 @@ def frlp_forward(
     """One token per region, shape (T, M + 1, d): the M regions of
     ``partition``, then the whole face."""
     inputs = _region_inputs(clip, partition, params)
-    return np.stack(
-        [x @ w.T + b for x, w, b in zip(inputs, params.weights, params.biases)], axis=1
-    )
+    tokens = np.empty((clip.num_frames, len(inputs), params.d))  # no stack of temporaries
+    for i, (x, w, b) in enumerate(zip(inputs, params.weights, params.biases)):
+        np.add(x @ w.T, b, out=tokens[:, i])
+    return tokens
 
 
 def select_tokens(tokens: np.ndarray, mode: str = "both") -> np.ndarray:
@@ -149,6 +149,7 @@ def frlp_backward(
     else:
         d_regions[:, :-1] = d_tokens
         if mode == "both":
-            d_regions[:, -1] = d_tokens.sum(axis=1)
-    grads = [d_regions[:, i] for i in range(len(inputs))]  # (T, d) each
-    return FrlpParams([g.T @ x for g, x in zip(grads, inputs)], [g.sum(axis=0) for g in grads])
+            np.add.reduce(d_tokens, axis=1, out=d_regions[:, -1])
+    weights = [d_regions[:, i].T @ x for i, x in enumerate(inputs)]
+    # every region's bias gradient in one sum over frames, (M + 1, d)
+    return FrlpParams(weights, list(np.add.reduce(d_regions, axis=0)))

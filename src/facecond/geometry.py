@@ -74,13 +74,21 @@ class RegionPartition:
     group's indices, group after group; group i is
     ``order[offsets[i]:offsets[i + 1]]``; and row i of the (M, max L)
     ``table`` is group i padded with index 68, which addresses a zero row
-    appended to the points. ``_counts`` is the (M, 1) float group sizes."""
+    appended to the points. ``_counts`` is the (M, 1) float group sizes.
+    The coordinate tables follow ``order`` too: ``widths[i]`` is 2 * L_i,
+    the number of x and y coordinates of group i, and ``columns[i]``
+    slices them out of ``points[:, order]`` flattened to (T, 2 * 68),
+    x before y. ``sizes()`` returns the group sizes stored at
+    construction."""
 
     groups: tuple[tuple[str, tuple[int, ...]], ...]
     order: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -103,7 +111,7 @@ class RegionPartition:
         if seen != set(range(N_LANDMARKS)):
             raise ValueError("groups must cover indices 0..67 exactly once")
 
-        sizes = self.sizes()
+        sizes = tuple(len(idx) for _, idx in self.groups)
         table = np.full((len(sizes), max(sizes)), N_LANDMARKS, dtype=np.intp)
         for row, (_, idx) in zip(table, self.groups):
             row[: len(idx)] = idx
@@ -112,7 +120,15 @@ class RegionPartition:
         for name, value in (("order", order), ("table", table), ("_counts", counts)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "offsets", (0, *np.cumsum(sizes).tolist()))
+        offsets = (0, *np.cumsum(sizes).tolist())
+        tables = (
+            ("offsets", offsets),
+            ("widths", tuple(2 * size for size in sizes)),
+            ("columns", tuple(slice(2 * a, 2 * b) for a, b in zip(offsets, offsets[1:]))),
+            ("_sizes", sizes),
+        )
+        for name, value in tables:
+            object.__setattr__(self, name, value)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -123,7 +139,7 @@ class RegionPartition:
         return len(self.groups)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(idx) for _, idx in self.groups)
+        return self._sizes
 
     def indices(self, name: str) -> tuple[int, ...]:
         for group_name, idx in self.groups:
@@ -207,7 +223,7 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
     diff = patches[:, None, :] - regions[..., None, :, :]
-    return -np.sqrt((diff * diff).sum(axis=-1))
+    return -np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def clip_rpp_masks(

@@ -5,7 +5,8 @@ ToyDecoderParams) names its arrays once, as a spec of (key, shape) rows
 in checkpoint order; a shape entry is a size or a named dimension such
 as "d". ``arrays()`` returns an instance's arrays in spec order and
 ``with_arrays`` rebuilds it around new ones, so one spec names weights,
-gradients, checkpoint tensors and gradcheck arrays alike.
+gradients, checkpoint tensors and gradcheck arrays alike. Both resolve a
+class's array and configuration field names once per class, not per call.
 ``init_arrays`` gives every spec its initial values by one rule, the
 fan-in scaling of LeCun et al., "Efficient BackProp" (1998), and ``take``
 loads exactly the tensors a spec names, failing on one missing or extra.
@@ -20,7 +21,8 @@ call share ``dims``, so they must agree on it. A mismatch fails as
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+import functools
+from dataclasses import fields
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -36,11 +38,21 @@ class SpecParams:
     SPEC: ClassVar[Spec] = ()
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)[: len(self.SPEC)]]
+        return [getattr(self, name) for name in _field_names(type(self))[0]]
 
     def with_arrays(self, arrays: Iterable[np.ndarray]):
-        names = [f.name for f in fields(self)[: len(self.SPEC)]]
-        return replace(self, **dict(zip(names, arrays, strict=True)))
+        names, config = _field_names(type(self))
+        arrays = list(arrays)
+        if len(arrays) != len(names):
+            raise ValueError(f"{type(self).__name__} has {len(names)} arrays, got {len(arrays)}")
+        return type(self)(*arrays, *[getattr(self, name) for name in config])
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of ``cls``'s array fields, then of its configuration fields."""
+    names = tuple(f.name for f in fields(cls))
+    return names[: len(cls.SPEC)], names[len(cls.SPEC) :]
 
 
 def named(spec: Spec, arrays: Sequence[np.ndarray], prefix: str = "") -> dict[str, np.ndarray]:

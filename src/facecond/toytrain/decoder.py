@@ -116,9 +116,9 @@ def sequence_assemble(
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def autoregressive_loss(
@@ -127,20 +127,25 @@ def autoregressive_loss(
     """Mean negative log-likelihood of the sequence's response tokens.
 
     Position i is predicted from the mean of all rows before it (visual
-    block, instruction, and earlier response tokens).
+    block, instruction, and earlier response tokens), rounded as
+    ``rows[:span].mean(axis=0)``: their sum, then divided by their count.
     """
     targets = sequence.response_ids
     if not targets:
         raise ValueError("response is empty; nothing to score")
     n_prefix = sequence.n_visual + len(sequence.instruction_ids)
-    pooled = np.empty((len(targets), params.d))
-    for i in range(len(targets)):
-        pooled[i] = sequence.rows[: n_prefix + i].mean(axis=0)
+    R = len(targets)
+    pooled = np.empty((R, params.d))
+    # the ufunc reductions here and below skip the Python wrappers of
+    # .mean() and .sum(), which count at the toy shape
+    for i in range(R):
+        np.add.reduce(sequence.rows[: n_prefix + i], axis=0, out=pooled[i])
+        pooled[i] /= n_prefix + i
     logits = pooled @ params.readout_w.T + params.readout_b
     probs = _softmax(logits)
-    picked = probs[np.arange(len(targets)), list(targets)]
+    picked = probs[np.arange(R), list(targets)]
     with np.errstate(divide="ignore"):
-        loss = float(-np.log(picked).mean())
+        loss = float(-(np.add.reduce(np.log(picked)) / R))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     if return_cache:
@@ -168,7 +173,7 @@ def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]
     d_logits /= R
 
     d_readout_w = d_logits.T @ cache.pooled
-    d_readout_b = d_logits.sum(axis=0)
+    d_readout_b = np.add.reduce(d_logits, axis=0)
     d_pooled = d_logits @ params.readout_w  # (R, d)
 
     d_rows = np.zeros_like(seq.rows)

@@ -82,7 +82,7 @@ def vision_project(
     hid *= cdf2
     out = hid @ params.w2.T
     out += params.b2
-    if not np.all(np.isfinite(out)):
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError("vision projector produced non-finite output")
     if return_cache:
         return out, VisionCache(raw, pre, cdf2, hid, params)
@@ -101,7 +101,7 @@ def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjecto
     rows = g.shape[0] * g.shape[1]
     d_hidden = g @ params.w2
     d_w2 = g.reshape(rows, -1).T @ cache.hidden.reshape(rows, -1)
-    d_b2 = g.sum(axis=(0, 1))
+    d_b2 = np.add.reduce(g, axis=(0, 1))
     # d_hidden becomes d_pre in place: times the GELU slope
     # 0.5 cdf2 + (x / sqrt(2 pi)) exp((-0.5 x) x), built in one scratch array
     x = cache.pre_act
@@ -113,5 +113,5 @@ def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjecto
     d_hidden *= slope
     d_pre = d_hidden
     d_w1 = d_pre.reshape(rows, -1).T @ cache.raw.reshape(rows, -1)
-    d_b1 = d_pre.sum(axis=(0, 1))
+    d_b1 = np.add.reduce(d_pre, axis=(0, 1))
     return VisionProjectorParams(d_w1, d_b1, d_w2, d_b2)

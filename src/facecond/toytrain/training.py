@@ -350,7 +350,7 @@ def train(
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} at step {step} (sample {idx})") from exc
             backward_pass(model, sample, config, state, out=grad)
-            if not np.isfinite(grad).all():
+            if not np.logical_and.reduce(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
             optimizer.step(params, grad[:n_trainable], lr)
             trace.append((step, lr, loss))
