@@ -9,8 +9,11 @@ The parameter registry is the single source of key names and shapes:
 each parameter class's spec names its tensors, ``model_arrays`` adds the
 group prefix, and loading checks every tensor against the spec, failing
 with the file and the key named, also for a tensor under a group prefix
-that the spec does not name. A loaded model is packed into one flat
-vector whose views are its arrays (see ``facecond.toytrain.training``).
+that the spec does not name. ``load_model`` also rejects a tensor under
+none of the four group prefixes; ``enrich`` reads only the ``frlp.`` and
+``frgca.`` groups, so it loads a full model's archive. A loaded model is
+packed into one flat vector whose views are its arrays (see
+``facecond.toytrain.training``).
 """
 
 from __future__ import annotations
@@ -99,10 +102,16 @@ def load_model(path: str) -> ModelParams:
     arrays, meta = load_arrays(path)
     dims: dict[str, int] = {}  # shared, so all four groups agree on d
     with within(path):  # the builders' errors name the tensor, not the file
-        return ModelParams(
+        model = ModelParams(
             frlp=build_frlp(arrays, dims),
             frgca=build_frgca(arrays, meta, dims),
             vision=VisionProjectorParams(*take(arrays, VisionProjectorParams.SPEC, "vision.", dims)),
             decoder=ToyDecoderParams(*take(arrays, ToyDecoderParams.SPEC, "decoder.", dims)),
             grid=PatchGrid(_meta_int(meta, "grid_rows", 16), _meta_int(meta, "grid_cols", 16)),
         )
+        # each group rejected its own unknown tensors; any left lie under
+        # no group prefix
+        unknown = sorted(arrays.keys() - model_arrays(model).keys())
+        if unknown:
+            raise ValueError(f"checkpoint has unknown tensor {unknown[0]!r}")
+    return model

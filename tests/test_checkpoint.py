@@ -203,11 +203,12 @@ def test_load_model_errors_name_the_file(tmp_path, edit, message):
     assert str(excinfo.value) == f"{path}: {message}"
 
 
-# one tensor too many under each group prefix; before, only FRGCA's failed
+# one tensor too many under each group prefix, or under none
 @pytest.mark.parametrize(
     "name",
-    ["frlp.local.9.weight", "frgca.w_k.bias", "vision.fc3.weight", "decoder.extra"],
-    ids=["frlp", "frgca", "vision", "decoder"],
+    ["frlp.local.9.weight", "frgca.w_k.bias", "vision.fc3.weight", "decoder.extra", "extra",
+     "visionx.w"],
+    ids=["frlp", "frgca", "vision", "decoder", "no_prefix", "near_prefix"],
 )
 def test_load_model_rejects_an_unknown_tensor(tmp_path, name):
     path, arrays, meta = _saved_arrays(tmp_path)
