@@ -27,7 +27,6 @@ from .frlp import (
 )
 from .frgca import (
     FrgcaParams,
-    attention_weights,
     frgca_backward,
     frgca_forward,
     init_frgca,
@@ -41,7 +40,6 @@ __all__ = [
     "LandmarkClip",
     "PatchGrid",
     "RegionPartition",
-    "attention_weights",
     "clip_rpp_masks",
     "default_partition",
     "frgca_backward",

@@ -209,21 +209,6 @@ def frgca_forward(
     return out
 
 
-def attention_weights(
-    h_v: np.ndarray,
-    h_l: np.ndarray,
-    mask: np.ndarray | None,
-    params: FrgcaParams,
-    variant: str = "frgca",
-) -> np.ndarray:
-    """Per-frame, per-head attention matrices, shape (T, H, N, M).
-
-    Each row is a probability distribution over regions.
-    """
-    _, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
-    return cache.attn
-
-
 def frgca_backward(
     cotangent: np.ndarray, cache: FrgcaCache | None
 ) -> tuple[FrgcaParams, np.ndarray, np.ndarray]:

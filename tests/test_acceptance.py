@@ -24,7 +24,7 @@ from facecond.evalkit import (
     extract_prediction,
     EvalRecord,
 )
-from facecond.frgca import attention_weights, frgca_forward, init_frgca
+from facecond.frgca import frgca_forward, init_frgca
 from facecond.geometry import LandmarkClip, default_partition, save_landmarks, rpp_mask
 from facecond.gradcheck import MODULE_TOLERANCE, PIPELINE_TOLERANCE, run_full_suite
 from facecond.toytrain import (
@@ -110,7 +110,7 @@ def test_criterion_03_softmax_mask_invariants():
         h_l = rng.normal(size=(T, M, d))
         mask = -np.abs(rng.normal(size=(T, N, M)))
 
-        attn = attention_weights(h_v, h_l, mask, params)
+        attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
         worst_row = max(worst_row, float(np.abs(attn.sum(axis=-1) - 1.0).max()))
 
         out = frgca_forward(h_v, h_l, mask, params)

@@ -4,7 +4,6 @@ import pytest
 from facecond.frgca import (
     FrgcaParams,
     attention_maps_json,
-    attention_weights,
     frgca_backward,
     frgca_forward,
     init_frgca,
@@ -129,7 +128,7 @@ def test_uniform_attention_when_logits_zero():
     params.w_q[:] = 0.0
     params.b_q[:] = 0.0
     mask = np.zeros((2, 4, 9))
-    attn = attention_weights(h_v, h_l, mask, params)
+    attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
     assert np.allclose(attn, 1.0 / 9.0, rtol=0, atol=1e-15)
 
 
@@ -137,7 +136,7 @@ def test_mask_saturation_suppresses_entry():
     rng = np.random.default_rng(7)
     h_v, h_l, mask, params = random_instance(rng)
     mask[0, 1, 2] = -1e9
-    attn = attention_weights(h_v, h_l, mask, params)
+    attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
     assert np.all(attn[0, :, 1, 2] < 1e-12)
 
 
@@ -145,7 +144,7 @@ def test_rows_sum_to_one():
     rng = np.random.default_rng(8)
     for _ in range(25):
         h_v, h_l, mask, params = random_instance(rng, seed=int(rng.integers(1000)))
-        attn = attention_weights(h_v, h_l, mask, params)
+        attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
         assert np.all(attn >= 0.0)
         assert np.all(attn <= 1.0)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
@@ -156,7 +155,7 @@ def test_mask_pulls_attention_toward_nearest_region():
     h_v, h_l, mask, params = random_instance(rng, M=9)
     params.w_q[:] = 0.0  # force QK^T = 0; attention is softmax of the mask
     params.b_q[:] = 0.0
-    attn = attention_weights(h_v, h_l, mask, params)
+    attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
     uniform = 1.0 / mask.shape[-1]
     for t in range(mask.shape[0]):
         for n in range(mask.shape[1]):
@@ -164,17 +163,17 @@ def test_mask_pulls_attention_toward_nearest_region():
             assert np.all(attn[t, :, n, nearest] >= uniform - 1e-12)
 
 
-def test_attention_weights_rejects_variant_none():
+def test_frgca_forward_rejects_variant_none():
     rng = np.random.default_rng(10)
     h_v, h_l, mask, params = random_instance(rng)
     with pytest.raises(ValueError):
-        attention_weights(h_v, h_l, mask, params, variant="none")
+        frgca_forward(h_v, h_l, mask, params, variant="none", return_cache=True)
 
 
 def test_attention_maps_json_layout():
     rng = np.random.default_rng(11)
     h_v, h_l, mask, params = random_instance(rng, T=2, heads=2)
-    attn = attention_weights(h_v, h_l, mask, params)
+    attn = frgca_forward(h_v, h_l, mask, params, return_cache=True)[1].attn
     maps = attention_maps_json(attn)
     assert len(maps) == 4  # T * heads
     assert maps[0]["frame"] == 0 and maps[0]["head"] == 0

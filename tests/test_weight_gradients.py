@@ -25,7 +25,7 @@ import pytest
 from scipy.special import erf
 
 import facecond
-from facecond.frgca import attention_weights, frgca_backward, frgca_forward, init_frgca
+from facecond.frgca import frgca_backward, frgca_forward, init_frgca
 from facecond.toytrain.projector import init_vision_projector, vision_backward, vision_project
 
 SRC = Path(facecond.__file__).parent
@@ -127,7 +127,7 @@ def test_frgca_weight_gradients_match_einsum(shape, case):
     grads, d_h_v, d_h_l = frgca_backward(g, cache)
     got = {
         "out": out,
-        "attn": attention_weights(h_v, h_l, mask, params, variant=variant),
+        "attn": cache.attn,
         "h_v": d_h_v,
         "h_l": d_h_l,
     }
