@@ -103,7 +103,7 @@ def frlp_forward(
     """One token per region, shape (T, M + 1, d): the M regions of
     ``partition``, then the whole face."""
     inputs = _region_inputs(clip, partition, params)
-    tokens = np.empty((clip.num_frames, len(inputs), params.d))  # no stack of temporaries
+    tokens = np.empty((clip.num_frames, len(inputs), params.d))
     for i, (x, w, b) in enumerate(zip(inputs, params.weights, params.biases)):
         np.add(x @ w.T, b, out=tokens[:, i])
     return tokens
