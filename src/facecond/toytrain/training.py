@@ -143,7 +143,8 @@ _JSON_FIELD_KINDS = {"str": STRING, "int": INTEGER, "float": NUMBER}
 @dataclass
 class ModelParams:
     """All four parameter groups; construction packs them into ``flat``
-    and makes every group array a view into it."""
+    and makes every group array a view into it. ``landmark_size`` is the
+    length of the FRLP and FRGCA arrays, which lead ``flat``."""
 
     frlp: FrlpParams
     frgca: FrgcaParams
@@ -151,10 +152,12 @@ class ModelParams:
     decoder: ToyDecoderParams
     grid: PatchGrid = field(default_factory=PatchGrid)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    landmark_size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = model_arrays(self)
         self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        self.landmark_size = sum(a.size for k, a in arrays.items() if k.startswith(("frlp.", "frgca.")))
         views = iter(unflatten(self.flat, arrays).values())
         for prefix in _GROUP_OF:
             params = getattr(self, prefix)
@@ -251,19 +254,24 @@ def backward_pass(
     """Gradient of the loss as one vector laid out like ``model.flat``,
     written into ``out`` when given."""
     vision_cache, attn_cache, decoder_cache = state
+    if out is None:
+        out = np.empty(model.flat.size)
     dec, d_visual = decoder_backward(decoder_cache)
     if attn_cache is None:  # variant "none": FRLP and FRGCA never reach the loss
         d_h_v = d_visual
-        landmark = [np.zeros(sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays())))]
+        start = model.landmark_size
+        out[:start] = 0.0
+        landmark = []
     else:
         att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
         frl = frlp_backward(
             d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens
         )
+        start = 0
         landmark = [*frl.arrays(), *att.arrays()]
     vis = vision_backward(d_h_v, vision_cache)
-    parts = [*landmark, *vis.arrays(), *dec.arrays()]
-    return np.concatenate(parts, axis=None, out=out)
+    np.concatenate([*landmark, *vis.arrays(), *dec.arrays()], axis=None, out=out[start:])
+    return out
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:

@@ -10,6 +10,7 @@ from facecond.gradcheck import DIRECTIONAL_TOLERANCE, directional_error
 from facecond.registry import named, unflatten
 from facecond.toytrain import training
 from facecond.toytrain.decoder import ToyDecoderParams, decoder_backward
+from facecond.toytrain.projector import vision_backward
 from facecond.toytrain.training import GROUPS, backward_pass
 from facecond.toytrain import (
     AdamW,
@@ -206,6 +207,25 @@ def test_gradient_vector_lines_up_with_flat():
     }
     for key, value in expected.items():
         assert np.array_equal(by_key[key], value), key
+
+
+def test_none_gradient_is_zeros_then_vision_and_decoder_bit_for_bit():
+    # variant "none" writes zeros over the FRLP and FRGCA slice of `out`;
+    # the reference is the concatenation with a fresh zero vector
+    cfg = tiny_config(variant="none")
+    model = init_model(cfg)
+    sample = tiny_dataset(cfg, size=1)[0]
+    _, state = forward_loss(model, sample, cfg, return_state=True)
+    decoder_grads, d_visual = decoder_backward(state[2])
+    vision_grads = vision_backward(d_visual, state[0])
+    landmark = sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays()))
+    expected = np.concatenate(
+        [np.zeros(landmark), *vision_grads.arrays(), *decoder_grads.arrays()], axis=None
+    )
+    assert backward_pass(model, sample, cfg, state).tobytes() == expected.tobytes()
+    out = np.full(model.flat.size, np.nan)
+    assert backward_pass(model, sample, cfg, state, out=out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["frgca", "simple"])
