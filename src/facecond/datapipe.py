@@ -18,7 +18,7 @@ weight}}, each task's weights finite, non-negative and not all zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ MEDIA_PLACEHOLDER = "{media}"
 DEFAULT_RATING_THRESHOLD = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationRecord:
     id: str
     task: str
@@ -51,11 +51,15 @@ class AnnotationRecord:
     def __post_init__(self) -> None:
         if self.media_type not in MEDIA_TYPES:
             raise ValueError(f"media type must be one of {MEDIA_TYPES}")
-        unknown = self.ratings.keys() - RATING_KEYS
+        ratings = self.ratings
+        if not ratings:
+            return
+        unknown = ratings.keys() - RATING_KEYS
         if unknown:
             raise ValueError(f"unknown rating keys: {sorted(unknown)}")
-        for key, value in self.ratings.items():
-            if not is_int(value) or not 1 <= value <= 10:
+        for key, value in ratings.items():
+            # a JSON integer (is_int), tested inline: this runs per rating of every record
+            if type(value) is not int or not 1 <= value <= 10:
                 raise ValueError(f"rating {key}={value!r} outside 1..10")
 
     @property
@@ -63,6 +67,8 @@ class AnnotationRecord:
         return self.ratings.get("overall")
 
     def to_json_obj(self) -> dict:
+        """A fresh JSON object of the record; ``write_jsonl`` sorts its keys,
+        the ratings' included."""
         obj = {
             "id": self.id,
             "task": self.task,
@@ -73,23 +79,24 @@ class AnnotationRecord:
         if self.instruction is not None:
             obj["instruction"] = self.instruction
         if self.ratings:
-            obj["ratings"] = dict(sorted(self.ratings.items()))
+            obj["ratings"] = dict(self.ratings)
         return obj
 
     @classmethod
     def from_json_obj(cls, obj) -> "AnnotationRecord":
-        """The record of a decoded manifest line; ``label`` is any JSON value."""
+        """The record of a decoded manifest line; ``label`` is any JSON value.
+        Fields are checked, and passed, in declaration order."""
         obj = typed(obj, OBJECT, "record")
         media = member(obj, "media", OBJECT)
         return cls(
-            id=member(obj, "id", STRING),
-            task=member(obj, "task", STRING),
-            media_path=typed(media["path"], STRING, "media 'path'"),
-            media_type=typed(media["type"], STRING, "media 'type'"),
-            label=obj["label"],
-            description=member(obj, "description", STRING),
-            instruction=member(obj, "instruction", STRING, optional=True),
-            ratings=typed(obj.get("ratings", {}), OBJECT, "'ratings'"),
+            member(obj, "id", STRING),
+            member(obj, "task", STRING),
+            typed(media["path"], STRING, "media 'path'"),
+            typed(media["type"], STRING, "media 'type'"),
+            obj["label"],
+            member(obj, "description", STRING),
+            member(obj, "instruction", STRING, optional=True),
+            typed(obj.get("ratings", {}), OBJECT, "'ratings'"),
         )
 
 
@@ -185,9 +192,12 @@ def pair_instructions(
             continue
         options = bank.instructions[record.task]
         choice = options[int(rng.integers(len(options)))]
-        out.append(
-            replace(record, instruction=choice.replace(MEDIA_PLACEHOLDER, record.media_type))
-        )
+        # the constructor, not dataclasses.replace: the same record and checks, fewer calls
+        out.append(AnnotationRecord(
+            record.id, record.task, record.media_path, record.media_type, record.label,
+            record.description, choice.replace(MEDIA_PLACEHOLDER, record.media_type),
+            record.ratings,
+        ))
     return out
 
 

@@ -50,7 +50,7 @@ TASKS = tuple(_TRUTH_KINDS)
 _SINGLE_LABEL_TASKS = ("expression", "deepfake")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalRecord:
     id: str
     task: str
@@ -64,14 +64,15 @@ class EvalRecord:
 
     @classmethod
     def from_json_obj(cls, obj) -> "EvalRecord":
-        """The record of a decoded eval line; ground truth of the task's kind."""
+        """The record of a decoded eval line; ground truth of the task's kind.
+        Fields are checked, and passed, in declaration order."""
         obj = typed(obj, OBJECT, "record")
         record = cls(
-            id=member(obj, "id", STRING),
-            task=member(obj, "task", STRING),
-            generated=member(obj, "generated", STRING),
-            ground_truth=obj["ground_truth"],
-            chunk_group=member(obj, "chunk_group", STRING, optional=True),
+            member(obj, "id", STRING),
+            member(obj, "task", STRING),
+            member(obj, "generated", STRING),
+            obj["ground_truth"],
+            member(obj, "chunk_group", STRING, optional=True),
         )
         what = f"'ground_truth' of task {record.task!r}"
         typed(record.ground_truth, _TRUTH_KINDS[record.task], what)
@@ -142,7 +143,8 @@ def score_records(
     au_list = check_au_list(au_list)
     taxonomies = dict(taxonomies) if taxonomies else {}
     for task in TAXONOMY_TASKS:
-        taxonomies.setdefault(task, default_taxonomy(task))
+        if task not in taxonomies:  # parse only the bundled taxonomies not overridden
+            taxonomies[task] = default_taxonomy(task)
     cues = tuple(negation_cues) if negation_cues is not None else default_negation_cues()
 
     if threads > 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -123,6 +124,33 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded == records
 
 
+def test_ratings_save_in_sorted_key_order_whatever_their_insertion_order(tmp_path):
+    ratings = {"label_accuracy": 8, "desc_video_consistency": 7, "desc_label_consistency": 9,
+               "overall": 7}
+    lines = []
+    for order in (sorted(ratings), sorted(ratings, reverse=True)):
+        record = dataclasses.replace(make_record(0), ratings={k: ratings[k] for k in order})
+        path = tmp_path / f"{order[0]}.jsonl"
+        save_manifest(str(path), [record])
+        lines.append(path.read_text())
+    assert lines[0] == lines[1]
+    assert '"ratings": {"desc_label_consistency": 9, "desc_video_consistency": 7, ' \
+           '"label_accuracy": 8, "overall": 7}' in lines[0]
+
+
+def test_to_json_obj_returns_fresh_ratings():
+    record = make_record(0, rating=7)
+    record.to_json_obj()["ratings"]["overall"] = 1
+    assert record.ratings == {"overall": 7}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AnnotationRecord)])
+def test_record_fields_cannot_be_assigned(name):
+    record = make_record(0, rating=7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, "x")
+
+
 # ---------------------------------------------------------------------------
 # rating filter
 
@@ -241,6 +269,17 @@ def test_pairing_preserves_existing_instruction_and_fields():
         assert after.id == before.id
         assert after.ratings == before.ratings
         assert after.description == before.description
+
+
+def test_pairing_builds_what_replace_builds():
+    records = [make_record(i, rating=7, instruction="Keep me {media}" if i % 4 == 0 else None)
+               for i in range(20)]
+    out = pair_instructions(records, BANK, seed=3)
+    for before, after in zip(records, out):
+        if before.instruction is None:
+            assert after == dataclasses.replace(before, instruction=after.instruction)
+        else:
+            assert after is before
 
 
 def test_pairing_missing_task_rejected():

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import facecond.evalkit.report as report_module
 import facecond.evalkit.taxonomy as taxonomy_module
 from facecond.evalkit import (
     EvalRecord,
@@ -271,6 +273,33 @@ def test_phrases_compile_only_where_they_occur(monkeypatch):
     first = len(compiled)
     score_records(records, taxonomies=taxonomies)
     assert len(compiled) == first  # memoised on each taxonomy
+
+
+@pytest.mark.parametrize(
+    "given", [("expression", "attribute", "deepfake"), ("expression",), ()],
+    ids=["all", "expression", "none"],
+)
+def test_score_records_parses_only_the_bundled_taxonomies_not_given(monkeypatch, given):
+    loaded = []
+    original = report_module.default_taxonomy
+
+    def counting(task):
+        loaded.append(task)
+        return original(task)
+
+    overrides = {task: original(task) for task in given}
+    monkeypatch.setattr(report_module, "default_taxonomy", counting)
+    records = [EvalRecord("e1", "expression", "The person looks cheerful.", "happiness")]
+    report = score_records(records, taxonomies=overrides)
+    assert report["tasks"]["expression"]["metrics"]["accuracy"] == 1.0
+    assert sorted(loaded) == sorted({"expression", "attribute", "deepfake"} - set(given))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EvalRecord)])
+def test_eval_record_fields_cannot_be_assigned(name):
+    record = EvalRecord("e1", "expression", "A calm face.", "neutral")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, "x")
 
 
 def test_confusion_csv_layout():
