@@ -33,6 +33,7 @@ RATING_KEYS = (
     "desc_label_consistency",
     "overall",
 )
+_RATING_KEY_SET = frozenset(RATING_KEYS)
 MEDIA_PLACEHOLDER = "{media}"
 DEFAULT_RATING_THRESHOLD = 6
 
@@ -54,9 +55,8 @@ class AnnotationRecord:
         ratings = self.ratings
         if not ratings:
             return
-        unknown = ratings.keys() - RATING_KEYS
-        if unknown:
-            raise ValueError(f"unknown rating keys: {sorted(unknown)}")
+        if not ratings.keys() <= _RATING_KEY_SET:  # a subset test builds no set
+            raise ValueError(f"unknown rating keys: {sorted(ratings.keys() - _RATING_KEY_SET)}")
         for key, value in ratings.items():
             # a JSON integer (is_int), tested inline: this runs per rating of every record
             if type(value) is not int or not 1 <= value <= 10:

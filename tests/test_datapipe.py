@@ -50,6 +50,18 @@ def test_record_validation():
         )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"media_type": "audio"}, "media type must be one of ('image', 'video')"),
+    ({"ratings": {"overall": 7, "zeal": 3, "clarity": 2}}, "unknown rating keys: ['clarity', 'zeal']"),
+    ({"ratings": {"overall": 11}}, "rating overall=11 outside 1..10"),
+    ({"ratings": {"overall": 7, "label_accuracy": True}}, "rating label_accuracy=True outside 1..10"),
+    ({"ratings": {"overall": 7.0}}, "rating overall=7.0 outside 1..10"),
+], ids=["media_type", "unknown_keys", "above_10", "bool", "float"])
+def test_record_checks_keep_their_messages(fields, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        AnnotationRecord(**{**dataclasses.asdict(make_record(0)), **fields})
+
+
 # ---------------------------------------------------------------------------
 # manifest I/O
 
