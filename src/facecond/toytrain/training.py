@@ -157,7 +157,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         arrays = model_arrays(self)
         self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
-        self.landmark_size = sum(a.size for k, a in arrays.items() if k.startswith(("frlp.", "frgca.")))
+        self.landmark_size = sum(a.size for a in (*self.frlp.arrays(), *self.frgca.arrays()))
         views = iter(unflatten(self.flat, arrays).values())
         for prefix in _GROUP_OF:
             params = getattr(self, prefix)
