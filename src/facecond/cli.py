@@ -46,7 +46,7 @@ from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmar
 from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, within, write_json
 from .toytrain import TrainConfig, evaluate, train
 from .toytrain.synth import TASK_KINDS
-from .toytrain.training import VARIANTS, condition, config_dataset, init_model
+from .toytrain.training import EVAL_SEED_OFFSET, VARIANTS, condition, config_dataset, init_model
 
 log = logging.getLogger("facecond")
 
@@ -188,7 +188,7 @@ def cmd_train(args) -> int:
         train_set = config_dataset(cfg, cfg.seed, train_size, task_kind)
         eval_set = None
         if eval_size:
-            eval_set = config_dataset(cfg, cfg.seed + 10_000, eval_size, task_kind)
+            eval_set = config_dataset(cfg, cfg.seed + EVAL_SEED_OFFSET, eval_size, task_kind)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     result = train(cfg, train_set, model=model)

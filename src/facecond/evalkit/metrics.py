@@ -69,7 +69,7 @@ def check_au_list(au_list: Sequence[int], source: str = "au_list") -> tuple[int,
     repeated = sorted({au for au in aus if aus.count(au) > 1})
     if repeated:
         raise ValueError(f"AUs {repeated} in {source} are listed more than once")
-    return aus
+    return tuple(int(au) for au in aus)
 
 
 def compute_avg_f1(

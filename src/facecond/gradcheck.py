@@ -14,7 +14,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .frgca import frgca_backward, frgca_forward, init_frgca
+from .frlp import FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
+from .geometry import LandmarkClip, default_partition
 from .registry import named, unflatten
+from .toytrain.projector import init_vision_projector, vision_backward, vision_project
+from .toytrain.synth import SynthSample
+from .toytrain.training import TrainConfig, backward_pass, forward_loss, init_model, model_arrays
 
 DEFAULT_STEP = 1e-5
 # Error denominator floor: gradients in the suites are O(1e-3..1), while
@@ -110,9 +116,6 @@ def check_named_gradients(
 
 def frlp_suite(seed: int = 0) -> float:
     """FRLP parameter gradients vs finite differences; returns max rel error."""
-    from .frlp import FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
-    from .geometry import LandmarkClip, default_partition
-
     rng = np.random.default_rng(seed)
     partition = default_partition()
     params = init_frlp(8, partition, seed=seed)
@@ -131,8 +134,6 @@ def frlp_suite(seed: int = 0) -> float:
 
 def frgca_suite(seed: int = 0) -> float:
     """FRGCA parameter and input gradients vs finite differences."""
-    from .frgca import frgca_backward, frgca_forward, init_frgca
-
     rng = np.random.default_rng(seed)
     params = init_frgca(8, heads=2, seed=seed)
     h_v = rng.normal(size=(2, 8, 8))
@@ -152,17 +153,15 @@ def frgca_suite(seed: int = 0) -> float:
 
 def vision_suite(seed: int = 0) -> float:
     """Vision projector gradients vs finite differences."""
-    from .toytrain.projector import init_vision_projector, vision_backward, vision_project
-
     rng = np.random.default_rng(seed)
     params = init_vision_projector(6, 8, seed=seed)
     raw = rng.normal(size=(2, 8, 6))
     weights = rng.normal(size=(2, 8, 8))
 
     def loss() -> float:
-        return float((vision_project(raw, params) * weights).sum())
+        return float((vision_project(raw, params)[0] * weights).sum())
 
-    _, cache = vision_project(raw, params, return_cache=True)
+    _, cache = vision_project(raw, params)
     grads = vision_backward(weights, cache)
     arrays = named(params.SPEC, params.arrays())
     analytic = named(params.SPEC, grads.arrays())
@@ -171,16 +170,6 @@ def vision_suite(seed: int = 0) -> float:
 
 def pipeline_suite(seed: int = 0) -> float:
     """End-to-end pipeline gradients (all four groups) vs finite differences."""
-    from .geometry import LandmarkClip
-    from .toytrain.synth import SynthSample
-    from .toytrain.training import (
-        TrainConfig,
-        backward_pass,
-        forward_loss,
-        init_model,
-        model_arrays,
-    )
-
     rng = np.random.default_rng(seed)
     config = TrainConfig(
         stage="finetune",
@@ -206,10 +195,9 @@ def pipeline_suite(seed: int = 0) -> float:
     )
 
     def loss() -> float:
-        return forward_loss(model, sample, config)
+        return forward_loss(model, sample, config)[0]
 
-    value, state = forward_loss(model, sample, config, return_state=True)
-    assert np.isfinite(value)
+    _, state = forward_loss(model, sample, config)
     grad = backward_pass(model, sample, config, state)
     arrays = model_arrays(model)
     return max(check_named_gradients(loss, arrays, unflatten(grad, arrays)).values())

@@ -122,9 +122,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def autoregressive_loss(
-    sequence: DecoderSequence, params: ToyDecoderParams, return_cache: bool = False
-):
-    """Mean negative log-likelihood of the sequence's response tokens.
+    sequence: DecoderSequence, params: ToyDecoderParams
+) -> tuple[float, DecoderCache]:
+    """Mean negative log-likelihood of the sequence's response tokens, and
+    the cache ``decoder_backward`` and ``response_predictions`` read; a
+    caller that wants only the loss takes ``[0]``.
 
     Position i is predicted from the mean of all rows before it (visual
     block, instruction, and earlier response tokens), rounded as
@@ -148,9 +150,7 @@ def autoregressive_loss(
         loss = float(-(np.add.reduce(np.log(picked)) / R))
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-    if return_cache:
-        return loss, DecoderCache(sequence, pooled, probs, params)
-    return loss
+    return loss, DecoderCache(sequence, pooled, probs, params)
 
 
 def response_predictions(cache: DecoderCache) -> np.ndarray:

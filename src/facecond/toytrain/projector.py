@@ -69,9 +69,11 @@ def init_vision_projector(
 
 
 def vision_project(
-    raw: np.ndarray, params: VisionProjectorParams, return_cache: bool = False
-):
-    """Project raw (T, N, d_raw) features into (T, N, d) visual tokens."""
+    raw: np.ndarray, params: VisionProjectorParams
+) -> tuple[np.ndarray, VisionCache]:
+    """Project raw (T, N, d_raw) features into (T, N, d) visual tokens.
+    Returns the tokens and the cache ``vision_backward`` reads; a caller
+    that wants only the tokens takes ``[0]``."""
     raw = shaped(np.asarray(raw, dtype=np.float64), ("T", "N", params.d_raw), {}, "raw")
     pre = raw @ params.w1.T
     pre += params.b1
@@ -84,9 +86,7 @@ def vision_project(
     out += params.b2
     if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise ValueError("vision projector produced non-finite output")
-    if return_cache:
-        return out, VisionCache(raw, pre, cdf2, hid, params)
-    return out
+    return out, VisionCache(raw, pre, cdf2, hid, params)
 
 
 def vision_backward(cotangent: np.ndarray, cache: VisionCache) -> VisionProjectorParams:

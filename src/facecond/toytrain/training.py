@@ -60,6 +60,9 @@ from .synth import SynthSample, synth_dataset
 STAGES = ("pretrain", "finetune")
 VARIANTS = (*ATTENTION_VARIANTS, "none")
 STAGE_DEFAULT_LR = {"pretrain": 1e-4, "finetune": 2e-5}
+# an evaluation set is synthesized at its training seed plus this offset,
+# by `facecond train` and by ``ablation_experiment`` alike
+EVAL_SEED_OFFSET = 10_000
 
 # parameter groups: gamma = FRLP, alpha = FRGCA, theta = vision projector,
 # phi = decoder; keyed by checkpoint prefix (the ModelParams field), in
@@ -224,14 +227,13 @@ def condition(
 
 
 def forward_loss(
-    model: ModelParams,
-    sample: SynthSample,
-    config: TrainConfig,
-    return_state: bool = False,
-):
-    """Full pipeline loss for one sample; optionally keep caches for
-    backward (the attention cache is None for variant "none")."""
-    h_v, vision_cache = vision_project(sample.raw, model.vision, return_cache=True)
+    model: ModelParams, sample: SynthSample, config: TrainConfig
+) -> tuple[float, tuple]:
+    """Full pipeline loss for one sample, and the state ``backward_pass``
+    reads: the vision, attention and decoder caches (the attention cache
+    is None for variant "none"). A caller that wants only the loss takes
+    ``[0]``."""
+    h_v, vision_cache = vision_project(sample.raw, model.vision)
     enriched, attn_cache = condition(
         h_v, sample.clip, model.frlp, model.frgca, model.grid, config.variant, config.tokens
     )
@@ -242,10 +244,8 @@ def forward_loss(
         model.decoder,
         max_context=config.max_context,
     )
-    loss, decoder_cache = autoregressive_loss(sequence, model.decoder, return_cache=True)
-    if return_state:
-        return loss, (vision_cache, attn_cache, decoder_cache)
-    return loss
+    loss, decoder_cache = autoregressive_loss(sequence, model.decoder)
+    return loss, (vision_cache, attn_cache, decoder_cache)
 
 
 def backward_pass(
@@ -354,7 +354,7 @@ def train(
             sample = dataset[int(idx)]
             lr = cosine_lr(base_lr, step, total_steps)
             try:
-                loss, state = forward_loss(model, sample, config, return_state=True)
+                loss, state = forward_loss(model, sample, config)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} at step {step} (sample {idx})") from exc
             backward_pass(model, sample, config, state, out=grad)
@@ -376,7 +376,7 @@ def evaluate(
     correct = 0
     total = 0
     for sample in dataset:
-        loss, (_, _, decoder_cache) = forward_loss(model, sample, config, return_state=True)
+        loss, (_, _, decoder_cache) = forward_loss(model, sample, config)
         losses.append(loss)
         preds = response_predictions(decoder_cache)
         for pred, target in zip(preds, sample.response_ids):
@@ -427,7 +427,7 @@ def ablation_experiment(
     accuracies: dict[str, list[float]] = {variant: [] for variant in variants}
     for seed in seeds:
         train_set = config_dataset(base, seed, train_size, task_kind)
-        eval_set = config_dataset(base, seed + 10_000, eval_size, task_kind)
+        eval_set = config_dataset(base, seed + EVAL_SEED_OFFSET, eval_size, task_kind)
         for variant in losses:
             cfg = TrainConfig(
                 **{**base.to_dict(), "variant": variant, "seed": int(seed)}

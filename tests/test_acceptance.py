@@ -173,9 +173,7 @@ def test_criterion_05_context_saving_invariant():
             instruction_ids=tuple(sample_instruction),
             response_ids=tuple(sample_response), label=sample_response[0],
         )
-        loss, (_, attn_cache, decoder_cache) = forward_loss(
-            model, sample, config, return_state=True
-        )
+        loss, (_, attn_cache, decoder_cache) = forward_loss(model, sample, config)
         seq = decoder_cache.sequence
         # visual block is exactly T*N rows; landmark tokens never enter
         assert seq.n_visual == T * n

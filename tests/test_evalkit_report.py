@@ -2,6 +2,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import facecond.evalkit.report as report_module
@@ -15,6 +16,7 @@ from facecond.evalkit import (
     load_eval_records,
     score_records,
 )
+from facecond.jsonio import write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TASK_FILES = {
@@ -208,6 +210,16 @@ def test_score_records_rejects_a_bad_au_list(task, au_list, message):
     records = make_records(task, [("AU1 appears, 30 years old.", [1] if task == "au" else 30, None)])
     with pytest.raises(ValueError, match=message):
         score_records(records, au_list=au_list)
+
+
+def test_score_records_writes_a_numpy_au_list_as_json_ints(tmp_path):
+    records = make_records("au", [("AU1 and AU2 appear.", [1, 2], None)])
+    report = score_records(records, au_list=np.array([1, 2]))
+    path = tmp_path / "report.json"
+    write_json(str(path), report)
+    au_list = json.loads(path.read_text(encoding="utf-8"))["tasks"]["au"]["au_list"]
+    assert au_list == [1, 2]
+    assert [type(au) for au in report["tasks"]["au"]["au_list"]] == [int, int]
 
 
 @pytest.mark.parametrize("au_list", [(0, 1), (-3, 1)], ids=["zero", "negative"])

@@ -29,7 +29,7 @@ def test_vision_project_zero_weights():
     params = init_vision_projector(3, 4, seed=0)
     params.w1[:] = 0.0
     params.w2[:] = 0.0
-    out = vision_project(np.random.default_rng(0).normal(size=(2, 5, 3)), params)
+    out = vision_project(np.random.default_rng(0).normal(size=(2, 5, 3)), params)[0]
     assert np.all(out == 0.0)
 
 
@@ -41,7 +41,7 @@ def test_vision_project_identity_region():
     params.w2[:] = np.eye(4)
     params.b2[:] = 0.0
     raw = np.random.default_rng(1).uniform(5.0, 8.0, size=(1, 3, 4))
-    out = vision_project(raw, params)
+    out = vision_project(raw, params)[0]
     assert np.allclose(out, raw, atol=1e-4)
 
 
@@ -49,7 +49,7 @@ def test_vision_project_matches_two_layer_oracle():
     rng = np.random.default_rng(2)
     params = init_vision_projector(3, 4, hidden=5, seed=3)
     raw = rng.normal(size=(2, 3, 3))
-    out = vision_project(raw, params)
+    out = vision_project(raw, params)[0]
     for t in range(2):
         for n in range(3):
             pre = params.w1 @ raw[t, n] + params.b1
@@ -93,7 +93,7 @@ def test_vision_projector_is_bit_exact_to_the_textbook_gelu(shape):
     d_pre = (g @ params.w2) * slope
     rows = raw.shape[0] * raw.shape[1]
 
-    out, cache = vision_project(raw, params, return_cache=True)
+    out, cache = vision_project(raw, params)
     grads = vision_backward(g, cache)
     assert np.array_equal(out, hidden @ params.w2.T + params.b2)
     assert np.array_equal(grads.w1, d_pre.reshape(rows, -1).T @ raw.reshape(rows, -1))
@@ -108,7 +108,7 @@ def test_vision_projector_computes_erf_once_per_step(monkeypatch):
 
     monkeypatch.setattr(projector, "erf", counted_erf)
     params, raw, g = _projector_case(*PROJECTOR_SHAPES["toy"], seed=7)
-    _, cache = vision_project(raw, params, return_cache=True)
+    _, cache = vision_project(raw, params)
     assert len(calls) == 1
     vision_backward(g, cache)
     assert len(calls) == 1
@@ -121,9 +121,9 @@ def test_vision_gradients():
     weights = rng.normal(size=(2, 4, 4))
 
     def loss():
-        return float((vision_project(raw, params) * weights).sum())
+        return float((vision_project(raw, params)[0] * weights).sum())
 
-    _, cache = vision_project(raw, params, return_cache=True)
+    _, cache = vision_project(raw, params)
     grads = vision_backward(weights, cache)
     errors = check_named_gradients(
         loss,
@@ -185,7 +185,7 @@ def test_uniform_logits_loss_is_log_vocab():
     decoder.readout_w[:] = 0.0
     decoder.readout_b[:] = 0.0
     seq = sequence_assemble(np.zeros((1, 2, 3)), [0], [1, 2, 3], decoder)
-    loss = autoregressive_loss(seq, decoder)
+    loss = autoregressive_loss(seq, decoder)[0]
     assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
@@ -195,7 +195,7 @@ def test_confident_correct_logits_loss_near_zero():
     decoder.readout_w[:] = 0.0
     decoder.readout_b[:] = [0.0, 50.0, 0.0, 0.0]  # always predict token 1
     seq = sequence_assemble(np.zeros((1, 2, 3)), [0], [1, 1], decoder)
-    loss = autoregressive_loss(seq, decoder)
+    loss = autoregressive_loss(seq, decoder)[0]
     assert loss < 1e-12
 
 
@@ -205,7 +205,7 @@ def test_loss_matches_log_softmax_oracle():
     visual = rng.normal(size=(1, 2, 3))
     targets = [2, 0, 4]
     seq = sequence_assemble(visual, [1, 3], targets, decoder)
-    loss, cache = autoregressive_loss(seq, decoder, return_cache=True)
+    loss, cache = autoregressive_loss(seq, decoder)
 
     rows = [visual.reshape(2, 3)[0], visual.reshape(2, 3)[1],
             decoder.embedding[1], decoder.embedding[3],
@@ -236,10 +236,10 @@ def test_decoder_gradients():
 
     def loss():
         seq = sequence_assemble(visual, [2, 3], targets, decoder)
-        return autoregressive_loss(seq, decoder)
+        return autoregressive_loss(seq, decoder)[0]
 
     seq = sequence_assemble(visual, [2, 3], targets, decoder)
-    _, cache = autoregressive_loss(seq, decoder, return_cache=True)
+    _, cache = autoregressive_loss(seq, decoder)
     grads, d_visual = decoder_backward(cache)
     errors = check_named_gradients(
         loss,
@@ -270,7 +270,7 @@ def test_decoder_is_bit_exact_to_the_textbook_mean_pool(n_response, n_instructio
     instruction = rng.integers(0, 16, size=n_instruction).tolist()
     targets = rng.integers(0, 16, size=n_response).tolist()
     seq = sequence_assemble(visual, instruction, targets, decoder)
-    loss, cache = autoregressive_loss(seq, decoder, return_cache=True)
+    loss, cache = autoregressive_loss(seq, decoder)
     grads, d_visual = decoder_backward(cache)
 
     R, n_prefix = n_response, 16 + n_instruction

@@ -195,7 +195,7 @@ def test_gradient_vector_lines_up_with_flat():
     cfg = tiny_config()
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
-    _, state = forward_loss(model, sample, cfg, return_state=True)
+    _, state = forward_loss(model, sample, cfg)
     grad = backward_pass(model, sample, cfg, state)
     assert grad.shape == model.flat.shape
     by_key = unflatten(grad, model_arrays(model))
@@ -215,7 +215,7 @@ def test_none_gradient_is_zeros_then_vision_and_decoder_bit_for_bit():
     cfg = tiny_config(variant="none")
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
-    _, state = forward_loss(model, sample, cfg, return_state=True)
+    _, state = forward_loss(model, sample, cfg)
     decoder_grads, d_visual = decoder_backward(state[2])
     vision_grads = vision_backward(d_visual, state[0])
     landmark = sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays()))
@@ -240,7 +240,7 @@ def test_gradient_matches_directional_differences_at_paper_shape(variant):
         model = init_model(cfg)
         sample = synth_dataset(seed=5, size=1, frames=cfg.frames, n_patches=cfg.n_patches,
                                d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
-        _, state = forward_loss(model, sample, cfg, return_state=True)
+        _, state = forward_loss(model, sample, cfg)
         grad = backward_pass(model, sample, cfg, state)
         arrays = model_arrays(model)
         n = sum(arrays[k].size for k in trainable_keys(model, stage))
@@ -248,7 +248,7 @@ def test_gradient_matches_directional_differences_at_paper_shape(variant):
         for _ in range(2):
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
-            error = directional_error(lambda: forward_loss(model, sample, cfg), params, grad[:n], v)
+            error = directional_error(lambda: forward_loss(model, sample, cfg)[0], params, grad[:n], v)
             assert error < DIRECTIONAL_TOLERANCE, (stage, error)
 
 
@@ -383,8 +383,42 @@ def test_forward_loss_variants_agree_on_shape_contract():
     model = init_model(cfg)
     for variant in ("frgca", "simple", "none"):
         cfg_v = TrainConfig(**{**cfg.to_dict(), "variant": variant})
-        loss = forward_loss(model, data[0], cfg_v)
+        loss = forward_loss(model, data[0], cfg_v)[0]
         assert math.isfinite(loss) and loss >= 0.0
+
+
+def _return_switches(tree: ast.Module):
+    """(function, parameter) of each function that declares a
+    `return_cache` or `return_state` parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if arg.arg in ("return_cache", "return_state"):
+                    yield node.name, arg.arg
+
+
+def test_switch_guard_sees_a_return_switch_parameter():
+    tree = ast.parse(
+        "def f(x, return_cache=False):\n    pass\n"
+        "def g(x, *, return_state: bool = False):\n    pass\n"
+        "class C:\n    def h(self, y, /, return_cache):\n        pass\n"
+        "def k(x, cache=None):\n    return f(x, return_cache=True)\n"
+    )
+    assert list(_return_switches(tree)) == [
+        ("f", "return_cache"), ("g", "return_state"), ("h", "return_cache")
+    ]
+
+
+def test_toytrain_forward_entries_always_return_their_cache():
+    # vision_project, autoregressive_loss and forward_loss return
+    # (value, cache) whatever the caller wants; no switch picks the shape
+    offenders = [
+        f"{path.name}: {name}({param}=)"
+        for path in sorted(Path(training.__file__).parent.glob("*.py"))
+        for name, param in _return_switches(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert offenders == []
 
 
 def test_layer_names_the_benchmark_wraps_exist_on_training():
