@@ -413,9 +413,10 @@ def test_switch_guard_sees_a_return_switch_parameter():
 def test_toytrain_forward_entries_always_return_their_cache():
     # vision_project, autoregressive_loss and forward_loss return
     # (value, cache) whatever the caller wants; no switch picks the shape
+    root = Path(training.__file__).parent
     offenders = [
-        f"{path.name}: {name}({param}=)"
-        for path in sorted(Path(training.__file__).parent.glob("*.py"))
+        f"{path.relative_to(root)}: {name}({param}=)"
+        for path in sorted(root.rglob("*.py"))
         for name, param in _return_switches(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert offenders == []
