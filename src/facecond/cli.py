@@ -6,12 +6,15 @@ CSV only for loss traces and confusion matrices). Every subcommand is
 deterministic given its inputs, and never mutates its input files; only
 enrich, gradcheck, train and pair take --seed, an integer >= 0, which is
 then one of those inputs. --help shows each option's default. A --config
-JSON object replaces defaults: its keys are option names ("token_mode"),
-each value is checked as that flag's text, and explicit flags win.
-train's --config is a TrainConfig plus train_size, eval_size and
-task_kind. Files are read and written through facecond.jsonio; an input
-file that is malformed or the wrong shape fails with a message that
-starts with its path.
+JSON object of option names ("token_mode") replaces defaults, and
+explicit flags win; train's keys are the TrainConfig fields plus
+train_size (an integer >= 1), eval_size (an integer >= 0) and task_kind.
+One rule checks each value: its option's JSON kind (jsonio.KINDS, or a
+TrainConfig field's annotation), then the option's range, choices or AU
+list ("disfa", "bp4d" or a list of AU numbers), or it fails as
+``<path>: config key 'rows' must be an integer >= 1, got '4'``. Files are
+read and written through facecond.jsonio; an input file that is
+malformed or the wrong shape fails with a message that starts with its path.
 
 FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
 """
@@ -24,6 +27,8 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +48,8 @@ from .evalkit import (
 from .frgca import attention_maps_json
 from .frlp import TOKEN_MODES
 from .geometry import PatchGrid, clip_rpp_masks, default_partition, load_landmarks
-from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, within, write_json
+from .jsonio import INTEGER, INTEGERS, KINDS, NULL, NUMBER, OBJECT, STRING, fits, member
+from .jsonio import number_array, read_json, typed, within, write_json
 from .toytrain import TrainConfig, evaluate, train
 from .toytrain.synth import TASK_KINDS
 from .toytrain.training import EVAL_SEED_OFFSET, VARIANTS, condition, config_dataset, init_model
@@ -51,26 +57,88 @@ from .toytrain.training import EVAL_SEED_OFFSET, VARIANTS, condition, config_dat
 log = logging.getLogger("facecond")
 
 
-def _read_config(path: str) -> dict:
-    return read_json(path, lambda doc: typed(doc, OBJECT, "document"))
+class Takes(NamedTuple):
+    """What a --config key takes: a JSON value of one of `kinds` (from
+    ``jsonio.KINDS``) for which `ok` holds, worded as `what` or else by its
+    kinds. An option's flag text goes through `parse` (argparse's `type`)
+    and its `choices`."""
+
+    kinds: tuple
+    what: str = ""
+    ok: Callable[[object], bool] = lambda value: True
+    parse: Callable[[str], object] | None = None
+    choices: tuple | None = None
 
 
-def _config_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
-    """The config file at `path` as defaults for the options of `sub` that
-    have one, each value converted and checked as if typed after its flag."""
-    options = {a.dest: a for a in sub._actions if a.default not in (None, argparse.SUPPRESS)}
-    config = _read_config(path)
-    unknown = sorted(set(config) - set(options))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {unknown}")
-    defaults = {}
-    for key, value in config.items():
+def _integer(minimum: int) -> Takes:
+    """An integer >= `minimum`, from --config or from its flag."""
+    takes = Takes((INTEGER,), f"{KINDS[INTEGER]} >= {minimum}", lambda value: value >= minimum)
+
+    def parse(text: str) -> int:
         try:
-            defaults[key] = sub._get_value(options[key], str(value))
-            sub._check_value(options[key], defaults[key])
-        except argparse.ArgumentError as exc:
-            raise ValueError(f"{path}: config key {key!r}: {exc.message}") from None
-    return defaults
+            value = int(text)
+        except ValueError:  # argparse's own words for type=int
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not takes.ok(value):
+            raise argparse.ArgumentTypeError(f"expected {takes.what}, got {value}")
+        return value
+
+    return takes._replace(parse=parse)
+
+
+def _choice(choices: tuple) -> Takes:
+    return Takes((STRING,), f"one of {choices}", choices.__contains__, choices=choices)
+
+
+_INT, _SEED, _GRID_SIZE = Takes((INTEGER,), parse=int), _integer(0), _integer(1)
+
+_AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
+
+
+def _au_list(text: str) -> tuple[int, ...]:
+    """--au-list: disfa, bp4d, or distinct comma-separated AU numbers >= 1."""
+    if text in _AU_LISTS:
+        return _AU_LISTS[text]
+    # check_au_list names an entry that is not a number
+    aus = [int(entry) if entry.strip().isdecimal() else entry for entry in text.split(",")]
+    try:
+        return check_au_list(aus, repr(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _is_au_list(value: str | list[int]) -> bool:
+    try:  # a string is a list name; argparse reads a string default through _au_list
+        return value in _AU_LISTS if fits(value, STRING) else bool(check_au_list(value))
+    except ValueError:
+        return False
+
+
+_AU_LIST = Takes((STRING, INTEGERS), f"one of {tuple(_AU_LISTS)} or a non-empty list of distinct "
+                 "AU numbers >= 1", _is_au_list, _au_list)
+
+# a TrainConfig field takes the kinds its annotation names ("int | None")
+_ANNOTATION_KINDS = {"str": STRING, "int": INTEGER, "float": NUMBER, "None": NULL}
+_TRAIN_FIELDS = {field.name: Takes(tuple(_ANNOTATION_KINDS[name] for name in field.type.split(" | ")))
+                 for field in fields(TrainConfig)}
+# train's other config keys size and pick the synthetic data; the train
+# parser holds their defaults
+_TRAIN_KEYS = {**_TRAIN_FIELDS, "train_size": _integer(1), "eval_size": _integer(0),
+               "task_kind": _choice(TASK_KINDS)}
+
+
+def _read_config(path: str, command: str, takes: dict[str, Takes]) -> dict:
+    """The --config object at `path`: each key one of `takes`, with a value it accepts."""
+    config = read_json(path, lambda doc: typed(doc, OBJECT, "document"))
+    unknown = sorted(set(config) - set(takes))
+    if unknown:
+        raise ValueError(f"{path}: unknown {command} config keys: {unknown}")
+    for key, value in config.items():
+        rule = takes[key]
+        if not (any(fits(value, kind) for kind in rule.kinds) and rule.ok(value)):
+            what = rule.what or " or ".join(KINDS[kind] for kind in rule.kinds)
+            raise ValueError(f"{path}: config key {key!r} must be {what}, got {value!r}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +221,18 @@ def cmd_gradcheck(args) -> int:
     return 0 if report["passed"] else 1
 
 
-# train config keys that size and pick the synthetic data; every other key
-# must be a TrainConfig field
-_TRAIN_DATA_KEYS = ("train_size", "eval_size", "task_kind")
-
-
-def _dataset_size(config: dict, path: str, key: str, default: int, minimum: int) -> int:
-    value = config.get(key, default)
-    if not is_int(value) or value < minimum:
-        raise ValueError(
-            f"{path}: config key {key!r} must be an integer >= {minimum}, got {value!r}"
-        )
-    return value
-
-
 def cmd_train(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    cfg_fields = {k: v for k, v in config.items() if k not in _TRAIN_DATA_KEYS}
-    if args.seed is not None:
-        cfg_fields["seed"] = args.seed
-    train_size = _dataset_size(config, args.config, "train_size", default=256, minimum=1)
-    eval_size = _dataset_size(config, args.config, "eval_size", default=0, minimum=0)
-    task_kind = config.get("task_kind", "region")
-    if task_kind not in TASK_KINDS:
-        raise ValueError(
-            f"{args.config}: config key 'task_kind' must be one of {TASK_KINDS}, got {task_kind!r}"
-        )
-
+    # the TrainConfig fields that --config or --seed set (--seed is None when not given)
+    settings = {key: getattr(args, key) for key in _TRAIN_FIELDS if getattr(args, key, None) is not None}
     # the model and data builders check the values they use; a config
     # value they reject fails naming the config file
     try:
-        cfg = TrainConfig.from_dict(cfg_fields)
+        cfg = TrainConfig(**settings)
         model = init_model(cfg)
-        train_set = config_dataset(cfg, cfg.seed, train_size, task_kind)
+        train_set = config_dataset(cfg, cfg.seed, args.train_size, args.task_kind)
         eval_set = None
-        if eval_size:
-            eval_set = config_dataset(cfg, cfg.seed + EVAL_SEED_OFFSET, eval_size, task_kind)
+        if args.eval_size:
+            eval_set = config_dataset(cfg, cfg.seed + EVAL_SEED_OFFSET, args.eval_size, args.task_kind)
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     result = train(cfg, train_set, model=model)
@@ -203,7 +247,7 @@ def cmd_train(args) -> int:
 
     summary = {
         "config": cfg.to_dict(),
-        "train_size": train_size,
+        "train_size": args.train_size,
         "steps": len(result.trace),
         "final_train_loss": result.trace[-1][2] if result.trace else None,
     }
@@ -214,34 +258,6 @@ def cmd_train(args) -> int:
     write_json(os.path.join(args.out, "summary.json"), summary)
     log.info("trained %d steps", len(result.trace))
     return 0
-
-
-def _seed(text: str) -> int:
-    """--seed: an integer >= 0, as numpy's generators take."""
-    try:
-        seed = int(text)
-    except ValueError:  # argparse's own words for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {seed}")
-    return seed
-
-
-_AU_LISTS = {"disfa": DISFA_AUS, "bp4d": BP4D_AUS}
-
-
-def _au_list(text: str) -> tuple[int, ...]:
-    """--au-list: disfa, bp4d, or distinct comma-separated AU numbers >= 1."""
-    if text in _AU_LISTS:
-        return _AU_LISTS[text]
-    bad = [entry for entry in text.split(",") if not entry.strip().isdecimal()]
-    if bad:
-        raise argparse.ArgumentTypeError(f"AU entries {bad} in {text!r} are not AU numbers")
-    aus = [int(entry) for entry in text.split(",")]
-    try:
-        return check_au_list(aus, repr(text))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def cmd_eval(args) -> int:
@@ -307,6 +323,9 @@ def cmd_pair(args) -> int:
 def cmd_split(args) -> int:
     records = datapipe.load_manifest_strict(args.manifest)
     target = datapipe.load_split_target(args.target)
+    with within(args.target):  # weights too large for their shares of per_task
+        for task, weights in target.items():
+            datapipe.split_quotas(task, weights, args.per_task)
     selected, summary = datapipe.build_test_split(records, target, per_task=args.per_task)
     datapipe.save_manifest(args.out, selected)
     if args.summary_out:
@@ -318,52 +337,63 @@ def cmd_split(args) -> int:
 # parser
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The top-level parser and, by subcommand name, the subcommand's
+    parser and what each of its --config keys takes."""
     parser = argparse.ArgumentParser(
         prog="facecond",
         description="Face-region conditioning pipeline: masks, token enrichment, "
         "gradient checks, toy training, free-text evaluation, and dataset filtering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def command(name, func, help, config_help="JSON object of option defaults"):
+    def command(name, func, help, config_help="JSON object of option defaults", keys=()):
+        """The parser of `name`, and a function that adds an option that is a --config key."""
         p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--config", help=config_help)
         p.set_defaults(func=func)
-        return p
+        takes = dict(keys)
+        commands[name] = p, takes
 
-    p = command("mask", cmd_mask, "landmarks -> region-patch proximity masks")
+        def option(flag, rule: Takes, **kwargs):
+            takes[p.add_argument(flag, type=rule.parse, choices=rule.choices, **kwargs).dest] = rule
+
+        return p, option
+
+    p, option = command("mask", cmd_mask, "landmarks -> region-patch proximity masks")
     p.add_argument("--landmarks", required=True, help="landmark JSON file")
-    p.add_argument("--rows", type=int, default=16, help="patch grid rows")
-    p.add_argument("--cols", type=int, default=16, help="patch grid cols")
+    option("--rows", _GRID_SIZE, default=16, help="patch grid rows")
+    option("--cols", _GRID_SIZE, default=16, help="patch grid cols")
     p.add_argument("--out", required=True, help="output mask JSON")
 
-    p = command("enrich", cmd_enrich, "visual tokens + landmarks -> enriched tokens")
-    p.add_argument("--seed", type=_seed, default=0, help="seed init's seed, without --checkpoint")
+    p, option = command("enrich", cmd_enrich, "visual tokens + landmarks -> enriched tokens")
+    option("--seed", _SEED, default=0, help="seed init's seed, without --checkpoint")
     p.add_argument("--landmarks", required=True)
     p.add_argument("--tokens", required=True, help="visual token JSON ({'tokens': (T,N,d)})")
     p.add_argument("--checkpoint", help="parameter archive; seed init when omitted")
-    p.add_argument("--variant", choices=VARIANTS, default="frgca", help="conditioning variant")
-    p.add_argument("--token-mode", choices=TOKEN_MODES, default="both", help="landmark tokens")
-    p.add_argument("--heads", type=int, default=8, help="attention heads for seed init")
-    p.add_argument("--rows", type=int, default=16, help="patch grid rows")
-    p.add_argument("--cols", type=int, default=16, help="patch grid cols")
+    option("--variant", _choice(VARIANTS), default="frgca", help="conditioning variant")
+    option("--token-mode", _choice(TOKEN_MODES), default="both", help="landmark tokens")
+    option("--heads", _INT, default=8, help="attention heads for seed init")
+    option("--rows", _GRID_SIZE, default=16, help="patch grid rows")
+    option("--cols", _GRID_SIZE, default=16, help="patch grid cols")
     p.add_argument("--attention-out", help="also export attention maps as JSON")
     p.add_argument("--out", required=True)
 
-    p = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
-    p.add_argument("--seed", type=_seed, default=0, help="random seed")
+    p, option = command("gradcheck", cmd_gradcheck, "finite-difference gradient verification")
+    option("--seed", _SEED, default=0, help="random seed")
     p.add_argument("--out", help="optional JSON report path")
 
-    p = command(
+    p, option = command(
         "train", cmd_train, "toy two-stage training on synthetic data",
         config_help="TrainConfig JSON, plus train_size, eval_size and task_kind",
+        keys=_TRAIN_KEYS,
     )
-    p.add_argument("--seed", type=_seed, help="overrides the config's seed")
+    p.add_argument("--seed", type=_SEED.parse, help="overrides the config's seed")
     p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(train_size=256, eval_size=0, task_kind="region")
 
-    p = command("eval", cmd_eval, "score generated descriptions against labels")
+    p, option = command("eval", cmd_eval, "score generated descriptions against labels")
     p.add_argument("--records", required=True, help="EvalRecord JSONL")
     p.add_argument(
         "--taxonomy",
@@ -373,45 +403,42 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="override the bundled taxonomy for a task",
     )
     p.add_argument("--negation-cues", help="JSON list overriding the negation cues")
-    p.add_argument("--au-list", type=_au_list, default="disfa", help="disfa, bp4d, or AUs: 1,2,4")
+    option("--au-list", _AU_LIST, default="disfa", help="disfa, bp4d, or AUs: 1,2,4")
     p.add_argument("--confusion-out", help="CSV confusion matrix output")
     p.add_argument("--out", required=True, help="metric report JSON")
 
-    p = command("filter", cmd_filter, "rating-threshold manifest filtering")
+    p, option = command("filter", cmd_filter, "rating-threshold manifest filtering")
     p.add_argument("--manifest", required=True)
-    p.add_argument(
-        "--threshold", type=int, default=datapipe.DEFAULT_RATING_THRESHOLD,
-        help="overall rating cutoff",
-    )
+    option("--threshold", _INT, default=datapipe.DEFAULT_RATING_THRESHOLD, help="overall rating cutoff")
     p.add_argument("--out-kept", required=True)
     p.add_argument("--out-removed", required=True)
     p.add_argument("--summary-out")
 
-    p = command("pair", cmd_pair, "attach task instructions to records")
-    p.add_argument("--seed", type=_seed, default=0, help="random seed")
+    p, option = command("pair", cmd_pair, "attach task instructions to records")
+    option("--seed", _SEED, default=0, help="random seed")
     p.add_argument("--manifest", required=True)
     p.add_argument("--bank", required=True, help="JSON {task: [instructions]}")
     p.add_argument("--out", required=True)
 
-    p = command("split", cmd_split, "stratified top-rated test split")
+    p, option = command("split", cmd_split, "stratified top-rated test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True, help="JSON {task: {class: proportion}}")
-    p.add_argument("--per-task", type=int, default=500, help="records per task")
+    option("--per-task", _INT, default=500, help="records per task")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out")
 
-    return parser, sub.choices
+    return parser, commands
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FACECOND_LOG", "WARNING").upper())
     # built on every call: set_defaults changes the parser's actions in place
-    parser, subcommands = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config is not None and args.command != "train":  # cmd_train reads a TrainConfig
-            sub = subcommands[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.config))
+        if args.config is not None:  # its values become defaults, which flags override
+            sub, takes = commands[args.command]
+            sub.set_defaults(**_read_config(args.config, args.command, takes))
             args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # argparse handles usage errors before this

@@ -219,17 +219,20 @@ def _split_target(doc) -> dict[str, dict[str, float]]:
     return doc
 
 
-def _quotas(target: dict[str, float], per_task: int) -> dict[str, int]:
-    # largest-remainder apportionment keeps every class within +-1 of
-    # its exact proportional share
-    total = sum(target.values())
+def split_quotas(task: str, weights: dict[str, float], per_task: int) -> dict[str, int]:
+    """`task`'s class quotas of `per_task` records. Largest-remainder
+    apportionment keeps every class within +-1 of its exact proportional
+    share; weights whose shares overflow a float fail naming the task."""
+    total = sum(weights.values())
     if total <= 0:
         raise ValueError("target distribution must have positive mass")
-    shares = {cls: per_task * weight / total for cls, weight in target.items()}
+    shares = {cls: per_task * weight / total for cls, weight in weights.items()}
+    if not np.isfinite(list(shares.values())).all():
+        raise ValueError(f"task {task!r}: the weights' shares of {per_task} records overflow")
     quotas = {cls: int(np.floor(share)) for cls, share in shares.items()}
     leftover = per_task - sum(quotas.values())
     remainders = sorted(
-        target, key=lambda cls: (-(shares[cls] - quotas[cls]), list(target).index(cls))
+        weights, key=lambda cls: (-(shares[cls] - quotas[cls]), list(weights).index(cls))
     )
     for cls in remainders[:leftover]:
         quotas[cls] += 1
@@ -251,7 +254,7 @@ def build_test_split(
     selected: list[AnnotationRecord] = []
     summary: dict = {"per_task": per_task, "tasks": {}}
     for task in sorted(target):
-        quotas = _quotas(target[task], per_task)
+        quotas = split_quotas(task, target[task], per_task)
         candidates = [r for r in records if r.task == task]
         by_class: dict[str, list[AnnotationRecord]] = {cls: [] for cls in quotas}
         for record in candidates:

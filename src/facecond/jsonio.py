@@ -37,8 +37,8 @@ numbers (landmark frames, visual tokens, checkpoint tensor data) and
 fails naming the first bad index.
 
 It alone decides, too, what kind a decoded value is (``KINDS``): a
-string, an object, an integer, a finite number, or a list of strings or
-of integers. ``typed`` and ``member`` return a value of the kind asked
+string, an object, an integer, a finite number, a list of strings or of
+integers, or null. ``typed`` and ``member`` return a value of the kind asked
 for or fail as ``'id' is null, not a string``; no value is converted.
 """
 
@@ -150,7 +150,7 @@ def _reason(exc: Exception) -> str:
 # The closed table of kinds and how an error names each. A plain kind is the
 # one type its values decode to (`type(v) is int` leaves out bool); a list
 # kind's items are all of one plain kind; a number follows the number rule.
-STRING, OBJECT, INTEGER, NUMBER = str, dict, int, (int, float)
+STRING, OBJECT, INTEGER, NUMBER, NULL = str, dict, int, (int, float), type(None)
 STRINGS, INTEGERS = list[str], list[int]
 KINDS = {
     STRING: "a string",
@@ -159,6 +159,7 @@ KINDS = {
     NUMBER: "a finite number",
     STRINGS: "a list of strings",
     INTEGERS: "a list of integers",
+    NULL: "null",
 }
 
 

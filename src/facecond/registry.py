@@ -22,6 +22,7 @@ call share ``dims``, so they must agree on it. A mismatch fails as
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import fields
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -73,7 +74,7 @@ def init_arrays(spec: Spec, dims: Mapping[str, int], seed: int) -> list[np.ndarr
     for _, shape in spec:
         sizes = tuple(dims[dim] if isinstance(dim, str) else dim for dim in shape)
         if len(sizes) == 2:
-            bound = 1.0 / np.sqrt(sizes[1])
+            bound = 1.0 / math.sqrt(sizes[1])
             arrays.append(rng.uniform(-bound, bound, size=sizes))
         else:
             arrays.append(np.zeros(sizes))

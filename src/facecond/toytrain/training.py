@@ -52,7 +52,6 @@ from .decoder import (
     response_predictions,
     sequence_assemble,
 )
-from ..jsonio import INTEGER, KINDS, NUMBER, STRING, fits
 from ..registry import named, unflatten
 from .projector import VisionProjectorParams, init_vision_projector, vision_backward, vision_project
 from .synth import SynthSample, synth_dataset
@@ -121,26 +120,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        """A config from a JSON object; each value must have its field's type."""
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            annotation = fields[key].type
-            nullable = annotation.endswith(" | None")
-            kind = _JSON_FIELD_KINDS[annotation.removesuffix(" | None")]
-            if not ((nullable and value is None) or fits(value, kind)):
-                or_null = " or null" if nullable else ""
-                raise ValueError(f"config key {key!r} must be {KINDS[kind]}{or_null}, got {value!r}")
-        return cls(**data)
-
-
-# the JSON kind of each TrainConfig field annotation; "| None" adds null
-_JSON_FIELD_KINDS = {"str": STRING, "int": INTEGER, "float": NUMBER}
 
 
 @dataclass

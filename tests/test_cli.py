@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import random
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import facecond
 from facecond.checkpoint import load_arrays, save_arrays, save_model
-from facecond.cli import main
+from facecond.cli import build_parser, main
 from facecond.evalkit import BP4D_AUS, DISFA_AUS
 from facecond.datapipe import AnnotationRecord, save_manifest
 from facecond.geometry import LandmarkClip, save_landmarks
@@ -508,6 +510,32 @@ def test_split_rejects_a_negative_per_task(tmp_path, capsys, via):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [{"happiness": 1e308, "sadness": 1}, {"happiness": 1e308, "sadness": 1e308}],
+    ids=["share_overflows", "total_overflows"],
+)
+def test_split_weights_whose_shares_overflow_name_the_target_and_task(tmp_path, capsys, weights):
+    argv = runnable_argv(tmp_path, "split")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"expression": weights}))
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"{target}: task 'expression': the weights' shares of 2 records overflow",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_names_the_config_for_a_size_numpy_cannot_allocate(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_raw": 10**20, "train_size": 2}))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError", "message": f"{cfg}: Maximum allowed dimension exceeded"}
+    assert not (tmp_path / "run").exists()
+
+
 def test_manifest_line_that_is_not_utf8_is_a_malformed_line(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, n=4)
@@ -609,29 +637,38 @@ def runnable_argv(tmp_path, command):
     }[command] + ["--out-kept" if command == "filter" else "--out", out]
 
 
+AU_LIST_TAKES = "one of ('disfa', 'bp4d') or a non-empty list of distinct AU numbers >= 1"
+AU_LIST_WANTED = re.escape(f"config key 'au_list' must be {AU_LIST_TAKES}, ")
+
+
 @pytest.mark.parametrize(
     "command, config, message",
-    [pytest.param(c, '{"rwos": 2}', r"unknown config keys: \['rwos'\]", id=f"{c}-unknown_key")
-     for c in SUBCOMMANDS if c != "train"]
+    [pytest.param(c, '{"rwos": 2}', rf"unknown {c} config keys: \['rwos'\]", id=f"{c}-unknown_key")
+     for c in SUBCOMMANDS]
     + [
         pytest.param("enrich", '{"variant": "bogus"}',
-                     r"config key 'variant': invalid choice: 'bogus'", id="enrich-bad_choice"),
+                     r"config key 'variant' must be one of \('frgca', 'simple', 'none'\), got 'bogus'$",
+                     id="enrich-bad_choice"),
         pytest.param("mask", '{"rows": "x"}',
-                     r"config key 'rows': invalid int value: 'x'", id="mask-bad_int"),
+                     r"config key 'rows' must be an integer >= 1, got 'x'$", id="mask-bad_int"),
         pytest.param("filter", '{"threshold": 6.5}',
-                     r"config key 'threshold': invalid int value: '6.5'", id="filter-float_int"),
-        pytest.param("eval", '{"au_list": "1,x"}',
-                     r"config key 'au_list': AU entries \['x'\]", id="eval-bad_au_entry"),
-        pytest.param("eval", '{"au_list": "1,2,1"}',
-                     r"config key 'au_list': AUs \[1\] in '1,2,1' are listed more than once",
+                     r"config key 'threshold' must be an integer, got 6.5$", id="filter-float_int"),
+        pytest.param("eval", '{"au_list": [1, "x"]}', AU_LIST_WANTED + r"got \[1, 'x'\]$",
+                     id="eval-bad_au_entry"),
+        pytest.param("eval", '{"au_list": [1, 2, 1]}', AU_LIST_WANTED + r"got \[1, 2, 1\]$",
                      id="eval-repeated_au"),
         pytest.param("mask", '{"rows": 2', r"malformed JSON", id="mask-malformed_json"),
         pytest.param("mask", '[2]', r"document is \[2\], not an object", id="mask-not_an_object"),
     ]
     + [
-        pytest.param(c, '{"seed": -1}', r"config key 'seed': expected an integer >= 0, got -1$",
+        pytest.param(c, '{"seed": -1}', r"config key 'seed' must be an integer >= 0, got -1$",
                      id=f"{c}-negative_seed")
         for c in ("enrich", "gradcheck", "pair")
+    ]
+    + [
+        pytest.param(c, f'{{"{key}": 0}}', rf"config key '{key}' must be an integer >= 1, got 0$",
+                     id=f"{c}-zero_{key}")
+        for c in ("mask", "enrich") for key in ("rows", "cols")
     ],
 )
 def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command, config, message):
@@ -797,9 +834,14 @@ def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
             (command, ["--seed", "-1"], "argument --seed: expected an integer >= 0, got -1")
             for command in ("enrich", "gradcheck", "train", "pair")
         ),
+        *(
+            (command, [flag, "0"], f"argument {flag}: expected an integer >= 1, got 0")
+            for command in ("mask", "enrich") for flag in ("--rows", "--cols")
+        ),
     ],
     ids=["mask-seed", "eval-threads", "eval-bad_au_entry", "eval-repeated_au", "enrich-negative_seed",
-         "gradcheck-negative_seed", "train-negative_seed", "pair-negative_seed"],
+         "gradcheck-negative_seed", "train-negative_seed", "pair-negative_seed", "mask-zero_rows",
+         "mask-zero_cols", "enrich-zero_rows", "enrich-zero_cols"],
 )
 def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -816,7 +858,7 @@ def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, fl
         (["--au-list", "bp4d"], None, BP4D_AUS),
         (["--au-list", "1, 2"], None, (1, 2)),
         ([], {"au_list": "bp4d"}, BP4D_AUS),
-        ([], {"au_list": "4,6"}, (4, 6)),
+        ([], {"au_list": [4, 6]}, (4, 6)),
     ],
     ids=["default", "flag_name", "flag_numbers", "config_name", "config_numbers"],
 )
@@ -841,11 +883,10 @@ def test_au_list_below_1_is_a_usage_error(tmp_path, capsys):
 
 def test_au_list_below_1_in_config_names_the_file_and_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"au_list": "0,1"}')
+    cfg.write_text('{"au_list": [0, 1]}')
     assert main(runnable_argv(tmp_path, "eval") + ["--config", str(cfg)]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == (
-        f"{cfg}: config key 'au_list': AUs [0] in '0,1' are below 1, where AU numbers start")
+    assert err["message"] == f"{cfg}: config key 'au_list' must be {AU_LIST_TAKES}, got [0, 1]"
     assert not (tmp_path / "out").exists()
 
 
@@ -918,3 +959,84 @@ def test_every_subcommand_prints_help(capsys, command):
         main([command, "--help"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: facecond {command}")
+
+
+_PRIVATE_ARGPARSE = ("_actions", "_get_value", "_check_value")
+
+
+def _private_argparse_uses(tree: ast.Module):
+    """(line, name) of each use of argparse's private `_actions`,
+    `_get_value` or `_check_value` in `tree`, in line order."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in _PRIVATE_ARGPARSE)
+
+
+def test_no_module_reaches_into_argparse_internals():
+    src = Path(facecond.__file__).parent
+    uses = [f"{path.relative_to(src).as_posix()}:{line} {name}"
+            for path in sorted(src.rglob("*.py"))
+            for line, name in _private_argparse_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == []
+
+
+def test_argparse_guard_sees_each_private_member():
+    tree = ast.parse("a = {x.dest: x for x in p._actions}\nv = p._get_value(a, s)\n"
+                     "p._check_value(a, v)\np.actions")
+    assert _private_argparse_uses(tree) == [(1, "_actions"), (2, "_get_value"), (3, "_check_value")]
+
+
+# each subcommand's --config keys, each with a value of the wrong JSON kind
+# and the words for what the key takes
+WRONG_KIND = {
+    "mask": {"rows": ("4", "an integer >= 1"), "cols": (4.0, "an integer >= 1")},
+    "enrich": {
+        "seed": ("0", "an integer >= 0"),
+        "variant": (4, "one of ('frgca', 'simple', 'none')"),
+        "token_mode": (["both"], "one of ('both', 'local_only', 'global_only')"),
+        "heads": (True, "an integer"),
+        "rows": ("4", "an integer >= 1"),
+        "cols": (None, "an integer >= 1"),
+    },
+    "gradcheck": {"seed": (0.0, "an integer >= 0")},
+    "train": {
+        "stage": (1, "a string"),
+        "learning_rate": ("0.1", "a finite number or null"),
+        "epochs": (1.0, "an integer"),
+        "seed": ("0", "an integer"),
+        "frames": (None, "an integer"),
+        "grid_rows": ("4", "an integer"),
+        "grid_cols": ([4], "an integer"),
+        "d": ("8", "an integer"),
+        "d_attn": (8.5, "an integer or null"),
+        "heads": (False, "an integer"),
+        "d_raw": ({"d": 8}, "an integer"),
+        "vocab": ("16", "an integer"),
+        "variant": (["frgca"], "a string"),
+        "tokens": (None, "a string"),
+        "max_context": (2048.0, "an integer"),
+        "train_size": ("2", "an integer >= 1"),
+        "eval_size": (0.5, "an integer >= 0"),
+        "task_kind": (1, "one of ('region', 'global')"),
+    },
+    "eval": {"au_list": (4, AU_LIST_TAKES)},
+    "filter": {"threshold": ("6", "an integer")},
+    "pair": {"seed": (True, "an integer >= 0")},
+    "split": {"per_task": ("500", "an integer")},
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_config_key_words_a_wrong_kind_the_same_way(tmp_path, capsys, command):
+    assert set(build_parser()[1][command][1]) == set(WRONG_KIND[command])
+    cfg = tmp_path / "cfg.json"
+    for key, (value, takes) in WRONG_KIND[command].items():
+        cfg.write_text(json.dumps({key: value}))
+        assert main(runnable_argv(tmp_path, command) + ["--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+            f"{cfg}: config key {key!r} must be {takes}, got {value!r}")
+        assert not (tmp_path / "out").exists()
+    if command == "eval":  # an AU list is a JSON list
+        cfg.write_text(json.dumps({"au_list": [1, 2]}))
+        assert main(["eval", "--records", str(FIXTURES / "eval_au.jsonl"), "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out").read_text())["tasks"]["au"]["au_list"] == [1, 2]

@@ -77,8 +77,8 @@ def test_config_validation():
         TrainConfig(stage="warmup")
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig.from_dict({"stage": "pretrain", "bogus": 1})
+    with pytest.raises(TypeError, match="bogus"):
+        TrainConfig(**{"stage": "pretrain", "bogus": 1})
     with pytest.raises(ValueError, match="variant"):
         TrainConfig(variant="identity")
     with pytest.raises(ValueError, match="tokens"):
@@ -87,7 +87,7 @@ def test_config_validation():
 
 def test_config_dict_roundtrip():
     cfg = tiny_config(variant="simple", tokens="local_only")
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**cfg.to_dict()) == cfg
 
 
 # ---------------------------------------------------------------------------
