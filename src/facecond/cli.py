@@ -271,9 +271,10 @@ def cmd_eval(args) -> int:
     cues = load_negation_cues(args.negation_cues) if args.negation_cues else None
 
     records = load_eval_records(args.records)
-    report = score_records(
-        records, taxonomies=taxonomies, au_list=args.au_list, negation_cues=cues
-    )
+    with within(args.records):  # a record's ground truth outside its task's classes
+        report = score_records(
+            records, taxonomies=taxonomies, au_list=args.au_list, negation_cues=cues
+        )
     write_json(args.out, report)
 
     if args.confusion_out:

@@ -222,12 +222,17 @@ def _split_target(doc) -> dict[str, dict[str, float]]:
 def split_quotas(task: str, weights: dict[str, float], per_task: int) -> dict[str, int]:
     """`task`'s class quotas of `per_task` records. Largest-remainder
     apportionment keeps every class within +-1 of its exact proportional
-    share; weights whose shares overflow a float fail naming the task."""
+    share; shares that overflow a float, from the weights or from an
+    integer `per_task`, fail naming the task."""
     total = sum(weights.values())
     if total <= 0:
         raise ValueError("target distribution must have positive mass")
-    shares = {cls: per_task * weight / total for cls, weight in weights.items()}
-    if not np.isfinite(list(shares.values())).all():
+    try:
+        shares = {cls: per_task * weight / total for cls, weight in weights.items()}
+        finite = np.isfinite(list(shares.values())).all()
+    except OverflowError:  # an integer per_task beyond float range
+        finite = False
+    if not finite:
         raise ValueError(f"task {task!r}: the weights' shares of {per_task} records overflow")
     quotas = {cls: int(np.floor(share)) for cls, share in shares.items()}
     leftover = per_task - sum(quotas.values())

@@ -11,6 +11,13 @@ parameter class names its arrays in its ``SPEC``, and ``model_arrays`` prefixes
 them in the order gamma, alpha, theta, phi. ``ModelParams.flat`` holds
 every array in that order, so each stage trains a prefix of it. The group
 arrays are views into ``flat``: write into them in place, never rebind them.
+Variant "none" trains only the part of that prefix after
+``ModelParams.landmark_size``: its gamma and alpha gradients are +0.0 every
+step, and from zero moments with zero weight decay AdamW updates such an
+entry by +0.0 at any finite rate, so stepping over them would leave their
+bytes as they are. In "pretrain" that part is empty and nothing moves. The
+token modes "global_only" and "local_only" also leave some FRLP gradients at
+zero; the optimizer still steps over those.
 
 Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention
@@ -103,6 +110,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
+        for name in ("grid_rows", "grid_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if self.tokens not in TOKEN_MODES:
@@ -318,9 +328,11 @@ def train(
         model = init_model(config)
     arrays = model_arrays(model)
     n_trainable = sum(arrays[k].size for k in trainable_keys(model, config.stage))
-    params = model.flat[:n_trainable]  # the stage's groups lead the layout
+    # the stage's groups lead the layout; "none" skips gamma and alpha (module docstring)
+    start = model.landmark_size if config.variant == "none" else 0
+    params = model.flat[start:n_trainable]
     grad = np.empty_like(model.flat)
-    optimizer = AdamW(n_trainable)
+    optimizer = AdamW(n_trainable - start)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
     order_rng = np.random.default_rng(config.seed)
@@ -339,7 +351,7 @@ def train(
             backward_pass(model, sample, config, state, out=grad)
             if not np.logical_and.reduce(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
-            optimizer.step(params, grad[:n_trainable], lr)
+            optimizer.step(params, grad[start:n_trainable], lr)
             trace.append((step, lr, loss))
             step += 1
     return TrainResult(model=model, trace=trace)

@@ -350,7 +350,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         ({"d": 0}, "d must be >= 1, got 0"),
         ({"frames": 9}, "clip has 9 frames, exceeds max of 8"),
         ({"vocab": 5}, "vocab 5 too small: need 9 label tokens plus 2 instruction tokens"),
-        ({"grid_rows": 0}, "grid dimensions must be positive"),
+        ({"grid_rows": 0}, "grid_rows must be >= 1, got 0"),
+        ({"grid_cols": 0}, "grid_cols must be >= 1, got 0"),
         ({"d_attn": 0, "train_size": 2}, "d_attn must be >= 1, got 0"),
         ({"d_attn": -8, "train_size": 2}, "d_attn must be >= 1, got -8"),
         ({"max_context": 1, "train_size": 2},
@@ -523,6 +524,23 @@ def test_split_weights_whose_shares_overflow_name_the_target_and_task(tmp_path, 
     assert json.loads(capsys.readouterr().err)["error"] == {
         "type": "ValueError",
         "message": f"{target}: task 'expression': the weights' shares of 2 records overflow",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_split_per_task_beyond_float_range_names_the_target_and_task(tmp_path, capsys, via):
+    argv = runnable_argv(tmp_path, "split")
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"expression": {"happiness": 1, "sadness": 1}}))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"per_task": 10**309}))
+    at = argv.index("--per-task")
+    argv[at:at + 2] = ["--per-task", str(10**309)] if via == "flag" else ["--config", str(config)]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"{target}: task 'expression': the weights' shares of {10**309} records overflow",
     }
     assert not (tmp_path / "out").exists()
 
@@ -950,6 +968,20 @@ def test_eval_names_a_missing_key(tmp_path, capsys):
     assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["message"] == f"{records}:2: bad eval record: missing key 'ground_truth'"
+    assert not out.exists()
+
+
+def test_eval_names_the_records_file_for_a_ground_truth_outside_the_classes(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    first, *rest = (FIXTURES / "eval_expression.jsonl").read_bytes().splitlines(keepends=True)
+    record = {**json.loads(first), "ground_truth": "x"}
+    records.write_bytes(json.dumps(record).encode() + b"\n" + b"".join(rest))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"{records}: record {record['id']!r}: unknown expression class 'x'",
+    }
     assert not out.exists()
 
 

@@ -374,7 +374,66 @@ def test_variant_none_ignores_landmark_modules(monkeypatch):
     after = snapshot(result.model)
     for key in after:
         if parameter_group(key) in ("gamma", "alpha"):
-            assert after[key] == before[key]  # zero gradients, AdamW no-op
+            assert after[key] == before[key]  # the optimizer never steps over them
+
+
+def _train_over_the_whole_prefix(cfg, data, model):
+    """``train``'s loop with AdamW stepped over the stage's whole trainable
+    prefix, the landmark groups included for every variant; returns the
+    trace and updates ``model`` in place."""
+    n_trainable = sum(a.size for k, a in model_arrays(model).items()
+                      if k in trainable_keys(model, cfg.stage))
+    grad = np.empty_like(model.flat)
+    optimizer = AdamW(n_trainable)
+    total_steps = cfg.epochs * len(data)
+    order_rng = np.random.default_rng(cfg.seed)
+    trace, step = [], 0
+    for _ in range(cfg.epochs):
+        for idx in order_rng.permutation(len(data)):
+            sample = data[int(idx)]
+            lr = cosine_lr(cfg.resolved_lr, step, total_steps)
+            loss, state = forward_loss(model, sample, cfg)
+            backward_pass(model, sample, cfg, state, out=grad)
+            optimizer.step(model.flat[:n_trainable], grad[:n_trainable], lr)
+            trace.append((step, lr, loss))
+            step += 1
+    return trace
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_variant_none_trains_the_bytes_of_a_step_over_the_whole_prefix(stage):
+    cfg = tiny_config(variant="none", stage=stage, epochs=2)
+    data = tiny_dataset(cfg, size=4)
+    reference = init_model(cfg)
+    trace = _train_over_the_whole_prefix(cfg, data, reference)
+    result = train(cfg, data)
+    assert result.trace == trace
+    assert result.model.flat.tobytes() == reference.flat.tobytes()
+    moved = result.model.flat != init_model(cfg).flat
+    assert moved.any() == (stage == "finetune")
+
+
+@pytest.mark.parametrize(
+    "variant, stage",
+    [("none", "pretrain"), ("none", "finetune"), ("frgca", "pretrain"), ("frgca", "finetune")],
+)
+def test_optimizer_vectors_cover_only_what_the_variant_trains(monkeypatch, variant, stage):
+    optimizers = []
+
+    class RecordingAdamW(AdamW):
+        def __init__(self, size):
+            super().__init__(size)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "AdamW", RecordingAdamW)
+    cfg = tiny_config(variant=variant, stage=stage)
+    model = train(cfg, tiny_dataset(cfg, size=2)).model
+    trained = model.flat.size if stage == "finetune" else model.landmark_size
+    if variant == "none":
+        trained -= model.landmark_size
+    [optimizer] = optimizers
+    assert optimizer.m.size == optimizer.v.size == trained
+    assert optimizer.step_count == 2
 
 
 def test_forward_loss_variants_agree_on_shape_contract():
