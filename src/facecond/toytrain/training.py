@@ -16,8 +16,8 @@ Variant "none" trains only the part of that prefix after
 step, and from zero moments with zero weight decay AdamW updates such an
 entry by +0.0 at any finite rate, so stepping over them would leave their
 bytes as they are. In "pretrain" that part is empty and nothing moves. The
-token modes "global_only" and "local_only" also leave some FRLP gradients at
-zero; the optimizer still steps over those.
+token modes "global_only" and "local_only" also leave some landmark gradients
+at zero; the optimizer still steps over those.
 
 Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention

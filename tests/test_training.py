@@ -381,8 +381,8 @@ def _train_over_the_whole_prefix(cfg, data, model):
     """``train``'s loop with AdamW stepped over the stage's whole trainable
     prefix, the landmark groups included for every variant; returns the
     trace and updates ``model`` in place."""
-    n_trainable = sum(a.size for k, a in model_arrays(model).items()
-                      if k in trainable_keys(model, cfg.stage))
+    arrays = model_arrays(model)
+    n_trainable = sum(arrays[k].size for k in trainable_keys(model, cfg.stage))
     grad = np.empty_like(model.flat)
     optimizer = AdamW(n_trainable)
     total_steps = cfg.epochs * len(data)
