@@ -31,9 +31,7 @@ from .training import (
     forward_loss,
     init_model,
     model_arrays,
-    parameter_group,
     train,
-    trainable_keys,
 )
 
 __all__ = [
@@ -55,11 +53,9 @@ __all__ = [
     "init_model",
     "init_vision_projector",
     "model_arrays",
-    "parameter_group",
     "sequence_assemble",
     "synth_dataset",
     "train",
-    "trainable_keys",
     "vision_backward",
     "vision_project",
 ]

@@ -8,16 +8,18 @@ weight decay and a half-period cosine learning-rate schedule, batch size
 
 Parameter keys come from one registry (``facecond.registry``): each
 parameter class names its arrays in its ``SPEC``, and ``model_arrays`` prefixes
-them in the order gamma, alpha, theta, phi. ``ModelParams.flat`` holds
-every array in that order, so each stage trains a prefix of it. The group
+them in the order gamma (``frlp.``), alpha (``frgca.``), theta (``vision.``),
+phi (``decoder.``). ``ModelParams.flat`` holds every array in that order, and
+its first ``ModelParams.landmark_size`` entries are gamma and alpha. The group
 arrays are views into ``flat``: write into them in place, never rebind them.
-Variant "none" trains only the part of that prefix after
-``ModelParams.landmark_size``: its gamma and alpha gradients are +0.0 every
-step, and from zero moments with zero weight decay AdamW updates such an
-entry by +0.0 at any finite rate, so stepping over them would leave their
-bytes as they are. In "pretrain" that part is empty and nothing moves. The
-token modes "global_only" and "local_only" also leave some landmark gradients
-at zero; the optimizer still steps over those.
+That one length says what a run trains: "pretrain" steps the first
+``landmark_size`` entries and "finetune" all of ``flat``, while variant
+"none" steps only what comes after the first ``landmark_size`` (so nothing in
+"pretrain"). That is exact for "none": its gamma and alpha gradients are
++0.0 every step, and from zero moments with zero weight decay AdamW updates
+such an entry by +0.0 at any finite rate, so stepping over them would leave
+their bytes as they are. The token modes "global_only" and "local_only" also
+leave some landmark gradients at zero; the optimizer still steps over those.
 
 Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention
@@ -70,15 +72,9 @@ STAGE_DEFAULT_LR = {"pretrain": 1e-4, "finetune": 2e-5}
 # by `facecond train` and by ``ablation_experiment`` alike
 EVAL_SEED_OFFSET = 10_000
 
-# parameter groups: gamma = FRLP, alpha = FRGCA, theta = vision projector,
-# phi = decoder; keyed by checkpoint prefix (the ModelParams field), in
-# flat order
-_GROUP_OF = {"frlp": "gamma", "frgca": "alpha", "vision": "theta", "decoder": "phi"}
-GROUPS = tuple(_GROUP_OF.values())
-_STAGE_TRAINABLE = {
-    "pretrain": ("gamma", "alpha"),
-    "finetune": ("gamma", "alpha", "theta", "phi"),
-}
+# the checkpoint prefixes (the ModelParams fields) in flat order: gamma =
+# FRLP, alpha = FRGCA, theta = vision projector, phi = decoder
+_PREFIXES = ("frlp", "frgca", "vision", "decoder")
 
 
 @dataclass
@@ -151,7 +147,7 @@ class ModelParams:
         self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
         self.landmark_size = sum(a.size for a in (*self.frlp.arrays(), *self.frgca.arrays()))
         views = iter(unflatten(self.flat, arrays).values())
-        for prefix in _GROUP_OF:
+        for prefix in _PREFIXES:
             params = getattr(self, prefix)
             setattr(self, prefix, params.with_arrays([next(views) for _ in params.arrays()]))
 
@@ -173,19 +169,10 @@ def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
     """Every parameter array, checkpoint-keyed, in flat order: the views
     that tile ``model.flat``."""
     arrays: dict[str, np.ndarray] = {}
-    for prefix in _GROUP_OF:
+    for prefix in _PREFIXES:
         params = getattr(model, prefix)
         arrays.update(named(params.SPEC, params.arrays(), prefix + "."))
     return arrays
-
-
-def parameter_group(key: str) -> str:
-    return _GROUP_OF[key.split(".", 1)[0]]
-
-
-def trainable_keys(model: ModelParams, stage: str) -> list[str]:
-    groups = _STAGE_TRAINABLE[stage]
-    return [k for k in model_arrays(model) if parameter_group(k) in groups]
 
 
 def condition(
@@ -326,13 +313,12 @@ def train(
     update, with a diagnostic naming the step and sample."""
     if model is None:
         model = init_model(config)
-    arrays = model_arrays(model)
-    n_trainable = sum(arrays[k].size for k in trainable_keys(model, config.stage))
-    # the stage's groups lead the layout; "none" skips gamma and alpha (module docstring)
+    # "pretrain" stops after gamma and alpha; "none" starts there (module docstring)
     start = model.landmark_size if config.variant == "none" else 0
-    params = model.flat[start:n_trainable]
+    stop = model.landmark_size if config.stage == "pretrain" else model.flat.size
+    params = model.flat[start:stop]
     grad = np.empty_like(model.flat)
-    optimizer = AdamW(n_trainable - start)
+    optimizer = AdamW(stop - start)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
     order_rng = np.random.default_rng(config.seed)
@@ -351,7 +337,7 @@ def train(
             backward_pass(model, sample, config, state, out=grad)
             if not np.logical_and.reduce(np.isfinite(grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
-            optimizer.step(params, grad[start:n_trainable], lr)
+            optimizer.step(params, grad[start:stop], lr)
             trace.append((step, lr, loss))
             step += 1
     return TrainResult(model=model, trace=trace)

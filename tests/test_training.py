@@ -11,7 +11,7 @@ from facecond.registry import named, unflatten
 from facecond.toytrain import training
 from facecond.toytrain.decoder import ToyDecoderParams, decoder_backward
 from facecond.toytrain.projector import vision_backward
-from facecond.toytrain.training import GROUPS, backward_pass
+from facecond.toytrain.training import backward_pass
 from facecond.toytrain import (
     AdamW,
     TrainConfig,
@@ -20,10 +20,8 @@ from facecond.toytrain import (
     forward_loss,
     init_model,
     model_arrays,
-    parameter_group,
     synth_dataset,
     train,
-    trainable_keys,
 )
 
 
@@ -59,6 +57,24 @@ def tiny_dataset(cfg, seed=0, size=8):
 
 def snapshot(model):
     return {k: v.tobytes() for k, v in model_arrays(model).items()}
+
+
+def prefix(key):
+    """A parameter key's checkpoint prefix: its group."""
+    return key.split(".", 1)[0]
+
+
+# what each stage trains, by checkpoint prefix: gamma (frlp) and alpha
+# (frgca), then all four groups
+STAGE_PREFIXES = {
+    "pretrain": ("frlp", "frgca"),
+    "finetune": ("frlp", "frgca", "vision", "decoder"),
+}
+
+
+def trained_size(model, stage):
+    """How many entries of ``model.flat`` belong to the groups ``stage`` trains."""
+    return sum(a.size for k, a in model_arrays(model).items() if prefix(k) in STAGE_PREFIXES[stage])
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +155,29 @@ def test_adamw_only_touches_registered_keys():
 # parameter groups
 
 
-def test_parameter_group_assignment():
-    cfg = tiny_config()
-    model = init_model(cfg)
+def test_landmark_groups_tile_the_first_landmark_size_entries():
+    # train() picks what it steps by this layout: the frlp. and frgca. arrays
+    # (gamma, alpha) tile flat[:landmark_size] in that order, and the
+    # vision. and decoder. arrays (theta, phi) tile the rest
+    model = init_model(tiny_config())
+    flat = model.flat
     arrays = model_arrays(model)
-    groups = {parameter_group(k) for k in arrays}
-    assert groups == {"gamma", "alpha", "theta", "phi"}
-    assert parameter_group("frlp.local.0.weight") == "gamma"
-    assert parameter_group("frgca.w_q.bias") == "alpha"
-    assert parameter_group("vision.fc1.weight") == "theta"
-    assert parameter_group("decoder.embedding.weight") == "phi"
-
-
-def test_trainable_sets_per_stage():
-    cfg = tiny_config()
-    model = init_model(cfg)
-    pre = {parameter_group(k) for k in trainable_keys(model, "pretrain")}
-    fine = {parameter_group(k) for k in trainable_keys(model, "finetune")}
-    assert pre == {"gamma", "alpha"}
-    assert fine == {"gamma", "alpha", "theta", "phi"}
+    for key in ("frlp.local.0.weight", "frgca.w_q.bias", "vision.fc1.weight",
+                "decoder.embedding.weight"):
+        assert key in arrays, key
+    order = STAGE_PREFIXES["finetune"]
+    spans = {group: [] for group in order}
+    for key, arr in arrays.items():
+        start = (arr.ctypes.data - flat.ctypes.data) // flat.itemsize
+        spans[prefix(key)].append((start, start + arr.size))
+    assert all(spans.values())
+    tiles = [span for group in order for span in sorted(spans[group])]
+    assert [start for start, _ in tiles] == [0] + [stop for _, stop in tiles[:-1]]
+    assert tiles[-1][1] == flat.size
+    landmark_stop = max(stop for group in ("frlp", "frgca") for _, stop in spans[group])
+    assert landmark_stop == model.landmark_size
+    assert trained_size(model, "pretrain") == model.landmark_size
+    assert trained_size(model, "finetune") == flat.size
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +198,6 @@ def test_model_arrays_are_views_tiling_flat_in_key_order():
     flat[:] = np.arange(flat.size)
     assert model.frlp.weights[0].ravel()[0] == 0.0
     assert model.decoder.readout_b[-1] == flat.size - 1
-
-
-def test_each_stage_trains_a_prefix_of_the_layout():
-    model = init_model(tiny_config())
-    keys = list(model_arrays(model))
-    assert [parameter_group(k) for k in keys] == sorted(
-        (parameter_group(k) for k in keys), key=GROUPS.index
-    )
-    for stage in ("pretrain", "finetune"):
-        trainable = trainable_keys(model, stage)
-        assert keys[: len(trainable)] == trainable, stage
 
 
 def test_gradient_vector_lines_up_with_flat():
@@ -242,8 +251,7 @@ def test_gradient_matches_directional_differences_at_paper_shape(variant):
                                d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
         _, state = forward_loss(model, sample, cfg)
         grad = backward_pass(model, sample, cfg, state)
-        arrays = model_arrays(model)
-        n = sum(arrays[k].size for k in trainable_keys(model, stage))
+        n = trained_size(model, stage)
         params = model.flat[:n]
         for _ in range(2):
             v = rng.normal(size=n)
@@ -274,12 +282,12 @@ def test_pretrain_freezes_vision_and_decoder():
     result = train(cfg, data, model=model)
     after = snapshot(result.model)
     for key in after:
-        group = parameter_group(key)
-        if group in ("theta", "phi"):
+        group = prefix(key)
+        if group in ("vision", "decoder"):
             assert after[key] == before[key], f"{key} changed during pretrain"
     changed = [k for k in after if after[k] != before[k]]
-    assert any(parameter_group(k) == "gamma" for k in changed)
-    assert any(parameter_group(k) == "alpha" for k in changed)
+    assert any(prefix(k) == "frlp" for k in changed)
+    assert any(prefix(k) == "frgca" for k in changed)
 
 
 def test_finetune_updates_all_groups():
@@ -289,8 +297,8 @@ def test_finetune_updates_all_groups():
     before = snapshot(model)
     result = train(cfg, data, model=model)
     after = snapshot(result.model)
-    changed_groups = {parameter_group(k) for k in after if after[k] != before[k]}
-    assert changed_groups == {"gamma", "alpha", "theta", "phi"}
+    changed_groups = {prefix(k) for k in after if after[k] != before[k]}
+    assert changed_groups == {"frlp", "frgca", "vision", "decoder"}
 
 
 def test_trace_records_schedule_and_losses():
@@ -373,7 +381,7 @@ def test_variant_none_ignores_landmark_modules(monkeypatch):
     assert len(result.trace) == 4
     after = snapshot(result.model)
     for key in after:
-        if parameter_group(key) in ("gamma", "alpha"):
+        if prefix(key) in ("frlp", "frgca"):
             assert after[key] == before[key]  # the optimizer never steps over them
 
 
@@ -381,8 +389,7 @@ def _train_over_the_whole_prefix(cfg, data, model):
     """``train``'s loop with AdamW stepped over the stage's whole trainable
     prefix, the landmark groups included for every variant; returns the
     trace and updates ``model`` in place."""
-    arrays = model_arrays(model)
-    n_trainable = sum(arrays[k].size for k in trainable_keys(model, cfg.stage))
+    n_trainable = trained_size(model, cfg.stage)
     grad = np.empty_like(model.flat)
     optimizer = AdamW(n_trainable)
     total_steps = cfg.epochs * len(data)
