@@ -79,7 +79,12 @@ def save_model(path: str, model: ModelParams) -> None:
 
 
 def _meta_int(meta: dict, key: str, default: int) -> int:
-    return typed(meta.get(key, default), INTEGER, f"checkpoint meta {key!r}")
+    """An integer >= 1 (heads, grid rows and grid cols)."""
+    what = f"checkpoint meta {key!r}"
+    value = typed(meta.get(key, default), INTEGER, what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
 
 
 def build_frlp(arrays: dict[str, np.ndarray], dims: dict[str, int] | None = None) -> FrlpParams:

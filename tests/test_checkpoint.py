@@ -127,6 +127,16 @@ def test_load_model_rejects_checkpoint_meta_that_is_not_an_integer(tmp_path, key
     assert str(excinfo.value) == f"{path}: checkpoint meta {key!r} is {shown}, not an integer"
 
 
+@pytest.mark.parametrize("key", ["heads", "grid_rows", "grid_cols"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_load_model_names_the_checkpoint_meta_below_1(tmp_path, key, value):
+    path, arrays, meta = _saved_arrays(tmp_path)
+    save_arrays(str(path), arrays, {**meta, key: value})
+    with pytest.raises(ValueError) as excinfo:
+        load_model(str(path))
+    assert str(excinfo.value) == f"{path}: checkpoint meta {key!r} must be >= 1, got {value}"
+
+
 def test_load_arrays_names_the_tensor_whose_data_disagrees_with_its_shape(tmp_path):
     path = tmp_path / "ck.json"
     save_arrays(str(path), {"a.weight": np.zeros((2, 3)), "a.bias": np.zeros(3)})
