@@ -160,6 +160,10 @@ def default_partition() -> RegionPartition:
     return _DEFAULT_PARTITION
 
 
+# numpy's largest array length: a grid with more patches has no centroid array
+_MAX_PATCHES = np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     """Rows x cols layout of the visual patches, enumerated row-major."""
@@ -172,6 +176,10 @@ class PatchGrid:
             raise ValueError(f"grid dimensions must be integers, got {self.rows!r} x {self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
+        if self.rows * self.cols > _MAX_PATCHES:
+            raise ValueError(
+                f"patch grid {self.rows} x {self.cols} has more patches than an array can index"
+            )
 
     @property
     def num_patches(self) -> int:

@@ -554,6 +554,19 @@ def test_train_names_the_config_for_a_size_numpy_cannot_allocate(tmp_path, capsy
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+def test_mask_names_the_grid_for_a_side_beyond_any_array_length(tmp_path, capsys, flag):
+    # numpy rejects a length of 10**30 before it allocates anything
+    argv = runnable_argv(tmp_path, "mask")
+    argv[argv.index(flag) + 1] = str(10**30)
+    rows, cols = (10**30, 4) if flag == "--rows" else (4, 10**30)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "ValueError",
+        "message": f"patch grid {rows} x {cols} has more patches than an array can index"}
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_line_that_is_not_utf8_is_a_malformed_line(tmp_path, capsys):
     manifest = tmp_path / "m.jsonl"
     write_manifest(manifest, n=4)

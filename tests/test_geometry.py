@@ -244,6 +244,13 @@ def test_patch_grid_validation():
             PatchGrid(rows, cols)
 
 
+def test_patch_grid_beyond_any_array_length_names_its_size():
+    for rows, cols in [(10**30, 1), (1, 10**30), (2**32, 2**32)]:
+        with pytest.raises(ValueError, match=rf"^patch grid {rows} x {cols} has more patches "):
+            PatchGrid(rows, cols)
+    assert PatchGrid(2**31, 2**31).num_patches == 2**62  # a size check only; nothing is built
+
+
 def test_patch_centroids_are_read_only_and_masks_are_fresh():
     grid = PatchGrid(4, 4)
     cents = patch_centroids(grid)
