@@ -242,9 +242,6 @@ def test_patch_grid_validation():
     for rows, cols in [(2.5, 4), (4, 4.0), (True, 4), (4, "4"), (None, 4)]:
         with pytest.raises(ValueError, match=r"grid dimensions must be integers, got "):
             PatchGrid(rows, cols)
-
-
-def test_patch_grid_beyond_any_array_length_names_its_size():
     for rows, cols in [(10**30, 1), (1, 10**30), (2**32, 2**32)]:
         with pytest.raises(ValueError, match=rf"^patch grid {rows} x {cols} has more patches "):
             PatchGrid(rows, cols)

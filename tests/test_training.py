@@ -282,8 +282,7 @@ def test_pretrain_freezes_vision_and_decoder():
     result = train(cfg, data, model=model)
     after = snapshot(result.model)
     for key in after:
-        group = prefix(key)
-        if group in ("vision", "decoder"):
+        if prefix(key) in ("vision", "decoder"):
             assert after[key] == before[key], f"{key} changed during pretrain"
     changed = [k for k in after if after[k] != before[k]]
     assert any(prefix(k) == "frlp" for k in changed)
