@@ -155,29 +155,47 @@ def test_adamw_only_touches_registered_keys():
 # parameter groups
 
 
-def test_landmark_groups_tile_the_first_landmark_size_entries():
+def test_parameter_group_assignment():
+    # every key's checkpoint prefix names one of the four groups: frlp
+    # (gamma), frgca (alpha), vision (theta), decoder (phi)
+    model = init_model(tiny_config())
+    arrays = model_arrays(model)
+    assert {prefix(k) for k in arrays} == set(STAGE_PREFIXES["finetune"])
+    assert prefix("frlp.local.0.weight") == "frlp"
+    assert prefix("frgca.w_q.bias") == "frgca"
+    assert prefix("vision.fc1.weight") == "vision"
+    assert prefix("decoder.embedding.weight") == "decoder"
+    for key in ("frlp.local.0.weight", "frgca.w_q.bias", "vision.fc1.weight",
+                "decoder.embedding.weight"):
+        assert key in arrays, key
+
+
+def test_trainable_sets_per_stage():
+    # pretrain's groups (frlp, frgca) cover exactly the first landmark_size
+    # entries of flat, and finetune's the whole vector
+    model = init_model(tiny_config())
+    assert set(STAGE_PREFIXES["pretrain"]) == {"frlp", "frgca"}
+    assert trained_size(model, "pretrain") == model.landmark_size
+    assert trained_size(model, "finetune") == model.flat.size
+
+
+def test_each_stage_trains_a_prefix_of_the_layout():
     # train() picks what it steps by this layout: the frlp. and frgca. arrays
     # (gamma, alpha) tile flat[:landmark_size] in that order, and the
     # vision. and decoder. arrays (theta, phi) tile the rest
     model = init_model(tiny_config())
     flat = model.flat
-    arrays = model_arrays(model)
-    for key in ("frlp.local.0.weight", "frgca.w_q.bias", "vision.fc1.weight",
-                "decoder.embedding.weight"):
-        assert key in arrays, key
     order = STAGE_PREFIXES["finetune"]
     spans = {group: [] for group in order}
-    for key, arr in arrays.items():
+    for key, arr in model_arrays(model).items():
         start = (arr.ctypes.data - flat.ctypes.data) // flat.itemsize
         spans[prefix(key)].append((start, start + arr.size))
     assert all(spans.values())
     tiles = [span for group in order for span in sorted(spans[group])]
     assert [start for start, _ in tiles] == [0] + [stop for _, stop in tiles[:-1]]
     assert tiles[-1][1] == flat.size
-    landmark_stop = max(stop for group in ("frlp", "frgca") for _, stop in spans[group])
+    landmark_stop = max(stop for group in STAGE_PREFIXES["pretrain"] for _, stop in spans[group])
     assert landmark_stop == model.landmark_size
-    assert trained_size(model, "pretrain") == model.landmark_size
-    assert trained_size(model, "finetune") == flat.size
 
 
 # ---------------------------------------------------------------------------
