@@ -305,7 +305,7 @@ def cmd_filter(args) -> int:
                 "input": len(records),
                 "kept": len(kept),
                 "removed": len(removed),
-                "parse_errors": [{"line": e.line, "message": e.message} for e in errors],
+                "parse_errors": [{"line": line, "message": message} for line, message in errors],
             },
         )
     log.info("kept %d / removed %d (threshold %d)", len(kept), len(removed), args.threshold)

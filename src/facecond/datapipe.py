@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import OBJECT, STRING, STRINGS, fits, is_int, is_number, member, read_json, read_jsonl
+from .jsonio import INTEGER, NUMBER, OBJECT, STRING, STRINGS, fits, member, read_json, read_jsonl
 from .jsonio import typed, write_jsonl
 
 MEDIA_TYPES = ("image", "video")
@@ -58,7 +58,7 @@ class AnnotationRecord:
         if not ratings.keys() <= _RATING_KEY_SET:  # a subset test builds no set
             raise ValueError(f"unknown rating keys: {sorted(ratings.keys() - _RATING_KEY_SET)}")
         for key, value in ratings.items():
-            # a JSON integer (is_int), tested inline: this runs per rating of every record
+            # a JSON integer (fits(value, INTEGER)), tested inline: this runs per rating of every record
             if type(value) is not int or not 1 <= value <= 10:
                 raise ValueError(f"rating {key}={value!r} outside 1..10")
 
@@ -100,26 +100,19 @@ class AnnotationRecord:
         )
 
 
-@dataclass(frozen=True)
-class ManifestError:
-    line: int
-    message: str
-
-
-def load_manifest(path: str) -> tuple[list[AnnotationRecord], list[ManifestError]]:
-    """Parse a JSONL manifest with ``jsonio.read_jsonl``; malformed lines
-    become error entries instead of aborting the load."""
-    records, errors = read_jsonl(path, AnnotationRecord.from_json_obj)
-    return records, [ManifestError(line, message) for line, message in errors]
+def load_manifest(path: str) -> tuple[list[AnnotationRecord], list[tuple[int, str]]]:
+    """Parse a JSONL manifest with ``jsonio.read_jsonl``; each malformed
+    line becomes a (line, message) pair instead of aborting the load."""
+    return read_jsonl(path, AnnotationRecord.from_json_obj)
 
 
 def load_manifest_strict(path: str) -> list[AnnotationRecord]:
     """The records of a JSONL manifest that must have no malformed line."""
     records, errors = load_manifest(path)
     if errors:
+        line, message = errors[0]
         raise ValueError(
-            f"{path}: manifest has {len(errors)} malformed lines "
-            f"(first: line {errors[0].line}: {errors[0].message})"
+            f"{path}: manifest has {len(errors)} malformed lines (first: line {line}: {message})"
         )
     return records
 
@@ -210,7 +203,7 @@ def load_split_target(path: str) -> dict[str, dict[str, float]]:
 def _split_target(doc) -> dict[str, dict[str, float]]:
     for task, weights in typed(doc, OBJECT, "document").items():
         for cls, weight in typed(weights, OBJECT, f"task {task!r}").items():
-            if not is_number(weight) or weight < 0:
+            if not fits(weight, NUMBER) or weight < 0:
                 raise ValueError(
                     f"task {task!r} class {cls!r}: weight {weight!r} is not a finite number >= 0"
                 )
@@ -265,7 +258,7 @@ def build_test_split(
         for record in candidates:
             # a label meets the class key that is the label itself or, for
             # an integer label such as an age, its decimal text
-            cls = str(record.label) if is_int(record.label) else record.label
+            cls = str(record.label) if fits(record.label, INTEGER) else record.label
             if fits(cls, STRING) and cls in by_class:
                 by_class[cls].append(record)
         task_summary = {"classes": {}, "selected": 0}

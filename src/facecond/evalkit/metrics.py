@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..jsonio import is_int
+from ..jsonio import INTEGER, fits
 
 # AU sets scored per dataset
 DISFA_AUS = (1, 2, 4, 6, 9, 12, 25, 26)
@@ -60,7 +60,7 @@ def check_au_list(au_list: Sequence[int], source: str = "au_list") -> tuple[int,
     aus = tuple(au_list)
     if not aus:
         raise ValueError(f"{source} lists no AUs")
-    bad = [au for au in aus if not (is_int(au) or isinstance(au, np.integer))]
+    bad = [au for au in aus if not (fits(au, INTEGER) or isinstance(au, np.integer))]
     if bad:
         raise ValueError(f"AU entries {bad} in {source} are not AU numbers")
     low = [au for au in aus if au < 1]

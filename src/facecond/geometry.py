@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jsonio import OBJECT, STRING, is_int, member, number_array, read_json, typed, write_json
+from .jsonio import INTEGER, OBJECT, STRING, fits, member, number_array, read_json, typed
+from .jsonio import write_json
 from .registry import shaped
 
 N_LANDMARKS = 68
@@ -101,7 +102,7 @@ class RegionPartition:
             names.add(name)
             if not idx:
                 raise ValueError(f"group {name!r} is empty")
-            bad = [i for i in idx if not is_int(i)]
+            bad = [i for i in idx if not fits(i, INTEGER)]
             if bad:
                 raise ValueError(f"group {name!r} has indices that are not integers: {bad}")
             overlap = seen.intersection(idx)
@@ -172,7 +173,7 @@ class PatchGrid:
     cols: int = 16
 
     def __post_init__(self) -> None:
-        if not (is_int(self.rows) and is_int(self.cols)):
+        if not (fits(self.rows, INTEGER) and fits(self.cols, INTEGER)):
             raise ValueError(f"grid dimensions must be integers, got {self.rows!r} x {self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")

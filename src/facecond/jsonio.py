@@ -31,10 +31,10 @@ newline.
 
 This module alone decides what a JSON number is: an integer or a float
 that is finite as float64. Booleans, null, strings, NaN, the infinities
-and integers beyond float64 range are not numbers. ``is_int`` and
-``is_number`` test one value; ``number_array`` reads nested lists of
-numbers (landmark frames, visual tokens, checkpoint tensor data) and
-fails naming the first bad index.
+and integers beyond float64 range are not numbers. ``fits(value, INTEGER)``
+and ``fits(value, NUMBER)`` test one value; ``number_array`` reads nested
+lists of numbers (landmark frames, visual tokens, checkpoint tensor data)
+and fails naming the first bad index.
 
 It alone decides, too, what kind a decoded value is (``KINDS``): a
 string, an object, an integer, a finite number, a list of strings or of
@@ -165,9 +165,11 @@ KINDS = {
 
 def fits(value, kind) -> bool:
     """Whether `value` is of `kind`, one of `KINDS`."""
-    if kind == NUMBER:
-        return is_number(value)
-    if kind in (STRINGS, INTEGERS):
+    # identity tests: comparing generic aliases with == costs more than the test
+    if kind is NUMBER:
+        # math.isfinite raises OverflowError on an integer beyond float64 range
+        return (isinstance(value, float) or type(value) is int) and abs(value) <= sys.float_info.max
+    if kind is STRINGS or kind is INTEGERS:
         return type(value) is list and all(type(item) is kind.__args__[0] for item in value)
     return type(value) is kind
 
@@ -187,17 +189,6 @@ def member(obj: dict, key: str, kind, optional: bool = False):
     if type(value) is kind or (optional and value is None):
         return value
     return typed(value, kind, repr(key))
-
-
-def is_int(value) -> bool:
-    """A JSON integer, the INTEGER kind: an int, which a bool is not."""
-    return type(value) is int
-
-
-def is_number(value) -> bool:
-    """A JSON number that is finite as float64."""
-    # math.isfinite raises OverflowError on an integer beyond float64 range
-    return (isinstance(value, float) or is_int(value)) and abs(value) <= sys.float_info.max
 
 
 def number_array(value, ndim: int, where: str) -> np.ndarray:
@@ -224,8 +215,8 @@ def _check_nesting(value, ndim: int, where: str, shape: dict[int, int], depth: i
     """Raise naming the first entry that breaks the nesting or is not a
     number. Each level's length binds in `shape` at its first list."""
     if depth == ndim:
-        if not is_number(value):
-            numeric = is_int(value) or isinstance(value, float)
+        if not fits(value, NUMBER):
+            numeric = fits(value, INTEGER) or isinstance(value, float)
             kind = "a non-finite value" if numeric else "not a number"
             raise ValueError(f"{where} is {_shown(value)}, {kind}")
     elif not isinstance(value, list):

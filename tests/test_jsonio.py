@@ -12,7 +12,7 @@ from facecond.cli import _load_tokens
 from facecond.datapipe import load_manifest, load_manifest_strict
 from facecond.evalkit import load_eval_records
 from facecond.geometry import load_landmarks
-from facecond.jsonio import is_int, is_number, number_array, read_json, write_json
+from facecond.jsonio import INTEGER, NUMBER, fits, number_array, read_json, write_json
 
 SRC = Path(facecond.__file__).parent
 
@@ -108,7 +108,7 @@ def test_both_jsonl_loaders_read_lines_alike(tmp_path, text, bad_lines):
     path = tmp_path / "lines.jsonl"
     path.write_bytes(text.replace(b"G", _GOOD_MANIFEST))
     records, errors = load_manifest(str(path))
-    assert [e.line for e in errors] == bad_lines
+    assert [line for line, _ in errors] == bad_lines
     assert len(records) == text.count(b"G")
     path.write_bytes(text.replace(b"G", _GOOD_EVAL))
     if bad_lines:
@@ -212,7 +212,7 @@ def test_is_int_and_is_number():
         (float("nan"), False, False), (float("inf"), False, False), (float("-inf"), False, False),
         (10**399, True, False), (-(10**399), True, False), ([1], False, False),
     ]:
-        assert (is_int(value), is_number(value)) == (want_int, want_number), value
+        assert (fits(value, INTEGER), fits(value, NUMBER)) == (want_int, want_number), value
 
 
 # shape (3, 3, 2) cut to the rank; `bad` goes at index (1, 1, 0) cut to the
