@@ -179,11 +179,14 @@ def cmd_enrich(args) -> int:
     T, N, d = h_v.shape
     if clip.num_frames != T:
         raise ValueError(
-            f"landmark clip has {clip.num_frames} frames but tokens have {T}"
+            f"{args.tokens}: tokens have {T} frames but landmark file "
+            f"{args.landmarks} has {clip.num_frames}"
         )
     grid = PatchGrid(args.rows, args.cols)
     if grid.num_patches != N:
-        raise ValueError(f"grid {args.rows}x{args.cols} does not match {N} visual tokens")
+        raise ValueError(
+            f"{args.tokens}: {N} visual tokens per frame do not match grid {args.rows}x{args.cols}"
+        )
 
     if args.variant == "none" and args.attention_out:
         raise ValueError("variant 'none' has no attention maps to export")
@@ -275,9 +278,8 @@ def cmd_eval(args) -> int:
         report = score_records(
             records, taxonomies=taxonomies, au_list=args.au_list, negation_cues=cues
         )
-    write_json(args.out, report)
-
-    if args.confusion_out:
+    confusion = None
+    if args.confusion_out:  # picked before any file is written
         with_confusion = [
             task for task, entry in report["tasks"].items() if "confusion" in entry
         ]
@@ -285,10 +287,12 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"--confusion-out needs exactly one applicable task, found {with_confusion}"
             )
+        confusion = confusion_csv_rows(report["tasks"][with_confusion[0]])
+
+    write_json(args.out, report)
+    if confusion is not None:
         with open(args.confusion_out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                confusion_csv_rows(report["tasks"][with_confusion[0]])
-            )
+            csv.writer(fh, lineterminator="\n").writerows(confusion)
     return 0
 
 
@@ -324,10 +328,8 @@ def cmd_pair(args) -> int:
 def cmd_split(args) -> int:
     records = datapipe.load_manifest_strict(args.manifest)
     target = datapipe.load_split_target(args.target)
-    with within(args.target):  # weights too large for their shares of per_task
-        for task, weights in target.items():
-            datapipe.split_quotas(task, weights, args.per_task)
-    selected, summary = datapipe.build_test_split(records, target, per_task=args.per_task)
+    with within(args.target):  # shares that overflow, or a class quota the manifest cannot fill
+        selected, summary = datapipe.build_test_split(records, target, per_task=args.per_task)
     datapipe.save_manifest(args.out, selected)
     if args.summary_out:
         write_json(args.summary_out, summary)
@@ -424,7 +426,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     p, option = command("split", cmd_split, "stratified top-rated test split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--target", required=True, help="JSON {task: {class: proportion}}")
-    option("--per-task", _INT, default=500, help="records per task")
+    option("--per-task", _integer(0), default=500, help="records per task")
     p.add_argument("--out", required=True)
     p.add_argument("--summary-out")
 

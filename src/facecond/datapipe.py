@@ -212,7 +212,7 @@ def _split_target(doc) -> dict[str, dict[str, float]]:
     return doc
 
 
-def split_quotas(task: str, weights: dict[str, float], per_task: int) -> dict[str, int]:
+def _split_quotas(task: str, weights: dict[str, float], per_task: int) -> dict[str, int]:
     """`task`'s class quotas of `per_task` records. Largest-remainder
     apportionment keeps every class within +-1 of its exact proportional
     share; shares that overflow a float, from the weights or from an
@@ -252,7 +252,7 @@ def build_test_split(
     selected: list[AnnotationRecord] = []
     summary: dict = {"per_task": per_task, "tasks": {}}
     for task in sorted(target):
-        quotas = split_quotas(task, target[task], per_task)
+        quotas = _split_quotas(task, target[task], per_task)
         candidates = [r for r in records if r.task == task]
         by_class: dict[str, list[AnnotationRecord]] = {cls: [] for cls in quotas}
         for record in candidates:

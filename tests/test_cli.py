@@ -214,6 +214,39 @@ def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, variant, edit,
     assert not out.exists()
 
 
+def test_enrich_names_a_checkpoint_of_another_format(tmp_path, capsys):
+    argv = runnable_argv(tmp_path, "enrich")
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps({"format": "other"}))
+    assert main(argv + ["--checkpoint", str(ck)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        f"{ck}: not a facecond-checkpoint-v1 archive")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variant", ["frgca", "none"])
+@pytest.mark.parametrize(
+    "landmark_frames, grid, message",
+    [
+        (3, ["--rows", "4", "--cols", "4"],
+         "{tok}: tokens have 2 frames but landmark file {lm} has 3"),
+        (2, ["--rows", "4", "--cols", "5"],
+         "{tok}: 16 visual tokens per frame do not match grid 4x5"),
+    ],
+    ids=["frames", "grid"],
+)
+def test_enrich_names_the_tokens_file_when_landmarks_or_grid_disagree(
+    tmp_path, capsys, variant, landmark_frames, grid, message
+):
+    lm, tok, out = tmp_path / "lm.json", tmp_path / "tokens.json", tmp_path / "enriched.json"
+    write_landmarks(lm, frames=landmark_frames)
+    write_tokens(tok, frames=2, n=16, d=8)
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), *grid, "--heads", "2",
+                 "--variant", variant, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == message.format(tok=tok, lm=lm)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bad", [True, None, float("nan"), "1.5"], ids=["bool", "null", "nan", "numeric_string"]
 )
@@ -380,6 +413,18 @@ def test_eval_subcommand_with_fixtures(tmp_path):
     assert conf.read_text().startswith("gt\\pred,real,fake,nomatch")
 
 
+def test_eval_confusion_out_for_two_tasks_writes_neither_file(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes((FIXTURES / "eval_expression.jsonl").read_bytes()
+                        + (FIXTURES / "eval_deepfake.jsonl").read_bytes())
+    out, conf = tmp_path / "r.json", tmp_path / "c.csv"
+    assert main(["eval", "--records", str(records), "--out", str(out),
+                 "--confusion-out", str(conf)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "--confusion-out needs exactly one applicable task, found ['deepfake', 'expression']")
+    assert not out.exists() and not conf.exists()
+
+
 def test_eval_confusion_csv_quotes_a_class_name_with_a_comma(tmp_path):
     tax = tmp_path / "tax.json"
     tax.write_text(json.dumps({"happy, excited": ["happy"], "sad": ["sad"]}))
@@ -485,7 +530,7 @@ def test_split_counts_no_null_or_boolean_label_under_a_class(tmp_path, capsys):
                  "--per-task", "3", "--out", str(out)])
     assert code == 1
     message = json.loads(capsys.readouterr().err)["error"]["message"]
-    assert message == "task 'age' class 'True': need 1 records, have 0"
+    assert message == f"{target}: task 'age' class 'True': need 1 records, have 0"
     assert not out.exists()
     target.write_text(json.dumps({"age": {"None": 1, "37": 1}}))
     code = main(["split", "--manifest", str(manifest), "--target", str(target),
@@ -503,11 +548,16 @@ def test_split_rejects_a_negative_per_task(tmp_path, capsys, via):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"per_task": -3}))
     out = tmp_path / "split.jsonl"
-    per_task = ["--per-task", "-3"] if via == "flag" else ["--config", str(config)]
-    code = main(["split", "--manifest", str(manifest), "--target", str(target),
-                 *per_task, "--out", str(out)])
-    assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"]["message"] == "per_task must be >= 0, got -3"
+    argv = ["split", "--manifest", str(manifest), "--target", str(target), "--out", str(out)]
+    if via == "flag":
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--per-task", "-3"])
+        assert excinfo.value.code == 2
+        assert "argument --per-task: expected an integer >= 0, got -3" in capsys.readouterr().err
+    else:
+        assert main(argv + ["--config", str(config)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+            f"{config}: config key 'per_task' must be an integer >= 0, got -3")
     assert not out.exists()
 
 
@@ -869,10 +919,11 @@ def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
             (command, [flag, "0"], f"argument {flag}: expected an integer >= 1, got 0")
             for command in ("mask", "enrich") for flag in ("--rows", "--cols")
         ),
+        ("mask", ["--rows", "x"], "argument --rows: invalid int value: 'x'"),
     ],
     ids=["mask-seed", "eval-threads", "eval-bad_au_entry", "eval-repeated_au", "enrich-negative_seed",
          "gradcheck-negative_seed", "train-negative_seed", "pair-negative_seed", "mask-zero_rows",
-         "mask-zero_cols", "enrich-zero_rows", "enrich-zero_cols"],
+         "mask-zero_cols", "enrich-zero_rows", "enrich-zero_cols", "mask-non_integer_rows"],
 )
 def test_dead_and_malformed_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -984,6 +1035,17 @@ def test_eval_names_a_missing_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_names_the_line_of_an_unknown_task(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(
+        {"id": "p1", "task": "pose", "generated": "Facing left.", "ground_truth": "left"}) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{records}:1: bad eval record: unknown task 'pose'"
+    assert not out.exists()
+
+
 def test_eval_names_the_records_file_for_a_ground_truth_outside_the_classes(tmp_path, capsys):
     records = tmp_path / "records.jsonl"
     first, *rest = (FIXTURES / "eval_expression.jsonl").read_bytes().splitlines(keepends=True)
@@ -1066,7 +1128,7 @@ WRONG_KIND = {
     "eval": {"au_list": (4, AU_LIST_TAKES)},
     "filter": {"threshold": ("6", "an integer")},
     "pair": {"seed": (True, "an integer >= 0")},
-    "split": {"per_task": ("500", "an integer")},
+    "split": {"per_task": ("500", "an integer >= 0")},
 }
 
 

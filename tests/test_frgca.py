@@ -118,6 +118,16 @@ def test_forward_validation_errors():
         init_frgca(4, d_attn=6, heads=4)
 
 
+@pytest.mark.parametrize("name", ["h_l", "mask"])
+def test_forward_names_non_finite_landmark_tokens_or_mask(name):
+    rng = np.random.default_rng(5)
+    h_v, h_l, mask, params = random_instance(rng)
+    inputs = {"h_l": h_l.copy(), "mask": mask.copy()}
+    inputs[name][0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match=rf"^{name} contains non-finite values$"):
+        frgca_forward(h_v, inputs["h_l"], inputs["mask"], params)
+
+
 # ---------------------------------------------------------------------------
 # attention weights
 
