@@ -58,7 +58,7 @@ class AnnotationRecord:
         if not ratings.keys() <= _RATING_KEY_SET:  # a subset test builds no set
             raise ValueError(f"unknown rating keys: {sorted(ratings.keys() - _RATING_KEY_SET)}")
         for key, value in ratings.items():
-            # a JSON integer (fits(value, INTEGER)), tested inline: this runs per rating of every record
+            # fits(value, INTEGER), inlined: this runs per rating of every record
             if type(value) is not int or not 1 <= value <= 10:
                 raise ValueError(f"rating {key}={value!r} outside 1..10")
 

@@ -165,7 +165,7 @@ KINDS = {
 
 def fits(value, kind) -> bool:
     """Whether `value` is of `kind`, one of `KINDS`."""
-    # identity tests: comparing generic aliases with == costs more than the test
+    # `is`, not ==: comparing generic aliases costs more than the test itself
     if kind is NUMBER:
         # math.isfinite raises OverflowError on an integer beyond float64 range
         return (isinstance(value, float) or type(value) is int) and abs(value) <= sys.float_info.max

@@ -172,13 +172,14 @@ def test_load_arrays_names_the_tensor_and_index_of_data_that_is_not_a_number(tmp
     "doc, message",
     [
         ([1], "document is [1], not an object"),
+        ({"format": "other"}, "not a facecond-checkpoint-v1 archive"),
         ({"format": FORMAT_TAG, "tensors": [1]}, "'tensors' is [1], not an object"),
         ({"format": FORMAT_TAG}, "missing key 'tensors'"),
         ({"format": FORMAT_TAG, "tensors": {}, "meta": [1]}, "'meta' is [1], not an object"),
         ({"format": FORMAT_TAG, "tensors": {"a.bias": [0.0]}},
          "tensor 'a.bias' is [0.0], not an object"),
     ],
-    ids=["list", "tensors_list", "no_tensors", "meta_list", "entry_list"],
+    ids=["list", "other_format", "tensors_list", "no_tensors", "meta_list", "entry_list"],
 )
 def test_load_arrays_names_the_file_for_a_document_of_the_wrong_shape(tmp_path, doc, message):
     path = tmp_path / "ck.json"

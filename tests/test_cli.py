@@ -214,16 +214,6 @@ def test_enrich_checkpoint_errors_name_the_file(tmp_path, capsys, variant, edit,
     assert not out.exists()
 
 
-def test_enrich_names_a_checkpoint_of_another_format(tmp_path, capsys):
-    argv = runnable_argv(tmp_path, "enrich")
-    ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps({"format": "other"}))
-    assert main(argv + ["--checkpoint", str(ck)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
-        f"{ck}: not a facecond-checkpoint-v1 archive")
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("variant", ["frgca", "none"])
 @pytest.mark.parametrize(
     "landmark_frames, grid, message",
@@ -1032,17 +1022,6 @@ def test_eval_names_a_missing_key(tmp_path, capsys):
     assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["message"] == f"{records}:2: bad eval record: missing key 'ground_truth'"
-    assert not out.exists()
-
-
-def test_eval_names_the_line_of_an_unknown_task(tmp_path, capsys):
-    records = tmp_path / "records.jsonl"
-    records.write_text(json.dumps(
-        {"id": "p1", "task": "pose", "generated": "Facing left.", "ground_truth": "left"}) + "\n")
-    out = tmp_path / "report.json"
-    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == f"{records}:1: bad eval record: unknown task 'pose'"
     assert not out.exists()
 
 

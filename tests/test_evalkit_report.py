@@ -92,6 +92,7 @@ def test_load_eval_records_rejects_bad_lines(tmp_path):
          r"'ground_truth' of task 'au' is \[1, false\], not a list of integers"),
         ({"chunk_group": ["v1"]}, r"'chunk_group' is \[\"v1\"\], not a string"),
         ({"chunk_group": 3}, r"'chunk_group' is 3, not a string"),
+        ({"task": "pose"}, r"unknown task 'pose'$"),
     ]
     for change, message in bad:
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", **change}) + "\n")
