@@ -52,7 +52,14 @@ from .jsonio import INTEGER, INTEGERS, KINDS, NULL, NUMBER, OBJECT, STRING, fits
 from .jsonio import number_array, read_json, typed, within, write_json
 from .toytrain import TrainConfig, evaluate, train
 from .toytrain.synth import TASK_KINDS
-from .toytrain.training import EVAL_SEED_OFFSET, VARIANTS, condition, config_dataset, init_model
+from .toytrain.training import (
+    EVAL_SEED_OFFSET,
+    VARIANTS,
+    attention_masks,
+    condition,
+    config_dataset,
+    init_model,
+)
 
 log = logging.getLogger("facecond")
 
@@ -202,8 +209,9 @@ def cmd_enrich(args) -> int:
         model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
         frlp_params, frgca_params = model.frlp, model.frgca
 
+    masks = attention_masks(clip, grid, args.variant, args.token_mode)
     enriched, cache = condition(
-        h_v, clip, frlp_params, frgca_params, grid, args.variant, args.token_mode
+        h_v, clip, masks, frlp_params, frgca_params, args.variant, args.token_mode
     )
     write_json(args.out, {"id": media_id or token_id, "tokens": enriched})
     if args.attention_out:

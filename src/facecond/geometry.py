@@ -66,6 +66,10 @@ class LandmarkClip:
     def num_frames(self) -> int:
         return self.points.shape[0]
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The points, so ``np.asarray(clip)`` reads a clip as its landmarks."""
+        return np.array(self.points, dtype=dtype, copy=copy)
+
 
 @dataclass(frozen=True)
 class RegionPartition:
@@ -231,19 +235,28 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
+    # in place after the first difference, so a stacked call holds one
+    # (..., N, M, 2) temporary besides its result
     diff = patches[:, None, :] - regions[..., None, :, :]
-    return -np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    np.multiply(diff, diff, out=diff)
+    out = np.add.reduce(diff, axis=-1)
+    np.sqrt(out, out=out)
+    return np.negative(out, out=out)
 
 
 def clip_rpp_masks(
-    clip: LandmarkClip,
+    landmarks,
     partition: RegionPartition,
     grid: PatchGrid,
 ) -> np.ndarray:
-    """One (N, M) mask per frame, from that frame's landmarks; shape (T, N, M)."""
+    """One (N, M) mask per frame, from that frame's landmarks: a
+    ``LandmarkClip`` gives (T, N, M), and (..., 68, 2) points, such as the
+    frames of several clips concatenated, give (..., N, M). Every frame's
+    mask is computed on its own, so a frame's mask is the same bits
+    whatever it is stacked with."""
     # a clip's points and a grid's patch centroids are finite float64 by
     # construction, so rpp_mask's checks would only repeat
-    return _proximity(region_centroids(clip.points, partition), patch_centroids(grid))
+    return _proximity(region_centroids(np.asarray(landmarks), partition), patch_centroids(grid))
 
 
 def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:

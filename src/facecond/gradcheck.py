@@ -20,7 +20,14 @@ from .geometry import LandmarkClip, default_partition
 from .registry import named, unflatten
 from .toytrain.projector import init_vision_projector, vision_backward, vision_project
 from .toytrain.synth import SynthSample
-from .toytrain.training import TrainConfig, backward_pass, forward_loss, init_model, model_arrays
+from .toytrain.training import (
+    TrainConfig,
+    attention_masks,
+    backward_pass,
+    forward_loss,
+    init_model,
+    model_arrays,
+)
 
 DEFAULT_STEP = 1e-5
 # Error denominator floor: gradients in the suites are O(1e-3..1), while
@@ -194,10 +201,12 @@ def pipeline_suite(seed: int = 0) -> float:
         label=1,
     )
 
-    def loss() -> float:
-        return forward_loss(model, sample, config)[0]
+    masks = attention_masks(sample.clip, model.grid, config.variant, config.tokens)
 
-    _, state = forward_loss(model, sample, config)
+    def loss() -> float:
+        return forward_loss(model, sample, config, masks)[0]
+
+    _, state = forward_loss(model, sample, config, masks)
     grad = backward_pass(model, sample, config, state)
     arrays = model_arrays(model)
     return max(check_named_gradients(loss, arrays, unflatten(grad, arrays)).values())

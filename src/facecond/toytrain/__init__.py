@@ -26,6 +26,7 @@ from .training import (
     TrainResult,
     AdamW,
     ablation_experiment,
+    attention_masks,
     cosine_lr,
     evaluate,
     forward_loss,
@@ -44,6 +45,7 @@ __all__ = [
     "TrainResult",
     "VisionProjectorParams",
     "ablation_experiment",
+    "attention_masks",
     "autoregressive_loss",
     "cosine_lr",
     "decoder_backward",

@@ -30,6 +30,13 @@ that turns visual tokens into conditioned tokens for a variant, in
 training and in ``facecond enrich``; ``backward_pass`` reads the variant
 back from its attention cache, which is None for "none".
 
+The proximity masks depend only on the landmarks and the patch grid, so
+``condition`` and ``forward_loss`` take them rather than build them.
+``attention_masks`` maps a variant and token mode to them; ``train`` and
+``evaluate`` call it once per call over their dataset's frames
+concatenated, and hand each sample its (T, N, M) slice of the result,
+bit for bit the masks of a call on that sample's clip alone.
+
 Layers are called through this module's globals (``frlp_forward``,
 ``clip_rpp_masks``, ``frgca_forward``, ...), so a profiler can wrap them
 here.
@@ -175,43 +182,66 @@ def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
     return arrays
 
 
+def attention_masks(landmarks, grid: PatchGrid, variant: str, tokens: str) -> np.ndarray | None:
+    """The FRGCA masks that ``variant`` and ``tokens`` attend under, one
+    (N, M) mask per frame of ``landmarks`` (a ``LandmarkClip`` or
+    (..., 68, 2) points; see ``clip_rpp_masks``). None for "simple" and
+    "none", which take no mask; the ``WHOLE_FACE`` masks for
+    "global_only", whose one token is the whole face's; else the default
+    partition's nine."""
+    if variant != "frgca":
+        return None
+    regions = WHOLE_FACE if tokens == "global_only" else default_partition()
+    return clip_rpp_masks(landmarks, regions, grid)
+
+
+def _dataset_masks(
+    dataset: Sequence[SynthSample], grid: PatchGrid, config: TrainConfig
+) -> list[np.ndarray | None]:
+    """Each sample's ``attention_masks``, as views into one (ΣT, N, M)
+    array that one call builds from the dataset's frames concatenated."""
+    if not dataset:
+        return []
+    points = np.concatenate([sample.clip.points for sample in dataset])
+    masks = attention_masks(points, grid, config.variant, config.tokens)
+    if masks is None:
+        return [None] * len(dataset)
+    bounds = np.cumsum([0, *(sample.clip.num_frames for sample in dataset)]).tolist()
+    return [masks[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def condition(
     h_v: np.ndarray,
     clip: LandmarkClip,
+    masks: np.ndarray | None,
     frlp: FrlpParams | None,
     frgca: FrgcaParams | None,
-    grid: PatchGrid,
     variant: str,
     tokens: str,
 ) -> tuple[np.ndarray, FrgcaCache | None]:
     """The conditioned visual tokens for ``variant`` and FRGCA's forward
     cache. Variant "none" returns ``h_v`` itself and a None cache, and
     reads no parameters. An attending variant attends from ``h_v`` to the
-    FRLP tokens of the default partition picked by ``tokens``, under the
-    masks of their regions for "frgca" and no mask for "simple". The
+    FRLP tokens of the default partition picked by ``tokens``, under
+    ``masks``, the clip's ``attention_masks`` (None for "simple"). The
     global token is the ``WHOLE_FACE`` region's token; a softmax over that
     one token is 1 whatever its mask, so "frgca" equals "simple" there."""
     if variant == "none":
         return h_v, None
-    partition = default_partition()
-    h_l = select_tokens(frlp_forward(clip, partition, frlp), tokens)
-    masks = None
-    if variant == "frgca":
-        regions = WHOLE_FACE if tokens == "global_only" else partition
-        masks = clip_rpp_masks(clip, regions, grid)
+    h_l = select_tokens(frlp_forward(clip, default_partition(), frlp), tokens)
     return frgca_forward(h_v, h_l, masks, frgca, variant=variant, return_cache=True)
 
 
 def forward_loss(
-    model: ModelParams, sample: SynthSample, config: TrainConfig
+    model: ModelParams, sample: SynthSample, config: TrainConfig, masks: np.ndarray | None
 ) -> tuple[float, tuple]:
-    """Full pipeline loss for one sample, and the state ``backward_pass``
-    reads: the vision, attention and decoder caches (the attention cache
-    is None for variant "none"). A caller that wants only the loss takes
-    ``[0]``."""
+    """Full pipeline loss for one sample under its ``attention_masks``,
+    and the state ``backward_pass`` reads: the vision, attention and
+    decoder caches (the attention cache is None for variant "none"). A
+    caller that wants only the loss takes ``[0]``."""
     h_v, vision_cache = vision_project(sample.raw, model.vision)
     enriched, attn_cache = condition(
-        h_v, sample.clip, model.frlp, model.frgca, model.grid, config.variant, config.tokens
+        h_v, sample.clip, masks, model.frlp, model.frgca, config.variant, config.tokens
     )
     sequence = sequence_assemble(
         enriched,
@@ -322,6 +352,7 @@ def train(
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
     order_rng = np.random.default_rng(config.seed)
+    masks = _dataset_masks(dataset, model.grid, config)
 
     trace: list[tuple[int, float, float]] = []
     step = 0
@@ -331,7 +362,7 @@ def train(
             sample = dataset[int(idx)]
             lr = cosine_lr(base_lr, step, total_steps)
             try:
-                loss, state = forward_loss(model, sample, config)
+                loss, state = forward_loss(model, sample, config, masks[idx])
             except FloatingPointError as exc:
                 raise FloatingPointError(f"{exc} at step {step} (sample {idx})") from exc
             backward_pass(model, sample, config, state, out=grad)
@@ -352,8 +383,8 @@ def evaluate(
     losses = []
     correct = 0
     total = 0
-    for sample in dataset:
-        loss, (_, _, decoder_cache) = forward_loss(model, sample, config)
+    for sample, sample_masks in zip(dataset, _dataset_masks(dataset, model.grid, config)):
+        loss, (_, _, decoder_cache) = forward_loss(model, sample, config, sample_masks)
         losses.append(loss)
         preds = response_predictions(decoder_cache)
         for pred, target in zip(preds, sample.response_ids):

@@ -35,7 +35,7 @@ from facecond.toytrain import (
     synth_dataset,
     train,
 )
-from facecond.toytrain.training import forward_loss
+from facecond.toytrain.training import attention_masks, forward_loss
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,7 +172,8 @@ def test_criterion_05_context_saving_invariant():
             instruction_ids=tuple(sample_instruction),
             response_ids=tuple(sample_response), label=sample_response[0],
         )
-        loss, (_, attn_cache, decoder_cache) = forward_loss(model, sample, config)
+        masks = attention_masks(clip, model.grid, config.variant, config.tokens)
+        loss, (_, attn_cache, decoder_cache) = forward_loss(model, sample, config, masks)
         seq = decoder_cache.sequence
         # visual block is exactly T*N rows; landmark tokens never enter
         assert seq.n_visual == T * n

@@ -12,7 +12,14 @@ from facecond.checkpoint import (
     save_model,
 )
 from facecond.registry import take
-from facecond.toytrain import TrainConfig, forward_loss, init_model, model_arrays, synth_dataset
+from facecond.toytrain import (
+    TrainConfig,
+    attention_masks,
+    forward_loss,
+    init_model,
+    model_arrays,
+    synth_dataset,
+)
 
 
 def test_array_archive_roundtrip_bit_exact(tmp_path):
@@ -45,7 +52,8 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert loaded.grid == model.grid
     # the restored model computes the identical loss
     sample = synth_dataset(seed=1, size=1, n_patches=4, d_raw=4, vocab=16)[0]
-    assert forward_loss(model, sample, cfg)[0] == forward_loss(loaded, sample, cfg)[0]
+    masks = attention_masks(sample.clip, loaded.grid, cfg.variant, cfg.tokens)
+    assert forward_loss(model, sample, cfg, masks)[0] == forward_loss(loaded, sample, cfg, masks)[0]
 
 
 def test_checkpoint_key_names(tmp_path):

@@ -331,6 +331,17 @@ def test_clip_rpp_masks_per_frame():
             patch_centroids(PatchGrid(4, 4)),
         )
         assert np.array_equal(masks[t], single)
+    # the frames of clips of 1, 3 and 2 frames concatenated give each
+    # clip's own masks, bit for bit
+    clips = [LandmarkClip(rng.uniform(0.2, 0.8, size=(n, 68, 2))) for n in (1, 3, 2)]
+    stacked_points = np.concatenate([c.points for c in clips])
+    grid = PatchGrid(3, 5)
+    for regions in (default_partition(), WHOLE_FACE):
+        stacked = clip_rpp_masks(stacked_points, regions, grid)
+        assert stacked.shape == (6, 15, regions.num_regions)
+        starts = np.cumsum([0, *(c.num_frames for c in clips)])
+        for clip, a, b in zip(clips, starts, starts[1:]):
+            assert stacked[a:b].tobytes() == clip_rpp_masks(clip, regions, grid).tobytes()
 
 
 # ---------------------------------------------------------------------------

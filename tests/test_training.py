@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facecond.frgca import FrgcaParams, frgca_backward
+from facecond.geometry import clip_rpp_masks
 from facecond.gradcheck import DIRECTIONAL_TOLERANCE, directional_error
 from facecond.registry import named, unflatten
 from facecond.toytrain import training
@@ -15,6 +16,7 @@ from facecond.toytrain.training import backward_pass
 from facecond.toytrain import (
     AdamW,
     TrainConfig,
+    attention_masks,
     cosine_lr,
     evaluate,
     forward_loss,
@@ -53,6 +55,10 @@ def tiny_dataset(cfg, seed=0, size=8):
         d_raw=cfg.d_raw,
         vocab=cfg.vocab,
     )
+
+
+def masks_of(model, sample, cfg):
+    return attention_masks(sample.clip, model.grid, cfg.variant, cfg.tokens)
 
 
 def snapshot(model):
@@ -222,7 +228,7 @@ def test_gradient_vector_lines_up_with_flat():
     cfg = tiny_config()
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
-    _, state = forward_loss(model, sample, cfg)
+    _, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
     grad = backward_pass(model, sample, cfg, state)
     assert grad.shape == model.flat.shape
     by_key = unflatten(grad, model_arrays(model))
@@ -242,7 +248,7 @@ def test_none_gradient_is_zeros_then_vision_and_decoder_bit_for_bit():
     cfg = tiny_config(variant="none")
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
-    _, state = forward_loss(model, sample, cfg)
+    _, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
     decoder_grads, d_visual = decoder_backward(state[2])
     vision_grads = vision_backward(d_visual, state[0])
     landmark = sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays()))
@@ -267,14 +273,15 @@ def test_gradient_matches_directional_differences_at_paper_shape(variant):
         model = init_model(cfg)
         sample = synth_dataset(seed=5, size=1, frames=cfg.frames, n_patches=cfg.n_patches,
                                d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
-        _, state = forward_loss(model, sample, cfg)
+        masks = masks_of(model, sample, cfg)
+        _, state = forward_loss(model, sample, cfg, masks)
         grad = backward_pass(model, sample, cfg, state)
         n = trained_size(model, stage)
         params = model.flat[:n]
         for _ in range(2):
             v = rng.normal(size=n)
             v /= np.linalg.norm(v)
-            error = directional_error(lambda: forward_loss(model, sample, cfg)[0], params, grad[:n], v)
+            error = directional_error(lambda: forward_loss(model, sample, cfg, masks)[0], params, grad[:n], v)
             assert error < DIRECTIONAL_TOLERANCE, (stage, error)
 
 
@@ -402,6 +409,27 @@ def test_variant_none_ignores_landmark_modules(monkeypatch):
             assert after[key] == before[key]  # the optimizer never steps over them
 
 
+@pytest.mark.parametrize("variant, calls", [("frgca", 1), ("simple", 0), ("none", 0)])
+def test_masks_are_built_once_per_train_and_evaluate_call(monkeypatch, variant, calls):
+    # one call covers every frame of the dataset, whatever its size
+    built = []
+
+    def counted(landmarks, regions, grid):
+        built.append(np.shape(landmarks)[0])
+        return clip_rpp_masks(landmarks, regions, grid)
+
+    monkeypatch.setattr(training, "clip_rpp_masks", counted)
+    cfg = tiny_config(variant=variant, frames=2, epochs=2)
+    for size in (1, 6):
+        data = tiny_dataset(cfg, size=size)
+        built.clear()
+        model = train(cfg, data).model
+        assert built == [2 * size] * calls
+        built.clear()
+        evaluate(model, data, cfg)
+        assert built == [2 * size] * calls
+
+
 def _train_over_the_whole_prefix(cfg, data, model):
     """``train``'s loop with AdamW stepped over the stage's whole trainable
     prefix, the landmark groups included for every variant; returns the
@@ -416,7 +444,7 @@ def _train_over_the_whole_prefix(cfg, data, model):
         for idx in order_rng.permutation(len(data)):
             sample = data[int(idx)]
             lr = cosine_lr(cfg.resolved_lr, step, total_steps)
-            loss, state = forward_loss(model, sample, cfg)
+            loss, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
             backward_pass(model, sample, cfg, state, out=grad)
             optimizer.step(model.flat[:n_trainable], grad[:n_trainable], lr)
             trace.append((step, lr, loss))
@@ -466,7 +494,7 @@ def test_forward_loss_variants_agree_on_shape_contract():
     model = init_model(cfg)
     for variant in ("frgca", "simple", "none"):
         cfg_v = TrainConfig(**{**cfg.to_dict(), "variant": variant})
-        loss = forward_loss(model, data[0], cfg_v)[0]
+        loss = forward_loss(model, data[0], cfg_v, masks_of(model, data[0], cfg_v))[0]
         assert math.isfinite(loss) and loss >= 0.0
 
 
