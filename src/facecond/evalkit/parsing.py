@@ -81,18 +81,30 @@ def match_synonyms_all(text: str, taxonomy: Taxonomy) -> set[str]:
     return {cls for cls, n in counts.items() if n > 0}
 
 
+def _int(digits: str) -> int | None:
+    """A digit run as an int; None when it is longer than Python's
+    int-string limit, which this module treats as a failed parse."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def parse_aus(text: str, cues: Sequence[str] | None = None) -> set[int]:
     """Action-unit codes: "AU" followed by digits, optional space,
-    case-insensitive, after negation stripping."""
+    case-insensitive, after negation stripping. A code too long to read
+    as an int is skipped."""
     stripped = strip_negatives(text, cues)
-    return {int(m.group(1)) for m in _AU_PATTERN.finditer(stripped)}
+    codes = (_int(m.group(1)) for m in _AU_PATTERN.finditer(stripped))
+    return {code for code in codes if code is not None}
 
 
 def parse_age(text: str, cues: Sequence[str] | None = None) -> int | None:
-    """First integer token after negation stripping; None when absent."""
+    """First integer token after negation stripping; None when absent or
+    too long to read as an int."""
     stripped = strip_negatives(text, cues)
     match = _INT_PATTERN.search(stripped)
-    return int(match.group(0)) if match else None
+    return _int(match.group(0)) if match else None
 
 
 def vote_chunks(

@@ -55,6 +55,8 @@ class Taxonomy:
     _by_word: dict[str, list[tuple[str, str]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not self.synonyms:
+            raise ValueError("taxonomy has no classes")
         seen: dict[str, str] = {}
         for cls, phrases in self.synonyms.items():
             if not phrases:

@@ -893,6 +893,31 @@ def test_eval_rejects_a_taxonomy_for_a_task_without_one(tmp_path, capsys, task):
     assert not out.exists()
 
 
+def test_eval_rejects_an_override_taxonomy_with_no_classes(tmp_path, capsys):
+    tax = tmp_path / "tx.json"
+    tax.write_text("{}")
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(FIXTURES / "eval_expression.jsonl"),
+                 "--taxonomy", "expression", str(tax), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == f"{tax}: taxonomy has no classes"
+    assert not out.exists()
+
+
+def test_eval_scores_a_digit_run_beyond_the_int_limit_as_a_failed_parse(tmp_path):
+    digits = "9" * 4301
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(json.dumps(record) + "\n" for record in [
+        {"id": "a1", "task": "age", "generated": "About 30.", "ground_truth": 30},
+        {"id": "a2", "task": "age", "generated": f"about {digits} years", "ground_truth": 40},
+        {"id": "u1", "task": "au", "generated": f"AU{digits} and AU4.", "ground_truth": [4]},
+    ]))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 0
+    tasks = json.loads(out.read_text())["tasks"]
+    assert tasks["age"]["parse_failure_rate"] == 0.5
+    assert tasks["au"]["per_au_f1"]["4"] == 1.0  # the long code is skipped, AU4 still read
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [

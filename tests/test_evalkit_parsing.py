@@ -249,6 +249,9 @@ def test_load_taxonomy_names_file_and_class_of_a_bad_entry(tmp_path):
     path.write_text(json.dumps({"sadness": ["sad"], "happiness": ["joyful", " "]}))
     with pytest.raises(ValueError, match=r"tax\.json: class 'happiness' has an empty phrase ' '"):
         load_taxonomy(str(path), "expression")
+    path.write_text("{}")
+    with pytest.raises(ValueError, match=r"tax\.json: taxonomy has no classes$"):
+        load_taxonomy(str(path), "expression")
 
 
 def _oracle(tax):
@@ -347,6 +350,8 @@ def test_parse_aus_fully_negated():
 
 def test_parse_aus_case_and_spacing():
     assert parse_aus("au6 and AU 12") == {6, 12}
+    # a code beyond Python's int-string limit is skipped, not an error
+    assert parse_aus("AU" + "1" * 4301 + " and AU 4") == {4}
 
 
 def test_parse_aus_order_invariant_and_deduplicated():
@@ -361,6 +366,8 @@ def test_parse_age_leading_integer():
 
 def test_parse_age_no_digits():
     assert parse_age("around thirty") is None
+    # a run beyond Python's int-string limit is no age, not an error
+    assert parse_age("about " + "9" * 4301 + " years") is None
 
 
 def test_parse_age_negation_removed_first():
