@@ -250,11 +250,11 @@ def clip_rpp_masks(
     grid: PatchGrid,
 ) -> np.ndarray:
     """One (N, M) mask per frame, from that frame's landmarks: a
-    ``LandmarkClip`` gives (T, N, M), and (..., 68, 2) points, such as the
-    frames of several clips concatenated, give (..., N, M). Every frame's
-    mask is computed on its own, so a frame's mask is the same bits
-    whatever it is stacked with."""
-    # a clip's points and a grid's patch centroids are finite float64 by
+    ``LandmarkClip`` gives (T, N, M), and finite float64 (..., 68, 2)
+    points, such as the frames of several clips concatenated, give
+    (..., N, M). Every frame's mask is computed on its own, so a frame's
+    mask is the same bits whatever it is stacked with."""
+    # clips' points and a grid's patch centroids are finite float64 by
     # construction, so rpp_mask's checks would only repeat
     return _proximity(region_centroids(np.asarray(landmarks), partition), patch_centroids(grid))
 
