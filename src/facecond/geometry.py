@@ -254,9 +254,12 @@ def clip_rpp_masks(
     points, such as the frames of several clips concatenated, give
     (..., N, M). Every frame's mask is computed on its own, so a frame's
     mask is the same bits whatever it is stacked with."""
+    points = np.asarray(landmarks)
+    if points.shape[-2:] != (N_LANDMARKS, 2):
+        raise ValueError(f"landmarks must be (..., {N_LANDMARKS}, 2), got {points.shape}")
     # clips' points and a grid's patch centroids are finite float64 by
     # construction, so rpp_mask's checks would only repeat
-    return _proximity(region_centroids(np.asarray(landmarks), partition), patch_centroids(grid))
+    return _proximity(region_centroids(points, partition), patch_centroids(grid))
 
 
 def save_landmarks(path: str, media_id: str, clip: LandmarkClip) -> None:
