@@ -209,7 +209,7 @@ def cmd_enrich(args) -> int:
         model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
         frlp_params, frgca_params = model.frlp, model.frgca
 
-    masks = attention_masks(clip, grid, args.variant, args.token_mode)
+    masks = attention_masks([clip], grid, args.variant, args.token_mode)
     enriched, cache = condition(
         h_v, clip, masks, frlp_params, frgca_params, args.variant, args.token_mode
     )

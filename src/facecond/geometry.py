@@ -66,10 +66,6 @@ class LandmarkClip:
     def num_frames(self) -> int:
         return self.points.shape[0]
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The points, so ``np.asarray(clip)`` reads a clip as its landmarks."""
-        return np.array(self.points, dtype=dtype, copy=copy)
-
 
 @dataclass(frozen=True)
 class RegionPartition:
@@ -235,17 +231,12 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    # in place after the first difference, so a stacked call holds one
-    # (..., N, M, 2) temporary besides its result
     diff = patches[:, None, :] - regions[..., None, :, :]
-    np.multiply(diff, diff, out=diff)
-    out = np.add.reduce(diff, axis=-1)
-    np.sqrt(out, out=out)
-    return np.negative(out, out=out)
+    return -np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def clip_rpp_masks(
-    landmarks,
+    landmarks: LandmarkClip | np.ndarray,
     partition: RegionPartition,
     grid: PatchGrid,
 ) -> np.ndarray:
@@ -254,10 +245,9 @@ def clip_rpp_masks(
     points, such as the frames of several clips concatenated, give
     (..., N, M). Every frame's mask is computed on its own, so a frame's
     mask is the same bits whatever it is stacked with."""
-    points = np.asarray(landmarks)
-    if points.shape[-2:] != (N_LANDMARKS, 2):
-        raise ValueError(f"landmarks must be (..., {N_LANDMARKS}, 2), got {points.shape}")
-    # clips' points and a grid's patch centroids are finite float64 by
+    points = landmarks.points if isinstance(landmarks, LandmarkClip) else landmarks
+    # points are taken unchecked: clips' points and a grid's patch
+    # centroids are finite float64 (..., 68, 2) and (N, 2) by
     # construction, so rpp_mask's checks would only repeat
     return _proximity(region_centroids(points, partition), patch_centroids(grid))
 

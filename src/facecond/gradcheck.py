@@ -201,7 +201,7 @@ def pipeline_suite(seed: int = 0) -> float:
         label=1,
     )
 
-    masks = attention_masks(sample.clip, model.grid, config.variant, config.tokens)
+    masks = attention_masks([sample.clip], model.grid, config.variant, config.tokens)
 
     def loss() -> float:
         return forward_loss(model, sample, config, masks)[0]

@@ -32,10 +32,11 @@ back from its attention cache, which is None for "none".
 
 The proximity masks depend only on the landmarks and the patch grid, so
 ``condition`` and ``forward_loss`` take them rather than build them.
-``attention_masks`` maps a variant and token mode to them; ``train`` and
-``evaluate`` call it once per call over their dataset's frames
-concatenated, and hand each sample its (T, N, M) slice of the result,
-bit for bit the masks of a call on that sample's clip alone.
+``attention_masks`` maps a variant and token mode to them, for a list of
+clips in one call over their frames concatenated; ``train`` and
+``evaluate`` call it once per call on their dataset, and hand each
+sample its (T, N, M) slice of the result, bit for bit the masks of a
+call on that sample's clip alone.
 
 Layers are called through this module's globals (``frlp_forward``,
 ``clip_rpp_masks``, ``frgca_forward``, ...), so a profiler can wrap them
@@ -182,31 +183,34 @@ def model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
     return arrays
 
 
-def attention_masks(landmarks, grid: PatchGrid, variant: str, tokens: str) -> np.ndarray | None:
+def attention_masks(
+    clips: Sequence[LandmarkClip], grid: PatchGrid, variant: str, tokens: str
+) -> np.ndarray | None:
     """The FRGCA masks that ``variant`` and ``tokens`` attend under, one
-    (N, M) mask per frame of ``landmarks`` (a ``LandmarkClip`` or
-    (..., 68, 2) points; see ``clip_rpp_masks``). None for "simple" and
+    (N, M) mask per frame of ``clips``, in one ``clip_rpp_masks`` call
+    over their frames concatenated: (ΣT, N, M). None for "simple" and
     "none", which take no mask; the ``WHOLE_FACE`` masks for
     "global_only", whose one token is the whole face's; else the default
     partition's nine."""
     if variant != "frgca":
         return None
     regions = WHOLE_FACE if tokens == "global_only" else default_partition()
-    return clip_rpp_masks(landmarks, regions, grid)
+    points = np.concatenate([clip.points for clip in clips])
+    return clip_rpp_masks(points, regions, grid)
 
 
 def _dataset_masks(
     dataset: Sequence[SynthSample], grid: PatchGrid, config: TrainConfig
 ) -> list[np.ndarray | None]:
-    """Each sample's ``attention_masks``, as views into one (ΣT, N, M)
-    array that one call builds from the dataset's frames concatenated."""
+    """Each sample's ``attention_masks``, as views into the one array
+    that ``attention_masks`` builds over the whole dataset."""
     if not dataset:
         return []
-    points = np.concatenate([sample.clip.points for sample in dataset])
-    masks = attention_masks(points, grid, config.variant, config.tokens)
+    clips = [sample.clip for sample in dataset]
+    masks = attention_masks(clips, grid, config.variant, config.tokens)
     if masks is None:
         return [None] * len(dataset)
-    bounds = np.cumsum([0, *(sample.clip.num_frames for sample in dataset)]).tolist()
+    bounds = np.cumsum([0, *(clip.num_frames for clip in clips)]).tolist()
     return [masks[a:b] for a, b in zip(bounds, bounds[1:])]
 
 

@@ -172,7 +172,7 @@ def test_criterion_05_context_saving_invariant():
             instruction_ids=tuple(sample_instruction),
             response_ids=tuple(sample_response), label=sample_response[0],
         )
-        masks = attention_masks(clip, model.grid, config.variant, config.tokens)
+        masks = attention_masks([clip], model.grid, config.variant, config.tokens)
         loss, (_, attn_cache, decoder_cache) = forward_loss(model, sample, config, masks)
         seq = decoder_cache.sequence
         # visual block is exactly T*N rows; landmark tokens never enter

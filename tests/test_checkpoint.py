@@ -52,7 +52,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert loaded.grid == model.grid
     # the restored model computes the identical loss
     sample = synth_dataset(seed=1, size=1, n_patches=4, d_raw=4, vocab=16)[0]
-    masks = attention_masks(sample.clip, loaded.grid, cfg.variant, cfg.tokens)
+    masks = attention_masks([sample.clip], loaded.grid, cfg.variant, cfg.tokens)
     assert forward_loss(model, sample, cfg, masks)[0] == forward_loss(loaded, sample, cfg, masks)[0]
 
 

@@ -342,9 +342,6 @@ def test_clip_rpp_masks_per_frame():
         starts = np.cumsum([0, *(c.num_frames for c in clips)])
         for clip, a, b in zip(clips, starts, starts[1:]):
             assert stacked[a:b].tobytes() == clip_rpp_masks(clip, regions, grid).tobytes()
-    for shape in ((3, 5, 2), (68,), (2, 68, 3)):
-        with pytest.raises(ValueError, match=r"landmarks must be \(\.\.\., 68, 2\), got "):
-            clip_rpp_masks(np.zeros(shape), default_partition(), grid)
 
 
 # ---------------------------------------------------------------------------

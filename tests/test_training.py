@@ -58,7 +58,7 @@ def tiny_dataset(cfg, seed=0, size=8):
 
 
 def masks_of(model, sample, cfg):
-    return attention_masks(sample.clip, model.grid, cfg.variant, cfg.tokens)
+    return attention_masks([sample.clip], model.grid, cfg.variant, cfg.tokens)
 
 
 def snapshot(model):
