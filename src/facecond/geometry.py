@@ -2,8 +2,10 @@
 
 68-point landmark clips, the fixed 9-region partition, the
 one-region whole-face partition, the visual patch grid, and the
-region-patch proximity mask used to bias cross-attention. All operations
-are pure functions on immutable inputs.
+region-patch proximity mask used to bias cross-attention. A partition
+stores one gather table, its group order, which both the region
+centroids and the FRLP region inputs read. All operations are pure
+functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -71,24 +73,16 @@ class LandmarkClip:
 class RegionPartition:
     """Named, disjoint landmark index groups covering {0..67} exactly.
 
-    Construction also builds read-only gather tables: ``order`` holds every
-    group's indices, group after group; group i is
-    ``order[offsets[i]:offsets[i + 1]]``; and row i of the (M, max L)
-    ``table`` is group i padded with index 68, which addresses a zero row
-    appended to the points. ``_counts`` is the (M, 1) float group sizes.
-    The coordinate tables follow ``order`` too: ``widths[i]`` is 2 * L_i,
-    the number of x and y coordinates of group i, and ``columns[i]``
-    slices them out of ``points[:, order]`` flattened to (T, 2 * 68),
-    x before y. ``sizes()`` returns the group sizes stored at
-    construction."""
+    Construction also builds the one read-only gather table, ``order``:
+    every group's indices, group after group, so that group i is
+    ``order[offsets[i]:offsets[i + 1]]``. Both the centroids and the FRLP
+    region inputs gather the points through it once and slice each
+    group out by ``offsets``. ``sizes()`` returns the group sizes stored
+    at construction."""
 
     groups: tuple[tuple[str, tuple[int, ...]], ...]
     order: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    table: np.ndarray = field(init=False, repr=False, compare=False)
-    widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    columns: tuple[slice, ...] = field(init=False, repr=False, compare=False)
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
     _sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -113,21 +107,9 @@ class RegionPartition:
             raise ValueError("groups must cover indices 0..67 exactly once")
 
         sizes = tuple(len(idx) for _, idx in self.groups)
-        table = np.full((len(sizes), max(sizes)), N_LANDMARKS, dtype=np.intp)
-        for row, (_, idx) in zip(table, self.groups):
-            row[: len(idx)] = idx
         order = np.concatenate([idx for _, idx in self.groups]).astype(np.intp)
-        counts = np.array(sizes, dtype=np.float64)[:, None]
-        for name, value in (("order", order), ("table", table), ("_counts", counts)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        offsets = (0, *np.cumsum(sizes).tolist())
-        tables = (
-            ("offsets", offsets),
-            ("widths", tuple(2 * size for size in sizes)),
-            ("columns", tuple(slice(2 * a, 2 * b) for a, b in zip(offsets, offsets[1:]))),
-            ("_sizes", sizes),
-        )
+        order.flags.writeable = False
+        tables = (("order", order), ("offsets", (0, *np.cumsum(sizes).tolist())), ("_sizes", sizes))
         for name, value in tables:
             object.__setattr__(self, name, value)
 
@@ -191,13 +173,19 @@ def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarr
     """Arithmetic mean of each group's points: (..., 68, 2) landmarks give
     (..., M, 2) centroids.
 
-    One gather through ``partition.table`` sums each group's points in
-    group order, as ``mean`` does, then adds the padding's -0.0, which
-    leaves every sum unchanged, so the result equals ``mean`` bit for bit.
+    One gather through ``partition.order`` puts each group's points
+    together in group order; each group's slice is summed and divided by
+    its size, as ``mean`` does, so the result equals ``mean`` bit for bit.
     """
-    padded = np.concatenate([points, np.full((*points.shape[:-2], 1, 2), -0.0)], axis=-2)
-    return np.add.reduce(padded[..., partition.table, :], axis=-2) / partition._counts
-
+    gathered = points[..., partition.order, :]
+    bounds = partition.offsets
+    return np.stack(
+        [
+            np.add.reduce(gathered[..., a:b, :], axis=-2) / size
+            for a, b, size in zip(bounds, bounds[1:], partition.sizes())
+        ],
+        axis=-2,
+    )
 
 @functools.cache
 def patch_centroids(grid: PatchGrid) -> np.ndarray:

@@ -98,12 +98,9 @@ def test_partition_tables_are_read_only_and_follow_group_order():
     for i, (_, idx) in enumerate(part.groups):
         a, b = part.offsets[i : i + 2]
         assert tuple(part.order[a:b]) == idx
-        row = part.table[i].tolist()
-        assert row == [*idx, *[N_LANDMARKS] * (part.table.shape[1] - len(idx))]
-    assert part.table.shape == (7, 23) and part.offsets[-1] == N_LANDMARKS
-    for table in (part.order, part.table):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1
+    assert part.offsets[-1] == N_LANDMARKS
+    with pytest.raises(ValueError, match="read-only"):
+        part.order[0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +192,10 @@ def test_region_centroids_match_mean_oracle():
 )
 def test_region_centroids_equal_the_per_group_mean_bit_for_bit(partition):
     # the exact numpy mean of each group, in the group's own index order,
-    # for a single frame and for clips of every length
+    # for a single frame, for clips of every length and for a stack of clips
     rng = np.random.default_rng(29)
     shapes = [(N_LANDMARKS, 2)] + [(t, N_LANDMARKS, 2) for t in range(1, 9)]
+    shapes.append((2, 500, N_LANDMARKS, 2))
     for _ in range(40):
         for shape in shapes:
             points = rng.uniform(-0.5, 1.5, size=shape)
