@@ -16,7 +16,8 @@ list ("disfa", "bp4d" or a list of AU numbers), or it fails as
 read and written through facecond.jsonio; an input file that is
 malformed or the wrong shape fails with a message that starts with its path.
 
-FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR).
+FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR, CRITICAL);
+any other value fails as a JSON error naming it.
 """
 
 from __future__ import annotations
@@ -177,7 +178,10 @@ def _load_tokens(path: str) -> tuple[str | None, np.ndarray]:
 
 def _tokens(doc) -> tuple[str | None, np.ndarray]:
     doc = typed(doc, OBJECT, "document")
-    return member(doc, "id", STRING, optional=True), number_array(doc["tokens"], 3, "tokens")
+    tokens = number_array(doc["tokens"], 3, "tokens")
+    if not tokens.shape[2]:
+        raise ValueError("tokens have width 0; a token needs at least one number")
+    return member(doc, "id", STRING, optional=True), tokens
 
 
 def cmd_enrich(args) -> int:
@@ -385,7 +389,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     p.add_argument("--checkpoint", help="parameter archive; seed init when omitted")
     option("--variant", _choice(VARIANTS), default="frgca", help="conditioning variant")
     option("--token-mode", _choice(TOKEN_MODES), default="both", help="landmark tokens")
-    option("--heads", _INT, default=8, help="attention heads for seed init")
+    option("--heads", _integer(1), default=8, help="attention heads for seed init")
     option("--rows", _GRID_SIZE, default=16, help="patch grid rows")
     option("--cols", _GRID_SIZE, default=16, help="patch grid cols")
     p.add_argument("--attention-out", help="also export attention maps as JSON")
@@ -441,12 +445,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     return parser, commands
 
 
+def _log_level() -> str:
+    """FACECOND_LOG as a logging level name; unset means WARNING."""
+    value = os.environ.get("FACECOND_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(value.upper()), int):
+        raise ValueError(
+            f"FACECOND_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, got {value!r}"
+        )
+    return value.upper()
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("FACECOND_LOG", "WARNING").upper())
     # built on every call: set_defaults changes the parser's actions in place
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
         if args.config is not None:  # its values become defaults, which flags override
             sub, takes = commands[args.command]
             sub.set_defaults(**_read_config(args.config, args.command, takes))

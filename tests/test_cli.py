@@ -59,6 +59,18 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("level", ["verbose", "", "10"], ids=["unknown_name", "empty", "number"])
+def test_an_unknown_log_level_is_a_json_error(tmp_path, capsys, monkeypatch, level):
+    lm = tmp_path / "lm.json"
+    out = tmp_path / "mask.json"
+    write_landmarks(lm)
+    monkeypatch.setenv("FACECOND_LOG", level)
+    assert main(["mask", "--landmarks", str(lm), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        f"FACECOND_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, got {level!r}")
+    assert not out.exists()
+
+
 def test_mask_subcommand(tmp_path):
     lm = tmp_path / "lm.json"
     out = tmp_path / "mask.json"
@@ -101,10 +113,11 @@ def test_enrich_rejects_heads_below_one(tmp_path, capsys, heads):
     out = tmp_path / "enriched.json"
     write_landmarks(lm)
     write_tokens(tok, n=16, d=8)
-    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok),
-                 "--rows", "4", "--cols", "4", "--heads", heads, "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["message"] == f"heads must be >= 1, got {heads}"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["enrich", "--landmarks", str(lm), "--tokens", str(tok),
+              "--rows", "4", "--cols", "4", "--heads", heads, "--out", str(out)])
+    assert excinfo.value.code == 2
+    assert f"argument --heads: expected an integer >= 1, got {heads}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -255,6 +268,24 @@ def test_enrich_rejects_a_checkpoint_value_that_is_not_a_number(tmp_path, capsys
                  "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith(f"{ck}: tensor 'frgca.w_v.bias': data[1] is "), message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", ["seed_init", "checkpoint", "variant_none"])
+def test_enrich_rejects_zero_width_tokens_naming_the_file(tmp_path, capsys, options):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    ck = tmp_path / "ck.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    tok.write_text(json.dumps({"id": "clip-0", "tokens": [[[]]]}) + "\n")
+    save_model(str(ck), init_model(TrainConfig(d=8, heads=2)))
+    flags = {"seed_init": [], "checkpoint": ["--checkpoint", str(ck)],
+             "variant_none": ["--variant", "none"]}[options]
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok),
+                 "--rows", "1", "--cols", "1", *flags, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        f"{tok}: tokens have width 0; a token needs at least one number")
     assert not out.exists()
 
 
@@ -740,6 +771,10 @@ AU_LIST_WANTED = re.escape(f"config key 'au_list' must be {AU_LIST_TAKES}, ")
         pytest.param(c, f'{{"{key}": 0}}', rf"config key '{key}' must be an integer >= 1, got 0$",
                      id=f"{c}-zero_{key}")
         for c in ("mask", "enrich") for key in ("rows", "cols")
+    ]
+    + [
+        pytest.param("enrich", '{"heads": 0}', r"config key 'heads' must be an integer >= 1, got 0$",
+                     id="enrich-zero_heads")
     ],
 )
 def test_config_errors_name_the_file_and_write_nothing(tmp_path, capsys, command, config, message):
@@ -1104,7 +1139,7 @@ WRONG_KIND = {
         "seed": ("0", "an integer >= 0"),
         "variant": (4, "one of ('frgca', 'simple', 'none')"),
         "token_mode": (["both"], "one of ('both', 'local_only', 'global_only')"),
-        "heads": (True, "an integer"),
+        "heads": (True, "an integer >= 1"),
         "rows": ("4", "an integer >= 1"),
         "cols": (None, "an integer >= 1"),
     },
