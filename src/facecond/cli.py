@@ -16,8 +16,7 @@ list ("disfa", "bp4d" or a list of AU numbers), or it fails as
 read and written through facecond.jsonio; an input file that is
 malformed or the wrong shape fails with a message that starts with its path.
 
-FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR, CRITICAL);
-any other value fails as a JSON error naming it.
+FACECOND_LOG sets the log level (DEBUG, INFO, WARNING, ERROR, CRITICAL).
 """
 
 from __future__ import annotations
@@ -445,22 +444,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
     return parser, commands
 
 
-def _log_level() -> str:
-    """FACECOND_LOG as a logging level name; unset means WARNING."""
-    value = os.environ.get("FACECOND_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(value.upper()), int):
-        raise ValueError(
-            f"FACECOND_LOG must be one of DEBUG, INFO, WARNING, ERROR, CRITICAL, got {value!r}"
-        )
-    return value.upper()
-
-
 def main(argv=None) -> int:
     # built on every call: set_defaults changes the parser's actions in place
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        logging.basicConfig(level=_log_level())
+        level = os.environ.get("FACECOND_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            levels = "DEBUG, INFO, WARNING, ERROR, CRITICAL"
+            raise ValueError(f"FACECOND_LOG must be one of {levels}, got {level!r}")
+        logging.basicConfig(level=level.upper())
         if args.config is not None:  # its values become defaults, which flags override
             sub, takes = commands[args.command]
             sub.set_defaults(**_read_config(args.config, args.command, takes))

@@ -9,9 +9,8 @@ summed into every local token. Each projector is a single affine layer
 with no nonlinearity.
 
 Flattening order for projector inputs is fixed: the group's own index
-order (ascending for the default partition), x before y. Every region's
-input is a column slice of one gather of the clip's points through the
-partition's ``order``, the table the proximity masks' centroids read.
+order (ascending for the default partition), x before y. The inputs are
+column slices of one gather through the partition's ``order``.
 
 ``frlp_spec(partition)`` gives the projectors' keys and shapes, so any
 partition's projectors start by the registry's init rule.
@@ -82,10 +81,9 @@ def _region_inputs(
     """The (T, 2 * L_i) input of each region of ``partition`` and then
     ``WHOLE_FACE``, after checking that ``params`` has one projector of
     that width per region. The ravel of (L_i, 2) rows interleaves x
-    before y. One gather through ``partition.order`` puts the points
-    group after group; region i's input is its columns
-    2 * offsets[i] to 2 * offsets[i + 1] of that gather, and the whole
-    face's is a view of the clip."""
+    before y. Region i's input is columns 2 * offsets[i] to
+    2 * offsets[i + 1] of the points gathered by ``partition.order``;
+    the whole face's is a view of the clip."""
     expected = tuple([2 * size for size in (*partition.sizes(), N_LANDMARKS)])
     got = tuple([w.shape[1] for w in params.weights])
     if expected != got:

@@ -2,10 +2,9 @@
 
 68-point landmark clips, the fixed 9-region partition, the
 one-region whole-face partition, the visual patch grid, and the
-region-patch proximity mask used to bias cross-attention. A partition
-stores one gather table, its group order, which both the region
-centroids and the FRLP region inputs read. All operations are pure
-functions on immutable inputs.
+region-patch proximity mask used to bias cross-attention. A partition's
+one gather table, its group order, feeds both the region centroids and
+the FRLP inputs. All operations are pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -177,15 +176,13 @@ def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarr
     together in group order; each group's slice is summed and divided by
     its size, as ``mean`` does, so the result equals ``mean`` bit for bit.
     """
-    gathered = points[..., partition.order, :]
-    bounds = partition.offsets
-    return np.stack(
-        [
-            np.add.reduce(gathered[..., a:b, :], axis=-2) / size
-            for a, b, size in zip(bounds, bounds[1:], partition.sizes())
-        ],
-        axis=-2,
-    )
+    gathered, bounds = points[..., partition.order, :], partition.offsets
+    means = [
+        np.add.reduce(gathered[..., a:b, :], axis=-2) / size
+        for a, b, size in zip(bounds, bounds[1:], partition.sizes())
+    ]
+    return np.stack(means, axis=-2)
+
 
 @functools.cache
 def patch_centroids(grid: PatchGrid) -> np.ndarray:
