@@ -209,7 +209,12 @@ def cmd_enrich(args) -> int:
             frlp_params = ckpt.build_frlp(arrays, dims)
             frgca_params = ckpt.build_frgca(arrays, meta, dims)
     elif args.variant != "none":
-        model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
+        # seed init: the heads must divide the tokens' width
+        try:
+            model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
+        except ValueError as exc:
+            where = args.config or f"--heads {args.heads} with {d}-wide tokens in {args.tokens}"
+            raise ValueError(f"{where}: {exc}") from None
         frlp_params, frgca_params = model.frlp, model.frgca
 
     masks = attention_masks([clip], grid, args.variant, args.token_mode)
@@ -250,6 +255,14 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.config}: {exc}" if args.config else str(exc)) from None
     result = train(cfg, train_set, model=model)
+    summary = {
+        "config": cfg.to_dict(),
+        "train_size": args.train_size,
+        "steps": len(result.trace),
+        "final_train_loss": result.trace[-1][2] if result.trace else None,
+    }
+    if eval_set:  # evaluated before any file is written
+        summary["eval_loss"], summary["eval_accuracy"] = evaluate(result.model, eval_set, cfg)
 
     os.makedirs(args.out, exist_ok=True)
     ckpt.save_model(os.path.join(args.out, "checkpoint.json"), result.model)
@@ -258,17 +271,6 @@ def cmd_train(args) -> int:
         writer.writerow(["step", "lr", "loss"])
         for step, lr, loss in result.trace:
             writer.writerow([step, repr(lr), repr(loss)])
-
-    summary = {
-        "config": cfg.to_dict(),
-        "train_size": args.train_size,
-        "steps": len(result.trace),
-        "final_train_loss": result.trace[-1][2] if result.trace else None,
-    }
-    if eval_set:
-        eval_loss, eval_accuracy = evaluate(result.model, eval_set, cfg)
-        summary["eval_loss"] = eval_loss
-        summary["eval_accuracy"] = eval_accuracy
     write_json(os.path.join(args.out, "summary.json"), summary)
     log.info("trained %d steps", len(result.trace))
     return 0

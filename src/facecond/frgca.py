@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import SpecParams, init_arrays, shaped
+from .registry import SpecParams, empty_like, init_arrays, shaped
 
 VARIANTS = ("frgca", "simple")
 
@@ -210,10 +210,13 @@ def frgca_forward(
 
 
 def frgca_backward(
-    cotangent: np.ndarray, cache: FrgcaCache | None
+    cotangent: np.ndarray, cache: FrgcaCache | None, out: FrgcaParams | None = None
 ) -> tuple[FrgcaParams, np.ndarray, np.ndarray]:
     """Exact reverse-mode gradients of frgca_forward: the parameter
-    gradients shaped like the parameters, then d_h_v and d_h_l.
+    gradients shaped like the parameters, written into ``out`` (fresh
+    arrays when it is None; its arrays must be C-contiguous, as
+    ``w_q`` and ``b_q`` are written through per-head reshapes), then
+    d_h_v and d_h_l.
 
     ``cache`` must come from a matching forward call with
     return_cache=True.
@@ -222,6 +225,8 @@ def frgca_backward(
         raise ValueError("missing forward cache; call frgca_forward(..., return_cache=True)")
     params = cache.params
     g = shaped(np.asarray(cotangent, dtype=np.float64), cache.h_v.shape, {}, "cotangent")
+    if out is None:
+        out = empty_like(params)
 
     h_v, h_l = cache.h_v, cache.h_l
     T, N, d = h_v.shape
@@ -230,8 +235,8 @@ def frgca_backward(
     attn = cache.attn.transpose(0, 2, 1, 3)  # (T, N, H, M), contiguous
     attn_rows = attn.reshape(T, N, H * M)
 
-    # out = attn_rows @ values + b_o + h_v
-    d_b_o = np.add.reduce(g, axis=(0, 1))
+    # output = attn_rows @ values + b_o + h_v
+    np.add.reduce(g, axis=(0, 1), out=out.b_o)
     d_values = attn_rows.transpose(0, 2, 1) @ g  # (T, H * M, d)
     d_logits = (g @ cache.values.transpose(0, 2, 1)).reshape(T, N, H, M)
 
@@ -254,24 +259,24 @@ def frgca_backward(
     d_k *= 1.0 / params.scale_factor()
     d_v = d_values.reshape(T, H, M, d) @ params.w_o.reshape(d, H, d_head).transpose(1, 0, 2)
     k_rows = cache.k.transpose(1, 3, 0, 2).reshape(H, d_head, T * M)
-    d_w_q = (k_rows @ d_keys.transpose(1, 0, 2, 3).reshape(H, T * M, d)).reshape(-1, d)
-    d_b_q = (k_rows @ d_offset.transpose(1, 0, 2, 3).reshape(H, T * M, 1)).ravel()
+    d_keys_rows = d_keys.transpose(1, 0, 2, 3).reshape(H, T * M, d)
+    np.matmul(k_rows, d_keys_rows, out=out.w_q.reshape(H, d_head, d))
+    d_offset_rows = d_offset.transpose(1, 0, 2, 3).reshape(H, T * M, 1)
+    np.matmul(k_rows, d_offset_rows, out=out.b_q.reshape(H, d_head, 1))
     v_rows = cache.v.transpose(1, 3, 0, 2).reshape(H, d_head, T * M)
     d_values_rows = d_values.reshape(T, H, M, d).transpose(1, 0, 2, 3).reshape(H, T * M, d)
-    d_w_o = (v_rows @ d_values_rows).reshape(-1, d).T
+    out.w_o[...] = (v_rows @ d_values_rows).reshape(-1, d).T
 
     # k = h_l @ w_k.T and v = h_l @ w_v.T + b_v, heads merged back to
     # (T * M, d_attn) rows
     d_k_rows = d_k.transpose(0, 2, 1, 3).reshape(T * M, -1)
     d_v_rows = d_v.transpose(0, 2, 1, 3).reshape(T * M, -1)
     h_l_rows = h_l.reshape(T * M, d)
-    d_w_k = d_k_rows.T @ h_l_rows
-    d_w_v = d_v_rows.T @ h_l_rows
-    d_b_v = np.add.reduce(d_v_rows, axis=0)
+    np.matmul(d_k_rows.T, h_l_rows, out=out.w_k)
+    np.matmul(d_v_rows.T, h_l_rows, out=out.w_v)
+    np.add.reduce(d_v_rows, axis=0, out=out.b_v)
     d_h_l = (d_k_rows @ params.w_k + d_v_rows @ params.w_v).reshape(T, M, d)
-
-    grads = params.with_arrays([d_w_q, d_b_q, d_w_k, d_w_v, d_b_v, d_w_o, d_b_o])
-    return grads, d_h_v, d_h_l
+    return out, d_h_v, d_h_l
 
 
 def attention_maps_json(weights: np.ndarray) -> list[dict]:

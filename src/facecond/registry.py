@@ -56,6 +56,13 @@ def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return names[: len(cls.SPEC)], names[len(cls.SPEC) :]
 
 
+def empty_like(params):
+    """A parameter object of ``params``' type and configuration around
+    fresh, unfilled arrays of its arrays' shapes: the destination a layer
+    backward allocates when it is given none."""
+    return params.with_arrays([np.empty_like(a) for a in params.arrays()])
+
+
 def named(spec: Spec, arrays: Sequence[np.ndarray], prefix: str = "") -> dict[str, np.ndarray]:
     """Key each array by its spec row."""
     return {prefix + key: arr for (key, _), arr in zip(spec, arrays, strict=True)}

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..registry import SpecParams, init_arrays, shaped
+from ..registry import SpecParams, empty_like, init_arrays, shaped
 
 DEFAULT_MAX_CONTEXT = 2048
 
@@ -158,12 +158,17 @@ def response_predictions(cache: DecoderCache) -> np.ndarray:
     return cache.probs.argmax(axis=1)
 
 
-def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]:
+def decoder_backward(
+    cache: DecoderCache, out: ToyDecoderParams | None = None
+) -> tuple[ToyDecoderParams, np.ndarray]:
     """Gradients of the mean NLL: decoder parameter gradients shaped like
-    the parameters, then the (T, N, d) visual block's."""
+    the parameters, written into ``out`` (fresh arrays when it is None),
+    then the (T, N, d) visual block's."""
     if cache is None:
         raise ValueError("missing forward cache")
     params = cache.params
+    if out is None:
+        out = empty_like(params)
     seq = cache.sequence
     R = len(seq.response_ids)
     n_prefix = seq.n_visual + len(seq.instruction_ids)
@@ -172,8 +177,8 @@ def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]
     d_logits[np.arange(R), list(seq.response_ids)] -= 1.0
     d_logits /= R
 
-    d_readout_w = d_logits.T @ cache.pooled
-    d_readout_b = np.add.reduce(d_logits, axis=0)
+    np.matmul(d_logits.T, cache.pooled, out=out.readout_w)
+    np.add.reduce(d_logits, axis=0, out=out.readout_b)
     d_pooled = d_logits @ params.readout_w  # (R, d)
 
     d_rows = np.zeros_like(seq.rows)
@@ -184,8 +189,7 @@ def decoder_backward(cache: DecoderCache) -> tuple[ToyDecoderParams, np.ndarray]
     T, N, d = seq.visual_shape
     d_visual = d_rows[: seq.n_visual].reshape(T, N, d)
 
-    d_embedding = np.zeros_like(params.embedding)
+    out.embedding.fill(0.0)
     text_ids = list(seq.instruction_ids) + list(seq.response_ids)
-    np.add.at(d_embedding, text_ids, d_rows[seq.n_visual :])
-
-    return ToyDecoderParams(d_embedding, d_readout_w, d_readout_b), d_visual
+    np.add.at(out.embedding, text_ids, d_rows[seq.n_visual :])
+    return out, d_visual

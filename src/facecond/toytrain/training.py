@@ -21,6 +21,14 @@ such an entry by +0.0 at any finite rate, so stepping over them would leave
 their bytes as they are. The token modes "global_only" and "local_only" also
 leave some landmark gradients at zero; the optimizer still steps over those.
 
+The gradient has the parameters' layout. ``ModelParams.laid_over`` lays the
+four groups as views over another vector by the rule that tiles ``flat``;
+``train`` lays them over its gradient vector once per call, and
+``backward_pass`` hands each group's views to its layer backward as
+``out``, which the layer fills in place. A step builds no gradient arrays,
+lists or concatenation of its own, as PyTorch's per-parameter ``.grad``
+buffers are written by each backward.
+
 Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention
 without the mask. Variant "none" is the no-landmarks baseline: FRLP, the
@@ -45,6 +53,7 @@ here.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, asdict
 from typing import Sequence
@@ -139,8 +148,10 @@ class TrainConfig:
 @dataclass
 class ModelParams:
     """All four parameter groups; construction packs them into ``flat``
-    and makes every group array a view into it. ``landmark_size`` is the
-    length of the FRLP and FRGCA arrays, which lead ``flat``."""
+    and makes every group array a view into it, and ``laid_over`` lays
+    the same views over another vector, such as a gradient.
+    ``landmark_size`` is the length of the FRLP and FRGCA arrays, which
+    lead ``flat``."""
 
     frlp: FrlpParams
     frgca: FrgcaParams
@@ -152,12 +163,24 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         arrays = model_arrays(self)
-        self.flat = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
         self.landmark_size = sum(a.size for a in (*self.frlp.arrays(), *self.frgca.arrays()))
-        views = iter(unflatten(self.flat, arrays).values())
+        self._tile(np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64))
+
+    def laid_over(self, flat: np.ndarray) -> "ModelParams":
+        """This model's layout over ``flat``, a vector of ``flat.size``
+        entries such as a gradient: a copy whose ``flat`` is ``flat``
+        itself and whose group arrays are views tiling it."""
+        other = copy.copy(self)
+        other._tile(flat)
+        return other
+
+    def _tile(self, flat: np.ndarray) -> None:
+        """Rebuild the four groups around views tiling ``flat``, in flat order."""
+        views = iter(unflatten(flat, model_arrays(self)).values())
         for prefix in _PREFIXES:
             params = getattr(self, prefix)
             setattr(self, prefix, params.with_arrays([next(views) for _ in params.arrays()]))
+        self.flat = flat
 
 
 def init_model(config: TrainConfig) -> ModelParams:
@@ -259,29 +282,30 @@ def forward_loss(
 
 
 def backward_pass(
-    model: ModelParams, sample: SynthSample, config: TrainConfig, state, out=None
+    model: ModelParams,
+    sample: SynthSample,
+    config: TrainConfig,
+    state,
+    out: ModelParams | None = None,
 ) -> np.ndarray:
-    """Gradient of the loss as one vector laid out like ``model.flat``,
-    written into ``out`` when given."""
+    """Gradient of the loss as one vector laid out like ``model.flat``:
+    each layer writes its group's gradient into its views of ``out``
+    (``model.laid_over`` a vector), and ``out.flat`` is returned. When
+    ``out`` is None, a fresh vector is laid out."""
     vision_cache, attn_cache, decoder_cache = state
     if out is None:
-        out = np.empty(model.flat.size)
-    dec, d_visual = decoder_backward(decoder_cache)
+        out = model.laid_over(np.empty(model.flat.size))
+    d_visual = decoder_backward(decoder_cache, out=out.decoder)[1]
     if attn_cache is None:  # variant "none": FRLP and FRGCA never reach the loss
         d_h_v = d_visual
-        start = model.landmark_size
-        out[:start] = 0.0
-        landmark = []
+        out.flat[: model.landmark_size] = 0.0
     else:
-        att, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
-        frl = frlp_backward(
-            d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens
+        _, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache, out=out.frgca)
+        frlp_backward(
+            d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens, out=out.frlp
         )
-        start = 0
-        landmark = [*frl.arrays(), *att.arrays()]
-    vis = vision_backward(d_h_v, vision_cache)
-    np.concatenate([*landmark, *vis.arrays(), *dec.arrays()], axis=None, out=out[start:])
-    return out
+    vision_backward(d_h_v, vision_cache, out=out.vision)
+    return out.flat
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -331,6 +355,12 @@ class AdamW:
         params -= update
 
 
+def _at(exc: FloatingPointError | ValueError, where: str) -> Exception:
+    """An error of ``exc``'s kind whose message ends ``at <where>``."""
+    kind = FloatingPointError if isinstance(exc, FloatingPointError) else ValueError
+    return kind(f"{exc} at {where}")
+
+
 @dataclass
 class TrainResult:
     model: ModelParams
@@ -343,15 +373,19 @@ def train(
     model: ModelParams | None = None,
 ) -> TrainResult:
     """Run the configured stage over the dataset; frozen groups are never
-    touched. A non-finite loss or gradient aborts the run before the
-    update, with a diagnostic naming the step and sample."""
+    touched. A step whose forward fails (a non-finite loss, or a layer
+    rejecting non-finite values) or whose gradient is non-finite aborts
+    the run before the update, with a diagnostic naming the step and
+    sample."""
     if model is None:
         model = init_model(config)
     # "pretrain" stops after gamma and alpha; "none" starts there (module docstring)
     start = model.landmark_size if config.variant == "none" else 0
     stop = model.landmark_size if config.stage == "pretrain" else model.flat.size
     params = model.flat[start:stop]
-    grad = np.empty_like(model.flat)
+    # the gradient in the parameters' layout, its group views laid once per call
+    grad = model.laid_over(np.empty_like(model.flat))
+    stepped_grad = grad.flat[start:stop]
     optimizer = AdamW(stop - start)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
@@ -367,12 +401,12 @@ def train(
             lr = cosine_lr(base_lr, step, total_steps)
             try:
                 loss, state = forward_loss(model, sample, config, masks[idx])
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} at step {step} (sample {idx})") from exc
+            except (FloatingPointError, ValueError) as exc:
+                raise _at(exc, f"step {step} (sample {idx})") from exc
             backward_pass(model, sample, config, state, out=grad)
-            if not np.logical_and.reduce(np.isfinite(grad)):
+            if not np.logical_and.reduce(np.isfinite(grad.flat)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
-            optimizer.step(params, grad[start:stop], lr)
+            optimizer.step(params, stepped_grad, lr)
             trace.append((step, lr, loss))
             step += 1
     return TrainResult(model=model, trace=trace)
@@ -381,14 +415,20 @@ def train(
 def evaluate(
     model: ModelParams, dataset: Sequence[SynthSample], config: TrainConfig
 ) -> tuple[float, float]:
-    """Mean loss and response-token accuracy over a dataset."""
+    """Mean loss and response-token accuracy over a dataset. A failing
+    forward names its sample, as ``... at eval sample 2``."""
     if not dataset:
         raise ValueError("empty evaluation set")
     losses = []
     correct = 0
     total = 0
-    for sample, sample_masks in zip(dataset, _dataset_masks(dataset, model.grid, config)):
-        loss, (_, _, decoder_cache) = forward_loss(model, sample, config, sample_masks)
+    for i, (sample, sample_masks) in enumerate(
+        zip(dataset, _dataset_masks(dataset, model.grid, config))
+    ):
+        try:
+            loss, (_, _, decoder_cache) = forward_loss(model, sample, config, sample_masks)
+        except (FloatingPointError, ValueError) as exc:
+            raise _at(exc, f"eval sample {i}") from exc
         losses.append(loss)
         preds = response_predictions(decoder_cache)
         for pred, target in zip(preds, sample.response_ids):

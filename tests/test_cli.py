@@ -121,6 +121,29 @@ def test_enrich_rejects_heads_below_one(tmp_path, capsys, heads):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+def test_enrich_names_the_heads_that_do_not_divide_the_token_width(tmp_path, capsys, config):
+    lm = tmp_path / "lm.json"
+    tok = tmp_path / "tokens.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    argv = ["enrich", "--landmarks", str(lm), "--tokens", str(tok),
+            "--rows", "4", "--cols", "4", "--out", str(out)]
+    if config:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"heads": 3}))
+        argv += ["--config", str(cfg_path)]
+        where = str(cfg_path)
+    else:
+        argv += ["--heads", "3"]
+        where = f"--heads 3 with 8-wide tokens in {tok}"
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{where}: d_attn=8 not divisible by heads=3"
+    assert not out.exists()
+
+
 def test_enrich_variant_none_is_identity(tmp_path):
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"
@@ -614,6 +637,29 @@ def test_split_per_task_beyond_float_range_names_the_target_and_task(tmp_path, c
         "message": f"{target}: task 'expression': the weights' shares of {10**309} records overflow",
     }
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"train_size": 3, "learning_rate": 1e308},
+         "h_l contains non-finite values at step 1 (sample 0)"),
+        ({"train_size": 3, "learning_rate": 1e300, "stage": "finetune", "variant": "none"},
+         "vision projector produced non-finite output at step 1 (sample 0)"),
+        ({"train_size": 1, "eval_size": 2, "learning_rate": 1e308, "stage": "finetune"},
+         "vision projector produced non-finite output at eval sample 0"),
+    ],
+    ids=["pretrain", "finetune-none", "eval"],
+)
+def test_train_names_where_a_diverging_run_failed_and_writes_nothing(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):  # the run overflows on purpose
+        assert main(["train", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError", "message": message}
+    assert not out_dir.exists()
 
 
 def test_train_names_the_config_for_a_size_numpy_cannot_allocate(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from facecond.frgca import FrgcaParams, frgca_backward
-from facecond.geometry import clip_rpp_masks
+from facecond.frlp import frlp_backward
+from facecond.geometry import clip_rpp_masks, default_partition
 from facecond.gradcheck import DIRECTIONAL_TOLERANCE, directional_error
 from facecond.registry import named, unflatten
 from facecond.toytrain import training
@@ -257,7 +258,7 @@ def test_none_gradient_is_zeros_then_vision_and_decoder_bit_for_bit():
     )
     assert backward_pass(model, sample, cfg, state).tobytes() == expected.tobytes()
     out = np.full(model.flat.size, np.nan)
-    assert backward_pass(model, sample, cfg, state, out=out) is out
+    assert backward_pass(model, sample, cfg, state, out=model.laid_over(out)) is out
     assert out.tobytes() == expected.tobytes()
 
 
@@ -364,8 +365,8 @@ def test_nonfinite_gradient_aborts_before_update(monkeypatch):
     before = snapshot(model)
     real_backward = training.decoder_backward
 
-    def poisoned(cache):
-        grads, d_visual = real_backward(cache)
+    def poisoned(cache, out=None):
+        grads, d_visual = real_backward(cache, out=out)
         grads.readout_b[0] = np.nan
         return grads, d_visual
 
@@ -373,6 +374,32 @@ def test_nonfinite_gradient_aborts_before_update(monkeypatch):
     with pytest.raises(FloatingPointError, match=r"non-finite gradient at step 0 \(sample \d+\)"):
         train(cfg, data, model=model)
     assert snapshot(model) == before
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(stage="pretrain", learning_rate=1e308),
+         r"h_l contains non-finite values at step \d+ \(sample \d+\)$"),
+        (dict(variant="none", learning_rate=1e300),
+         r"vision projector produced non-finite output at step \d+ \(sample \d+\)$"),
+    ],
+    ids=["pretrain", "finetune-none"],
+)
+def test_a_diverging_forward_names_its_step_and_sample(overrides, message):
+    cfg = tiny_config(**overrides)
+    with np.errstate(over="ignore", invalid="ignore"):  # the run overflows on purpose
+        with pytest.raises(ValueError, match=message):
+            train(cfg, tiny_dataset(cfg, size=3))
+
+
+def test_evaluate_names_the_sample_whose_forward_fails():
+    cfg = tiny_config()
+    data = tiny_dataset(cfg, size=3)
+    model = init_model(cfg)
+    model.vision.b2[0] = np.inf
+    with pytest.raises(ValueError, match=r"non-finite output at eval sample 0$"):
+        evaluate(model, data, cfg)
 
 
 def test_memorization_reduces_loss():
@@ -430,6 +457,70 @@ def test_masks_are_built_once_per_train_and_evaluate_call(monkeypatch, variant, 
         assert built == [2 * size] * calls
 
 
+@pytest.mark.parametrize("variant", ["frgca", "none"])
+def test_gradient_views_are_laid_once_per_train_call(monkeypatch, variant):
+    # the gradient's group views tile one vector for the whole call, whatever
+    # the number of steps
+    laid = []
+
+    def counted(vec, like):
+        laid.append(vec.size)
+        return unflatten(vec, like)
+
+    monkeypatch.setattr(training, "unflatten", counted)
+    cfg = tiny_config(variant=variant, epochs=2)
+    for size in (1, 6):
+        data = tiny_dataset(cfg, size=size)
+        model = init_model(cfg)
+        laid.clear()
+        assert len(train(cfg, data, model=model).trace) == 2 * size
+        assert laid == [model.flat.size]
+
+
+# (frames, grid side): the toy training shape, and eight frames
+LAYER_SHAPES = {"toy": (1, 4), "T8": (8, 4)}
+
+
+def _destination(params):
+    """A parameter object like ``params`` around NaN-filled arrays."""
+    return params.with_arrays([np.full_like(a, np.nan) for a in params.arrays()])
+
+
+@pytest.mark.parametrize("shape", LAYER_SHAPES)
+@pytest.mark.parametrize(
+    "variant, tokens",
+    [("frgca", "both"), ("frgca", "local_only"), ("frgca", "global_only"), ("simple", "both")],
+)
+def test_layer_backwards_write_into_out_the_bytes_they_allocate(shape, variant, tokens):
+    frames, side = LAYER_SHAPES[shape]
+    cfg = TrainConfig(stage="finetune", variant=variant, tokens=tokens, frames=frames,
+                      grid_rows=side, grid_cols=side, d=16, heads=4, d_raw=8)
+    model = init_model(cfg)
+    sample = synth_dataset(seed=3, size=1, frames=frames, n_patches=cfg.n_patches,
+                           d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
+    _, (vision_cache, attn_cache, decoder_cache) = forward_loss(
+        model, sample, cfg, masks_of(model, sample, cfg)
+    )
+    decoder_grads, d_visual = decoder_backward(decoder_cache)
+    frgca_grads, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
+    frlp_args = (d_h_l, sample.clip, default_partition(), model.frlp, tokens)
+    calls = [
+        (decoder_backward, (decoder_cache,), model.decoder, (decoder_grads, d_visual)),
+        (frgca_backward, (d_visual, attn_cache), model.frgca, (frgca_grads, d_h_v, d_h_l)),
+        (frlp_backward, frlp_args, model.frlp, (frlp_backward(*frlp_args),)),
+        (vision_backward, (d_h_v, vision_cache), model.vision, (vision_backward(d_h_v, vision_cache),)),
+    ]
+    for backward, args, params, allocated in calls:
+        out = _destination(params)
+        written = backward(*args, out=out)
+        written = written if isinstance(written, tuple) else (written,)
+        assert written[0] is out, backward.__name__
+        for got, expected in zip(out.arrays(), allocated[0].arrays(), strict=True):
+            assert got.tobytes() == expected.tobytes(), backward.__name__
+        for got, expected in zip(written[1:], allocated[1:], strict=True):  # the cotangents
+            assert got.tobytes() == expected.tobytes(), backward.__name__
+
+
 def _train_over_the_whole_prefix(cfg, data, model):
     """``train``'s loop with AdamW stepped over the stage's whole trainable
     prefix, the landmark groups included for every variant; returns the
@@ -445,7 +536,7 @@ def _train_over_the_whole_prefix(cfg, data, model):
             sample = data[int(idx)]
             lr = cosine_lr(cfg.resolved_lr, step, total_steps)
             loss, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
-            backward_pass(model, sample, cfg, state, out=grad)
+            backward_pass(model, sample, cfg, state, out=model.laid_over(grad))
             optimizer.step(model.flat[:n_trainable], grad[:n_trainable], lr)
             trace.append((step, lr, loss))
             step += 1
