@@ -7,6 +7,8 @@ as "d". ``arrays()`` returns an instance's arrays in spec order and
 ``with_arrays`` rebuilds it around new ones, so one spec names weights,
 gradients, checkpoint tensors and gradcheck arrays alike. Both resolve a
 class's array and configuration field names once per class, not per call.
+``empty_like`` is an instance rebuilt around fresh arrays of its shapes,
+the gradient destination a layer backward allocates when given none.
 ``init_arrays`` gives every spec its initial values by one rule, the
 fan-in scaling of LeCun et al., "Efficient BackProp" (1998), and ``take``
 loads exactly the tensors a spec names, failing on one missing or extra.
