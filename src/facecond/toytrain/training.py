@@ -167,9 +167,9 @@ class ModelParams:
         self._tile(np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64))
 
     def laid_over(self, flat: np.ndarray) -> "ModelParams":
-        """This model's layout over ``flat``, a vector of ``flat.size``
-        entries such as a gradient: a copy whose ``flat`` is ``flat``
-        itself and whose group arrays are views tiling it."""
+        """This model's layout over ``flat``, a vector as long as
+        ``self.flat`` such as a gradient: a shallow copy whose ``flat`` is
+        the given vector itself and whose group arrays are views tiling it."""
         other = copy.copy(self)
         other._tile(flat)
         return other
