@@ -272,10 +272,10 @@ def frgca_backward(
     d_k_rows = d_k.transpose(0, 2, 1, 3).reshape(T * M, -1)
     d_v_rows = d_v.transpose(0, 2, 1, 3).reshape(T * M, -1)
     h_l_rows = h_l.reshape(T * M, d)
-    np.matmul(d_k_rows.T, h_l_rows, out=out.w_k)
-    np.matmul(d_v_rows.T, h_l_rows, out=out.w_v)
+    np.dot(d_k_rows.T, h_l_rows, out=out.w_k)
+    np.dot(d_v_rows.T, h_l_rows, out=out.w_v)
     np.add.reduce(d_v_rows, axis=0, out=out.b_v)
-    d_h_l = (d_k_rows @ params.w_k + d_v_rows @ params.w_v).reshape(T, M, d)
+    d_h_l = (np.dot(d_k_rows, params.w_k) + np.dot(d_v_rows, params.w_v)).reshape(T, M, d)
     return out, d_h_v, d_h_l
 
 

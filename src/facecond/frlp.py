@@ -105,8 +105,11 @@ def frlp_forward(
     ``partition``, then the whole face."""
     inputs = _region_inputs(clip, partition, params)
     tokens = np.empty((clip.num_frames, len(inputs), params.d))
+    # the step's products of two 2-D operands go through np.dot, which
+    # makes matmul's BLAS call without its gufunc dispatch, which counts
+    # at the toy shape; products with a batch axis stay matmul
     for i, (x, w, b) in enumerate(zip(inputs, params.weights, params.biases)):
-        np.add(x @ w.T, b, out=tokens[:, i])
+        np.add(np.dot(x, w.T), b, out=tokens[:, i])
     return tokens
 
 
@@ -156,7 +159,7 @@ def frlp_backward(
     if out is None:
         out = empty_like(params)
     for i, (x, d_w) in enumerate(zip(inputs, out.weights)):
-        np.matmul(d_regions[:, i].T, x, out=d_w)
+        np.dot(d_regions[:, i].T, x, out=d_w)
     # every region's bias gradient in one sum over frames, (M + 1, d)
     for d_b, row in zip(out.biases, np.add.reduce(d_regions, axis=0)):
         d_b[...] = row

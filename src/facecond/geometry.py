@@ -172,13 +172,15 @@ def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarr
     """Arithmetic mean of each group's points: (..., 68, 2) landmarks give
     (..., M, 2) centroids.
 
-    One gather through ``partition.order`` puts each group's points
-    together in group order; each group's slice is summed and divided by
-    its size, as ``mean`` does, so the result equals ``mean`` bit for bit.
+    One gather through ``partition.order`` on a leading landmark axis puts
+    each group's points together in group order; each group's slice is
+    summed landmark by landmark, over a contiguous inner loop of all its
+    frames' coordinates, and divided by its size, as ``mean`` does, so the
+    result equals ``mean`` bit for bit.
     """
-    gathered, bounds = points[..., partition.order, :], partition.offsets
+    gathered, bounds = np.moveaxis(points, -2, 0)[partition.order], partition.offsets
     means = [
-        np.add.reduce(gathered[..., a:b, :], axis=-2) / size
+        np.add.reduce(gathered[a:b], axis=0) / size
         for a, b, size in zip(bounds, bounds[1:], partition.sizes())
     ]
     return np.stack(means, axis=-2)
@@ -216,8 +218,16 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    diff = patches[:, None, :] - regions[..., None, :, :]
-    return -np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    # one (..., N, M) plane per coordinate, so no inner loop runs over the
+    # length-2 (x, y) axis; dx * dx + dy * dy is the sum a reduction over
+    # that axis forms, so the bits are those of the (x, y) pair formula
+    dx = patches[:, None, 0] - regions[..., None, :, 0]
+    dy = patches[:, None, 1] - regions[..., None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    np.sqrt(dx, out=dx)
+    return np.negative(dx, out=dx)
 
 
 def clip_rpp_masks(

@@ -80,8 +80,8 @@ def init_decoder(vocab: int, d: int, seed: int = 0) -> ToyDecoderParams:
 
 
 def _check_ids(ids: Sequence[int], vocab: int, what: str) -> tuple[int, ...]:
-    ids = tuple(int(i) for i in ids)
-    if any(i < 0 or i >= vocab for i in ids):
+    ids = tuple(map(int, ids))
+    if ids and (min(ids) < 0 or max(ids) >= vocab):
         raise ValueError(f"{what} token id out of range for vocab {vocab}")
     return ids
 
@@ -105,20 +105,9 @@ def sequence_assemble(
     total = T * N + len(instruction_ids) + len(response_ids)
     if total > max_context:
         raise ValueError(f"sequence length {total} exceeds context window {max_context}")
-    rows = np.concatenate(
-        [
-            visual.reshape(T * N, d),
-            params.embedding[list(instruction_ids)].reshape(len(instruction_ids), d),
-            params.embedding[list(response_ids)].reshape(len(response_ids), d),
-        ]
-    )
+    text = params.embedding[list(instruction_ids + response_ids)]
+    rows = np.concatenate([visual.reshape(T * N, d), text])
     return DecoderSequence(rows, T * N, instruction_ids, response_ids, (T, N, d))
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def autoregressive_loss(
@@ -143,8 +132,12 @@ def autoregressive_loss(
     for i in range(R):
         np.add.reduce(sequence.rows[: n_prefix + i], axis=0, out=pooled[i])
         pooled[i] /= n_prefix + i
-    logits = pooled @ params.readout_w.T + params.readout_b
-    probs = _softmax(logits)
+    # the softmax turns the logits into the probabilities in place
+    probs = np.dot(pooled, params.readout_w.T)
+    probs += params.readout_b
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     picked = probs[np.arange(R), list(targets)]
     with np.errstate(divide="ignore"):
         loss = float(-(np.add.reduce(np.log(picked)) / R))
@@ -177,11 +170,11 @@ def decoder_backward(
     d_logits[np.arange(R), list(seq.response_ids)] -= 1.0
     d_logits /= R
 
-    np.matmul(d_logits.T, cache.pooled, out=out.readout_w)
+    np.dot(d_logits.T, cache.pooled, out=out.readout_w)
     np.add.reduce(d_logits, axis=0, out=out.readout_b)
-    d_pooled = d_logits @ params.readout_w  # (R, d)
+    d_pooled = np.dot(d_logits, params.readout_w)  # (R, d)
 
-    d_rows = np.zeros_like(seq.rows)
+    d_rows = np.zeros(seq.rows.shape)
     for i in range(R):
         span = n_prefix + i
         d_rows[:span] += d_pooled[i] / span

@@ -105,7 +105,7 @@ def vision_backward(
     # fold (T, N) into one row axis: each weight gradient is one GEMM
     rows = g.shape[0] * g.shape[1]
     d_hidden = g @ params.w2
-    np.matmul(g.reshape(rows, -1).T, cache.hidden.reshape(rows, -1), out=out.w2)
+    np.dot(g.reshape(rows, -1).T, cache.hidden.reshape(rows, -1), out=out.w2)
     np.add.reduce(g, axis=(0, 1), out=out.b2)
     # d_hidden becomes d_pre in place: times the GELU slope
     # 0.5 cdf2 + (x / sqrt(2 pi)) exp((-0.5 x) x), built in one scratch array
@@ -117,6 +117,6 @@ def vision_backward(
     slope += 0.5 * cache.cdf2
     d_hidden *= slope
     d_pre = d_hidden
-    np.matmul(d_pre.reshape(rows, -1).T, cache.raw.reshape(rows, -1), out=out.w1)
+    np.dot(d_pre.reshape(rows, -1).T, cache.raw.reshape(rows, -1), out=out.w1)
     np.add.reduce(d_pre, axis=(0, 1), out=out.b1)
     return out

@@ -386,6 +386,9 @@ def train(
     # the gradient in the parameters' layout, its group views laid once per call
     grad = model.laid_over(np.empty_like(model.flat))
     stepped_grad = grad.flat[start:stop]
+    # what the finiteness check scans: for "none", the landmark gradients
+    # before ``start`` are the +0.0 that backward_pass fills in
+    checked_grad = grad.flat[start:]
     optimizer = AdamW(stop - start)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
@@ -404,7 +407,7 @@ def train(
             except (FloatingPointError, ValueError) as exc:
                 raise _at(exc, f"step {step} (sample {idx})") from exc
             backward_pass(model, sample, config, state, out=grad)
-            if not np.logical_and.reduce(np.isfinite(grad.flat)):
+            if not np.logical_and.reduce(np.isfinite(checked_grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
             optimizer.step(params, stepped_grad, lr)
             trace.append((step, lr, loss))
