@@ -295,6 +295,28 @@ def test_rpp_matches_bruteforce_distances():
                 assert mask[j, i] == pytest.approx(-d, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "partition",
+    [default_partition(), WHOLE_FACE, shuffled_partition(7)],
+    ids=["default", "whole_face", "shuffled"],
+)
+@pytest.mark.parametrize("lead", [(), (1,), (8,), (2, 500)], ids=str)
+@pytest.mark.parametrize("rows, cols", [(4, 4), (16, 16), (5, 7)])
+def test_masks_equal_the_coordinate_pair_formula_bit_for_bit(partition, lead, rows, cols):
+    # the distance over the (x, y) axis of the centroid differences, summed
+    # by a reduction over that axis, for every frame of every leading shape
+    points = np.random.default_rng(31).uniform(-0.5, 1.5, size=(*lead, N_LANDMARKS, 2))
+    grid = PatchGrid(rows, cols)
+    regions = np.stack(
+        [points[..., list(idx), :].mean(axis=-2) for _, idx in partition.groups], axis=-2
+    )
+    diff = patch_centroids(grid)[:, None, :] - regions[..., None, :, :]
+    expected = -np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    got = clip_rpp_masks(points, partition, grid)
+    assert got.shape == (*lead, grid.num_patches, partition.num_regions)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_rpp_monotone_in_distance():
     patch = np.array([[0.5, 0.5]])
     near = rpp_mask(np.array([[0.6, 0.5]]), patch)[0, 0]

@@ -624,6 +624,75 @@ def test_toytrain_forward_entries_always_return_their_cache():
     assert offenders == []
 
 
+# the functions a train step and the mask build run, by source file;
+# at batch size 1 and the toy shape numpy's per-call dispatch sets their
+# time, so they call no Python-level numpy wrapper
+STEP_FUNCTIONS = {
+    "geometry.py": ("clip_rpp_masks", "region_centroids", "_proximity"),
+    "frlp.py": ("frlp_forward", "_region_inputs", "select_tokens", "frlp_backward"),
+    "frgca.py": ("frgca_forward", "_validate", "_heads", "frgca_backward"),
+    "toytrain/projector.py": ("vision_project", "vision_backward"),
+    "toytrain/decoder.py": (
+        "sequence_assemble", "_check_ids", "autoregressive_loss", "decoder_backward"
+    ),
+    "toytrain/training.py": ("condition", "forward_loss", "backward_pass", "AdamW.step"),
+}
+# np.zeros_like and np.ones_like, and the reductions as methods (or as
+# np.sum and the like): each a Python function in front of the ufunc call
+NUMPY_WRAPPERS = ("zeros_like", "ones_like", "sum", "mean", "max", "min", "all", "any")
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _wrapper_calls(tree: ast.Module, names):
+    """(function, line, wrapper) of each call of a NUMPY_WRAPPERS attribute
+    inside the functions of ``tree`` named in ``names``, in line order."""
+    return sorted(
+        (name, call.lineno, call.func.attr)
+        for name, func in _functions(tree) if name in names
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr in NUMPY_WRAPPERS
+    )
+
+
+def test_dispatch_guard_sees_each_wrapper():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    a = np.zeros_like(x)\n    b = np.ones_like(x)\n    c = x.sum()\n"
+        "    d = x.mean(axis=0)\n    e = x.max()\n    g = x.min()\n"
+        "    h = (x > 0).all()\n    i = np.any(x)\n"
+        "    return np.add.reduce(x), np.maximum.reduce(x), max(a), min(b)\n"
+        "class C:\n    def step(self, x):\n        return x.sum()\n"
+        "def unchecked(x):\n    return x.sum()\n"
+    )
+    assert _wrapper_calls(tree, ("f", "C.step")) == [
+        ("C.step", 13, "sum"),
+        ("f", 2, "zeros_like"), ("f", 3, "ones_like"), ("f", 4, "sum"), ("f", 5, "mean"),
+        ("f", 6, "max"), ("f", 7, "min"), ("f", 8, "all"), ("f", 9, "any"),
+    ]
+
+
+def test_train_step_calls_no_numpy_wrapper():
+    root = Path(training.__file__).parent.parent
+    offenders = []
+    for relpath, names in STEP_FUNCTIONS.items():
+        tree = ast.parse((root / relpath).read_text(encoding="utf-8"))
+        assert set(names) <= {name for name, _ in _functions(tree)}, relpath
+        offenders += [f"{relpath}:{line} {name}: {wrapper}"
+                      for name, line, wrapper in _wrapper_calls(tree, names)]
+    assert offenders == []
+
+
 def test_layer_names_the_benchmark_wraps_exist_on_training():
     # perfbench/workloads.py wraps training-module attributes by name, in
     # (owner, "attribute", wrapper) triples built in _training_patches
