@@ -62,9 +62,12 @@ def _archive(doc) -> tuple[dict[str, np.ndarray], dict]:
         where = f"tensor {key!r}"
         entry = typed(entry, OBJECT, where)
         with within(where):
-            arrays[key] = number_array(entry["data"], 1, "data").reshape(
-                member(entry, "shape", INTEGERS)
-            )
+            data = number_array(entry["data"], 1, "data")
+            shape = member(entry, "shape", INTEGERS)
+            # reshape would read a negative entry as a size left to infer
+            if min(shape, default=0) < 0:
+                raise ValueError(f"shape {shape} has a negative dimension")
+            arrays[key] = data.reshape(shape)
     return arrays, meta
 
 

@@ -213,7 +213,8 @@ def cmd_enrich(args) -> int:
         try:
             model = init_model(TrainConfig(seed=args.seed, d=d, heads=args.heads))
         except ValueError as exc:
-            where = args.config or f"--heads {args.heads} with {d}-wide tokens in {args.tokens}"
+            where = (args.config if "heads" in args.config_keys
+                     else f"--heads {args.heads} with {d}-wide tokens in {args.tokens}")
             raise ValueError(f"{where}: {exc}") from None
         frlp_params, frgca_params = model.frlp, model.frgca
 
@@ -361,6 +362,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
         description="Face-region conditioning pipeline: masks, token enrichment, "
         "gradient checks, toy training, free-text evaluation, and dataset filtering.",
     )
+    # the --config keys that no flag overrides, so an error can name the config
+    parser.set_defaults(config_keys=frozenset())
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
@@ -458,8 +461,12 @@ def main(argv=None) -> int:
         logging.basicConfig(level=level.upper())
         if args.config is not None:  # its values become defaults, which flags override
             sub, takes = commands[args.command]
-            sub.set_defaults(**_read_config(args.config, args.command, takes))
+            config = _read_config(args.config, args.command, takes)
+            sub.set_defaults(**dict.fromkeys(config))  # a flag's value is never None
+            flagged = vars(parser.parse_args(argv))
+            sub.set_defaults(**config)
             args = parser.parse_args(argv)
+            args.config_keys = {key for key in config if flagged[key] is None}
         return args.func(args)
     except Exception as exc:  # argparse handles usage errors before this
         json.dump(

@@ -83,25 +83,28 @@ def match_synonyms_all(text: str, taxonomy: Taxonomy) -> set[str]:
 
 def _int(digits: str) -> int | None:
     """A digit run as an int; None when it is longer than Python's
-    int-string limit, which this module treats as a failed parse."""
+    int-string limit or beyond float64 range, where the metrics could not
+    score it, which this module treats as a failed parse."""
     try:
-        return int(digits)
-    except ValueError:
+        value = int(digits)
+        float(value)
+    except (ValueError, OverflowError):
         return None
+    return value
 
 
 def parse_aus(text: str, cues: Sequence[str] | None = None) -> set[int]:
     """Action-unit codes: "AU" followed by digits, optional space,
     case-insensitive, after negation stripping. A code too long to read
-    as an int is skipped."""
+    as an int, or beyond float64 range, is skipped."""
     stripped = strip_negatives(text, cues)
     codes = (_int(m.group(1)) for m in _AU_PATTERN.finditer(stripped))
     return {code for code in codes if code is not None}
 
 
 def parse_age(text: str, cues: Sequence[str] | None = None) -> int | None:
-    """First integer token after negation stripping; None when absent or
-    too long to read as an int."""
+    """First integer token after negation stripping; None when absent,
+    too long to read as an int or beyond float64 range."""
     stripped = strip_negatives(text, cues)
     match = _INT_PATTERN.search(stripped)
     return _int(match.group(0)) if match else None

@@ -7,7 +7,7 @@ Input is JSONL, one record per line:
 
 ground_truth is a class name (expression, deepfake), a list of AU
 integers (au), a list of positive attribute names (attribute), or an
-integer age. chunk_group marks video chunks that majority-vote into one
+integer age within float64 range. chunk_group marks video chunks that majority-vote into one
 prediction for the single-label tasks.
 """
 
@@ -76,6 +76,11 @@ class EvalRecord:
         )
         what = f"'ground_truth' of task {record.task!r}"
         typed(record.ground_truth, _TRUTH_KINDS[record.task], what)
+        if record.task == "age":  # compute_mae scores ages as float64
+            try:
+                float(record.ground_truth)
+            except OverflowError:
+                raise ValueError(f"{what} is an integer beyond float64 range") from None
         return record
 
 

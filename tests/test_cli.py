@@ -144,6 +144,22 @@ def test_enrich_names_the_heads_that_do_not_divide_the_token_width(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config", [{"seed": 1}, {"heads": 3}, {"heads": 2}], ids=["no_heads", "same_heads", "other_heads"]
+)
+def test_enrich_names_a_heads_flag_that_overrides_a_config(tmp_path, capsys, config):
+    lm, tok, out = tmp_path / "lm.json", tmp_path / "tokens.json", tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--rows", "4",
+                 "--cols", "4", "--config", str(cfg_path), "--heads", "3", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"--heads 3 with 8-wide tokens in {tok}: d_attn=8 not divisible by heads=3"
+    assert not out.exists()
+
+
 def test_enrich_variant_none_is_identity(tmp_path):
     lm = tmp_path / "lm.json"
     tok = tmp_path / "tokens.json"
@@ -291,6 +307,24 @@ def test_enrich_rejects_a_checkpoint_value_that_is_not_a_number(tmp_path, capsys
                  "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
     message = json.loads(capsys.readouterr().err)["error"]["message"]
     assert message.startswith(f"{ck}: tensor 'frgca.w_v.bias': data[1] is "), message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [[-1], [-2]], ids=["minus_1", "minus_2"])
+def test_enrich_rejects_a_checkpoint_shape_with_a_negative_dimension(tmp_path, capsys, shape):
+    lm, tok, ck = tmp_path / "lm.json", tmp_path / "tokens.json", tmp_path / "ck.json"
+    out = tmp_path / "enriched.json"
+    write_landmarks(lm)
+    write_tokens(tok, n=16, d=8)
+    save_model(str(ck), init_model(TrainConfig(d=8, heads=2)))
+    doc = json.loads(ck.read_text())
+    doc["tensors"]["frgca.w_o.bias"]["shape"] = shape
+    ck.write_text(json.dumps(doc))
+    assert main(["enrich", "--landmarks", str(lm), "--tokens", str(tok), "--checkpoint", str(ck),
+                 "--rows", "4", "--cols", "4", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        f"{ck}: tensor 'frgca.w_o.bias': shape {shape} has a negative dimension"
+    )
     assert not out.exists()
 
 
@@ -1117,6 +1151,31 @@ def test_filter_names_a_missing_key(tmp_path):
                  "--out-removed", str(tmp_path / "r.jsonl"), "--summary-out", str(summary)]) == 0
     report = json.loads(summary.read_text())
     assert report["parse_errors"] == [{"line": 2, "message": "missing key 'media'"}]
+
+
+def _age_records(path, generated, ground_truth):
+    doc = {"id": "age-1", "task": "age", "generated": generated, "ground_truth": 30}
+    path.write_text(json.dumps(doc) + "\n" + json.dumps(
+        {**doc, "id": "age-2", "generated": generated, "ground_truth": ground_truth}) + "\n")
+
+
+def test_eval_names_the_line_of_an_age_beyond_float64_range(tmp_path, capsys):
+    records, out = tmp_path / "records.jsonl", tmp_path / "report.json"
+    _age_records(records, "About 30 years old.", 10**400)
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == (f"{records}:2: bad eval record: "
+                              "'ground_truth' of task 'age' is an integer beyond float64 range")
+    assert not out.exists()
+
+
+def test_eval_scores_a_generated_age_beyond_float64_range_as_a_parse_failure(tmp_path):
+    records, out = tmp_path / "records.jsonl", tmp_path / "report.json"
+    _age_records(records, "About 1" + "0" * 400 + " years old.", 30)
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 0
+    age = json.loads(out.read_text())["tasks"]["age"]
+    assert age["parse_failure_rate"] == 1.0
+    assert age["metrics"]["mae"] == 30.0
 
 
 def test_eval_names_a_missing_key(tmp_path, capsys):

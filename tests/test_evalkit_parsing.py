@@ -370,6 +370,14 @@ def test_parse_age_no_digits():
     assert parse_age("about " + "9" * 4301 + " years") is None
 
 
+def test_a_digit_run_beyond_float64_range_is_a_failed_parse():
+    # as for a run beyond the int-string limit: no age, and no AU code
+    huge = "1" + "0" * 400
+    assert parse_age(f"About {huge} years old.") is None
+    assert parse_aus(f"AU{huge} and AU 4") == {4}
+    assert parse_age("About 1" + "0" * 308 + " years old.") == 10**308
+
+
 def test_parse_age_negation_removed_first():
     assert parse_age("He is 42. Not 60.") == 42
 
