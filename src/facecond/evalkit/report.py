@@ -7,8 +7,8 @@ Input is JSONL, one record per line:
 
 ground_truth is a class name (expression, deepfake), a list of AU
 integers (au), a list of positive attribute names (attribute), or an
-integer age within float64 range. chunk_group marks video chunks that majority-vote into one
-prediction for the single-label tasks.
+integer age within float64 range. chunk_group marks video chunks that
+majority-vote into one prediction for the single-label tasks.
 """
 
 from __future__ import annotations

@@ -105,9 +105,8 @@ def frlp_forward(
     ``partition``, then the whole face."""
     inputs = _region_inputs(clip, partition, params)
     tokens = np.empty((clip.num_frames, len(inputs), params.d))
-    # the step's products of two 2-D operands go through np.dot, which
-    # makes matmul's BLAS call without its gufunc dispatch, which counts
-    # at the toy shape; products with a batch axis stay matmul
+    # a train step's 2-D products use np.dot: matmul's BLAS call without the
+    # gufunc dispatch, which counts at the toy shape; batched products stay @
     for i, (x, w, b) in enumerate(zip(inputs, params.weights, params.biases)):
         np.add(np.dot(x, w.T), b, out=tokens[:, i])
     return tokens

@@ -4,7 +4,9 @@
 one-region whole-face partition, the visual patch grid, and the
 region-patch proximity mask used to bias cross-attention. A partition's
 one gather table, its group order, feeds both the region centroids and
-the FRLP inputs. All operations are pure functions on immutable inputs.
+the FRLP inputs. The masks are built from (..., N, M) planes of x and y
+differences, not over a length-2 (x, y) axis, with the same bits. All
+operations are pure functions on immutable inputs.
 """
 
 from __future__ import annotations
@@ -172,11 +174,10 @@ def region_centroids(points: np.ndarray, partition: RegionPartition) -> np.ndarr
     """Arithmetic mean of each group's points: (..., 68, 2) landmarks give
     (..., M, 2) centroids.
 
-    One gather through ``partition.order`` on a leading landmark axis puts
-    each group's points together in group order; each group's slice is
-    summed landmark by landmark, over a contiguous inner loop of all its
-    frames' coordinates, and divided by its size, as ``mean`` does, so the
-    result equals ``mean`` bit for bit.
+    One gather through ``partition.order``, on a leading landmark axis,
+    puts each group's points together in group order; each group's slice
+    is summed landmark by landmark and divided by its size, as ``mean``
+    does, so the result equals ``mean`` bit for bit.
     """
     gathered, bounds = np.moveaxis(points, -2, 0)[partition.order], partition.offsets
     means = [
@@ -218,16 +219,12 @@ def rpp_mask(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 
 def _proximity(regions: np.ndarray, patches: np.ndarray) -> np.ndarray:
-    # one (..., N, M) plane per coordinate, so no inner loop runs over the
-    # length-2 (x, y) axis; dx * dx + dy * dy is the sum a reduction over
-    # that axis forms, so the bits are those of the (x, y) pair formula
     dx = patches[:, None, 0] - regions[..., None, :, 0]
     dy = patches[:, None, 1] - regions[..., None, :, 1]
     dx *= dx
     dy *= dy
     dx += dy
-    np.sqrt(dx, out=dx)
-    return np.negative(dx, out=dx)
+    return np.negative(np.sqrt(dx, out=dx), out=dx)
 
 
 def clip_rpp_masks(

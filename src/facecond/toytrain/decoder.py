@@ -8,6 +8,8 @@ parameter-free stand-in for sequence mixing, which keeps the likelihood
 autoregressive while the conditioning modules stay the subject under
 test. The loss scores the response tokens of the assembled sequence, so
 ``sequence_assemble`` is the one place that checks token ids.
+At batch size 1 numpy's per-call dispatch sets the time: the softmax
+runs in place on the logits, and 2-D products go through ``np.dot``.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def sequence_assemble(
     total = T * N + len(instruction_ids) + len(response_ids)
     if total > max_context:
         raise ValueError(f"sequence length {total} exceeds context window {max_context}")
-    text = params.embedding[list(instruction_ids + response_ids)]
-    rows = np.concatenate([visual.reshape(T * N, d), text])
+    rows = np.concatenate(
+        [visual.reshape(T * N, d), params.embedding[list(instruction_ids + response_ids)]]
+    )
     return DecoderSequence(rows, T * N, instruction_ids, response_ids, (T, N, d))
 
 
@@ -132,7 +135,6 @@ def autoregressive_loss(
     for i in range(R):
         np.add.reduce(sequence.rows[: n_prefix + i], axis=0, out=pooled[i])
         pooled[i] /= n_prefix + i
-    # the softmax turns the logits into the probabilities in place
     probs = np.dot(pooled, params.readout_w.T)
     probs += params.readout_b
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
@@ -183,6 +185,5 @@ def decoder_backward(
     d_visual = d_rows[: seq.n_visual].reshape(T, N, d)
 
     out.embedding.fill(0.0)
-    text_ids = list(seq.instruction_ids) + list(seq.response_ids)
-    np.add.at(out.embedding, text_ids, d_rows[seq.n_visual :])
+    np.add.at(out.embedding, list(seq.instruction_ids + seq.response_ids), d_rows[seq.n_visual :])
     return out, d_visual

@@ -386,9 +386,7 @@ def train(
     # the gradient in the parameters' layout, its group views laid once per call
     grad = model.laid_over(np.empty_like(model.flat))
     stepped_grad = grad.flat[start:stop]
-    # what the finiteness check scans: for "none", the landmark gradients
-    # before ``start`` are the +0.0 that backward_pass fills in
-    checked_grad = grad.flat[start:]
+    checked_grad = grad.flat[start:]  # "none" skips backward_pass's +0.0 fill
     optimizer = AdamW(stop - start)
     base_lr = config.resolved_lr
     total_steps = config.epochs * len(dataset)
