@@ -13,8 +13,9 @@ manifest pipeline on one fixed manifest: a sha256 of every file that
 ``save_landmarks`` file, and of the ``facecond mask`` output for a 3-frame
 clip. It pins ``facecond eval`` on each of the five ``eval_*.jsonl``
 fixtures: a sha256 of the report, and of the ``--confusion-out`` CSV for
-the two single-label tasks. It pins a sha256 of ``facecond --help`` and of
-``facecond <command> --help`` for every subcommand, at COLUMNS=80, so an
+the two single-label tasks. It pins ``facecond gradcheck``: a sha256 of
+the ``--out`` report for each of seeds 0, 1 and 2. It pins a sha256 of
+``facecond --help`` and of ``facecond <command> --help`` for every subcommand, at COLUMNS=80, so an
 added, removed or renamed option shows. Rerun only when a change is meant
 to alter those outputs; tests/test_golden.py compares against the
 committed file.
@@ -250,6 +251,25 @@ def run_eval_case(task: str) -> dict:
     return result
 
 
+GRADCHECK_SEEDS = (0, 1, 2)
+
+
+def gradcheck_key(seed: int) -> str:
+    return f"gradcheck/{seed}"
+
+
+def run_gradcheck_case(seed: int) -> dict:
+    """``facecond gradcheck --seed <seed>``: the finite-difference report,
+    whose errors carry every bit of the analytic gradients."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "gradcheck.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["gradcheck", "--seed", str(seed), "--out", out])
+        if code != 0:
+            raise RuntimeError(f"gradcheck failed for seed {seed}")
+        return {"sha256": _sha256_file(out)}
+
+
 # "" is the top-level parser
 HELP_COMMANDS = ("", *build_parser()[1])
 
@@ -283,6 +303,8 @@ def compute() -> dict:
     golden[MASK_KEY] = run_mask_case()
     for task in EVAL_TASKS:
         golden[eval_key(task)] = run_eval_case(task)
+    for seed in GRADCHECK_SEEDS:
+        golden[gradcheck_key(seed)] = run_gradcheck_case(seed)
     for command in HELP_COMMANDS:
         golden[help_key(command)] = run_help_case(command)
     return golden

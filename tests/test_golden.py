@@ -5,7 +5,8 @@ The golden pins loss traces, trained parameters, checkpoint bytes, enrich
 output bytes, the bytes of every file filter, pair and split write, one
 landmark file's bytes, the bytes ``facecond mask`` writes for a 3-frame
 clip, the report and confusion CSV bytes ``facecond eval`` writes for
-each eval fixture and the ``--help`` text of every command; it is
+each eval fixture, the ``facecond gradcheck`` report bytes for three
+seeds and the ``--help`` text of every command; it is
 regenerated only by tests/make_golden.py, when an output is meant to
 change.
 """
@@ -18,6 +19,7 @@ from make_golden import (
     CASES,
     EVAL_TASKS,
     GOLDEN_PATH,
+    GRADCHECK_SEEDS,
     HELP_COMMANDS,
     LANDMARKS_KEY,
     MASK_KEY,
@@ -25,11 +27,13 @@ from make_golden import (
     STAGES,
     enrich_key,
     eval_key,
+    gradcheck_key,
     help_key,
     pipeline_key,
     run_case,
     run_enrich_case,
     run_eval_case,
+    run_gradcheck_case,
     run_help_case,
     run_landmarks_case,
     run_mask_case,
@@ -85,6 +89,11 @@ def test_mask_matches_golden(golden):
 @pytest.mark.parametrize("task", EVAL_TASKS)
 def test_eval_matches_golden(golden, task):
     assert run_eval_case(task) == golden[eval_key(task)]
+
+
+@pytest.mark.parametrize("seed", GRADCHECK_SEEDS)
+def test_gradcheck_matches_golden(golden, seed):
+    assert run_gradcheck_case(seed) == golden[gradcheck_key(seed)]
 
 
 @pytest.mark.parametrize("command", HELP_COMMANDS, ids=lambda command: command or "facecond")
