@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registry import SpecParams, empty_like, init_arrays, shaped
+from .registry import SpecParams, init_arrays, shaped
 
 VARIANTS = ("frgca", "simple")
 
@@ -210,13 +210,12 @@ def frgca_forward(
 
 
 def frgca_backward(
-    cotangent: np.ndarray, cache: FrgcaCache | None, out: FrgcaParams | None = None
-) -> tuple[FrgcaParams, np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients of frgca_forward: the parameter
-    gradients shaped like the parameters, written into ``out`` (fresh
-    arrays when it is None; its arrays must be C-contiguous, as
-    ``w_q`` and ``b_q`` are written through per-head reshapes), then
-    d_h_v and d_h_l.
+    cotangent: np.ndarray, cache: FrgcaCache | None, out: FrgcaParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients of frgca_forward: writes the parameter
+    gradients into ``out``, shaped like the parameters (its arrays must
+    be C-contiguous, as ``w_q`` and ``b_q`` are written through per-head
+    reshapes), and returns d_h_v and d_h_l.
 
     ``cache`` must come from a matching forward call with
     return_cache=True.
@@ -225,8 +224,6 @@ def frgca_backward(
         raise ValueError("missing forward cache; call frgca_forward(..., return_cache=True)")
     params = cache.params
     g = shaped(np.asarray(cotangent, dtype=np.float64), cache.h_v.shape, {}, "cotangent")
-    if out is None:
-        out = empty_like(params)
 
     h_v, h_l = cache.h_v, cache.h_l
     T, N, d = h_v.shape
@@ -276,7 +273,7 @@ def frgca_backward(
     np.dot(d_v_rows.T, h_l_rows, out=out.w_v)
     np.add.reduce(d_v_rows, axis=0, out=out.b_v)
     d_h_l = (np.dot(d_k_rows, params.w_k) + np.dot(d_v_rows, params.w_v)).reshape(T, M, d)
-    return out, d_h_v, d_h_l
+    return d_h_v, d_h_l
 
 
 def attention_maps_json(weights: np.ndarray) -> list[dict]:

@@ -24,7 +24,7 @@ from typing import ClassVar
 import numpy as np
 
 from .geometry import LandmarkClip, RegionPartition, N_LANDMARKS, default_partition
-from .registry import Spec, empty_like, init_arrays, shaped
+from .registry import Spec, init_arrays, shaped
 
 TOKEN_MODES = ("both", "local_only", "global_only")
 
@@ -135,11 +135,12 @@ def frlp_backward(
     partition: RegionPartition,
     params: FrlpParams,
     mode: str = "both",
-    out: FrlpParams | None = None,
-) -> FrlpParams:
-    """Parameter gradients, shaped like ``params``, given the cotangent of
-    select_tokens' output: written into ``out`` and returned, or into
-    fresh arrays when ``out`` is None."""
+    *,
+    out: FrlpParams,
+) -> None:
+    """Write the parameter gradients, given the cotangent of
+    select_tokens' output, into ``out``, shaped like ``params``. The
+    landmarks are fixed inputs, so their gradient is not computed."""
     if mode not in TOKEN_MODES:
         raise ValueError(f"unknown token mode {mode!r}; expected one of {TOKEN_MODES}")
     inputs = _region_inputs(clip, partition, params)
@@ -155,11 +156,8 @@ def frlp_backward(
         d_regions[:, :-1] = d_tokens
         if mode == "both":
             np.add.reduce(d_tokens, axis=1, out=d_regions[:, -1])
-    if out is None:
-        out = empty_like(params)
     for i, (x, d_w) in enumerate(zip(inputs, out.weights)):
         np.dot(d_regions[:, i].T, x, out=d_w)
     # every region's bias gradient in one sum over frames, (M + 1, d)
     for d_b, row in zip(out.biases, np.add.reduce(d_regions, axis=0)):
         d_b[...] = row
-    return out

@@ -17,7 +17,7 @@ import numpy as np
 from .frgca import frgca_backward, frgca_forward, init_frgca
 from .frlp import FrlpParams, frlp_backward, frlp_forward, init_frlp, select_tokens
 from .geometry import LandmarkClip, default_partition
-from .registry import named, unflatten
+from .registry import empty_like, named
 from .toytrain.projector import init_vision_projector, vision_backward, vision_project
 from .toytrain.synth import SynthSample
 from .toytrain.training import (
@@ -133,7 +133,8 @@ def frlp_suite(seed: int = 0) -> float:
         tokens = frlp_forward(clip, partition, params)
         return float((select_tokens(tokens, "both") * weights).sum())
 
-    grads = frlp_backward(weights, clip, partition, params, mode="both")
+    grads = empty_like(params)
+    frlp_backward(weights, clip, partition, params, mode="both", out=grads)
     spec = FrlpParams.SPEC
     arrays = named(spec, params.arrays())
     return max(check_named_gradients(loss, arrays, named(spec, grads.arrays())).values())
@@ -152,7 +153,8 @@ def frgca_suite(seed: int = 0) -> float:
         return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads, d_h_v, d_h_l = frgca_backward(weights, cache)
+    grads = empty_like(params)
+    d_h_v, d_h_l = frgca_backward(weights, cache, grads)
     arrays = {**named(params.SPEC, params.arrays()), "h_v": h_v, "h_l": h_l}
     analytic = {**named(params.SPEC, grads.arrays()), "h_v": d_h_v, "h_l": d_h_l}
     return max(check_named_gradients(loss, arrays, analytic).values())
@@ -169,7 +171,8 @@ def vision_suite(seed: int = 0) -> float:
         return float((vision_project(raw, params)[0] * weights).sum())
 
     _, cache = vision_project(raw, params)
-    grads = vision_backward(weights, cache)
+    grads = empty_like(params)
+    vision_backward(weights, cache, grads)
     arrays = named(params.SPEC, params.arrays())
     analytic = named(params.SPEC, grads.arrays())
     return max(check_named_gradients(loss, arrays, analytic).values())
@@ -207,9 +210,9 @@ def pipeline_suite(seed: int = 0) -> float:
         return forward_loss(model, sample, config, masks)[0]
 
     _, state = forward_loss(model, sample, config, masks)
-    grad = backward_pass(model, sample, config, state)
-    arrays = model_arrays(model)
-    return max(check_named_gradients(loss, arrays, unflatten(grad, arrays)).values())
+    grad = model.laid_over(np.empty_like(model.flat))
+    backward_pass(model, sample, config, state, grad)
+    return max(check_named_gradients(loss, model_arrays(model), model_arrays(grad)).values())
 
 
 def run_full_suite(seed: int = 0) -> dict:

@@ -8,7 +8,7 @@ as "d". ``arrays()`` returns an instance's arrays in spec order and
 gradients, checkpoint tensors and gradcheck arrays alike. Both resolve a
 class's array and configuration field names once per class, not per call.
 ``empty_like`` is an instance rebuilt around fresh arrays of its shapes,
-the gradient destination a layer backward allocates when given none.
+such as a destination for a layer backward to fill.
 ``init_arrays`` gives every spec its initial values by one rule, the
 fan-in scaling of LeCun et al., "Efficient BackProp" (1998), and ``take``
 loads exactly the tensors a spec names, failing on one missing or extra.
@@ -60,8 +60,8 @@ def _field_names(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def empty_like(params):
     """A parameter object of ``params``' type and configuration around
-    fresh, unfilled arrays of its arrays' shapes: the destination a layer
-    backward allocates when it is given none."""
+    fresh, unfilled arrays of its arrays' shapes, such as the gradient
+    destination a caller hands a layer backward."""
     return params.with_arrays([np.empty_like(a) for a in params.arrays()])
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..registry import SpecParams, empty_like, init_arrays, shaped
+from ..registry import SpecParams, init_arrays, shaped
 
 DEFAULT_MAX_CONTEXT = 2048
 
@@ -153,17 +153,13 @@ def response_predictions(cache: DecoderCache) -> np.ndarray:
     return cache.probs.argmax(axis=1)
 
 
-def decoder_backward(
-    cache: DecoderCache, out: ToyDecoderParams | None = None
-) -> tuple[ToyDecoderParams, np.ndarray]:
-    """Gradients of the mean NLL: decoder parameter gradients shaped like
-    the parameters, written into ``out`` (fresh arrays when it is None),
-    then the (T, N, d) visual block's."""
+def decoder_backward(cache: DecoderCache, out: ToyDecoderParams) -> np.ndarray:
+    """Gradients of the mean NLL: writes the decoder parameter gradients
+    into ``out``, shaped like the parameters, and returns the (T, N, d)
+    visual block's."""
     if cache is None:
         raise ValueError("missing forward cache")
     params = cache.params
-    if out is None:
-        out = empty_like(params)
     seq = cache.sequence
     R = len(seq.response_ids)
     n_prefix = seq.n_visual + len(seq.instruction_ids)
@@ -186,4 +182,4 @@ def decoder_backward(
 
     out.embedding.fill(0.0)
     np.add.at(out.embedding, list(seq.instruction_ids + seq.response_ids), d_rows[seq.n_visual :])
-    return out, d_visual
+    return d_visual

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from ..registry import SpecParams, empty_like, init_arrays, shaped
+from ..registry import SpecParams, init_arrays, shaped
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -90,18 +90,16 @@ def vision_project(
 
 
 def vision_backward(
-    cotangent: np.ndarray, cache: VisionCache, out: VisionProjectorParams | None = None
-) -> VisionProjectorParams:
-    """Parameter gradients shaped like the parameters, written into
-    ``out`` and returned, or into fresh arrays when ``out`` is None. The
-    raw features are fixed inputs, so their gradient is not computed."""
+    cotangent: np.ndarray, cache: VisionCache, out: VisionProjectorParams
+) -> None:
+    """Write the parameter gradients into ``out``, shaped like the
+    parameters. The raw features are fixed inputs, so their gradient is
+    not computed."""
     if cache is None:
         raise ValueError("missing forward cache")
     params = cache.params
     expected = (*cache.raw.shape[:2], params.d)  # the (T, N, d) output
     g = shaped(np.asarray(cotangent, dtype=np.float64), expected, {}, "cotangent")
-    if out is None:
-        out = empty_like(params)
     # fold (T, N) into one row axis: each weight gradient is one GEMM
     rows = g.shape[0] * g.shape[1]
     d_hidden = g @ params.w2
@@ -119,4 +117,3 @@ def vision_backward(
     d_pre = d_hidden
     np.dot(d_pre.reshape(rows, -1).T, cache.raw.reshape(rows, -1), out=out.w1)
     np.add.reduce(d_pre, axis=(0, 1), out=out.b1)
-    return out

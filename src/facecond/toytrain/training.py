@@ -25,9 +25,11 @@ The gradient has the parameters' layout. ``ModelParams.laid_over`` lays the
 four groups as views over another vector by the rule that tiles ``flat``;
 ``train`` lays them over its gradient vector once per call, and
 ``backward_pass`` hands each group's views to its layer backward as
-``out``, which the layer fills in place. A step builds no gradient arrays,
-lists or concatenation of its own, as PyTorch's per-parameter ``.grad``
-buffers are written by each backward.
+``out``. Every backward, ``backward_pass`` included, has one contract:
+it fills the ``out`` it is given and returns only the cotangents of its
+inputs, as JAX's ``vjp`` returns only cotangents. A step builds no
+gradient arrays, lists or concatenation of its own, as PyTorch's
+per-parameter ``.grad`` buffers are written by each backward.
 
 Variant "frgca" conditions the visual tokens on the FRLP landmark tokens
 through mask-guided cross-attention, "simple" through the same attention
@@ -286,26 +288,22 @@ def backward_pass(
     sample: SynthSample,
     config: TrainConfig,
     state,
-    out: ModelParams | None = None,
-) -> np.ndarray:
-    """Gradient of the loss as one vector laid out like ``model.flat``:
-    each layer writes its group's gradient into its views of ``out``
-    (``model.laid_over`` a vector), and ``out.flat`` is returned. When
-    ``out`` is None, a fresh vector is laid out."""
+    out: ModelParams,
+) -> None:
+    """Write the gradient of the loss into ``out``, ``model.laid_over`` a
+    vector: each layer fills its group's views, so ``out.flat`` ends up
+    holding the gradient laid out like ``model.flat``."""
     vision_cache, attn_cache, decoder_cache = state
-    if out is None:
-        out = model.laid_over(np.empty(model.flat.size))
-    d_visual = decoder_backward(decoder_cache, out=out.decoder)[1]
+    d_visual = decoder_backward(decoder_cache, out.decoder)
     if attn_cache is None:  # variant "none": FRLP and FRGCA never reach the loss
         d_h_v = d_visual
         out.flat[: model.landmark_size] = 0.0
     else:
-        _, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache, out=out.frgca)
+        d_h_v, d_h_l = frgca_backward(d_visual, attn_cache, out.frgca)
         frlp_backward(
             d_h_l, sample.clip, default_partition(), model.frlp, mode=config.tokens, out=out.frlp
         )
-    vision_backward(d_h_v, vision_cache, out=out.vision)
-    return out.flat
+    vision_backward(d_h_v, vision_cache, out.vision)
 
 
 def cosine_lr(base: float, step: int, total_steps: int) -> float:
@@ -404,7 +402,7 @@ def train(
                 loss, state = forward_loss(model, sample, config, masks[idx])
             except (FloatingPointError, ValueError) as exc:
                 raise _at(exc, f"step {step} (sample {idx})") from exc
-            backward_pass(model, sample, config, state, out=grad)
+            backward_pass(model, sample, config, state, grad)
             if not np.logical_and.reduce(np.isfinite(checked_grad)):
                 raise FloatingPointError(f"non-finite gradient at step {step} (sample {idx})")
             optimizer.step(params, stepped_grad, lr)

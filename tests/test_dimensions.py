@@ -9,7 +9,7 @@ import facecond
 from facecond.frgca import frgca_backward, frgca_forward, init_frgca
 from facecond.frlp import frlp_backward, init_frlp
 from facecond.geometry import LandmarkClip, default_partition, rpp_mask
-from facecond.registry import take
+from facecond.registry import empty_like, take
 from facecond.toytrain.decoder import init_decoder, sequence_assemble
 from facecond.toytrain.projector import init_vision_projector, vision_backward, vision_project
 
@@ -22,22 +22,25 @@ def _frgca(h_v=(2, 3, 16), h_l=(2, 10, 16), mask=(2, 3, 10)):
 
 
 def _frgca_backward(cotangent):
+    params = init_frgca(16, heads=4)
     _, cache = frgca_forward(
         np.zeros((2, 3, 16)), np.zeros((2, 10, 16)), np.zeros((2, 3, 10)),
-        init_frgca(16, heads=4), return_cache=True,
+        params, return_cache=True,
     )
-    return frgca_backward(np.zeros(cotangent), cache)
+    return frgca_backward(np.zeros(cotangent), cache, empty_like(params))
 
 
 def _frlp_backward(cotangent):
     clip = LandmarkClip(np.full((2, 68, 2), 0.5))
     partition = default_partition()
-    return frlp_backward(np.zeros(cotangent), clip, partition, init_frlp(4, partition))
+    params = init_frlp(4, partition)
+    return frlp_backward(np.zeros(cotangent), clip, partition, params, out=empty_like(params))
 
 
 def _vision_backward(cotangent):
-    _, cache = vision_project(np.zeros((2, 5, 3)), init_vision_projector(3, 4))
-    return vision_backward(np.zeros(cotangent), cache)
+    params = init_vision_projector(3, 4)
+    _, cache = vision_project(np.zeros((2, 5, 3)), params)
+    return vision_backward(np.zeros(cotangent), cache, empty_like(params))
 
 
 # one wrong-shaped array per layer entry, and the error it raises

@@ -9,6 +9,7 @@ from facecond.frgca import (
     init_frgca,
 )
 from facecond.gradcheck import check_named_gradients
+from facecond.registry import empty_like
 
 
 def random_instance(rng, T=2, N=4, M=3, d=4, heads=2, seed=0):
@@ -200,7 +201,7 @@ def test_backward_residual_only_when_wo_zero():
     h_v, h_l, mask, params = random_instance(rng)
     params.w_o[:] = 0.0
     out, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    _, d_h_v, _ = frgca_backward(np.ones_like(out), cache)
+    d_h_v, _ = frgca_backward(np.ones_like(out), cache, empty_like(params))
     assert np.array_equal(d_h_v, np.ones_like(h_v))
 
 
@@ -208,7 +209,8 @@ def test_backward_zero_cotangent_gives_zero_grads():
     rng = np.random.default_rng(14)
     h_v, h_l, mask, params = random_instance(rng)
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads, d_h_v, d_h_l = frgca_backward(np.zeros_like(h_v), cache)
+    grads = empty_like(params)
+    d_h_v, d_h_l = frgca_backward(np.zeros_like(h_v), cache, grads)
     assert np.all(d_h_v == 0.0)
     assert np.all(d_h_l == 0.0)
     for arr in named_param_arrays(params):
@@ -217,7 +219,7 @@ def test_backward_zero_cotangent_gives_zero_grads():
 
 def test_backward_requires_cache():
     with pytest.raises(ValueError):
-        frgca_backward(np.zeros((1, 2, 2)), None)
+        frgca_backward(np.zeros((1, 2, 2)), None, empty_like(init_frgca(2, heads=1)))
 
 
 def test_backward_rejects_mismatched_cotangent():
@@ -225,7 +227,7 @@ def test_backward_rejects_mismatched_cotangent():
     h_v, h_l, mask, params = random_instance(rng)
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
     with pytest.raises(ValueError):
-        frgca_backward(np.zeros((1, 1, 1)), cache)
+        frgca_backward(np.zeros((1, 1, 1)), cache, empty_like(params))
 
 
 @pytest.mark.parametrize("variant", ["frgca", "simple"])
@@ -239,7 +241,8 @@ def test_gradients_match_finite_differences(variant):
         return float((frgca_forward(h_v, h_l, mask, params, variant=variant) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
-    grads, _, _ = frgca_backward(weights, cache)
+    grads = empty_like(params)
+    frgca_backward(weights, cache, grads)
     arrays = named_param_arrays(params)
     analytic = named_param_arrays(grads)
     errors = check_named_gradients(loss, arrays, analytic)
@@ -255,7 +258,7 @@ def test_input_gradients_match_finite_differences():
         return float((frgca_forward(h_v, h_l, mask, params) * weights).sum())
 
     _, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    _, d_h_v, d_h_l = frgca_backward(weights, cache)
+    d_h_v, d_h_l = frgca_backward(weights, cache, empty_like(params))
     errors = check_named_gradients(
         loss, {"h_v": h_v, "h_l": h_l}, {"h_v": d_h_v, "h_l": d_h_l}
     )

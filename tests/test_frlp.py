@@ -4,6 +4,7 @@ import pytest
 from facecond.frlp import frlp_backward, frlp_forward, init_frlp, select_tokens
 from facecond.geometry import WHOLE_FACE, LandmarkClip, RegionPartition, default_partition
 from facecond.gradcheck import check_named_gradients
+from facecond.registry import empty_like
 
 
 def random_clip(rng, frames=2):
@@ -135,7 +136,7 @@ def test_params_partition_mismatch_rejected():
     with pytest.raises(ValueError, match=message):
         frlp_forward(clip, other, params)
     with pytest.raises(ValueError, match=message):
-        frlp_backward(np.zeros((2, 2, 4)), clip, other, params)
+        frlp_backward(np.zeros((2, 2, 4)), clip, other, params, out=empty_like(params))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,8 @@ def test_frlp_gradients_match_finite_differences(mode):
         tokens = frlp_forward(clip, part, params)
         return float((select_tokens(tokens, mode) * weights).sum())
 
-    grads = frlp_backward(weights, clip, part, params, mode=mode)
+    grads = empty_like(params)
+    frlp_backward(weights, clip, part, params, mode=mode, out=grads)
     arrays, analytic = {}, {}
     for i in (0, 5, 8, 9):  # 9 is the whole-face region
         arrays[f"{i}.weight"], arrays[f"{i}.bias"] = params.weights[i], params.biases[i]
@@ -257,7 +259,7 @@ def test_frlp_gradients_match_finite_differences(mode):
     T, M, d = shape
     for wrong in [(T + 1, M, d), (T, M + 1, d), (T, 10, d), (T, M, d + 1), (M, d)]:
         with pytest.raises(ValueError, match=r"^cotangent has shape .*, expected "):
-            frlp_backward(np.zeros(wrong), clip, part, params, mode=mode)
+            frlp_backward(np.zeros(wrong), clip, part, params, mode=mode, out=grads)
 
 
 @pytest.mark.parametrize("mode", ["both", "local_only", "global_only"])
@@ -289,7 +291,8 @@ def test_frlp_equals_a_per_group_gather_on_a_shuffled_partition(mode):
             d_regions[:, :-1] = d_tokens
             if mode == "both":
                 d_regions[:, -1] = d_tokens.sum(axis=1)
-        grads = frlp_backward(d_tokens, clip, part, params, mode=mode)
+        grads = empty_like(params)
+        frlp_backward(d_tokens, clip, part, params, mode=mode, out=grads)
         for i, x in enumerate(inputs):
             assert np.array_equal(grads.weights[i], d_regions[:, i].T @ x), (frames, i)
             assert np.array_equal(grads.biases[i], d_regions[:, i].sum(axis=0)), (frames, i)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import erf
 
 from facecond.gradcheck import check_named_gradients
+from facecond.registry import empty_like
 from facecond.toytrain import projector
 from facecond.toytrain.decoder import (
     autoregressive_loss,
@@ -94,7 +95,8 @@ def test_vision_projector_is_bit_exact_to_the_textbook_gelu(shape):
     rows = raw.shape[0] * raw.shape[1]
 
     out, cache = vision_project(raw, params)
-    grads = vision_backward(g, cache)
+    grads = empty_like(params)
+    vision_backward(g, cache, grads)
     assert np.array_equal(out, hidden @ params.w2.T + params.b2)
     assert np.array_equal(grads.w1, d_pre.reshape(rows, -1).T @ raw.reshape(rows, -1))
 
@@ -110,7 +112,7 @@ def test_vision_projector_computes_erf_once_per_step(monkeypatch):
     params, raw, g = _projector_case(*PROJECTOR_SHAPES["toy"], seed=7)
     _, cache = vision_project(raw, params)
     assert len(calls) == 1
-    vision_backward(g, cache)
+    vision_backward(g, cache, empty_like(params))
     assert len(calls) == 1
 
 
@@ -124,7 +126,8 @@ def test_vision_gradients():
         return float((vision_project(raw, params)[0] * weights).sum())
 
     _, cache = vision_project(raw, params)
-    grads = vision_backward(weights, cache)
+    grads = empty_like(params)
+    vision_backward(weights, cache, grads)
     errors = check_named_gradients(
         loss,
         {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2},
@@ -240,7 +243,8 @@ def test_decoder_gradients():
 
     seq = sequence_assemble(visual, [2, 3], targets, decoder)
     _, cache = autoregressive_loss(seq, decoder)
-    grads, d_visual = decoder_backward(cache)
+    grads = empty_like(decoder)
+    d_visual = decoder_backward(cache, grads)
     errors = check_named_gradients(
         loss,
         {
@@ -271,7 +275,8 @@ def test_decoder_is_bit_exact_to_the_textbook_mean_pool(n_response, n_instructio
     targets = rng.integers(0, 16, size=n_response).tolist()
     seq = sequence_assemble(visual, instruction, targets, decoder)
     loss, cache = autoregressive_loss(seq, decoder)
-    grads, d_visual = decoder_backward(cache)
+    grads = empty_like(decoder)
+    d_visual = decoder_backward(cache, grads)
 
     R, n_prefix = n_response, 16 + n_instruction
     rows = np.concatenate(

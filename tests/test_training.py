@@ -9,7 +9,7 @@ from facecond.frgca import FrgcaParams, frgca_backward
 from facecond.frlp import frlp_backward
 from facecond.geometry import clip_rpp_masks, default_partition
 from facecond.gradcheck import DIRECTIONAL_TOLERANCE, directional_error
-from facecond.registry import named, unflatten
+from facecond.registry import empty_like, named, unflatten
 from facecond.toytrain import training
 from facecond.toytrain.decoder import ToyDecoderParams, decoder_backward
 from facecond.toytrain.projector import vision_backward
@@ -230,11 +230,13 @@ def test_gradient_vector_lines_up_with_flat():
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
     _, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
-    grad = backward_pass(model, sample, cfg, state)
-    assert grad.shape == model.flat.shape
+    grad = np.empty_like(model.flat)
+    backward_pass(model, sample, cfg, state, model.laid_over(grad))
     by_key = unflatten(grad, model_arrays(model))
-    decoder_grads, d_visual = decoder_backward(state[2])
-    frgca_grads, _, _ = frgca_backward(d_visual, state[1])
+    decoder_grads = empty_like(model.decoder)
+    d_visual = decoder_backward(state[2], decoder_grads)
+    frgca_grads = empty_like(model.frgca)
+    frgca_backward(d_visual, state[1], frgca_grads)
     expected = {
         **named(FrgcaParams.SPEC, frgca_grads.arrays(), "frgca."),
         **named(ToyDecoderParams.SPEC, decoder_grads.arrays(), "decoder."),
@@ -250,15 +252,16 @@ def test_none_gradient_is_zeros_then_vision_and_decoder_bit_for_bit():
     model = init_model(cfg)
     sample = tiny_dataset(cfg, size=1)[0]
     _, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
-    decoder_grads, d_visual = decoder_backward(state[2])
-    vision_grads = vision_backward(d_visual, state[0])
+    decoder_grads = empty_like(model.decoder)
+    d_visual = decoder_backward(state[2], decoder_grads)
+    vision_grads = empty_like(model.vision)
+    vision_backward(d_visual, state[0], vision_grads)
     landmark = sum(a.size for a in (*model.frlp.arrays(), *model.frgca.arrays()))
     expected = np.concatenate(
         [np.zeros(landmark), *vision_grads.arrays(), *decoder_grads.arrays()], axis=None
     )
-    assert backward_pass(model, sample, cfg, state).tobytes() == expected.tobytes()
     out = np.full(model.flat.size, np.nan)
-    assert backward_pass(model, sample, cfg, state, out=model.laid_over(out)) is out
+    backward_pass(model, sample, cfg, state, model.laid_over(out))
     assert out.tobytes() == expected.tobytes()
 
 
@@ -276,7 +279,8 @@ def test_gradient_matches_directional_differences_at_paper_shape(variant):
                                d_raw=cfg.d_raw, vocab=cfg.vocab)[0]
         masks = masks_of(model, sample, cfg)
         _, state = forward_loss(model, sample, cfg, masks)
-        grad = backward_pass(model, sample, cfg, state)
+        grad = np.empty_like(model.flat)
+        backward_pass(model, sample, cfg, state, model.laid_over(grad))
         n = trained_size(model, stage)
         params = model.flat[:n]
         for _ in range(2):
@@ -365,10 +369,10 @@ def test_nonfinite_gradient_aborts_before_update(monkeypatch):
     before = snapshot(model)
     real_backward = training.decoder_backward
 
-    def poisoned(cache, out=None):
-        grads, d_visual = real_backward(cache, out=out)
-        grads.readout_b[0] = np.nan
-        return grads, d_visual
+    def poisoned(cache, out):
+        d_visual = real_backward(cache, out)
+        out.readout_b[0] = np.nan
+        return d_visual
 
     monkeypatch.setattr(training, "decoder_backward", poisoned)
     with pytest.raises(FloatingPointError, match=r"non-finite gradient at step 0 \(sample \d+\)"):
@@ -481,9 +485,9 @@ def test_gradient_views_are_laid_once_per_train_call(monkeypatch, variant):
 LAYER_SHAPES = {"toy": (1, 4), "T8": (8, 4)}
 
 
-def _destination(params):
-    """A parameter object like ``params`` around NaN-filled arrays."""
-    return params.with_arrays([np.full_like(a, np.nan) for a in params.arrays()])
+def _destination(params, fill):
+    """A parameter object like ``params`` around arrays filled with ``fill``."""
+    return params.with_arrays([np.full_like(a, fill) for a in params.arrays()])
 
 
 @pytest.mark.parametrize("shape", LAYER_SHAPES)
@@ -491,7 +495,9 @@ def _destination(params):
     "variant, tokens",
     [("frgca", "both"), ("frgca", "local_only"), ("frgca", "global_only"), ("simple", "both")],
 )
-def test_layer_backwards_write_into_out_the_bytes_they_allocate(shape, variant, tokens):
+def test_layer_backwards_write_every_entry_of_out_and_read_none(shape, variant, tokens):
+    # a NaN-filled and a zero-filled destination come back with equal
+    # bytes only if every entry is written and none is read first
     frames, side = LAYER_SHAPES[shape]
     cfg = TrainConfig(stage="finetune", variant=variant, tokens=tokens, frames=frames,
                       grid_rows=side, grid_cols=side, d=16, heads=4, d_raw=8)
@@ -501,24 +507,23 @@ def test_layer_backwards_write_into_out_the_bytes_they_allocate(shape, variant, 
     _, (vision_cache, attn_cache, decoder_cache) = forward_loss(
         model, sample, cfg, masks_of(model, sample, cfg)
     )
-    decoder_grads, d_visual = decoder_backward(decoder_cache)
-    frgca_grads, d_h_v, d_h_l = frgca_backward(d_visual, attn_cache)
+    d_visual = decoder_backward(decoder_cache, empty_like(model.decoder))
+    d_h_v, d_h_l = frgca_backward(d_visual, attn_cache, empty_like(model.frgca))
     frlp_args = (d_h_l, sample.clip, default_partition(), model.frlp, tokens)
-    calls = [
-        (decoder_backward, (decoder_cache,), model.decoder, (decoder_grads, d_visual)),
-        (frgca_backward, (d_visual, attn_cache), model.frgca, (frgca_grads, d_h_v, d_h_l)),
-        (frlp_backward, frlp_args, model.frlp, (frlp_backward(*frlp_args),)),
-        (vision_backward, (d_h_v, vision_cache), model.vision, (vision_backward(d_h_v, vision_cache),)),
-    ]
-    for backward, args, params, allocated in calls:
-        out = _destination(params)
-        written = backward(*args, out=out)
-        written = written if isinstance(written, tuple) else (written,)
-        assert written[0] is out, backward.__name__
-        for got, expected in zip(out.arrays(), allocated[0].arrays(), strict=True):
-            assert got.tobytes() == expected.tobytes(), backward.__name__
-        for got, expected in zip(written[1:], allocated[1:], strict=True):  # the cotangents
-            assert got.tobytes() == expected.tobytes(), backward.__name__
+    # each backward with its parameters, returning its cotangents as a tuple
+    calls = {
+        "decoder": (model.decoder, lambda out: (decoder_backward(decoder_cache, out),)),
+        "frgca": (model.frgca, lambda out: frgca_backward(d_visual, attn_cache, out)),
+        "frlp": (model.frlp, lambda out: (frlp_backward(*frlp_args, out=out),)),
+        "vision": (model.vision, lambda out: (vision_backward(d_h_v, vision_cache, out),)),
+    }
+    for name, (params, backward) in calls.items():
+        from_nan, from_zero = _destination(params, np.nan), _destination(params, 0.0)
+        cotangents = backward(from_nan), backward(from_zero)
+        for got, expected in zip(from_nan.arrays(), from_zero.arrays(), strict=True):
+            assert got.tobytes() == expected.tobytes(), name
+        for got, expected in zip(*cotangents, strict=True):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
 
 
 def _train_over_the_whole_prefix(cfg, data, model):

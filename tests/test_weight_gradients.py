@@ -26,6 +26,7 @@ from scipy.special import erf
 
 import facecond
 from facecond.frgca import frgca_backward, frgca_forward, init_frgca
+from facecond.registry import empty_like
 from facecond.toytrain.projector import init_vision_projector, vision_backward, vision_project
 
 SRC = Path(facecond.__file__).parent
@@ -124,7 +125,8 @@ def test_frgca_weight_gradients_match_einsum(shape, case):
     mask = -np.abs(rng.normal(size=(T, N, M))) if variant == "frgca" else None
     g = rng.normal(size=(T, N, d))
     out, cache = frgca_forward(h_v, h_l, mask, params, variant=variant, return_cache=True)
-    grads, d_h_v, d_h_l = frgca_backward(g, cache)
+    grads = empty_like(params)
+    d_h_v, d_h_l = frgca_backward(g, cache, grads)
     got = {
         "out": out,
         "attn": cache.attn,
@@ -154,7 +156,8 @@ def test_a_key_bias_cannot_move_the_output(shape):
     g = rng.normal(size=(T, N, d))
     b_k = rng.normal(size=params.d_attn)
     out, cache = frgca_forward(h_v, h_l, mask, params, return_cache=True)
-    grads, d_h_v, d_h_l = frgca_backward(g, cache)
+    grads = empty_like(params)
+    d_h_v, d_h_l = frgca_backward(g, cache, grads)
     got = {"out": out, "attn": cache.attn, "h_v": d_h_v, "h_l": d_h_l}
     reference = _frgca_reference(h_v, h_l, mask, params, g, b_k=b_k)
     errors = {
@@ -175,7 +178,8 @@ def test_vision_weight_gradients_match_einsum(shape):
     for bias in (params.b1, params.b2):
         bias[:] = rng.normal(size=bias.shape)
     out, cache = vision_project(raw, params)
-    grads = vision_backward(g, cache)
+    grads = empty_like(params)
+    vision_backward(g, cache, grads)
     reference = _vision_reference(raw, params, g)
     errors = {
         name: _rel_err(out if name == "out" else getattr(grads, name), ref)
