@@ -629,6 +629,46 @@ def test_toytrain_forward_entries_always_return_their_cache():
     assert offenders == []
 
 
+def _optional_destinations(tree: ast.Module):
+    """(function, line) of each function whose `out` parameter has a
+    default, positional or keyword-only."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = (*args.posonlyargs, *args.args)
+            defaulted = [*positional[len(positional) - len(args.defaults):]]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if any(arg.arg == "out" for arg in defaulted):
+                yield node.name, node.lineno
+
+
+def test_destination_guard_sees_a_defaulted_out():
+    tree = ast.parse(
+        "def f(x, out=None):\n    pass\n"
+        "def g(x, *, out: int = 0):\n    pass\n"
+        "class C:\n    def h(self, out=None, /, y=1):\n        pass\n"
+        "def k(x, out, y=None):\n    pass\n"
+        "def m(x, *, out, y=None):\n    pass\n"
+    )
+    assert list(_optional_destinations(tree)) == [("f", 1), ("g", 3), ("h", 6)]
+
+
+# the modules that hold a layer backward: each fills the `out` its caller
+# hands it, which no default may stand in for
+BACKWARD_MODULES = (
+    "frlp.py", "frgca.py", "toytrain/projector.py", "toytrain/decoder.py", "toytrain/training.py"
+)
+
+
+def test_no_backward_module_defaults_its_destination():
+    root = Path(training.__file__).parent.parent
+    offenders = []
+    for relpath in BACKWARD_MODULES:
+        tree = ast.parse((root / relpath).read_text(encoding="utf-8"))
+        offenders += [f"{relpath}:{line} {name}" for name, line in _optional_destinations(tree)]
+    assert offenders == []
+
+
 # the functions a train step and the mask build run, by source file;
 # at batch size 1 and the toy shape numpy's per-call dispatch sets their
 # time, so they call no Python-level numpy wrapper
