@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import facecond
+from facecond import gradcheck
 from facecond.checkpoint import load_arrays, save_arrays, save_model
 from facecond.cli import build_parser, main
 from facecond.evalkit import BP4D_AUS, DISFA_AUS
@@ -396,6 +397,24 @@ def test_gradcheck_subcommand(tmp_path, capsys):
     assert report["passed"] is True
     assert all(v["max_rel_error"] < 1e-4 for k, v in report["checks"].items()
                if k != "pipeline")
+
+
+def test_gradcheck_fails_on_a_wrong_gradient(tmp_path, capsys, monkeypatch):
+    real_backward = gradcheck.vision_backward
+
+    def off_by_one(cotangent, cache, out):
+        real_backward(cotangent, cache, out)
+        out.w1[0, 0] += 1.0
+
+    monkeypatch.setattr(gradcheck, "vision_backward", off_by_one)
+    out = tmp_path / "report.json"
+    assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in printed] == ["PASS", "PASS", "FAIL", "PASS"]
+    assert re.fullmatch(r"vision: max_rel_error=\S+ tolerance=1e-04 FAIL", printed[2])
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert report["checks"]["vision"]["max_rel_error"] > report["checks"]["vision"]["tolerance"]
 
 
 def test_train_subcommand(tmp_path):
