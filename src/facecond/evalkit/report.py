@@ -7,7 +7,7 @@ Input is JSONL, one record per line:
 
 ground_truth is a class name (expression, deepfake), a list of AU
 integers (au), a list of positive attribute names (attribute), or an
-integer age within float64 range. chunk_group marks video chunks that
+integer age from 0 up to float64 range. chunk_group marks video chunks that
 majority-vote into one prediction for the single-label tasks.
 """
 
@@ -76,11 +76,15 @@ class EvalRecord:
         )
         what = f"'ground_truth' of task {record.task!r}"
         typed(record.ground_truth, _TRUTH_KINDS[record.task], what)
-        if record.task == "age":  # compute_mae scores ages as float64
+        # compute_mae scores ages as float64; parse_age reads no sign, so a
+        # truth of at least 0 keeps |prediction - truth| in that range too
+        if record.task == "age":
             try:
                 float(record.ground_truth)
             except OverflowError:
                 raise ValueError(f"{what} is an integer beyond float64 range") from None
+            if record.ground_truth < 0:
+                raise ValueError(f"{what} is {record.ground_truth}, below 0")
         return record
 
 

@@ -1188,6 +1188,23 @@ def test_eval_names_the_line_of_an_age_beyond_float64_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "generated, ground_truth",
+    [("About 30 years old.", -1),
+     # an error of 2e308 would overflow float64 in compute_mae
+     ("About 1" + "0" * 308 + " years old.", -10**308)],
+    ids=["minus_1", "minus_1e308"],
+)
+def test_eval_names_the_line_of_a_negative_age(tmp_path, capsys, generated, ground_truth):
+    records, out = tmp_path / "records.jsonl", tmp_path / "report.json"
+    _age_records(records, generated, ground_truth)
+    assert main(["eval", "--records", str(records), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == (f"{records}:2: bad eval record: "
+                              f"'ground_truth' of task 'age' is {ground_truth}, below 0")
+    assert not out.exists()
+
+
 def test_eval_scores_a_generated_age_beyond_float64_range_as_a_parse_failure(tmp_path):
     records, out = tmp_path / "records.jsonl", tmp_path / "report.json"
     _age_records(records, "About 1" + "0" * 400 + " years old.", 30)
