@@ -495,7 +495,7 @@ def _destination(params, fill):
     "variant, tokens",
     [("frgca", "both"), ("frgca", "local_only"), ("frgca", "global_only"), ("simple", "both")],
 )
-def test_layer_backwards_write_every_entry_of_out_and_read_none(shape, variant, tokens):
+def test_layer_backwards_write_all_of_out_and_read_none(shape, variant, tokens):
     # a NaN-filled and a zero-filled destination come back with equal
     # bytes only if every entry is written and none is read first
     frames, side = LAYER_SHAPES[shape]
