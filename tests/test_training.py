@@ -510,12 +510,13 @@ def test_layer_backwards_write_all_of_out_and_read_none(shape, variant, tokens):
     d_visual = decoder_backward(decoder_cache, empty_like(model.decoder))
     d_h_v, d_h_l = frgca_backward(d_visual, attn_cache, empty_like(model.frgca))
     frlp_args = (d_h_l, sample.clip, default_partition(), model.frlp, tokens)
-    # each backward with its parameters, returning its cotangents as a tuple
+    # each backward with its parameters, returning its cotangents as a
+    # tuple; FRLP's and the projector's inputs are fixed, so they have none
     calls = {
         "decoder": (model.decoder, lambda out: (decoder_backward(decoder_cache, out),)),
         "frgca": (model.frgca, lambda out: frgca_backward(d_visual, attn_cache, out)),
-        "frlp": (model.frlp, lambda out: (frlp_backward(*frlp_args, out=out),)),
-        "vision": (model.vision, lambda out: (vision_backward(d_h_v, vision_cache, out),)),
+        "frlp": (model.frlp, lambda out: frlp_backward(*frlp_args, out=out) or ()),
+        "vision": (model.vision, lambda out: vision_backward(d_h_v, vision_cache, out) or ()),
     }
     for name, (params, backward) in calls.items():
         from_nan, from_zero = _destination(params, np.nan), _destination(params, 0.0)
@@ -523,7 +524,7 @@ def test_layer_backwards_write_all_of_out_and_read_none(shape, variant, tokens):
         for got, expected in zip(from_nan.arrays(), from_zero.arrays(), strict=True):
             assert got.tobytes() == expected.tobytes(), name
         for got, expected in zip(*cotangents, strict=True):
-            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
+            assert got.tobytes() == expected.tobytes(), name
 
 
 def _train_over_the_whole_prefix(cfg, data, model):
@@ -636,7 +637,7 @@ def _optional_destinations(tree: ast.Module):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             positional = (*args.posonlyargs, *args.args)
-            defaulted = [*positional[len(positional) - len(args.defaults):]]
+            defaulted = list(positional[len(positional) - len(args.defaults):])
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             if any(arg.arg == "out" for arg in defaulted):
                 yield node.name, node.lineno
