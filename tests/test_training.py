@@ -231,7 +231,7 @@ def test_gradient_vector_lines_up_with_flat():
     sample = tiny_dataset(cfg, size=1)[0]
     _, state = forward_loss(model, sample, cfg, masks_of(model, sample, cfg))
     grad = np.empty_like(model.flat)
-    backward_pass(model, sample, cfg, state, model.laid_over(grad))
+    assert backward_pass(model, sample, cfg, state, model.laid_over(grad)) is None
     by_key = unflatten(grad, model_arrays(model))
     decoder_grads = empty_like(model.decoder)
     d_visual = decoder_backward(state[2], decoder_grads)
