@@ -7,9 +7,13 @@ the prefix that ends just before that position. The mean pool is the
 parameter-free stand-in for sequence mixing, which keeps the likelihood
 autoregressive while the conditioning modules stay the subject under
 test. The loss scores the response tokens of the assembled sequence, so
-``sequence_assemble`` is the one place that checks token ids.
+``sequence_assemble`` is the one place that checks token ids; it also
+builds the two index arrays the loss and its backward use, the token ids
+and the flat positions of the targets in the (R, vocab) softmax rows.
 At batch size 1 numpy's per-call dispatch sets the time: the softmax
-runs in place on the logits, and 2-D products go through ``np.dot``.
+runs in place on the logits, 2-D products go through ``np.dot``, targets
+are picked by flat position, and the loss checks its picked
+probabilities before ``np.log`` rather than entering ``np.errstate``.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ class DecoderSequence:
 
     rows is the (L, d) stack; the first n_visual rows are the flattened
     enriched visual tokens, followed by instruction and response
-    embeddings.
+    embeddings. token_ids holds the instruction ids then the response
+    ids; target_index[r] is r * vocab + response_ids[r], the flat
+    position of target r in the (R, vocab) softmax rows.
     """
 
     rows: np.ndarray
@@ -61,6 +67,8 @@ class DecoderSequence:
     instruction_ids: tuple[int, ...]
     response_ids: tuple[int, ...]
     visual_shape: tuple[int, int, int]
+    token_ids: np.ndarray
+    target_index: np.ndarray
 
     @property
     def length(self) -> int:
@@ -107,10 +115,15 @@ def sequence_assemble(
     total = T * N + len(instruction_ids) + len(response_ids)
     if total > max_context:
         raise ValueError(f"sequence length {total} exceeds context window {max_context}")
-    rows = np.concatenate(
-        [visual.reshape(T * N, d), params.embedding[list(instruction_ids + response_ids)]]
+    token_ids = np.array(instruction_ids + response_ids, dtype=np.intp)
+    vocab = params.vocab
+    target_index = np.array(
+        [r * vocab + t for r, t in enumerate(response_ids)], dtype=np.intp
     )
-    return DecoderSequence(rows, T * N, instruction_ids, response_ids, (T, N, d))
+    rows = np.concatenate([visual.reshape(T * N, d), params.embedding[token_ids]])
+    return DecoderSequence(
+        rows, T * N, instruction_ids, response_ids, (T, N, d), token_ids, target_index
+    )
 
 
 def autoregressive_loss(
@@ -140,11 +153,12 @@ def autoregressive_loss(
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= np.add.reduce(probs, axis=-1, keepdims=True)
-    picked = probs[np.arange(R), list(targets)]
-    with np.errstate(divide="ignore"):
-        loss = float(-(np.add.reduce(np.log(picked)) / R))
-    if not np.isfinite(loss):
+    picked = probs.reshape(-1)[sequence.target_index]
+    # each picked probability is in [0, 1] or NaN, so the loss is finite
+    # unless one is 0 or NaN; np.minimum propagates a NaN
+    if not np.minimum.reduce(picked) > 0.0:
         raise FloatingPointError("non-finite loss")
+    loss = float(-(np.add.reduce(np.log(picked)) / R))
     return loss, DecoderCache(sequence, pooled, probs, params)
 
 
@@ -165,7 +179,8 @@ def decoder_backward(cache: DecoderCache, out: ToyDecoderParams) -> np.ndarray:
     n_prefix = seq.n_visual + len(seq.instruction_ids)
 
     d_logits = cache.probs.copy()
-    d_logits[np.arange(R), list(seq.response_ids)] -= 1.0
+    # one target per row, so no flat position repeats
+    d_logits.reshape(-1)[seq.target_index] -= 1.0
     d_logits /= R
 
     np.dot(d_logits.T, cache.pooled, out=out.readout_w)
@@ -181,5 +196,5 @@ def decoder_backward(cache: DecoderCache, out: ToyDecoderParams) -> np.ndarray:
     d_visual = d_rows[: seq.n_visual].reshape(T, N, d)
 
     out.embedding.fill(0.0)
-    np.add.at(out.embedding, list(seq.instruction_ids + seq.response_ids), d_rows[seq.n_visual :])
+    np.add.at(out.embedding, seq.token_ids, d_rows[seq.n_visual :])
     return d_visual

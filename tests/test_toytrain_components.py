@@ -224,6 +224,36 @@ def test_loss_matches_log_softmax_oracle():
     assert response_predictions(cache).shape == (3,)
 
 
+def _one_target_decoder(readout_b):
+    """A 4-token decoder whose logits are `readout_b` at every position."""
+    decoder = init_decoder(4, 2, seed=0)
+    decoder.readout_w[:] = 0.0
+    decoder.readout_b[:] = readout_b
+    return sequence_assemble(np.zeros((1, 2, 2)), [0], [1, 2], decoder), decoder
+
+
+@pytest.mark.parametrize(
+    "readout_b",
+    [[0.0, -1e4, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]],
+    ids=["target_probability_underflows", "nan_logit"],
+)
+def test_loss_raises_on_a_target_probability_that_is_zero_or_nan(readout_b):
+    # pytest turns an escaping RuntimeWarning (log of 0, say) into an error
+    seq, decoder = _one_target_decoder(readout_b)
+    with pytest.raises(FloatingPointError, match="^non-finite loss$"):
+        autoregressive_loss(seq, decoder)
+
+
+def test_loss_of_a_subnormal_target_probability_is_finite():
+    # exp(-740) / 3 is ~1.4e-322, a subnormal float64 but still > 0
+    seq, decoder = _one_target_decoder([0.0, -740.0, 0.0, 0.0])
+    loss, cache = autoregressive_loss(seq, decoder)
+    assert 0.0 < cache.probs[0, 1] < np.finfo(np.float64).tiny
+    assert loss == float(-np.log(cache.probs[[0, 1], [1, 2]]).mean())
+    # about (740 + 2 log 3) / 2; a subnormal keeps only a few digits
+    assert math.isfinite(loss) and 370.0 < loss < 372.0
+
+
 def test_loss_requires_nonempty_matching_targets():
     decoder = init_decoder(4, 2, seed=0)
     seq = sequence_assemble(np.zeros((1, 2, 2)), [0], [], decoder)
@@ -296,6 +326,48 @@ def test_decoder_is_bit_exact_to_the_textbook_mean_pool(n_response, n_instructio
     d_embedding = np.zeros_like(decoder.embedding)
     np.add.at(d_embedding, instruction + targets, d_rows[16:])
 
+    assert np.array_equal(cache.pooled, pooled)
+    assert np.array_equal(cache.probs, probs)
+    assert loss == float(-np.log(probs[np.arange(R), targets]).mean())
+    assert np.array_equal(grads.readout_w, d_logits.T @ pooled)
+    assert np.array_equal(grads.readout_b, d_logits.sum(axis=0))
+    assert np.array_equal(grads.embedding, d_embedding)
+    assert np.array_equal(d_visual, d_rows[:16].reshape(1, 16, 16))
+
+
+def test_decoder_is_bit_exact_to_the_textbook_mean_pool_on_repeated_ids():
+    """A response id that repeats and equals an instruction id: the flat
+    target positions and the repeated embedding rows of ``np.add.at``
+    round as the textbook NumPy expressions at R = 3."""
+    rng = np.random.default_rng(14)
+    decoder = init_decoder(16, 16, seed=11)
+    visual = rng.normal(size=(1, 16, 16))
+    instruction, targets = [5, 9], [9, 3, 9]
+    seq = sequence_assemble(visual, instruction, targets, decoder)
+    loss, cache = autoregressive_loss(seq, decoder)
+    grads = empty_like(decoder)
+    d_visual = decoder_backward(cache, grads)
+
+    R, n_prefix = 3, 18
+    rows = np.concatenate(
+        [visual.reshape(16, 16), decoder.embedding[instruction], decoder.embedding[targets]]
+    )
+    pooled = np.stack([rows[: n_prefix + i].mean(axis=0) for i in range(R)])
+    logits = pooled @ decoder.readout_w.T + decoder.readout_b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    d_logits = probs.copy()
+    d_logits[np.arange(R), targets] -= 1.0
+    d_logits /= R
+    d_pooled = d_logits @ decoder.readout_w
+    d_rows = np.zeros_like(rows)
+    for i in range(R):
+        d_rows[: n_prefix + i] += d_pooled[i] / (n_prefix + i)
+    d_embedding = np.zeros_like(decoder.embedding)
+    np.add.at(d_embedding, instruction + targets, d_rows[16:])
+
+    assert seq.token_ids.tolist() == [5, 9, 9, 3, 9]
+    assert seq.target_index.tolist() == [9, 16 + 3, 32 + 9]
     assert np.array_equal(cache.pooled, pooled)
     assert np.array_equal(cache.probs, probs)
     assert loss == float(-np.log(probs[np.arange(R), targets]).mean())
