@@ -18,6 +18,7 @@ probabilities before ``np.log`` rather than entering ``np.errstate``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,10 +91,20 @@ def init_decoder(vocab: int, d: int, seed: int = 0) -> ToyDecoderParams:
 
 
 def _check_ids(ids: Sequence[int], vocab: int, what: str) -> tuple[int, ...]:
-    ids = tuple(map(int, ids))
+    """`ids` as Python ints, each in [0, vocab)."""
+    ids = tuple([i if type(i) is int else _token_id(i, what) for i in ids])
     if ids and (min(ids) < 0 or max(ids) >= vocab):
         raise ValueError(f"{what} token id out of range for vocab {vocab}")
     return ids
+
+
+def _token_id(value, what: str) -> int:
+    """A token id that is not a Python int: a numpy integer (or a bool,
+    which Python counts as one) as an int; anything else fails."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} token id {value!r} is not an integer") from None
 
 
 def sequence_assemble(

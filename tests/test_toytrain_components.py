@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,34 @@ def test_sequence_rejects_bad_token_ids():
     decoder = init_decoder(4, 2, seed=0)
     with pytest.raises(ValueError):
         sequence_assemble(np.zeros((1, 2, 2)), [4], [0], decoder)
+
+
+@pytest.mark.parametrize(
+    "instruction, response, message",
+    [
+        ([1.5], [0], "instruction token id 1.5 is not an integer"),
+        (["3"], [0], "instruction token id '3' is not an integer"),
+        ([0], [np.float64(2.7)], "response token id np.float64(2.7) is not an integer"),
+        ([np.True_], [0], "instruction token id np.True_ is not an integer"),
+        ([0], [None], "response token id None is not an integer"),
+    ],
+    ids=["float", "string", "numpy_float", "numpy_bool", "none"],
+)
+def test_sequence_names_a_token_id_that_is_not_an_integer(instruction, response, message):
+    decoder = init_decoder(4, 2, seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sequence_assemble(np.zeros((1, 2, 2)), instruction, response, decoder)
+
+
+def test_sequence_takes_numpy_integer_token_ids():
+    decoder = init_decoder(4, 2, seed=0)
+    seq = sequence_assemble(
+        np.zeros((1, 2, 2)), [np.int64(3), np.uint8(1)], np.array([2, 0]), decoder
+    )
+    assert seq.instruction_ids == (3, 1) and seq.response_ids == (2, 0)
+    assert all(type(i) is int for i in seq.instruction_ids + seq.response_ids)
+    assert seq.token_ids.tolist() == [3, 1, 2, 0]
+    assert seq.target_index.tolist() == [2, 4]
 
 
 # ---------------------------------------------------------------------------
