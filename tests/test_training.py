@@ -684,8 +684,12 @@ STEP_FUNCTIONS = {
     "toytrain/training.py": ("condition", "forward_loss", "backward_pass", "AdamW.step"),
 }
 # np.zeros_like and np.ones_like, and the reductions as methods (or as
-# np.sum and the like): each a Python function in front of the ufunc call
-NUMPY_WRAPPERS = ("zeros_like", "ones_like", "sum", "mean", "max", "min", "all", "any")
+# np.sum and the like): each a Python function in front of the ufunc call;
+# and np.errstate, a Python context manager that costs more than the ufunc
+# it guards
+NUMPY_WRAPPERS = (
+    "zeros_like", "ones_like", "sum", "mean", "max", "min", "all", "any", "errstate"
+)
 
 
 def _functions(tree: ast.Module):
@@ -717,14 +721,16 @@ def test_dispatch_guard_sees_each_wrapper():
         "    a = np.zeros_like(x)\n    b = np.ones_like(x)\n    c = x.sum()\n"
         "    d = x.mean(axis=0)\n    e = x.max()\n    g = x.min()\n"
         "    h = (x > 0).all()\n    i = np.any(x)\n"
+        "    with np.errstate(divide=\"ignore\"):\n        j = np.log(x)\n"
         "    return np.add.reduce(x), np.maximum.reduce(x), max(a), min(b)\n"
         "class C:\n    def step(self, x):\n        return x.sum()\n"
         "def unchecked(x):\n    return x.sum()\n"
     )
     assert _wrapper_calls(tree, ("f", "C.step")) == [
-        ("C.step", 13, "sum"),
+        ("C.step", 15, "sum"),
         ("f", 2, "zeros_like"), ("f", 3, "ones_like"), ("f", 4, "sum"), ("f", 5, "mean"),
         ("f", 6, "max"), ("f", 7, "min"), ("f", 8, "all"), ("f", 9, "any"),
+        ("f", 10, "errstate"),
     ]
 
 
