@@ -15,7 +15,8 @@ line is split at its newline byte and decoded as UTF-8 on its own;
 surrounding whitespace, a CR included, is stripped, and a blank line is
 skipped. A line is malformed when it is not UTF-8, is not JSON, or the
 caller's builder rejects what it holds; the loader gets each malformed
-line's 1-based number and message.
+line's 1-based number and message. Lines are decoded by one module-level
+decoder, with the messages ``json.loads`` gives.
 
 ``write_json`` streams the containers of the top two levels (the document
 and the values it holds) item by item, and encodes each value below them
@@ -45,6 +46,7 @@ for or fail as ``'id' is null, not a string``; no value is converted.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from contextlib import contextmanager
 from itertools import chain
@@ -101,6 +103,23 @@ def write_jsonl(path: str, objs: Iterable) -> None:
             fh.write(_encode(obj) + "\n")
 
 
+# json.loads without its per-call set-up: one decoder, and the whitespace
+# json skips around a document, matched only to place an Extra data error
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _decode_line(line: str):
+    """``json.loads(line)`` for a non-blank, stripped `line`: the same value,
+    or a JSONDecodeError with the same message."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, _JSON_SPACE.match(line, end).end())
+    return obj
+
+
 def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]:
     """`build(obj)` for each non-blank line of `path`, and a (line, message)
     for each line that is not UTF-8, not JSON, or that `build` rejects with
@@ -113,7 +132,7 @@ def read_jsonl(path: str, build: Callable) -> tuple[list, list[tuple[int, str]]]
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    values.append(build(json.loads(line)))
+                    values.append(build(_decode_line(line)))
             # UnicodeDecodeError and JSONDecodeError are ValueErrors
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append((lineno, _reason(exc)))

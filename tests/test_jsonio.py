@@ -12,7 +12,9 @@ from facecond.cli import _load_tokens
 from facecond.datapipe import load_manifest, load_manifest_strict
 from facecond.evalkit import load_eval_records
 from facecond.geometry import load_landmarks
-from facecond.jsonio import INTEGER, NUMBER, fits, number_array, read_json, write_json
+from facecond.jsonio import (
+    INTEGER, NUMBER, fits, number_array, read_json, read_jsonl, write_json
+)
 
 SRC = Path(facecond.__file__).parent
 
@@ -116,6 +118,31 @@ def test_both_jsonl_loaders_read_lines_alike(tmp_path, text, bad_lines):
             load_eval_records(str(path))
     else:
         assert len(load_eval_records(str(path))) == len(records)
+
+
+# lines json.loads rejects, and some it takes, each with what it makes of it
+@pytest.mark.parametrize(
+    "line",
+    ['\ufeff{"a": 1}', '{"a": 1}  x', '{"a": 1}{"b": 2}', "[1] [2]", "1 2", "01",
+     '{"a": 1}\t x', '{"a": 1}\ufeff', '{"a": 1}\x0bx', "NaN", '{"a": -Infinity}',
+     '"abc', '{"a": 1', '{"a" 1}', "x", "tru", "[1,]", '{"a":1,}', '"\\x"', '"\x01"',
+     ' \t[1] ', '\x0b{"a": 1}\x0c'],
+    ids=["bom", "space_then_extra", "two_documents", "two_lists", "two_numbers",
+         "leading_zero", "tab_then_extra", "trailing_bom", "vertical_tab_then_extra",
+         "nan", "minus_infinity", "unterminated_string", "unclosed_object", "missing_colon",
+         "bare_word", "cut_literal", "trailing_comma", "trailing_comma_in_object",
+         "bad_escape", "control_character", "surrounding_whitespace",
+         "surrounding_unicode_whitespace"],
+)
+def test_read_jsonl_gives_the_values_and_messages_of_json_loads(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"[0]\n" + line.encode("utf-8") + b"\n[3]\n")
+    values, errors = read_jsonl(str(path), lambda obj: obj)
+    try:
+        expected = [[0], json.loads(line.strip()), [3]], []
+    except ValueError as exc:
+        expected = [[0], [3]], [(2, str(exc))]
+    assert (repr(values), errors) == (repr(expected[0]), expected[1])
 
 
 def test_read_json_names_the_file_for_bytes_that_are_not_utf8(tmp_path):
