@@ -142,7 +142,9 @@ def autoregressive_loss(
 ) -> tuple[float, DecoderCache]:
     """Mean negative log-likelihood of the sequence's response tokens, and
     the cache ``decoder_backward`` and ``response_predictions`` read; a
-    caller that wants only the loss takes ``[0]``.
+    caller that wants only the loss takes ``[0]``. ``params`` are the
+    ones that assembled ``sequence``, whose target positions assume their
+    vocabulary.
 
     Position i is predicted from the mean of all rows before it (visual
     block, instruction, and earlier response tokens), rounded as

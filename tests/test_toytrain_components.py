@@ -253,8 +253,9 @@ def test_loss_matches_log_softmax_oracle():
     assert response_predictions(cache).shape == (3,)
 
 
-def _one_target_decoder(readout_b):
-    """A 4-token decoder whose logits are `readout_b` at every position."""
+def _fixed_logit_sequence(readout_b):
+    """A sequence with targets 1 then 2, and the 4-token decoder that
+    assembled it, whose logits are `readout_b` at every position."""
     decoder = init_decoder(4, 2, seed=0)
     decoder.readout_w[:] = 0.0
     decoder.readout_b[:] = readout_b
@@ -268,14 +269,14 @@ def _one_target_decoder(readout_b):
 )
 def test_loss_raises_on_a_target_probability_that_is_zero_or_nan(readout_b):
     # pytest turns an escaping RuntimeWarning (log of 0, say) into an error
-    seq, decoder = _one_target_decoder(readout_b)
+    seq, decoder = _fixed_logit_sequence(readout_b)
     with pytest.raises(FloatingPointError, match="^non-finite loss$"):
         autoregressive_loss(seq, decoder)
 
 
 def test_loss_of_a_subnormal_target_probability_is_finite():
     # exp(-740) / 3 is ~1.4e-322, a subnormal float64 but still > 0
-    seq, decoder = _one_target_decoder([0.0, -740.0, 0.0, 0.0])
+    seq, decoder = _fixed_logit_sequence([0.0, -740.0, 0.0, 0.0])
     loss, cache = autoregressive_loss(seq, decoder)
     assert 0.0 < cache.probs[0, 1] < np.finfo(np.float64).tiny
     assert loss == float(-np.log(cache.probs[[0, 1], [1, 2]]).mean())
